@@ -230,7 +230,8 @@ def solve_missing_third(
         polys[i] = left * right
 
     filled = [p for p in polys if p is not None]
-    assert len(filled) == n
+    if len(filled) != n:
+        raise RuntimeError(f"completion filled {len(filled)} of {n} entries")
     # the alternating product test applies to zero-bounded sequences; a
     # window cut out of a longer sequence has non-unit boundary deltas and
     # legitimately fails it

@@ -11,6 +11,7 @@ Kunneth formula.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence, Union
 
 from ialex.laurent import (
@@ -249,9 +250,9 @@ def _unit_quotient(value: LaurentPoly) -> LaurentPoly:
     """The unit u with u * value equal to value's primitive representative."""
     rep = normalize(value).to_laurent()
     q, r = _poly_divmod(value, rep)
-    assert r.is_zero and q.is_unit
-    exp = q.min_exp
-    return LaurentPoly({-exp: 1 / q.coeff(exp)})
+    if not (r.is_zero and q.is_unit):
+        raise RuntimeError(f"{value} is not a unit times {rep}")
+    return q.inverse()
 
 
 def _eliminate(w: _Worker) -> int:
@@ -315,11 +316,70 @@ def _eliminate(w: _Worker) -> int:
                 if not w.s[i + 1][i].is_zero:
                     q, r = _poly_divmod(w.s[i + 1][i], w.s[i][i])
                     w.add_row(i + 1, i, -q)
-                    assert r.is_zero and w.s[i + 1][i].is_zero
+                    if not (r.is_zero and w.s[i + 1][i].is_zero):
+                        raise RuntimeError(
+                            "divisibility repair left a subdiagonal entry")
                 changed = True
     for i in range(k):
         w.scale_row(i, _unit_quotient(w.s[i][i]))
     return k
+
+
+def _unit_prepass(m: GammaMatrix) -> tuple[int, GammaMatrix]:
+    """Eliminate unit pivots on sparse rows; returns their count and the core.
+
+    A unit pivot clears its column by row operations, after which its row
+    is cleared by column operations without touching the rest, so the pivot
+    splits off an invariant factor 1 and leaves the matrix without that row
+    and column.  Pivots come from the shortest row holding a unit, and
+    within it from the sparsest column, which keeps fill-in low.
+    """
+    rows: dict[int, dict[int, LaurentPoly]] = {}
+    holders: dict[int, set[int]] = {}       # column -> rows with an entry
+    for i, row in enumerate(m.entries):
+        sparse = {j: e for j, e in enumerate(row) if not e.is_zero}
+        if sparse:
+            rows[i] = sparse
+            for j in sparse:
+                holders.setdefault(j, set()).add(i)
+    queue = [(len(row), i) for i, row in rows.items()
+             if any(e.is_unit for e in row.values())]
+    heapq.heapify(queue)
+    pivots = 0
+    while queue:
+        size, i = heapq.heappop(queue)
+        pivot_row = rows.get(i)
+        if pivot_row is None or len(pivot_row) != size:
+            continue                          # stale: removed or refilled
+        units = [j for j, e in pivot_row.items() if e.is_unit]
+        if not units:
+            continue
+        col = min(units, key=lambda j: (len(holders[j]), j))
+        inverse = pivot_row.pop(col).inverse()
+        del rows[i]
+        for j in pivot_row:
+            holders[j].discard(i)
+        for k in holders.pop(col) - {i}:
+            row = rows[k]
+            f = row.pop(col) * inverse
+            for j, e in pivot_row.items():
+                value = row[j] - f * e if j in row else -(f * e)
+                if value.is_zero:
+                    del row[j]
+                    holders[j].discard(k)
+                else:
+                    row[j] = value
+                    holders[j].add(k)
+            if not row:
+                del rows[k]
+            elif any(e.is_unit for e in row.values()):
+                heapq.heappush(queue, (len(row), k))
+        pivots += 1
+    cols = sorted({j for row in rows.values() for j in row})
+    zero = LaurentPoly.zero()
+    core = GammaMatrix([[row.get(j, zero) for j in cols]
+                        for _, row in sorted(rows.items())], cols=len(cols))
+    return pivots, core
 
 
 def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
@@ -327,16 +387,21 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
 
     The factors include unit pivots and form a divisibility chain; the second
     value (the matrix rank, equal to the number of factors) is what the
-    column count loses when passing to the cokernel's free rank.
+    column count loses when passing to the cokernel's free rank.  Unit
+    entries are eliminated first on sparse rows (Dumas, Saunders and
+    Villard, JSC 2001), each one a factor 1, so boundary matrices of
+    simplicial complexes shrink to a small core before Euclidean pivoting.
 
     >>> factors, rank = smith_normal_form(GammaMatrix([["t - 1", "1"], ["0", "t + 1"]]))
     >>> [str(f) for f in factors], rank
     (['1', 't^2 - 1'], 2)
     """
-    w = _Worker(m, track=False)
+    pivots, core = _unit_prepass(m)
+    w = _Worker(core, track=False)
     rank = _eliminate(w)
-    factors = tuple(normalize(w.s[i][i]) for i in range(rank))
-    return factors, rank
+    factors = (PrimitiveRep.one(),) * pivots + tuple(
+        normalize(w.s[i][i]) for i in range(rank))
+    return factors, pivots + rank
 
 
 def snf_transforms(m: GammaMatrix) -> tuple[GammaMatrix, GammaMatrix, GammaMatrix]:
@@ -472,6 +537,10 @@ class FgGammaModule:
         return self.free_rank + len(self.torsion)
 
     def direct_sum(self, other: "FgGammaModule") -> "FgGammaModule":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return FgGammaModule.from_summands(
             self.free_rank + other.free_rank,
             list(self.torsion) + list(other.torsion))
@@ -583,6 +652,10 @@ def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
     >>> tensor(FgGammaModule.cyclic("t^2 - 1"), FgGammaModule.cyclic("t^3 - 3*t^2 + 3*t - 1"))
     FgGammaModule(free=0, torsion=['t - 1'])
     """
+    if a == FgGammaModule.free(1):
+        return b
+    if b == FgGammaModule.free(1):
+        return a
     orders: list[PrimitiveRep] = []
     orders.extend(t for t in b.torsion for _ in range(a.free_rank))
     orders.extend(t for t in a.torsion for _ in range(b.free_rank))

@@ -221,6 +221,17 @@ class LaurentPoly:
         """The ring involution t -> t^-1."""
         return LaurentPoly({-e: c for e, c in self._terms.items()})
 
+    def inverse(self) -> "LaurentPoly":
+        """The inverse of a unit q*t^k; raises ValueError for nonunits.
+
+        >>> print(LaurentPoly({2: Fraction(-3, 2)}).inverse())
+        -2/3*t^-2
+        """
+        if not self.is_unit:
+            raise ValueError(f"{self} is not a unit")
+        ((exp, coeff),) = self._terms.items()
+        return LaurentPoly({-exp: 1 / coeff})
+
     # -- comparison and presentation ------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -367,6 +378,10 @@ def parse(text: str) -> LaurentPoly:
     True
     >>> parse("0").is_zero
     True
+    >>> parse("1/0*t")
+    Traceback (most recent call last):
+        ...
+    ValueError: zero denominator in '1/0'
     """
     compact = re.sub(r"\s+", "", text).replace("−", "-")
     if not compact:
@@ -385,7 +400,10 @@ def parse(text: str) -> LaurentPoly:
             raise ValueError(f"dangling sign in {text!r}")
         if not first and not sign:
             raise ValueError(f"missing operator before {compact[pos:]!r}")
-        c = Fraction(coef) if coef is not None else Fraction(1)
+        try:
+            c = Fraction(coef) if coef is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {coef!r}") from None
         if sign == "-":
             c = -c
         e = int(exp) if exp is not None else (1 if tpart else 0)

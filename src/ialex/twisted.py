@@ -2,11 +2,13 @@
 
 A local system on a finite complex is stored as a unit of the ring on every
 oriented edge, subject to the cocycle condition on triangles, together with
-one coefficient module shared by all vertices.  Chains are stalk-valued
-simplicial chains; the boundary picks up the edge unit on the face opposite
-the leading vertex.  Homology stays inside the module toolkit: kernels come
-from Smith normal form, images are divided out through a stacked relation
-matrix, and the result is canonicalized.
+one coefficient module shared by all vertices.  Chains with coefficients in
+the ring itself form a complex of free modules whose boundary picks up the
+edge unit on the face opposite the leading vertex; the Smith form of each
+boundary matrix gives that complex's homology from ranks and invariant
+factors alone.  The stalk enters afterwards, by the universal coefficient
+theorem over a principal ideal domain (Hatcher, Algebraic Topology, 3.A):
+H_p(X; M) = H_p(X; Gamma) (x) M  +  Tor(H_{p-1}(X; Gamma), M).
 
 On top of the homology sit the second-page tables of the neighborhood
 spectral sequence: one row per coefficient degree of a link, with the cone
@@ -23,10 +25,10 @@ from ialex.engine import Perversity, cone_ih
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
-    cokernel,
-    kernel_basis,
     order_polynomial,
-    solve_left,
+    smith_normal_form,
+    tensor,
+    tor,
 )
 from ialex.laurent import LaurentPoly, PolyLike, PrimitiveRep, as_laurent
 
@@ -53,11 +55,6 @@ class EmptyComplex(ValueError):
 class NotTorsionEntry(ValueError):
     """A page entry came out with positive free rank, so it has no order
     polynomial."""
-
-
-def _unit_inverse(u: LaurentPoly) -> LaurentPoly:
-    exp = u.min_exp
-    return LaurentPoly({-exp: 1 / u.coeff(exp)})
 
 
 def _edge_key(raw) -> tuple[int, int]:
@@ -114,7 +111,7 @@ class TwistedComplex:
             if u == v:
                 raise ValueError("monodromy is defined on edges, not vertices")
             if u > v:
-                u, v, unit = v, u, _unit_inverse(unit)
+                u, v, unit = v, u, unit.inverse()
             if (u, v) not in edges:
                 raise ValueError(f"({u}, {v}) is not an edge of the complex")
             if (u, v) in table and table[(u, v)] != unit:
@@ -148,7 +145,7 @@ class TwistedComplex:
             return LaurentPoly.one()
         key = (min(u, v), max(u, v))
         unit = self.monodromy.get(key, LaurentPoly.one())
-        return unit if u < v else _unit_inverse(unit)
+        return unit if u < v else unit.inverse()
 
     def with_stalk(self, stalk: FgGammaModule) -> "TwistedComplex":
         out = object.__new__(TwistedComplex)
@@ -185,47 +182,62 @@ class TwistedComplex:
                 f"dim {self.dimension}, stalk {self.stalk})")
 
 
-def _boundary_matrix(tc: TwistedComplex, p: int, copies: int) -> GammaMatrix:
-    """The degree-p boundary on stalk-valued chains, one generator block per
-    simplex; rows are sources, columns targets."""
-    top = tc.simplices_of_dim(p)
+def _boundary_matrix(tc: TwistedComplex, p: int) -> GammaMatrix:
+    """The degree-p boundary on chains with coefficients in the ring; rows
+    are sources, columns targets."""
     bottom = tc.simplices_of_dim(p - 1)
     index = {s: i for i, s in enumerate(bottom)}
-    grid = [[LaurentPoly.zero()] * (len(bottom) * copies)
-            for _ in range(len(top) * copies)]
-    for si, simplex in enumerate(top):
+    grid = []
+    for simplex in tc.simplices_of_dim(p):
+        row = [LaurentPoly.zero()] * len(bottom)
         for j in range(p + 1):
-            face = simplex[:j] + simplex[j + 1:]
             coeff = (tc.transport(simplex[0], simplex[1]) if j == 0
                      else LaurentPoly.one())
-            if j % 2:
-                coeff = -coeff
-            fi = index[face]
-            for g in range(copies):
-                grid[si * copies + g][fi * copies + g] = coeff
-    return GammaMatrix(grid, cols=len(bottom) * copies)
+            row[index[simplex[:j] + simplex[j + 1:]]] = -coeff if j % 2 else coeff
+        grid.append(row)
+    return GammaMatrix(grid, cols=len(bottom))
 
 
-def _stalk_relations(stalk: FgGammaModule, copies: int) -> GammaMatrix:
-    """Torsion relations of `copies` stalk copies, as rows over the chain
-    generators."""
-    gens = stalk.rank
-    rows = []
-    for c in range(copies):
-        for g, tau in enumerate(stalk.torsion):
-            row = [LaurentPoly.zero()] * (copies * gens)
-            row[c * gens + stalk.free_rank + g] = tau.to_laurent()
-            rows.append(row)
-    return GammaMatrix(rows, cols=copies * gens)
+def _free_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
+    """Homology with coefficients in the ring, ignoring the stalk.
+
+    With r_p the rank of the degree-p boundary and c_p the number of
+    p-simplices, H_p has free rank c_p - r_p - r_{p+1}, and its torsion is
+    that of the cokernel of the degree-(p+1) boundary, i.e. that boundary's
+    nonunit invariant factors: chains modulo cycles embed in the free
+    (p-1)-chains, so the cycles split off the chains as a direct summand.
+    """
+    dim = tc.dimension
+    ranks = [0] * (dim + 2)
+    torsion = [()] * (dim + 1)
+    for p in range(1, dim + 1):
+        factors, ranks[p] = smith_normal_form(_boundary_matrix(tc, p))
+        torsion[p - 1] = [f for f in factors if not f.is_one]
+    return tuple(
+        FgGammaModule(len(tc.simplices_of_dim(p)) - ranks[p] - ranks[p + 1],
+                      torsion[p])
+        for p in range(dim + 1))
+
+
+def _universal_coefficients(free: Sequence[FgGammaModule],
+                            stalk: FgGammaModule) -> tuple[FgGammaModule, ...]:
+    """H_p (x) M  +  Tor(H_{p-1}, M), degree by degree, from the homology
+    H_* with coefficients in the ring and the stalk M."""
+    below = FgGammaModule.zero()
+    out = []
+    for h in free:
+        out.append(tensor(h, stalk).direct_sum(tor(below, stalk)))
+        below = h
+    return tuple(out)
 
 
 def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     """Homology of the stalk-valued chain complex, degree by degree.
 
-    Cycles in each degree are cut out by a stacked matrix (the boundary over
-    the target's stalk relations); boundaries from one degree up and the
-    stalk relations of the degree itself are then expressed in the cycle
-    basis and divided out.
+    The chain groups with coefficients in the ring are free and the edge
+    units act invertibly, so the homology with coefficients in the ring
+    comes from one Smith form per boundary matrix, and the stalk enters by
+    the universal coefficient theorem.
 
     >>> circle = TwistedComplex([[0, 1], [1, 2], [0, 2]], {"0-1": "t"})
     >>> twisted_homology(circle)
@@ -233,26 +245,7 @@ def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     >>> twisted_homology(TwistedComplex([[0, 1], [1, 2], [0, 2]]))
     (FgGammaModule(free=1, torsion=[]), FgGammaModule(free=1, torsion=[]))
     """
-    gens = tc.stalk.rank
-    dim = tc.dimension
-    if gens == 0:
-        return tuple(FgGammaModule.zero() for _ in range(dim + 1))
-    out = []
-    for p in range(dim + 1):
-        count = len(tc.simplices_of_dim(p))
-        if p == 0:
-            cycles = GammaMatrix.identity(count * gens)
-        else:
-            below = len(tc.simplices_of_dim(p - 1))
-            stacked = _boundary_matrix(tc, p, gens).stack(
-                _stalk_relations(tc.stalk, below))
-            full = kernel_basis(stacked)
-            cycles = full.submatrix(range(full.rows), range(count * gens))
-        relations = _stalk_relations(tc.stalk, count)
-        if p < dim:
-            relations = relations.stack(_boundary_matrix(tc, p + 1, gens))
-        out.append(cokernel(solve_left(cycles, relations)))
-    return tuple(out)
+    return _universal_coefficients(_free_homology(tc), tc.stalk)
 
 
 def _family(base, length: int) -> list[TwistedComplex]:
@@ -286,10 +279,13 @@ def e2_link_page(base, link_modules: Sequence[FgGammaModule],
     PrimitiveRep('t + 1')
     """
     family = _family(base, len(link_modules))
+    free: dict[tuple, tuple[FgGammaModule, ...]] = {}
     entries = {}
     for q, module in enumerate(link_modules):
-        homology = twisted_homology(family[q].with_stalk(module))
-        for p, h in enumerate(homology):
+        key = tuple(sorted(family[q].monodromy.items()))
+        if key not in free:
+            free[key] = _free_homology(family[q])
+        for p, h in enumerate(_universal_coefficients(free[key], module)):
             if h.free_rank:
                 raise NotTorsionEntry(
                     f"page entry (p={p}, q={q}) has free rank {h.free_rank}")

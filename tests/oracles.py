@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: factorization
 is done by Kronecker interpolation and trial division instead of the modular
 factorizer, invariant factors come from gcds of minors instead of elimination,
-and ranks come from plain fraction Gaussian elimination.  Slow is fine; these
-only ever see small inputs.
+ranks come from plain fraction Gaussian elimination, and twisted homology is
+cut out of stalk-valued chains by kernels and solves instead of universal
+coefficients.  Slow is fine; these only ever see small inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,13 @@ import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from ialex.gmodule import (
+    FgGammaModule,
+    GammaMatrix,
+    kernel_basis,
+    snf_transforms,
+    solve_left,
+)
 from ialex.laurent import LaurentPoly, PrimitiveRep, normalize
 
 # -- dense polynomial helpers (coefficients indexed by exponent) ----------
@@ -294,3 +302,80 @@ def untwisted_betti(simplices):
         ranks[p] = fraction_rank(rows)
     return [len(by_dim[p]) - ranks.get(p, 0) - ranks.get(p + 1, 0)
             for p in range(dim + 1)]
+
+
+# -- kernel-and-solve route to twisted homology -----------------------------
+
+
+def stalk_boundary_matrix(tc, p: int, copies: int) -> GammaMatrix:
+    """The degree-p boundary on stalk-valued chains, one block of `copies`
+    generators per simplex; rows are sources, columns targets."""
+    top = tc.simplices_of_dim(p)
+    bottom = tc.simplices_of_dim(p - 1)
+    index = {s: i for i, s in enumerate(bottom)}
+    grid = [[LaurentPoly.zero()] * (len(bottom) * copies)
+            for _ in range(len(top) * copies)]
+    for si, simplex in enumerate(top):
+        for j in range(p + 1):
+            face = simplex[:j] + simplex[j + 1:]
+            coeff = (tc.transport(simplex[0], simplex[1]) if j == 0
+                     else LaurentPoly.one())
+            if j % 2:
+                coeff = -coeff
+            fi = index[face]
+            for g in range(copies):
+                grid[si * copies + g][fi * copies + g] = coeff
+    return GammaMatrix(grid, cols=len(bottom) * copies)
+
+
+def stalk_relations(stalk, copies: int) -> GammaMatrix:
+    """Torsion relations of `copies` stalk copies, as rows over the chain
+    generators."""
+    gens = stalk.rank
+    rows = []
+    for c in range(copies):
+        for g, tau in enumerate(stalk.torsion):
+            row = [LaurentPoly.zero()] * (copies * gens)
+            row[c * gens + stalk.free_rank + g] = tau.to_laurent()
+            rows.append(row)
+    return GammaMatrix(rows, cols=copies * gens)
+
+
+def dense_cokernel(m: GammaMatrix) -> FgGammaModule:
+    """The module m presents, read off the diagonal of the transform-tracking
+    Smith form, which eliminates densely without the unit pre-pass."""
+    _, s, _ = snf_transforms(m)
+    diagonal = [s.entry(i, i) for i in range(min(s.rows, s.cols))
+                if not s.entry(i, i).is_zero]
+    return FgGammaModule(m.cols - len(diagonal),
+                         [normalize(d) for d in diagonal if not d.is_unit])
+
+
+def kernel_solve_homology(tc) -> tuple:
+    """Homology of the stalk-valued chain complex, degree by degree.
+
+    Cycles in each degree are cut out by a stacked matrix (the boundary over
+    the target's stalk relations); boundaries from one degree up and the
+    stalk relations of the degree itself are then expressed in the cycle
+    basis and divided out.
+    """
+    gens = tc.stalk.rank
+    dim = tc.dimension
+    if gens == 0:
+        return tuple(FgGammaModule.zero() for _ in range(dim + 1))
+    out = []
+    for p in range(dim + 1):
+        count = len(tc.simplices_of_dim(p))
+        if p == 0:
+            cycles = GammaMatrix.identity(count * gens)
+        else:
+            below = len(tc.simplices_of_dim(p - 1))
+            stacked = stalk_boundary_matrix(tc, p, gens).stack(
+                stalk_relations(tc.stalk, below))
+            full = kernel_basis(stacked)
+            cycles = full.submatrix(range(full.rows), range(count * gens))
+        relations = stalk_relations(tc.stalk, count)
+        if p < dim:
+            relations = relations.stack(stalk_boundary_matrix(tc, p + 1, gens))
+        out.append(dense_cokernel(solve_left(cycles, relations)))
+    return tuple(out)

@@ -94,6 +94,29 @@ def test_schema_error_paths(tmp_path):
     assert report_of(result)["error"]["path"] == "payload.poly"
 
 
+@pytest.mark.parametrize("command", ["run", "factor"])
+def test_zero_denominator_is_schema_error(tmp_path, command):
+    """A zero denominator is one more malformed polynomial string, not an
+    exception escaping the case."""
+    reports = []
+    for text in ("1/0*t", "t^^2"):
+        case = {"kind": "factor", "payload": {"poly": text}}
+        result = invoke(tmp_path, case, command)
+        assert result.exit_code == 1
+        report = report_of(result)
+        assert report["error"]["message"].startswith("bad polynomial")
+        del report["error"]["message"]
+        reports.append(report)
+    assert reports[0] == reports[1] == {
+        "kind": "factor", "status": "error", "values": {},
+        "certificates": [],
+        "error": {"code": "schema", "path": "payload.poly"}}
+    matrix = {"kind": "snf", "payload": {"matrix": [["t", "3/0"]]}}
+    report, code = cli.run_case(matrix, cli.RunOptions())
+    assert code == 1 and report["error"]["code"] == "schema"
+    assert report["error"]["path"] == "payload.matrix[0][1]"
+
+
 def test_missing_input_file(tmp_path):
     runner = CliRunner()
     result = runner.invoke(cli.main, ["run", "--input",

@@ -1,5 +1,7 @@
 """Smith reduction, canonical modules and the tensor/Tor calculus."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from conftest import (
 )
 from ialex.gmodule import (
     FgGammaModule,
+    _unit_prepass,
     GammaMatrix,
     NotPrime,
     NotTorsion,
@@ -37,7 +40,7 @@ from ialex.laurent import (
     parse,
     similar,
 )
-from oracles import determinantal_invariant_factors
+from oracles import determinantal_invariant_factors, simplex_closure
 
 # -- Smith normal form ---------------------------------------------------------
 
@@ -66,6 +69,85 @@ def test_snf_matches_determinantal_oracle(m):
     oracle = determinantal_invariant_factors([list(m.row(i)) for i in range(m.rows)])
     assert list(factors) == oracle
     assert rank == len(oracle)
+
+
+def boundary_pattern(simplices, p):
+    """Signs of the degree-p simplicial boundary; rows are p-simplices."""
+    closure = simplex_closure(simplices)
+    bottom = [s for s in closure if len(s) == p]
+    index = {s: i for i, s in enumerate(bottom)}
+    grid = []
+    for s in (s for s in closure if len(s) == p + 1):
+        row = [0] * len(bottom)
+        for j in range(p + 1):
+            row[index[s[:j] + s[j + 1:]]] = (-1) ** j
+        grid.append(row)
+    return grid
+
+
+TETRAHEDRON = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+PATTERNS = [
+    boundary_pattern([[0, 1], [1, 2], [0, 2]], 1),
+    boundary_pattern([[0, 1], [1, 2], [2, 3], [0, 3]], 1),
+    boundary_pattern([[0, 1, 2], [1, 2, 3]], 2),
+    boundary_pattern(TETRAHEDRON, 1),
+    boundary_pattern(TETRAHEDRON, 2),
+]
+_UNIT = st.builds(lambda sign, q, k: LaurentPoly({k: sign * q}),
+                  st.sampled_from([1, -1]),
+                  st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]),
+                  st.integers(-2, 2))
+_NONUNIT = st.sampled_from(["t - 1", "t + 1", "2*t - 1", "t^2 + 1"]).map(parse)
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """A small simplicial boundary matrix with every sign scaled by a random
+    unit q*t^k; in "mixed" mode some entries, in "none" mode all of them,
+    are also multiplied by a nonunit."""
+    pattern = draw(st.sampled_from(PATTERNS))
+    mode = draw(st.sampled_from(["all", "mixed", "none"]))
+    grid = []
+    for signs in pattern:
+        row = []
+        for sign in signs:
+            entry = LaurentPoly.zero()
+            if sign:
+                entry = draw(_UNIT).scale(sign)
+                if mode == "none" or (mode == "mixed" and draw(st.booleans())):
+                    entry = entry * draw(_NONUNIT)
+            row.append(entry)
+        grid.append(row)
+    m = GammaMatrix(grid)
+    return m.transpose() if draw(st.booleans()) else m
+
+
+@given(unit_heavy_matrices())
+@settings(max_examples=60, deadline=None)
+def test_snf_matches_determinantal_oracle_on_unit_entries(m):
+    factors, rank = smith_normal_form(m)
+    oracle = determinantal_invariant_factors([list(m.row(i)) for i in range(m.rows)])
+    assert list(factors) == oracle
+    assert rank == len(oracle)
+
+
+@pytest.mark.parametrize("grid,pivots,core_shape,expected", [
+    # all units, and the pre-pass leaves no core
+    (boundary_pattern(TETRAHEDRON, 1), 3, (0, 0), ["1", "1", "1"]),
+    # all units, but they sum to a nonunit in the core: a circle twisted by t
+    ([["-1", "1", "0"], ["-1", "0", "t"], ["0", "-1", "1"]], 2, (1, 1),
+     ["1", "1", "t - 1"]),
+    # no units: the core is the whole matrix
+    ([["t - 1", "0"], ["t^2 - 1", "t^2 - 1"]], 0, (2, 2), ["t - 1", "t^2 - 1"]),
+])
+def test_unit_prepass_cases(grid, pivots, core_shape, expected):
+    m = GammaMatrix(grid)
+    found, core = _unit_prepass(m)
+    assert (found, (core.rows, core.cols)) == (pivots, core_shape)
+    factors, rank = smith_normal_form(m)
+    assert [str(f) for f in factors] == expected and rank == len(expected)
+    assert list(factors) == determinantal_invariant_factors(
+        [list(m.row(i)) for i in range(m.rows)])
 
 
 @given(gamma_matrices(max_rows=3, max_cols=3))

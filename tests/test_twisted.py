@@ -1,11 +1,13 @@
 """Twisted simplicial homology and the neighborhood second pages."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ialex import twisted
 from ialex.bounds import E2Table
 from ialex.engine import Perversity
 from ialex.gmodule import FgGammaModule, order_polynomial
@@ -21,7 +23,7 @@ from ialex.twisted import (
     twisted_homology,
 )
 
-from oracles import untwisted_betti
+from oracles import kernel_solve_homology, untwisted_betti
 
 CIRCLE = [[0, 1], [1, 2], [0, 2]]
 SPHERE = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
@@ -183,6 +185,80 @@ def test_coboundary_twist_is_invisible(potentials, order):
             assert h == FgGammaModule.from_summands(0, [order] * b)
 
 
+# -- universal coefficients against the kernel-and-solve oracle -----------------------
+
+
+_UNITS = st.builds(lambda q, k: LaurentPoly({k: q}),
+                   st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)]),
+                   st.integers(-2, 2))
+
+
+@st.composite
+def random_ngons(draw):
+    """An n-gon with a random unit on every edge: any assignment is a
+    cocycle on a graph, and the loop product may or may not be a t-power."""
+    n = draw(st.integers(3, 6))
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    units = draw(st.lists(_UNITS, min_size=n, max_size=n))
+    return TwistedComplex(edges, dict(zip(edges, units)))
+
+
+@st.composite
+def random_tori(draw, m=3):
+    """The m x m torus with holonomies x, y around its two loops, spread
+    over the edges through a random gauge phi: the unit on the step a -> b
+    is phi(b)/phi(a) times x (resp. y) per wrap of the first (second)
+    coordinate, which composes around every triangle."""
+    x, y = draw(_UNITS), draw(_UNITS)
+    phi = draw(st.lists(_UNITS, min_size=m * m, max_size=m * m))
+
+    def v(i, j):
+        return (i % m) * m + (j % m)
+
+    tris, mono = [], {}
+    for i in range(m):
+        for j in range(m):
+            for mid in ((1, 0), (0, 1)):
+                corners = [(i, j), (i + mid[0], j + mid[1]), (i + 1, j + 1)]
+                tris.append([v(*c) for c in corners])
+                for (ai, aj), (bi, bj) in itertools.combinations(corners, 2):
+                    a, b = v(ai, aj), v(bi, bj)
+                    mono[(a, b)] = (phi[b] * phi[a].inverse()
+                                    * x ** (bi // m - ai // m)
+                                    * y ** (bj // m - aj // m))
+    return TwistedComplex(tris, mono)
+
+
+@st.composite
+def gauged_complexes(draw):
+    """A sphere or projective plane whose edge units are a coboundary."""
+    simplices = draw(st.sampled_from([SPHERE, RP2]))
+    phi = draw(st.lists(_UNITS, min_size=6, max_size=6))
+    edges = TwistedComplex(simplices).simplices_of_dim(1)
+    return TwistedComplex(simplices, {(u, v): phi[v] * phi[u].inverse()
+                                      for u, v in edges})
+
+
+# orders sharing factors with x - 1 for the units x above, so that the Tor
+# terms of the universal coefficient formula come out nonzero
+_ORDERS = st.sampled_from(["t - 1", "t + 1", "t^2 - 1", "t^2 + 1", "2*t - 1",
+                           "t^2 - t + 1"])
+_STALKS = st.one_of(
+    st.just(FgGammaModule.zero()),
+    st.integers(1, 2).map(FgGammaModule.free),
+    st.lists(_ORDERS, min_size=1, max_size=2).map(
+        lambda orders: FgGammaModule.from_summands(0, orders)),
+    _ORDERS.map(lambda order: FgGammaModule.from_summands(1, [order])),
+)
+
+
+@given(st.one_of(random_ngons(), random_tori(), gauged_complexes()), _STALKS)
+@settings(max_examples=30, deadline=None)
+def test_universal_coefficients_match_kernel_solve(tc, stalk):
+    tc = tc.with_stalk(stalk)
+    assert twisted_homology(tc) == kernel_solve_homology(tc)
+
+
 # -- conservation laws -----------------------------------------------------------------
 
 
@@ -291,6 +367,27 @@ def test_link_page_per_degree_monodromy():
              FgGammaModule.cyclic("t - 1")]
     page = e2_link_page(family, links)
     assert page == E2Table({(0, 0, 1): "t - 1", (0, 1, 1): "t - 1"})
+
+
+def test_link_page_computes_free_homology_once_per_base(monkeypatch):
+    bases = []
+    real = twisted._free_homology
+
+    def counting(tc):
+        bases.append(tc)
+        return real(tc)
+
+    monkeypatch.setattr(twisted, "_free_homology", counting)
+    links = [FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t + 1"),
+             FgGammaModule.cyclic("t^2 + 1")]
+    shared = e2_link_page(TwistedComplex(TORUS), links)
+    assert len(bases) == 1
+    assert shared.entry(0, 1, 2) == normalize("t^2 + 1") ** 2
+
+    bases.clear()
+    family = [ngon(3), TwistedComplex(CIRCLE), ngon(3)]
+    e2_link_page(family, links)
+    assert len(bases) == 2
 
 
 def test_link_page_family_validation():
