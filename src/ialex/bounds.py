@@ -22,7 +22,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ialex.engine import Perversity
 from ialex.gmodule import NotPrime, _require_prime
-from ialex.laurent import PolyLike, PrimitiveRep, divides, factor, multiplicity, normalize
+from ialex.laurent import (
+    DEFAULT_DEGREE_CAP,
+    PolyLike,
+    PrimitiveRep,
+    divides,
+    factor,
+    multiplicity,
+    normalize,
+)
 
 __all__ = [
     "DegreeOutOfRange",
@@ -51,12 +59,12 @@ class MissingOrdinaryData(ValueError):
 _T_MINUS_ONE = normalize("t - 1")
 
 
-def _primes_of(poly: PolyLike) -> set[PrimitiveRep]:
-    return {p for p, _ in factor(normalize(poly))}
+def _primes_of(poly: PolyLike, degree_cap: int) -> set[PrimitiveRep]:
+    return {p for p, _ in factor(poly, degree_cap)}
 
 
-def _link_primes(poly: PrimitiveRep) -> set[PrimitiveRep]:
-    return {p for p, _ in factor(poly) if p != _T_MINUS_ONE}
+def _link_primes(poly: PolyLike, degree_cap: int) -> set[PrimitiveRep]:
+    return _primes_of(poly, degree_cap) - {_T_MINUS_ONE}
 
 
 class StratumComponent:
@@ -235,7 +243,9 @@ class E2Table:
 
 
 def allowed_primes_single(i: int, n: int, k: int, c_i: PolyLike,
-                          xi: Sequence[PolyLike]) -> set[PrimitiveRep]:
+                          xi: Sequence[PolyLike],
+                          degree_cap: int = DEFAULT_DEGREE_CAP,
+                          ) -> set[PrimitiveRep]:
     """Admissible prime divisors when the singular set is one closed manifold
     stratum with a product link-cone neighborhood.
 
@@ -252,15 +262,16 @@ def allowed_primes_single(i: int, n: int, k: int, c_i: PolyLike,
     if not 0 < i < n - 1:
         raise DegreeOutOfRange(
             f"the divisor window covers degrees 0 < i < {n - 1}, got {i}")
-    out = _primes_of(c_i)
+    out = _primes_of(c_i, degree_cap)
     for s, poly in enumerate(xi):
         if 0 < s < k - 1 and 0 <= i - s <= n - k:
-            out |= _link_primes(normalize(poly))
+            out |= _link_primes(poly, degree_cap)
     return out
 
 
 def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
-                     lambda_i: PolyLike, xi: Sequence[PolyLike]) -> bool:
+                     lambda_i: PolyLike, xi: Sequence[PolyLike],
+                     degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """Certify that a prime cannot divide the degree-i intersection
     polynomial of a single-stratum knot.
 
@@ -275,7 +286,7 @@ def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
     ...                  ["t - 1", "1", "t^2 - t + 1"])
     False
     """
-    rep = _require_prime(normalize(gamma))
+    rep = _require_prime(gamma, degree_cap)
     if divides(rep, lambda_i):
         return False
     cut = k - p(k + 1)
@@ -286,7 +297,9 @@ def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
 
 
 def allowed_primes_general(j: int, lambda_j: PolyLike, data: StratificationData,
-                           use_ordinary: bool = False) -> set[PrimitiveRep]:
+                           use_ordinary: bool = False,
+                           degree_cap: int = DEFAULT_DEGREE_CAP,
+                           ) -> set[PrimitiveRep]:
     """Admissible prime divisors for an arbitrary stratified singular set.
 
     A prime dividing the degree-j intersection polynomial divides lambda_j or
@@ -301,7 +314,7 @@ def allowed_primes_general(j: int, lambda_j: PolyLike, data: StratificationData,
     >>> sorted(str(q) for q in allowed_primes_general(2, "1", data))
     ['t + 1']
     """
-    out = _primes_of(lambda_j)
+    out = _primes_of(lambda_j, degree_cap)
     for stratum in data.strata:
         i = stratum.dim
         for comp in stratum.components:
@@ -314,12 +327,13 @@ def allowed_primes_general(j: int, lambda_j: PolyLike, data: StratificationData,
                 polys = comp.zeta
             for s, poly in enumerate(polys):
                 if 0 <= j - s <= i - 1 and 0 <= s < data.n - i - 2:
-                    out |= _link_primes(poly)
+                    out |= _link_primes(poly, degree_cap)
     return out
 
 
 def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
-                    n: int, p: Perversity) -> int:
+                    n: int, p: Perversity,
+                    degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Cap on the multiplicity of a prime in the degree-j intersection
     polynomial.
 
@@ -333,7 +347,7 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
     >>> max_power_bound("t - 1", 2, 3, table, 6, Perversity.zero(6))
     4
     """
-    rep = _require_prime(normalize(gamma))
+    rep = _require_prime(gamma, degree_cap)
     if gamma_j < 0:
         raise ValueError("gamma_j is a multiplicity and cannot be negative")
     total = int(gamma_j)
@@ -351,7 +365,8 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
 
 
 def check_result(ia_j: PolyLike, allowed: Iterable[PrimitiveRep],
-                 power_bounds: Optional[Mapping[PolyLike, int]] = None) -> dict:
+                 power_bounds: Optional[Mapping[PolyLike, int]] = None,
+                 degree_cap: int = DEFAULT_DEGREE_CAP) -> dict:
     """Compare a computed polynomial against an admissibility set and
     optional per-prime multiplicity caps.
 
@@ -366,7 +381,7 @@ def check_result(ia_j: PolyLike, allowed: Iterable[PrimitiveRep],
     allowed_set = {normalize(q) for q in allowed}
     caps = {} if power_bounds is None else {
         normalize(g): int(b) for g, b in dict(power_bounds).items()}
-    for prime, mult in factor(normalize(ia_j)):
+    for prime, mult in factor(ia_j, degree_cap):
         if prime not in allowed_set:
             return {"ok": False, "prime": str(prime),
                     "observed": mult, "allowed": 0}

@@ -273,8 +273,8 @@ def _case_seq(payload, opts: RunOptions):
             cols = modules[i + 1].rank if i + 1 < len(modules) else None
             maps.append(_matrix(raw, f"payload.maps[{i}]", cols))
         seq = exactseq.ModuleSequence(modules, maps)
-        out = exactseq.split_primary(seq, _poly_field(payload, "prime",
-                                                      "payload"))
+        out = exactseq.split_primary(
+            seq, _poly_field(payload, "prime", "payload"), opts.degree_cap)
         return "pass", {
             "modules": [m.to_json() for m in out.modules],
             "maps": [t.to_json() for t in out.maps],
@@ -372,7 +372,8 @@ def _case_bounds(payload, opts: RunOptions):
                 _poly_field(payload, "lambda", "payload"),
                 _stratification(payload["stratification"],
                                 "payload.stratification"),
-                _bool_field(payload, "ordinary", "payload", default=False))
+                _bool_field(payload, "ordinary", "payload", default=False),
+                opts.degree_cap)
         else:
             allowed = bounds.allowed_primes_single(
                 _int_field(payload, "i", "payload"),
@@ -380,7 +381,8 @@ def _case_bounds(payload, opts: RunOptions):
                 _int_field(payload, "k", "payload"),
                 _poly_field(payload, "c", "payload"),
                 _poly_list(_list_field(payload, "xi", "payload"),
-                           "payload.xi"))
+                           "payload.xi"),
+                opts.degree_cap)
         return "pass", {"allowed": _sorted_primes(allowed)}, []
     if op == "exclude":
         excluded = bounds.exclusion_single(
@@ -389,7 +391,8 @@ def _case_bounds(payload, opts: RunOptions):
             _int_field(payload, "k", "payload"),
             _perversity_field(payload, "perversity", "payload"),
             _poly_field(payload, "lambda", "payload"),
-            _poly_list(_list_field(payload, "xi", "payload"), "payload.xi"))
+            _poly_list(_list_field(payload, "xi", "payload"), "payload.xi"),
+            opts.degree_cap)
         certificates = [] if excluded else [{
             "reason": "the prime divides lambda or a link polynomial at or "
                       "above the perversity cut"}]
@@ -403,7 +406,8 @@ def _case_bounds(payload, opts: RunOptions):
             _e2table(_dict_field(payload, "table", "payload"),
                      "payload.table"),
             _int_field(payload, "n", "payload"),
-            _perversity_field(payload, "perversity", "payload"))
+            _perversity_field(payload, "perversity", "payload"),
+            opts.degree_cap)
         return "pass", {"bound": bound}, []
     if op == "check":
         allowed = _poly_list(_list_field(payload, "allowed", "payload"),
@@ -415,7 +419,7 @@ def _case_bounds(payload, opts: RunOptions):
             powers[prime] = _require(raw[key], f"payload.powers.{key}",
                                      int, "an integer")
         result = bounds.check_result(_poly_field(payload, "ia", "payload"),
-                                     allowed, powers)
+                                     allowed, powers, opts.degree_cap)
         status = "pass" if result["ok"] else "fail"
         return status, result, ([] if result["ok"] else [dict(result)])
     raise SchemaError("payload.op", f"unknown bounds operation {op!r}")

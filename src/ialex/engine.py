@@ -18,6 +18,7 @@ from ialex.gmodule import FgGammaModule, NotTorsion, kunneth, order_polynomial, 
 from ialex.laurent import (
     PolyLike,
     PrimitiveRep,
+    _as_rep,
     divides,
     exact_quotient,
     involute,
@@ -60,10 +61,6 @@ class DivisibilityViolation(ValueError):
 
 
 _ONE = PrimitiveRep.one()
-
-
-def _as_rep(value) -> PrimitiveRep:
-    return value if isinstance(value, PrimitiveRep) else normalize(value)
 
 
 class Perversity:
@@ -391,22 +388,22 @@ def ia_product(inp: ProductSingularityInput,
         high = _windowed_kunneth_order(inp.sigma_homology, inp.link_modules,
                                        i, s_min)
         a_high, a_full = inp.a_high_at(i), inp.a_at(i)
-        if not divides(a_high.to_laurent(), a_full.to_laurent()):
+        if not divides(a_high, a_full):
             raise DivisibilityViolation(
                 f"degree {i}: a_high = {a_high} does not divide a = {a_full}")
-        if not divides(a_high.to_laurent(), high.to_laurent()):
+        if not divides(a_high, high):
             raise DivisibilityViolation(
                 f"degree {i}: a_high = {a_high} does not divide the high "
                 f"Kunneth polynomial {high}")
-        if not divides(a_full.to_laurent(), nu.to_laurent()):
+        if not divides(a_full, nu):
             raise DivisibilityViolation(
                 f"degree {i}: a = {a_full} does not divide nu = {nu}")
-        b = exact_quotient(nu.to_laurent(), a_full.to_laurent())
-        b_high = exact_quotient(high.to_laurent(), a_high.to_laurent())
-        if not divides(b_high.to_laurent(), b.to_laurent()):
+        b = exact_quotient(nu, a_full)
+        b_high = exact_quotient(high, a_high)
+        if not divides(b_high, b):
             raise DivisibilityViolation(
                 f"degree {i}: b_high = {b_high} does not divide b = {b}")
-        b_low = exact_quotient(b.to_laurent(), b_high.to_laurent())
+        b_low = exact_quotient(b, b_high)
         value = inp.a_high_at(i - 1) * b_low * inp.c_at(i)
         out.append(value)
         report.append({

@@ -11,7 +11,7 @@ splitting a sequence of actual modules into its p-primary restrictions.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ialex.gmodule import (
     FgGammaModule,
@@ -22,14 +22,15 @@ from ialex.gmodule import (
     order_polynomial,
 )
 from ialex.laurent import (
+    DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
     PrimitiveRep,
+    _as_rep,
     _poly_divmod,
     divides,
     exact_quotient,
     multiplicity,
-    normalize,
 )
 
 __all__ = [
@@ -55,10 +56,6 @@ class MissingSplitting(ValueError):
 
 class NonDividingSplitting(ValueError):
     """A supplied or derived subpolynomial fails to divide its sequence entry."""
-
-
-def _as_rep(value: Union[PrimitiveRep, PolyLike]) -> PrimitiveRep:
-    return value if isinstance(value, PrimitiveRep) else normalize(value)
 
 
 class PolySequence:
@@ -152,10 +149,10 @@ def subpolynomials(polys: Sequence[PolyLike]) -> tuple[PrimitiveRep, ...]:
     deltas = [PrimitiveRep.one()]
     for i, p in enumerate(polys):
         rep = _as_rep(p)
-        if not divides(deltas[-1].to_laurent(), rep.to_laurent()):
+        if not divides(deltas[-1], rep):
             raise NotExactCompatible(
                 f"entry {i} is not divisible by its left delta")
-        deltas.append(exact_quotient(rep.to_laurent(), deltas[-1].to_laurent()))
+        deltas.append(exact_quotient(rep, deltas[-1]))
     if not deltas[-1].is_one:
         raise NotExactCompatible(
             f"sequence does not close: final delta is {deltas[-1]}")
@@ -198,10 +195,10 @@ def solve_missing_third(
         deltas[idx] = _as_rep(value)
 
     def quotient(entry: PrimitiveRep, delta: PrimitiveRep, where: int) -> PrimitiveRep:
-        if not divides(delta.to_laurent(), entry.to_laurent()):
+        if not divides(delta, entry):
             raise NonDividingSplitting(
                 f"delta {delta} does not divide entry {where} ({entry})")
-        return exact_quotient(entry.to_laurent(), delta.to_laurent())
+        return exact_quotient(entry, delta)
 
     changed = True
     while changed:
@@ -276,8 +273,7 @@ class ModuleSequence:
                     f"{src.rank}x{dst.rank}")
             for j, cj in enumerate(src.torsion):
                 for l, dl in enumerate(dst.torsion):
-                    if not divides(dl.to_laurent(),
-                                   cj.to_laurent() * t.entry(j, l)):
+                    if not divides(dl, cj.to_laurent() * t.entry(j, l)):
                         raise ValueError(
                             f"map {i} does not respect relation {j} of its source")
         for i in range(len(mats) - 1):
@@ -285,7 +281,7 @@ class ModuleSequence:
             target = mods[i + 2]
             for r in range(comp.rows):
                 for l, dl in enumerate(target.torsion):
-                    if not divides(dl.to_laurent(), comp.entry(r, l)):
+                    if not divides(dl, comp.entry(r, l)):
                         raise ValueError(
                             f"maps {i} and {i + 1} do not compose to zero")
         object.__setattr__(self, "modules", mods)
@@ -315,7 +311,8 @@ def _reduce_entry(entry: LaurentPoly, order: PrimitiveRep) -> LaurentPoly:
     return r
 
 
-def split_primary(seq: ModuleSequence, prime: PolyLike) -> ModuleSequence:
+def split_primary(seq: ModuleSequence, prime: PolyLike,
+                  degree_cap: int = DEFAULT_DEGREE_CAP) -> ModuleSequence:
     """Restrict a module sequence to the p-primary summands.
 
     Each module splits off the summand supported at the prime; the restricted
@@ -331,7 +328,7 @@ def split_primary(seq: ModuleSequence, prime: PolyLike) -> ModuleSequence:
     >>> [m.to_json()["torsion"] for m in split_primary(seq, "t - 1").modules]
     [['t - 1'], ['t - 1'], []]
     """
-    rep = _require_prime(prime)
+    rep = _require_prime(prime, degree_cap)
     kept_indices: list[list[int]] = []
     components: list[FgGammaModule] = []
     for m in seq.modules:

@@ -15,12 +15,15 @@ import heapq
 from typing import Iterable, Sequence, Union
 
 from ialex.laurent import (
+    DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
     PrimitiveRep,
+    _as_rep,
     _poly_divmod,
     as_laurent,
     divides,
+    exact_quotient,
     factor,
     gcd,
     involute,
@@ -479,13 +482,12 @@ class FgGammaModule:
     def __init__(self, free_rank: int, torsion: Iterable[Union[PrimitiveRep, str]] = ()):
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        chain = tuple(t if isinstance(t, PrimitiveRep) else normalize(t)
-                      for t in torsion)
+        chain = tuple(_as_rep(t) for t in torsion)
         for t in chain:
             if t.degree < 1:
                 raise ValueError("torsion coefficients must be nonunits")
         for a, b in zip(chain, chain[1:]):
-            if not divides(a.to_laurent(), b.to_laurent()):
+            if not divides(a, b):
                 raise ValueError("torsion coefficients must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", chain)
@@ -511,17 +513,23 @@ class FgGammaModule:
     def from_summands(cls, free_rank: int, orders: Iterable[PolyLike]) -> "FgGammaModule":
         """Canonicalize a direct sum of cyclic pieces and a free part.
 
-        The block-diagonal presentation of the sum is renormalized by Smith
-        reduction, so the result is always a valid chain.
+        Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), so pairing each
+        slot with every later one leaves gcds in front of lcms: every prime's
+        exponents end up sorted and the slots form the invariant-factor
+        chain, with the units first.
+
+        >>> FgGammaModule.from_summands(1, ["t + 1", "t^2 - 1", "t - 1", "3"])
+        FgGammaModule(free=1, torsion=['t^2 - 1', 't^2 - 1'])
         """
-        coeffs = [normalize(c) for c in orders]
-        coeffs = [c for c in coeffs if not c.is_one]
-        if not coeffs:
-            return cls(free_rank)
-        m = GammaMatrix.diagonal([c.to_laurent() for c in coeffs])
-        factors, rank = smith_normal_form(m)
-        chain = [f for f in factors if not f.is_one]
-        return cls(free_rank + len(coeffs) - rank, chain)
+        coeffs = [_as_rep(c) for c in orders]
+        for i, a in enumerate(coeffs):
+            for j in range(i + 1, len(coeffs)):
+                b = coeffs[j]
+                g = gcd(a, b)
+                coeffs[j] = a * exact_quotient(b, g)
+                a = g
+            coeffs[i] = a
+        return cls(free_rank, [c for c in coeffs if not c.is_one])
 
     @property
     def is_zero(self) -> bool:
@@ -598,14 +606,16 @@ def order_polynomial(m: FgGammaModule) -> PrimitiveRep:
     return out
 
 
-def _require_prime(prime: PrimitiveRep) -> PrimitiveRep:
-    rep = normalize(prime)
-    if rep.is_one or factor(rep) != ((rep, 1),):
+def _require_prime(prime: PolyLike,
+                   degree_cap: int = DEFAULT_DEGREE_CAP) -> PrimitiveRep:
+    rep = _as_rep(prime)
+    if rep.is_one or factor(rep, degree_cap) != ((rep, 1),):
         raise NotPrime(f"{rep} is not irreducible")
     return rep
 
 
-def primary_component(m: FgGammaModule, prime: PolyLike) -> FgGammaModule:
+def primary_component(m: FgGammaModule, prime: PolyLike,
+                      degree_cap: int = DEFAULT_DEGREE_CAP) -> FgGammaModule:
     """The direct summand supported at one prime.
 
     Each coefficient is replaced by the exact power of the prime it
@@ -617,7 +627,7 @@ def primary_component(m: FgGammaModule, prime: PolyLike) -> FgGammaModule:
     """
     if m.free_rank:
         raise NotTorsion("primary decomposition requires a torsion module")
-    rep = _require_prime(prime)
+    rep = _require_prime(prime, degree_cap)
     parts = []
     for c in m.torsion:
         e = multiplicity(rep, c)
@@ -626,11 +636,12 @@ def primary_component(m: FgGammaModule, prime: PolyLike) -> FgGammaModule:
     return FgGammaModule.from_summands(0, parts)
 
 
-def support_primes(m: FgGammaModule) -> tuple[PrimitiveRep, ...]:
+def support_primes(m: FgGammaModule, degree_cap: int = DEFAULT_DEGREE_CAP,
+                   ) -> tuple[PrimitiveRep, ...]:
     """The primes dividing some torsion coefficient (largest one suffices)."""
     if not m.torsion:
         return ()
-    return tuple(p for p, _ in factor(m.torsion[-1]))
+    return tuple(p for p, _ in factor(m.torsion[-1], degree_cap))
 
 
 def conjugate(m: FgGammaModule) -> FgGammaModule:
@@ -661,7 +672,7 @@ def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
     orders.extend(t for t in a.torsion for _ in range(b.free_rank))
     for x in a.torsion:
         for y in b.torsion:
-            orders.append(gcd(x.to_laurent(), y.to_laurent()))
+            orders.append(gcd(x, y))
     return FgGammaModule.from_summands(a.free_rank * b.free_rank, orders)
 
 
@@ -673,8 +684,7 @@ def tor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
     >>> tor(FgGammaModule.free(2), FgGammaModule.cyclic("t - 1")).is_zero
     True
     """
-    orders = [gcd(x.to_laurent(), y.to_laurent())
-              for x in a.torsion for y in b.torsion]
+    orders = [gcd(x, y) for x in a.torsion for y in b.torsion]
     return FgGammaModule.from_summands(0, orders)
 
 

@@ -8,8 +8,12 @@ coefficient.  :class:`LaurentPoly` is the general ring element;
 :class:`PrimitiveRep` is that canonical representative, so similarity tests
 reduce to structural equality.
 
-All arithmetic is exact; coefficients are arbitrary-precision rationals and
-no floating point is used anywhere.
+All arithmetic is exact and no floating point is used anywhere.  Ring
+elements keep arbitrary-precision rational coefficients, while gcd and
+division run on the integer primitive representatives: by Gauss's lemma,
+gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
+polynomials, so no rational Euclid (and no coefficient blow-up) is needed.
+gcds use sympy's heuristic integer GCD.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "BothZero",
@@ -212,10 +216,6 @@ class LaurentPoly:
         if not x and self._terms and self.min_exp < 0:
             raise ZeroDivisionError("cannot evaluate negative exponents at 0")
         return sum((c * x**e for e, c in self._terms.items()), Fraction(0))
-
-    def derivative(self) -> "LaurentPoly":
-        """Formal derivative d/dt."""
-        return LaurentPoly({e - 1: e * c for e, c in self._terms.items() if e})
 
     def involute(self) -> "LaurentPoly":
         """The ring involution t -> t^-1."""
@@ -521,8 +521,52 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
     return quot, rem
 
 
+def _as_rep(value: PolyLike, allow_zero: bool = False) -> Optional[PrimitiveRep]:
+    """The primitive representative; representatives pass through as is.
+
+    Zero raises :class:`ZeroPolynomial`, or gives None when allowed.
+    """
+    if isinstance(value, PrimitiveRep):
+        return value
+    q = as_laurent(value)
+    if allow_zero and q.is_zero:
+        return None
+    return normalize(q)
+
+
+def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The quotient a / b of primitive integer coefficient tuples, or None.
+
+    Coefficients run from exponent 0 upward.  By Gauss's lemma a primitive b
+    divides a over Q exactly when it divides it in Z[t], so the leading
+    coefficient of b must divide every step of the long division exactly.
+    """
+    db = len(b) - 1
+    shift = len(a) - 1 - db
+    if shift < 0 or a[0] % b[0]:
+        return None
+    rem = list(a)
+    lead = b[-1]
+    quot = [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            return None
+        if c:
+            quot[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    if any(rem[:db]):
+        return None
+    return tuple(quot)
+
+
 def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
     """Greatest common divisor, as a canonical representative.
+
+    Computed on the primitive representatives in Z[t] (Gauss's lemma) by
+    sympy's heuristic integer GCD, which verifies its answer by division and
+    falls back to a primitive PRS gcd, so the result is exact.
 
     >>> gcd(parse("t - 1"), parse("t + 1"))
     PrimitiveRep('1')
@@ -531,37 +575,40 @@ def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
     >>> gcd(parse("t^2 - 1"), LaurentPoly.zero())
     PrimitiveRep('t^2 - 1')
     """
-    a, b = as_laurent(p), as_laurent(q)
-    if a.is_zero and b.is_zero:
+    a, b = _as_rep(p, allow_zero=True), _as_rep(q, allow_zero=True)
+    if a is None and b is None:
         raise BothZero("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return normalize(a)
+    if a is None or b is None:
+        return a or b
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
+    g = dup_gcd([ZZ(c) for c in reversed(a.coeffs)],
+                [ZZ(c) for c in reversed(b.coeffs)], ZZ)
+    return PrimitiveRep(int(c) for c in reversed(g))
 
 
 def divides(d: PolyLike, p: PolyLike) -> bool:
     """True iff d divides p in the ring (up to units). Everything divides 0."""
-    dd, pp = as_laurent(d), as_laurent(p)
-    if pp.is_zero:
+    dd, pp = _as_rep(d, allow_zero=True), _as_rep(p, allow_zero=True)
+    if pp is None:
         return True
-    if dd.is_zero:
+    if dd is None:
         return False
-    _, r = _poly_divmod(pp, dd)
-    return r.is_zero
+    return _exact_div(pp.coeffs, dd.coeffs) is not None
 
 
 def exact_quotient(p: PolyLike, d: PolyLike) -> PrimitiveRep:
     """The canonical representative of p/d; raises if d does not divide p."""
-    pp, dd = as_laurent(p), as_laurent(d)
-    if dd.is_zero:
+    pp, dd = _as_rep(p, allow_zero=True), _as_rep(d, allow_zero=True)
+    if dd is None:
         raise ZeroDivisionError("division by the zero polynomial")
-    if pp.is_zero:
+    if pp is None:
         raise ZeroPolynomial("quotient of zero has no representative")
-    q, r = _poly_divmod(pp, dd)
-    if not r.is_zero:
-        raise ValueError(f"{dd} does not divide {pp}")
-    return normalize(q)
+    q = _exact_div(pp.coeffs, dd.coeffs)
+    if q is None:
+        raise ValueError(f"{as_laurent(d)} does not divide {as_laurent(p)}")
+    return PrimitiveRep(q)
 
 
 def multiplicity(prime: PolyLike, p: PolyLike) -> int:
@@ -570,20 +617,16 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
     >>> multiplicity("t - 1", "t^3 - 3*t^2 + 3*t - 1")
     3
     """
-    g = normalize(prime)
+    g = _as_rep(prime)
     if g.is_one:
         raise ValueError("multiplicity of a unit is not defined")
-    current = as_laurent(p)
-    if current.is_zero:
+    current = _as_rep(p, allow_zero=True)
+    if current is None:
         raise ZeroPolynomial("multiplicity in the zero polynomial is not defined")
-    glp = g.to_laurent()
-    count = 0
-    while True:
-        q, r = _poly_divmod(current, glp)
-        if not r.is_zero:
-            return count
-        current = q
+    coeffs, count = current.coeffs, 0
+    while (coeffs := _exact_div(coeffs, g.coeffs)) is not None:
         count += 1
+    return count
 
 
 def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: factorization
 is done by Kronecker interpolation and trial division instead of the modular
-factorizer, invariant factors come from gcds of minors instead of elimination,
-ranks come from plain fraction Gaussian elimination, and twisted homology is
-cut out of stalk-valued chains by kernels and solves instead of universal
+factorizer, gcds by rational Euclid instead of the integer heuristic GCD,
+invariant factors come from gcds of minors instead of elimination, ranks
+come from plain fraction Gaussian elimination, and twisted homology is cut
+out of stalk-valued chains by kernels and solves instead of universal
 coefficients.  Slow is fine; these only ever see small inputs.
 """
 
@@ -21,7 +22,7 @@ from ialex.gmodule import (
     snf_transforms,
     solve_left,
 )
-from ialex.laurent import LaurentPoly, PrimitiveRep, normalize
+from ialex.laurent import LaurentPoly, PrimitiveRep, as_laurent, normalize
 
 # -- dense polynomial helpers (coefficients indexed by exponent) ----------
 
@@ -52,6 +53,27 @@ def dense_divmod(a: list[Fraction], b: list[Fraction]):
 def dense_divides(d: list, p: list) -> bool:
     _, r = dense_divmod([Fraction(c) for c in p], [Fraction(c) for c in d])
     return not r
+
+
+def dense_coeffs(p) -> list[Fraction]:
+    """Coefficients from the lowest exponent up; [] for zero."""
+    q = as_laurent(p)
+    if q.is_zero:
+        return []
+    return [q.coeff(e) for e in range(q.min_exp, q.max_exp + 1)]
+
+
+def rational_euclid_gcd(p, q) -> PrimitiveRep:
+    """gcd by Euclid over Q with Fraction coefficients, then normalized.
+
+    Shares no integer arithmetic with `laurent.gcd`; at least one argument
+    must be nonzero.
+    """
+    a, b = dense_coeffs(p), dense_coeffs(q)
+    while b:
+        _, r = dense_divmod(a, b)
+        a, b = b, r
+    return normalize(LaurentPoly.from_coeffs(a))
 
 
 # -- Kronecker factorization (degree at most 6) ---------------------------

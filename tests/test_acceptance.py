@@ -52,6 +52,7 @@ from ialex.laurent import (
     divides,
     exact_quotient,
     factor,
+    gcd,
     multiplicity,
     normalize,
     similar,
@@ -516,3 +517,19 @@ def test_criterion_11_torus_torsion_stalk():
         assert homology == tuple(FgGammaModule.from_summands(0, d)
                                  for d in degrees)
         assert elapsed < 0.5, f"took {elapsed:.2f} s"
+
+
+def test_criterion_12_highdeg_gcd():
+    """The gcd of two degree-56 polynomials with a planted quadratic factor
+    comes out exactly, in under 0.05 s."""
+    rng = random.Random(0)
+    planted = normalize("2*t^2 - 3*t + 5")
+    polys = [LaurentPoly.from_coeffs(
+        [rng.randint(-9, 9) for _ in range(54)] + [rng.randint(1, 9)])
+        * planted.to_laurent() for _ in range(2)]
+    gcd(polys[0], planted)  # warm-up
+    start = time.perf_counter()
+    g = gcd(*polys)
+    elapsed = time.perf_counter() - start
+    assert g == planted
+    assert elapsed < 0.05, f"took {elapsed:.3f} s"

@@ -132,6 +132,35 @@ def test_degree_cap_exits_two(tmp_path):
     assert report_of(result)["error"]["code"] == "degree-cap"
 
 
+_OVER_CAP = "t^5 - t - 1"
+_CAPPED_CASES = {
+    "allowed-single": {"op": "allowed", "i": 2, "n": 7, "k": 4,
+                       "c": _OVER_CAP, "xi": ["t - 1"]},
+    "allowed-general": {"op": "allowed", "j": 2, "lambda": _OVER_CAP,
+                        "stratification": {"n": 7, "strata": []}},
+    "exclude": {"op": "exclude", "i": 2, "k": 4, "perversity": [0] * 5,
+                "gamma": _OVER_CAP, "lambda": "t - 2", "xi": ["t - 1"]},
+    "maxpower": {"op": "maxpower", "gamma": _OVER_CAP, "j": 2, "gamma_j": 0,
+                 "n": 6, "perversity": [0] * 5, "table": {"entries": []}},
+    "check": {"op": "check", "ia": _OVER_CAP, "allowed": []},
+    "split": {"op": "split", "modules": [{"torsion": ["t - 1"]}],
+              "prime": _OVER_CAP},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_CASES))
+def test_degree_cap_reaches_every_factorization(tmp_path, name):
+    payload = _CAPPED_CASES[name]
+    kind, command = ("seq", "split") if name == "split" else \
+        ("bounds", payload["op"])
+    result = invoke(tmp_path, {"kind": kind, "payload": payload},
+                    kind, command, flags=("--degree-cap", "4"))
+    assert result.exit_code == 2
+    error = report_of(result)["error"]
+    assert error["code"] == "degree-cap"
+    assert error["message"] == "degree 5 exceeds the factorization cap 4"
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(FACTOR_CASE), encoding="utf-8")

@@ -238,6 +238,33 @@ def test_from_summands_is_canonical(orders):
     assert order_polynomial(m) == total
 
 
+@st.composite
+def order_lists(draw):
+    """Orders with units, repeats and coprime pairs, as reps or text."""
+    pool = draw(st.lists(prime_products(), min_size=1, max_size=3))
+    units = ["1", "-3/2", "t^2"]
+    orders = draw(st.lists(st.sampled_from(pool) | st.sampled_from(units),
+                           min_size=0, max_size=6))
+    return [str(c) if draw(st.booleans()) else c for c in orders]
+
+
+@given(order_lists(), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_from_summands_matches_diagonal_cokernel(orders, free):
+    diagonal = GammaMatrix.diagonal([parse(str(c)) for c in orders])
+    expected = cokernel(diagonal) if orders else FgGammaModule.zero()
+    m = FgGammaModule.from_summands(free, orders)
+    assert m == FgGammaModule(free + expected.free_rank, expected.torsion)
+
+
+def test_from_summands_units_repeats_coprime():
+    assert FgGammaModule.from_summands(0, ["1", "-3/2*t", "t^2"]).is_zero
+    assert FgGammaModule.from_summands(0, ["t - 1", "t + 1"]) == \
+        FgGammaModule.cyclic("t^2 - 1")
+    assert FgGammaModule.from_summands(2, ["t - 1", "t - 1", "1"]) == \
+        FgGammaModule(2, ["t - 1", "t - 1"])
+
+
 # -- order polynomial -------------------------------------------------------------
 
 

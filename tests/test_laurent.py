@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import laurent_polys, nonzero_polys, primitive_reps
+from conftest import laurent_polys, nonzero_polys, primitive_reps, rationals
 from ialex.laurent import (
     BothZero,
     DegreeCapExceeded,
@@ -24,7 +24,7 @@ from ialex.laurent import (
     parse,
     similar,
 )
-from oracles import kronecker_factor
+from oracles import dense_coeffs, dense_divmod, kronecker_factor, rational_euclid_gcd
 
 # -- parsing and printing ---------------------------------------------------
 
@@ -177,6 +177,110 @@ def test_multiplicity_frozen():
     assert multiplicity("t^2 - t + 1", "t^5 - 3*t^4 + 5*t^3 - 5*t^2 + 3*t - 1") == 2
     with pytest.raises(ValueError):
         multiplicity("3", "t - 1")
+
+
+# -- integer core against the rational route ----------------------------------
+
+
+def _rational_quotient(p, d):
+    """p/d by rational long division, or None when d does not divide p."""
+    q, r = dense_divmod(dense_coeffs(p), dense_coeffs(d))
+    return None if r else normalize(LaurentPoly.from_coeffs(q))
+
+
+def _rational_multiplicity(prime, p):
+    count, current = 0, p
+    while (current := _rational_quotient(current, prime)) is not None:
+        count += 1
+    return count
+
+
+@st.composite
+def argument_forms(draw, p):
+    """p as a LaurentPoly, its text, or its primitive representative."""
+    form = draw(st.sampled_from(["laurent", "str", "rep"]))
+    if form == "str":
+        return str(p)
+    if form == "rep" and not p.is_zero:
+        return normalize(p)
+    return p
+
+
+@st.composite
+def planted_pairs(draw):
+    """Two Laurent polynomials sharing a random factor, rescaled and shifted."""
+    common = draw(nonzero_polys(max_span=3, max_terms=3))
+    p, q = (common * draw(nonzero_polys(max_span=3, max_terms=4))
+            * LaurentPoly({draw(st.integers(-3, 3)): draw(rationals().filter(bool))})
+            for _ in range(2))
+    return common, p, q
+
+
+@given(planted_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_core_matches_rational_route(pair, data):
+    common, p, q = pair
+    cp, pp, qp = (data.draw(argument_forms(x)) for x in (common, p, q))
+    assert gcd(pp, qp) == rational_euclid_gcd(p, q)
+    assert divides(cp, pp) and divides(cp, qp)
+    assert exact_quotient(pp, cp) == _rational_quotient(p, common)
+    for d, x, dx, xx in ((p, q, pp, qp), (q, p, qp, pp)):
+        expected = _rational_quotient(x, d)
+        assert divides(dx, xx) == (expected is not None)
+        if expected is None:
+            with pytest.raises(ValueError):
+                exact_quotient(xx, dx)
+        else:
+            assert exact_quotient(xx, dx) == expected
+    if not normalize(common).is_one:
+        assert multiplicity(cp, pp) == _rational_multiplicity(common, p) >= 1
+
+
+def test_integer_core_zero_and_unit_arguments():
+    p = parse("3/2*t^-1 - 3/2*t")
+    for zero in ("0", LaurentPoly.zero()):
+        with pytest.raises(BothZero):
+            gcd(zero, zero)
+        assert gcd(p, zero) == gcd(zero, p) == normalize(p)
+        assert divides(zero, zero) and divides(p, zero)
+        assert not divides(zero, p)
+        with pytest.raises(ZeroDivisionError):
+            exact_quotient(p, zero)
+        with pytest.raises(ZeroDivisionError):
+            exact_quotient(zero, zero)
+        with pytest.raises(ZeroPolynomial):
+            exact_quotient(zero, p)
+        with pytest.raises(ZeroPolynomial):
+            multiplicity(zero, p)
+        with pytest.raises(ZeroPolynomial):
+            multiplicity("t - 1", zero)
+    for unit in ("-3/4*t^5", PrimitiveRep.one(), LaurentPoly({-2: 7})):
+        assert gcd(unit, p).is_one and gcd(p, unit).is_one
+        assert divides(unit, p)
+        assert exact_quotient(p, unit) == normalize(p)
+        with pytest.raises(ValueError):
+            multiplicity(unit, p)
+    assert not divides(p, "5*t^3")
+    with pytest.raises(ValueError):
+        exact_quotient("5*t^3", p)
+
+
+def test_integer_core_failing_divisions():
+    # divisor of higher degree than the dividend
+    assert not divides("t^3 + 1", "t + 1")
+    with pytest.raises(ValueError, match="does not divide"):
+        exact_quotient("t + 1", "t^3 + 1")
+    # the constant terms match, the second long-division step leaves 1/2
+    assert not divides("2*t + 1", "4*t^2 + 3*t + 1")
+    with pytest.raises(ValueError):
+        exact_quotient("4*t^2 + 3*t + 1", "2*t + 1")
+    # the leading step leaves 1/2 while the low coefficients cancel
+    assert not divides("2*t + 1", "t^2 + 2*t + 1")
+    # every step divides, a nonzero remainder is left over
+    assert not divides("t + 1", "t^2 + 1")
+    assert multiplicity("t + 1", "t^2 + 1") == 0
+    # a constant-term mismatch is caught before any step
+    assert not divides("2*t + 3", "2*t^2 + 5*t + 1")
 
 
 # -- factorization ------------------------------------------------------------
