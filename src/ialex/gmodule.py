@@ -614,8 +614,7 @@ def _require_prime(prime: PolyLike,
     return rep
 
 
-def primary_component(m: FgGammaModule, prime: PolyLike,
-                      degree_cap: int = DEFAULT_DEGREE_CAP) -> FgGammaModule:
+def primary_component(m: FgGammaModule, prime: PolyLike) -> FgGammaModule:
     """The direct summand supported at one prime.
 
     Each coefficient is replaced by the exact power of the prime it
@@ -627,7 +626,7 @@ def primary_component(m: FgGammaModule, prime: PolyLike,
     """
     if m.free_rank:
         raise NotTorsion("primary decomposition requires a torsion module")
-    rep = _require_prime(prime, degree_cap)
+    rep = _require_prime(prime)
     parts = []
     for c in m.torsion:
         e = multiplicity(rep, c)
@@ -636,12 +635,11 @@ def primary_component(m: FgGammaModule, prime: PolyLike,
     return FgGammaModule.from_summands(0, parts)
 
 
-def support_primes(m: FgGammaModule, degree_cap: int = DEFAULT_DEGREE_CAP,
-                   ) -> tuple[PrimitiveRep, ...]:
+def support_primes(m: FgGammaModule) -> tuple[PrimitiveRep, ...]:
     """The primes dividing some torsion coefficient (largest one suffices)."""
     if not m.torsion:
         return ()
-    return tuple(p for p, _ in factor(m.torsion[-1], degree_cap))
+    return tuple(p for p, _ in factor(m.torsion[-1]))
 
 
 def conjugate(m: FgGammaModule) -> FgGammaModule:
