@@ -13,7 +13,8 @@ elements keep arbitrary-precision rational coefficients, while gcd and
 division run on the integer primitive representatives: by Gauss's lemma,
 gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
 polynomials, so no rational Euclid (and no coefficient blow-up) is needed.
-gcds use sympy's heuristic integer GCD.
+gcds use sympy's heuristic integer GCD; factorization divides out the
+cyclotomic factors exactly and hands only the rest to sympy's factorizer.
 """
 
 from __future__ import annotations
@@ -629,15 +630,87 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
     return count
 
 
+def _cyclotomic_orders(bound: int) -> list[tuple[int, int]]:
+    """Every n with Euler phi(n) <= bound, as (n, phi(n)) pairs by n.
+
+    phi is multiplicative and phi(p^k) = p^(k-1)*(p - 1) >= p - 1, so every
+    such n is a product of prime powers p^k with p <= bound + 1; the search
+    multiplies them together in increasing order of p while phi stays within
+    the bound.
+
+    >>> _cyclotomic_orders(2)
+    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2)]
+    """
+    sieve = bytearray([1]) * (bound + 2)
+    primes = []
+    for p in range(2, bound + 2):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 2, p)))
+    orders = []
+    stack = [(1, 1, 0)]  # (n, phi(n), index of the smallest prime still free)
+    while stack:
+        n, phi, start = stack.pop()
+        orders.append((n, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            power, phi_power = p, phi * (p - 1)
+            if phi_power > bound:
+                break
+            while phi_power <= bound:
+                stack.append((n * power, phi_power, i + 1))
+                power, phi_power = power * p, phi_power * p
+    return sorted(orders)
+
+
+# Phi_n and Phi_n(2) by n: constants of the ring, built on first use
+_CYCLOTOMIC: dict[int, tuple[int, ...]] = {}
+_CYCLOTOMIC_AT_2: dict[int, int] = {}
+
+
+def _proper_divisors(n: int) -> list[int]:
+    return [d for d in range(1, n // 2 + 1) if n % d == 0]
+
+
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n: t^n - 1 divided exactly by Phi_d for each proper divisor d."""
+    coeffs = _CYCLOTOMIC.get(n)
+    if coeffs is None:
+        coeffs = (-1,) + (0,) * (n - 1) + (1,)
+        for d in _proper_divisors(n):
+            coeffs = _exact_div(coeffs, _cyclotomic(d))
+        _CYCLOTOMIC[n] = coeffs
+    return coeffs
+
+
+def _cyclotomic_at_2(n: int) -> int:
+    """Phi_n(2) = (2^n - 1) / prod of Phi_d(2) over the proper divisors d.
+
+    This is the Moebius product of the (2^d - 1)^mu(n/d), in integers only.
+    """
+    value = _CYCLOTOMIC_AT_2.get(n)
+    if value is None:
+        value = 2**n - 1
+        for d in _proper_divisors(n):
+            value //= _cyclotomic_at_2(d)
+        _CYCLOTOMIC_AT_2[n] = value
+    return value
+
+
 def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Factor into pairwise non-associate irreducibles with multiplicities.
 
     Returns a tuple of ``(prime, multiplicity)`` pairs in canonical order
     whose product is similar to ``p``; units factor into the empty tuple.
-    Square-free parts are split off with the formal derivative, then each
-    part is factored over the integers (reduction mod small primes, Hensel
-    lifting and subset recombination, as implemented by sympy's integer
-    polynomial factorizer).
+
+    Cyclotomic factors come out first, by exact division in Z[t]: for every
+    n with phi(n) at most the degree still left, Phi_n is divided out as
+    often as it goes.  A cheap filter runs before each division: Phi_n(2)
+    must divide the integer value at t = 2 of what is left, or Phi_n is not
+    a factor.  Only the cofactor without cyclotomic factors goes to sympy's
+    integer polynomial factorizer (square-free splitting, reduction mod small
+    primes, Hensel lifting and subset recombination), and a cofactor 1 is
+    never passed on.
 
     >>> factor("t^2 - 1")
     ((PrimitiveRep('t - 1'), 1), (PrimitiveRep('t + 1'), 1))
@@ -645,24 +718,34 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     ()
     >>> factor("t^5 - 3*t^4 + 5*t^3 - 5*t^2 + 3*t - 1")
     ((PrimitiveRep('t - 1'), 1), (PrimitiveRep('t^2 - t + 1'), 2))
+    >>> [str(prime) for prime, _ in factor("t^6 - 1")]
+    ['t - 1', 't + 1', 't^2 - t + 1', 't^2 + t + 1']
     """
     rep = normalize(p)
     if rep.degree > degree_cap:
         raise DegreeCapExceeded(
             f"degree {rep.degree} exceeds the factorization cap {degree_cap}")
-    if rep.degree == 0:
-        return ()
-    import sympy
-
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(rep.coeffs[::-1], t, domain="ZZ")
-    _, parts = poly.factor_list()
+    rest = rep.coeffs
+    at_2 = sum(c << i for i, c in enumerate(rest))
     found: list[tuple[PrimitiveRep, int]] = []
-    for part, mult in parts:
-        coeffs = [int(c) for c in reversed(part.all_coeffs())]
-        prime = normalize(LaurentPoly.from_coeffs(coeffs))
-        if prime.degree > 0:
-            found.append((prime, int(mult)))
+    for n, phi in _cyclotomic_orders(rep.degree):
+        if phi >= len(rest):
+            continue
+        phi_at_2 = _cyclotomic_at_2(n)
+        if at_2 % phi_at_2:
+            continue
+        cyclo, mult = _cyclotomic(n), 0
+        while (quotient := _exact_div(rest, cyclo)) is not None:
+            rest, at_2, mult = quotient, at_2 // phi_at_2, mult + 1
+        if mult:
+            found.append((PrimitiveRep(cyclo), mult))
+    if len(rest) > 1:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+
+        _, parts = dup_factor_list([ZZ(c) for c in reversed(rest)], ZZ)
+        found.extend((PrimitiveRep(int(c) for c in reversed(part)), mult)
+                     for part, mult in parts)
     return tuple(sorted(found, key=lambda pair: pair[0].sort_key()))
 
 

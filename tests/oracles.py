@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: factorization
 is done by Kronecker interpolation and trial division instead of the modular
-factorizer, gcds by rational Euclid instead of the integer heuristic GCD,
+factorizer, or by sympy's `Poly.factor_list` on the whole polynomial instead
+of the cyclotomic pre-pass and the dense factorizer on the cofactor, gcds by rational Euclid instead of the integer heuristic GCD,
 invariant factors come from gcds of minors instead of elimination, ranks
 come from plain fraction Gaussian elimination, and twisted homology is cut
 out of stalk-valued chains by kernels and solves instead of universal
@@ -216,6 +217,33 @@ def kronecker_factor(p) -> tuple:
     for q in primes:
         counted[q] = counted.get(q, 0) + 1
     return tuple(sorted(counted.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def sympy_factor(p) -> tuple:
+    """Factor the whole polynomial with sympy's `Poly.factor_list`.
+
+    This is the route `laurent.factor` took before its cyclotomic pre-pass:
+    no Phi_n is divided out first.  Same shape as `laurent.factor`.
+    """
+    import sympy
+
+    rep = normalize(p)
+    t = sympy.Symbol("t")
+    _, parts = sympy.Poly(rep.coeffs[::-1], t, domain="ZZ").factor_list()
+    found = [(normalize(LaurentPoly.from_coeffs(
+        [int(c) for c in reversed(part.all_coeffs())])), int(mult))
+        for part, mult in parts]
+    return tuple(sorted(((q, m) for q, m in found if q.degree > 0),
+                        key=lambda kv: kv[0].sort_key()))
+
+
+def sympy_cyclotomic(n: int) -> PrimitiveRep:
+    """Phi_n from `sympy.cyclotomic_poly`."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    coeffs = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
+    return PrimitiveRep(int(c) for c in reversed(coeffs))
 
 
 # -- determinantal-divisor route to invariant factors ----------------------

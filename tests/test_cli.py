@@ -132,6 +132,17 @@ def test_degree_cap_exits_two(tmp_path):
     assert report_of(result)["error"]["code"] == "degree-cap"
 
 
+def test_factor_phi_240_at_the_cap(tmp_path):
+    phi240 = "t^64 + t^56 - t^40 - t^32 - t^24 + t^8 + 1"  # degree 64
+    case = {"kind": "factor", "payload": {"poly": phi240}}
+    result = invoke(tmp_path, case, "factor")
+    assert result.exit_code == 0
+    assert report_of(result)["values"]["factors"] == [[phi240, 1]]
+    result = invoke(tmp_path, case, "factor", flags=("--degree-cap", "63"))
+    assert result.exit_code == 2
+    assert report_of(result)["error"]["code"] == "degree-cap"
+
+
 _OVER_CAP = "t^5 - t - 1"
 _CAPPED_CASES = {
     "allowed-single": {"op": "allowed", "i": 2, "n": 7, "k": 4,

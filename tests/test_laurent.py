@@ -1,12 +1,20 @@
 """Ring arithmetic, canonical forms and factorization over Q[t, t^-1]."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import laurent_polys, nonzero_polys, primitive_reps, rationals
+from conftest import (
+    laurent_polys,
+    nonzero_polys,
+    primitive_reps,
+    rationals,
+    small_primes_st,
+)
 from ialex.laurent import (
     BothZero,
     DegreeCapExceeded,
@@ -24,7 +32,15 @@ from ialex.laurent import (
     parse,
     similar,
 )
-from oracles import dense_coeffs, dense_divmod, kronecker_factor, rational_euclid_gcd
+from ialex.laurent import _cyclotomic, _cyclotomic_orders
+from oracles import (
+    dense_coeffs,
+    dense_divmod,
+    kronecker_factor,
+    rational_euclid_gcd,
+    sympy_cyclotomic,
+    sympy_factor,
+)
 
 # -- parsing and printing ---------------------------------------------------
 
@@ -338,6 +354,100 @@ def test_factor_primes_pairwise_nonassociate(p):
     for i, a in enumerate(primes):
         for b in primes[i + 1:]:
             assert gcd(a.to_laurent(), b.to_laurent()).is_one
+
+
+# -- cyclotomic pre-pass ----------------------------------------------------------
+
+
+def totients(limit):
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def test_cyclotomic_orders_match_brute_force():
+    # phi(n) >= sqrt(n/2), so phi(n) <= d forces n <= 2*d^2
+    phi = totients(2 * 100**2 + 2)
+    for d in [*range(1, 65), 100]:
+        expected = [(n, phi[n]) for n in range(1, 2 * d * d + 3)
+                    if phi[n] <= d]
+        assert _cyclotomic_orders(d) == expected, d
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for n, phi in _cyclotomic_orders(64):
+        assert PrimitiveRep(_cyclotomic(n)) == sympy_cyclotomic(n), n
+        assert len(_cyclotomic(n)) == phi + 1
+
+
+def test_factor_raised_cap():
+    phi241 = PrimitiveRep([1] * 241)
+    assert factor(phi241, degree_cap=240) == ((phi241, 1),)
+    with pytest.raises(DegreeCapExceeded):
+        factor(phi241)
+
+
+def test_factor_with_root_at_two():
+    # t - 2 divides, the value at 2 is 0 and every Phi_n(2) filter passes
+    t_minus_2 = PrimitiveRep([-2, 1])
+    phi17, phi23 = PrimitiveRep([1] * 17), PrimitiveRep([1] * 23)
+    assert factor(t_minus_2 * phi17 * phi23) == (
+        (t_minus_2, 1), (phi17, 1), (phi23, 1))
+    eisenstein = PrimitiveRep([2, 0, 2, 1])
+    phi1, phi2 = PrimitiveRep([-1, 1]), PrimitiveRep([1, 1])
+    assert factor(t_minus_2**2 * phi1**3 * phi2 * eisenstein) == (
+        (t_minus_2, 2), (phi1, 3), (phi2, 1), (eisenstein, 1))
+
+
+def test_factor_builds_no_sympy_poly(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"factor built a sympy {cls.__name__}")
+
+    monkeypatch.setattr(sympy.Poly, "__new__", refuse)
+    monkeypatch.setattr(sympy.Symbol, "__new__", refuse)
+    assert factor("t^5 - t - 1") == ((PrimitiveRep([-1, -1, 0, 0, 0, 1]), 1),)
+    assert len(factor("t^12 - 1")) == 6
+
+
+_CYCLOTOMIC_POOL = [sympy_cyclotomic(n) for n, _ in _cyclotomic_orders(12)]
+
+
+@st.composite
+def eisenstein_polys(draw):
+    """Irreducible by Eisenstein's criterion at 2."""
+    degree = draw(st.integers(1, 4))
+    middle = draw(st.lists(st.sampled_from([-4, -2, 0, 2, 4]),
+                           min_size=degree - 1, max_size=degree - 1))
+    return PrimitiveRep([draw(st.sampled_from([-10, -2, 2, 10])), *middle,
+                         draw(st.sampled_from([1, 3]))])
+
+
+@st.composite
+def planted_factorizations(draw):
+    """A Counter of irreducibles with multiplicities 1-3, total degree <= 24."""
+    prime = st.one_of(st.sampled_from(_CYCLOTOMIC_POOL), small_primes_st(),
+                      eisenstein_polys(), st.just(PrimitiveRep([-2, 1])))
+    planted = Counter()
+    for q, mult in draw(st.lists(st.tuples(prime, st.integers(1, 3)),
+                                 max_size=5)):
+        degree = sum(r.degree * m for r, m in planted.items())
+        if degree + q.degree * mult <= 24:
+            planted[q] += mult
+    return planted
+
+
+@given(planted_factorizations(), rationals().filter(bool), st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_factor_matches_sympy_oracle(planted, scale, shift):
+    product = PrimitiveRep.one()
+    for q, mult in planted.items():
+        product = product * q**mult
+    p = product.to_laurent().scale(scale).shift(shift)
+    expected = tuple(sorted(planted.items(), key=lambda kv: kv[0].sort_key()))
+    assert factor(p) == sympy_factor(p) == expected
 
 
 # -- Alexander type ------------------------------------------------------------
