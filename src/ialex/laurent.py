@@ -14,7 +14,9 @@ division run on the integer primitive representatives: by Gauss's lemma,
 gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
 polynomials, so no rational Euclid (and no coefficient blow-up) is needed.
 gcds use sympy's heuristic integer GCD; factorization divides out the
-cyclotomic factors exactly and hands only the rest to sympy's factorizer.
+cyclotomic factors exactly and hands only the rest to the modular
+factorizer of :mod:`ialex.zfactor`, where the dense integer arithmetic
+lives.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
+
+from .zfactor import exact_div, factor_primitive, poly_gcd
 
 __all__ = [
     "BothZero",
@@ -458,7 +462,11 @@ def normalize(p: PolyLike) -> PrimitiveRep:
     PrimitiveRep('t - 1')
     >>> normalize(parse("2*t^2 + 2*t + 2"))
     PrimitiveRep('t^2 + t + 1')
+
+    A representative is already canonical and is returned as it is.
     """
+    if isinstance(p, PrimitiveRep):
+        return p
     q = as_laurent(p)
     if q.is_zero:
         raise ZeroPolynomial("the zero polynomial has no primitive representative")
@@ -535,33 +543,6 @@ def _as_rep(value: PolyLike, allow_zero: bool = False) -> Optional[PrimitiveRep]
     return normalize(q)
 
 
-def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """The quotient a / b of primitive integer coefficient tuples, or None.
-
-    Coefficients run from exponent 0 upward.  By Gauss's lemma a primitive b
-    divides a over Q exactly when it divides it in Z[t], so the leading
-    coefficient of b must divide every step of the long division exactly.
-    """
-    db = len(b) - 1
-    shift = len(a) - 1 - db
-    if shift < 0 or a[0] % b[0]:
-        return None
-    rem = list(a)
-    lead = b[-1]
-    quot = [0] * (shift + 1)
-    for i in range(shift, -1, -1):
-        c, r = divmod(rem[i + db], lead)
-        if r:
-            return None
-        if c:
-            quot[i] = c
-            for j in range(db):
-                rem[i + j] -= c * b[j]
-    if any(rem[:db]):
-        return None
-    return tuple(quot)
-
-
 def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
     """Greatest common divisor, as a canonical representative.
 
@@ -581,12 +562,7 @@ def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
         raise BothZero("gcd(0, 0) is undefined")
     if a is None or b is None:
         return a or b
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
-
-    g = dup_gcd([ZZ(c) for c in reversed(a.coeffs)],
-                [ZZ(c) for c in reversed(b.coeffs)], ZZ)
-    return PrimitiveRep(int(c) for c in reversed(g))
+    return PrimitiveRep(poly_gcd(a.coeffs, b.coeffs))
 
 
 def divides(d: PolyLike, p: PolyLike) -> bool:
@@ -596,7 +572,7 @@ def divides(d: PolyLike, p: PolyLike) -> bool:
         return True
     if dd is None:
         return False
-    return _exact_div(pp.coeffs, dd.coeffs) is not None
+    return exact_div(pp.coeffs, dd.coeffs) is not None
 
 
 def exact_quotient(p: PolyLike, d: PolyLike) -> PrimitiveRep:
@@ -606,7 +582,7 @@ def exact_quotient(p: PolyLike, d: PolyLike) -> PrimitiveRep:
         raise ZeroDivisionError("division by the zero polynomial")
     if pp is None:
         raise ZeroPolynomial("quotient of zero has no representative")
-    q = _exact_div(pp.coeffs, dd.coeffs)
+    q = exact_div(pp.coeffs, dd.coeffs)
     if q is None:
         raise ValueError(f"{as_laurent(d)} does not divide {as_laurent(p)}")
     return PrimitiveRep(q)
@@ -625,7 +601,7 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
     if current is None:
         raise ZeroPolynomial("multiplicity in the zero polynomial is not defined")
     coeffs, count = current.coeffs, 0
-    while (coeffs := _exact_div(coeffs, g.coeffs)) is not None:
+    while (coeffs := exact_div(coeffs, g.coeffs)) is not None:
         count += 1
     return count
 
@@ -678,7 +654,7 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     if coeffs is None:
         coeffs = (-1,) + (0,) * (n - 1) + (1,)
         for d in _proper_divisors(n):
-            coeffs = _exact_div(coeffs, _cyclotomic(d))
+            coeffs = exact_div(coeffs, _cyclotomic(d))
         _CYCLOTOMIC[n] = coeffs
     return coeffs
 
@@ -707,10 +683,10 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     n with phi(n) at most the degree still left, Phi_n is divided out as
     often as it goes.  A cheap filter runs before each division: Phi_n(2)
     must divide the integer value at t = 2 of what is left, or Phi_n is not
-    a factor.  Only the cofactor without cyclotomic factors goes to sympy's
-    integer polynomial factorizer (square-free splitting, reduction mod small
-    primes, Hensel lifting and subset recombination), and a cofactor 1 is
-    never passed on.
+    a factor.  Only the cofactor without cyclotomic factors goes to
+    :func:`ialex.zfactor.factor_primitive` (Yun's square-free splitting,
+    Cantor-Zassenhaus factorization mod a small prime, Hensel lifting and
+    subset recombination), and a cofactor 1 is never passed on.
 
     >>> factor("t^2 - 1")
     ((PrimitiveRep('t - 1'), 1), (PrimitiveRep('t + 1'), 1))
@@ -735,17 +711,13 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
         if at_2 % phi_at_2:
             continue
         cyclo, mult = _cyclotomic(n), 0
-        while (quotient := _exact_div(rest, cyclo)) is not None:
+        while (quotient := exact_div(rest, cyclo)) is not None:
             rest, at_2, mult = quotient, at_2 // phi_at_2, mult + 1
         if mult:
             found.append((PrimitiveRep(cyclo), mult))
     if len(rest) > 1:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dup_factor_list
-
-        _, parts = dup_factor_list([ZZ(c) for c in reversed(rest)], ZZ)
-        found.extend((PrimitiveRep(int(c) for c in reversed(part)), mult)
-                     for part, mult in parts)
+        found.extend((PrimitiveRep(part), mult)
+                     for part, mult in factor_primitive(rest))
     return tuple(sorted(found, key=lambda pair: pair[0].sort_key()))
 
 

@@ -50,6 +50,20 @@ def small_primes_st():
     return st.sampled_from([normalize(parse(s)) for s in fixed])
 
 
+def eisenstein_coeffs(constant, middle, lead):
+    """A representative irreducible by Eisenstein's criterion at 2, from
+    an odd constant/2, integer middle/2 and an odd leading coefficient."""
+    return normalize(LaurentPoly.from_coeffs(
+        [2 * constant, *(2 * c for c in middle), lead]))
+
+
+def seeded_eisenstein(rng, degree, lead=1):
+    """A seeded Eisenstein polynomial at 2 of the given degree."""
+    return eisenstein_coeffs(rng.choice((-5, -3, -1, 1, 3, 5)),
+                             [rng.randint(-3, 3) for _ in range(degree - 1)],
+                             lead)
+
+
 def prime_products(max_factors=3):
     """Products of a few small fixed primes, as representatives."""
     from ialex.laurent import PrimitiveRep

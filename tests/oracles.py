@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: factorization
 is done by Kronecker interpolation and trial division instead of the modular
 factorizer, or by sympy's `Poly.factor_list` on the whole polynomial instead
-of the cyclotomic pre-pass and the dense factorizer on the cofactor, gcds by rational Euclid instead of the integer heuristic GCD,
+of the cyclotomic pre-pass and `ialex.zfactor` on the cofactor, gcds by
+rational Euclid instead of the integer heuristic GCD,
 invariant factors come from gcds of minors instead of elimination, ranks
 come from plain fraction Gaussian elimination, and twisted homology is cut
 out of stalk-valued chains by kernels and solves instead of universal
@@ -12,6 +13,7 @@ coefficients.  Slow is fine; these only ever see small inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
@@ -235,6 +237,17 @@ def sympy_factor(p) -> tuple:
         for part, mult in parts]
     return tuple(sorted(((q, m) for q, m in found if q.degree > 0),
                         key=lambda kv: kv[0].sort_key()))
+
+
+@functools.cache
+def sympy_swinnerton_dyer(n: int) -> PrimitiveRep:
+    """S_n from `sympy.swinnerton_dyer_poly`: irreducible of degree 2^n,
+    with only factors of degree at most 2 modulo every prime."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    coeffs = sympy.Poly(sympy.swinnerton_dyer_poly(n, t), t).all_coeffs()
+    return PrimitiveRep(int(c) for c in reversed(coeffs))
 
 
 def sympy_cyclotomic(n: int) -> PrimitiveRep:

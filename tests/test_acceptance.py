@@ -61,11 +61,12 @@ from ialex.twisted import TwistedComplex, e2_link_page, twisted_homology
 
 import pytest
 
-from conftest import ALEX_POOL, MIXED_POOL
+from conftest import ALEX_POOL, MIXED_POOL, seeded_eisenstein
 from oracles import (
     determinantal_invariant_factors,
     kronecker_factor,
     sympy_cyclotomic,
+    sympy_swinnerton_dyer,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -555,3 +556,25 @@ def test_criterion_13_cyclotomic_factor():
         assert pairs == tuple(sorted(expected.items(),
                                      key=lambda kv: kv[0].sort_key()))
         assert elapsed < 0.005, f"{sorted(planted)} took {elapsed:.4f} s"
+
+
+def test_criterion_14_highdeg_factor():
+    """Three seeded products of Eisenstein polynomials of degrees 13, 21 and
+    30 factor to their planted multisets, and the Swinnerton-Dyer polynomial
+    S_5 (degree 32, 16 factors mod every prime keeping it square-free)
+    comes out irreducible, each in under 0.5 s."""
+    cases = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        planted = [seeded_eisenstein(rng, d) for d in (13, 21, 30)]
+        cases.append((planted[0] * planted[1] * planted[2], planted))
+    s5 = sympy_swinnerton_dyer(5)
+    cases.append((s5, [s5]))
+    factor(cases[0][0])  # warm-up
+    for product, planted in cases:
+        start = time.perf_counter()
+        pairs = factor(product)
+        elapsed = time.perf_counter() - start
+        assert pairs == tuple((q, 1) for q in sorted(planted,
+                                                     key=PrimitiveRep.sort_key))
+        assert elapsed < 0.5, f"degree {product.degree} took {elapsed:.3f} s"

@@ -1,18 +1,21 @@
 """Ring arithmetic, canonical forms and factorization over Q[t, t^-1]."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    eisenstein_coeffs,
     laurent_polys,
     nonzero_polys,
     primitive_reps,
     rationals,
+    seeded_eisenstein,
     small_primes_st,
 )
 from ialex.laurent import (
@@ -40,6 +43,7 @@ from oracles import (
     rational_euclid_gcd,
     sympy_cyclotomic,
     sympy_factor,
+    sympy_swinnerton_dyer,
 )
 
 # -- parsing and printing ---------------------------------------------------
@@ -448,6 +452,81 @@ def test_factor_matches_sympy_oracle(planted, scale, shift):
     p = product.to_laurent().scale(scale).shift(shift)
     expected = tuple(sorted(planted.items(), key=lambda kv: kv[0].sort_key()))
     assert factor(p) == sympy_factor(p) == expected
+
+
+# -- the modular factorizer on what the pre-pass leaves --------------------------
+
+
+def test_normalize_passes_rep_through():
+    rep = PrimitiveRep([2, 0, -2, 1])
+    assert normalize(rep) is rep
+
+
+_QUADRATICS = [PrimitiveRep([c, 0, 1]) for c in (1, 4, 8, 16)]
+
+
+@st.composite
+def zassenhaus_inputs(draw):
+    """A Counter of irreducibles, multiplicities 1-3, total degree <= 64:
+    Eisenstein polynomials, some with leading coefficients divisible by 3,
+    5 and 7, and quadratics t^2 + c whose products are not square-free mod
+    3, 5 or 7 (t^2 + 1 = t^2 + 4 mod 3, t^2 + 16 mod 5, t^2 + 8 mod 7)."""
+    planted, budget = Counter(), 64
+    for _ in range(draw(st.integers(1, 4))):
+        if budget < 2:
+            break
+        mult = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            q = draw(st.sampled_from(_QUADRATICS))
+        else:
+            degree = draw(st.integers(1, budget))
+            q = eisenstein_coeffs(
+                draw(st.sampled_from((-5, -3, -1, 1, 3, 5))),
+                draw(st.lists(st.integers(-3, 3), min_size=degree - 1,
+                              max_size=degree - 1)),
+                draw(st.sampled_from((1, 1, 3, 5, 7, 15, 21, 35, 105))))
+        mult = min(mult, budget // q.degree)
+        if mult:
+            planted[q] += mult
+            budget -= q.degree * mult
+    assume(planted)
+    return planted
+
+
+@given(zassenhaus_inputs())
+@example(Counter({_QUADRATICS[0]: 1, _QUADRATICS[1]: 1}))
+@example(Counter(dict.fromkeys(_QUADRATICS, 1)))
+@settings(max_examples=25, deadline=None)
+def test_factor_matches_sympy_oracle_to_degree_64(planted):
+    product = PrimitiveRep.one()
+    for q, mult in planted.items():
+        product = product * q**mult
+    expected = tuple(sorted(planted.items(), key=lambda kv: kv[0].sort_key()))
+    assert factor(product) == sympy_factor(product) == expected
+
+
+def test_factor_swinnerton_dyer_irreducible():
+    # S_4 and S_5 have 8 and 16 factors mod every prime, so recombination
+    # tries every subset up to half of them before giving up
+    for n in (4, 5):
+        s = sympy_swinnerton_dyer(n)
+        assert factor(s) == ((s, 1),)
+
+
+def test_factor_uses_no_sympy_factorizer(monkeypatch):
+    import sympy.polys.factortools as factortools
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor called sympy's factorizer")
+
+    monkeypatch.setattr(factortools, "dup_factor_list", refuse)
+    monkeypatch.setattr(factortools, "dup_zz_zassenhaus", refuse)
+    assert factor("t^5 - t - 1") == ((PrimitiveRep([-1, -1, 0, 0, 0, 1]), 1),)
+    assert len(factor("t^12 - 1")) == 6
+    rng = random.Random(64)
+    planted = [seeded_eisenstein(rng, d) for d in (20, 21, 23)]
+    assert factor(planted[0] * planted[1] * planted[2]) == tuple(
+        (q, 1) for q in sorted(planted, key=PrimitiveRep.sort_key))
 
 
 # -- Alexander type ------------------------------------------------------------

@@ -1,0 +1,177 @@
+"""Components of the Z[t] factorizer: packing, modular arithmetic, lifting."""
+
+import math
+import random
+from itertools import zip_longest
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
+
+from conftest import seeded_eisenstein
+from ialex import zfactor
+from ialex.zfactor import (
+    factor_mod_p,
+    hensel_lift,
+    kron_pack,
+    kron_unpack,
+    poly_mul,
+)
+from ialex.zfactor import _divmod
+
+SMALL_PRIMES = (3, 5, 7, 11, 13)
+
+
+def naive_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reduced(a, m):
+    out = [c % m for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+# -- Kronecker substitution ---------------------------------------------------
+
+
+@st.composite
+def slot_vectors(draw):
+    bits = draw(st.sampled_from([8, 16, 24, 32, 64, 72, 128]))
+    half = 1 << (bits - 1)
+    edge = st.sampled_from([-half, -half + 1, -1, 0, 1, half - 2, half - 1])
+    coeffs = draw(st.lists(st.one_of(edge, st.integers(-half, half - 1)),
+                           min_size=1, max_size=12))
+    return bits, coeffs
+
+
+@given(slot_vectors())
+@settings(max_examples=150, deadline=None)
+def test_kron_round_trip(case):
+    bits, coeffs = case
+    packed = kron_pack(coeffs, bits)
+    assert packed == sum(c << (bits * i) for i, c in enumerate(coeffs))
+    assert kron_unpack(packed, bits, len(coeffs)) == coeffs
+
+
+def test_kron_round_trip_frozen():
+    for bits in (8, 16, 64, 72):
+        half = 1 << (bits - 1)
+        for coeffs in ([0], [-half], [half - 1], [0, 0, 0], [-1, 0, 1],
+                       [half - 1, -half, 0, -half, half - 1]):
+            packed = kron_pack(coeffs, bits)
+            assert kron_unpack(packed, bits, len(coeffs)) == coeffs, (bits, coeffs)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=20),
+       st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_poly_mul_matches_convolution(a, b):
+    assert poly_mul(a, b) == naive_mul(a, b)
+    nonneg_a, nonneg_b = [abs(c) for c in a], [abs(c) for c in b]
+    assert poly_mul(nonneg_a, nonneg_b) == naive_mul(nonneg_a, nonneg_b)
+
+
+# -- division over Z/m ----------------------------------------------------------
+
+
+@given(st.sampled_from([3, 13, 2**31 - 1, 3**40, 10**50 + 1]),
+       st.lists(st.integers(0, 10**60), min_size=1, max_size=40),
+       st.lists(st.integers(0, 10**60), min_size=1, max_size=15))
+@settings(max_examples=150, deadline=None)
+def test_divmod_is_long_division(m, a, h):
+    a, h = reduced(a, m), reduced(h, m)
+    assume(h and math.gcd(h[-1], m) == 1)
+    quot, rem = _divmod(a, h, m)
+    assert len(rem) < len(h) and reduced(quot, m) == quot
+    rebuilt = naive_mul(quot, h) if quot else [0]
+    rebuilt = [x + y for x, y in zip_longest(rebuilt, rem, fillvalue=0)]
+    assert reduced(rebuilt, m) == a
+
+
+# -- GF(p) factorization -------------------------------------------------------
+
+
+@given(st.sampled_from(SMALL_PRIMES),
+       st.lists(st.integers(0, 12), min_size=2, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_factor_mod_p_matches_sympy(p, coeffs):
+    f = reduced(coeffs, p)
+    assume(len(f) >= 2)
+    high_first = [ZZ(c) for c in reversed(f)]
+    factors = factor_mod_p(f, p)
+    if not gf_sqf_p(high_first, p, ZZ):
+        assert factors is None
+        return
+    _, expected = gf_factor_sqf(high_first, p, ZZ)
+    assert factors == sorted(([int(c) for c in reversed(q)] for q in expected),
+                             key=lambda q: (len(q), q))
+
+
+def test_factor_mod_p_of_many_factors():
+    # t^40 - 1 is square-free mod 3; the Phi_d with d | 40 split into
+    # phi(d)/ord_d(3) factors each, 1+1+1+1+2+1+2+4 = 13 in all
+    f = [-1] + [0] * 39 + [1]
+    factors = factor_mod_p(f, 3)
+    product = [1]
+    for q in factors:
+        product = reduced(naive_mul(product, q), 3)
+    assert product == reduced(f, 3)
+    assert len(factors) == len(set(map(tuple, factors))) == 13
+
+
+# -- Hensel lifting -------------------------------------------------------------
+
+
+@given(st.sampled_from((3, 5, 7)),
+       st.lists(st.integers(-40, 40), min_size=3, max_size=16),
+       st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_hensel_postcondition(p, f, k):
+    assume(f[-1] % p and f[0])
+    modular = factor_mod_p(f, p)
+    assume(modular is not None and len(modular) >= 2)
+    modulus = p**k
+    lifted = hensel_lift(f, modular, p, k)
+    assert len(lifted) == len(modular)
+    product = [f[-1]]
+    for big, small in zip(lifted, modular):
+        assert big[-1] == 1 and len(big) == len(small)
+        assert all(0 <= c < modulus for c in big)
+        assert reduced(big, p) == small
+        product = naive_mul(product, big)
+    assert reduced(product, modulus) == reduced(f, modulus)
+
+
+def test_hensel_rejects_factors_sharing_a_root():
+    # (t - 1)^2 mod 3 is not a coprime split
+    with pytest.raises(RuntimeError):
+        hensel_lift([1, -2, 1], [[2, 1], [2, 1]], 3, 4)
+
+
+def test_lifting_stops_at_the_first_power_past_twice_the_bound(monkeypatch):
+    calls = []
+    real = zfactor.hensel_lift
+
+    def record(f, factors, p, k):
+        calls.append((tuple(f), p, k))
+        return real(f, factors, p, k)
+
+    monkeypatch.setattr(zfactor, "hensel_lift", record)
+    rng = random.Random(14)
+    f = [1]
+    for degree in (9, 12, 15):
+        f = poly_mul(f, seeded_eisenstein(rng, degree, lead=3).coeffs)
+    assert len(zfactor.factor_primitive(f)) == 3
+    top, p, k = calls[0]
+    assert top == tuple(f)
+    n = len(f) - 1
+    bound = math.isqrt((n + 1) * (2**n * max(map(abs, f)) * f[-1]) ** 2)
+    assert p ** (k - 1) <= 2 * bound < p**k
