@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ialex.exactseq import PolySequence
-from ialex.gmodule import FgGammaModule, NotTorsion, kunneth, order_polynomial, tensor, tor
+from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
     PolyLike,
     PrimitiveRep,
@@ -353,29 +353,14 @@ class ProductSingularityInput:
         return self.a[i] if 0 <= i < len(self.a) else _ONE
 
 
-def _windowed_kunneth_order(sigma: Sequence[FgGammaModule],
-                            links: Sequence[FgGammaModule],
-                            i: int, s_min: int) -> PrimitiveRep:
-    """Order of the Kunneth terms whose link degree s satisfies 0 != s >= s_min."""
-    total = FgGammaModule.zero()
-    for r, smod in enumerate(sigma):
-        for s, lmod in enumerate(links):
-            if s == 0 or s < s_min:
-                continue
-            if r + s == i:
-                total = total.direct_sum(tensor(smod, lmod))
-            elif r + s == i - 1:
-                total = total.direct_sum(tor(smod, lmod))
-    return order_polynomial(total)
-
-
 def ia_product(inp: ProductSingularityInput,
                ) -> tuple[tuple[PrimitiveRep, ...], list[dict]]:
     """Intersection Alexander polynomials for a product-neighborhood stratum.
 
     Degree by degree: the full Mayer-Vietoris polynomial nu_i is the Kunneth
     order of Sigma against the link complement; its part with link degree at
-    or above the cut k - p(k+1) splits as a_high * b_high, the rest of
+    or above the cut k - p(k+1) (at least 1, as a traditional perversity has
+    p(k+1) <= k - 1) splits as a_high * b_high, the rest of
     b = nu/a is b_low, and the output is a_high_{i-1} * b_low_i * c_i.
     The report carries (nu, b_high, b_low) per degree.
     """
@@ -384,9 +369,8 @@ def ia_product(inp: ProductSingularityInput,
     out: list[PrimitiveRep] = []
     report: list[dict] = []
     for i in range(inp.n - 1):
-        nu = order_polynomial(kunneth(inp.sigma_homology, inp.link_modules, i))
-        high = _windowed_kunneth_order(inp.sigma_homology, inp.link_modules,
-                                       i, s_min)
+        nu = kunneth_order(inp.sigma_homology, inp.link_modules, i)
+        high = kunneth_order(inp.sigma_homology, inp.link_modules, i, s_min)
         a_high, a_full = inp.a_high_at(i), inp.a_at(i)
         if not divides(a_high, a_full):
             raise DivisibilityViolation(

@@ -5,8 +5,9 @@ Smith normal form over the Euclidean domain (norm = span of the primitive
 representative) reduces every module to the canonical shape
 free rank + invariant-factor chain, which the classification theorem makes a
 complete invariant.  On top of that normal form sit the order polynomial,
-primary decomposition, conjugation, and the tensor/Tor calculus feeding the
-Kunneth formula.
+primary decomposition, conjugation and the tensor/Tor calculus.  The
+Kunneth formula needs only orders, so `kunneth_order` multiplies them in
+closed form without building the product's module.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ __all__ = [
     "NotPrime",
     "NotTorsion",
     "cokernel",
-    "kernel_basis",
-    "kunneth",
+    "kunneth_order",
     "order_polynomial",
     "primary_component",
     "smith_normal_form",
-    "snf_transforms",
-    "solve_left",
     "tensor",
     "tor",
 ]
@@ -153,14 +151,6 @@ class GammaMatrix:
             raise ValueError("column mismatch in stack")
         return GammaMatrix(self._entries + other._entries, cols=self.cols)
 
-    def augment(self, other: "GammaMatrix") -> "GammaMatrix":
-        """Place side by side: the same relations on more generators."""
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in augment")
-        return GammaMatrix(
-            [self._entries[i] + other._entries[i] for i in range(self.rows)],
-            cols=self.cols + other.cols)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "GammaMatrix":
         return GammaMatrix(
             [[self._entries[i][j] for j in col_idx] for i in row_idx],
@@ -171,10 +161,6 @@ class GammaMatrix:
 
     def to_json(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self._entries]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]], cols: int | None = None) -> "GammaMatrix":
-        return cls([[v for v in row] for row in data], cols=cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaMatrix):
@@ -199,56 +185,6 @@ class GammaMatrix:
 # -- Smith normal form -------------------------------------------------------
 
 
-class _Worker:
-    """Mutable elimination state: S = U * A * V throughout."""
-
-    def __init__(self, m: GammaMatrix, track: bool):
-        self.s = [list(row) for row in m.entries]
-        self.nr, self.nc = m.rows, m.cols
-        self.track = track
-        if track:
-            one, zero = LaurentPoly.one(), LaurentPoly.zero()
-            self.u = [[one if i == j else zero for j in range(self.nr)]
-                      for i in range(self.nr)]
-            self.v = [[one if i == j else zero for j in range(self.nc)]
-                      for i in range(self.nc)]
-
-    def swap_rows(self, a: int, b: int):
-        if a == b:
-            return
-        self.s[a], self.s[b] = self.s[b], self.s[a]
-        if self.track:
-            self.u[a], self.u[b] = self.u[b], self.u[a]
-
-    def swap_cols(self, a: int, b: int):
-        if a == b:
-            return
-        for row in self.s:
-            row[a], row[b] = row[b], row[a]
-        if self.track:
-            for row in self.v:
-                row[a], row[b] = row[b], row[a]
-
-    def add_row(self, dst: int, src: int, f: LaurentPoly):
-        """row dst += f * row src"""
-        self.s[dst] = [a + f * b for a, b in zip(self.s[dst], self.s[src])]
-        if self.track:
-            self.u[dst] = [a + f * b for a, b in zip(self.u[dst], self.u[src])]
-
-    def add_col(self, dst: int, src: int, f: LaurentPoly):
-        for row in self.s:
-            row[dst] = row[dst] + f * row[src]
-        if self.track:
-            for row in self.v:
-                row[dst] = row[dst] + f * row[src]
-
-    def scale_row(self, i: int, f: LaurentPoly):
-        """Multiply a row by a unit (content extraction)."""
-        self.s[i] = [f * a for a in self.s[i]]
-        if self.track:
-            self.u[i] = [f * a for a in self.u[i]]
-
-
 def _unit_quotient(value: LaurentPoly) -> LaurentPoly:
     """The unit u with u * value equal to value's primitive representative."""
     rep = normalize(value).to_laurent()
@@ -258,41 +194,61 @@ def _unit_quotient(value: LaurentPoly) -> LaurentPoly:
     return q.inverse()
 
 
-def _eliminate(w: _Worker) -> int:
-    """Diagonalize in place with Euclidean pivoting; returns the rank."""
+def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:
+    """Diagonalize with Euclidean pivoting; returns the nonzero diagonal."""
+    s = [list(row) for row in m.entries]
+    nr, nc = m.rows, m.cols
+
+    def swap_cols(a: int, b: int):
+        for row in s:
+            row[a], row[b] = row[b], row[a]
+
+    def add_row(dst: int, src: int, f: LaurentPoly):
+        """row dst += f * row src"""
+        s[dst] = [a + f * b for a, b in zip(s[dst], s[src])]
+
+    def add_col(dst: int, src: int, f: LaurentPoly):
+        for row in s:
+            row[dst] = row[dst] + f * row[src]
+
+    def make_primitive(i: int):
+        """Scale row i by the unit that makes its diagonal entry primitive."""
+        f = _unit_quotient(s[i][i])
+        s[i] = [f * a for a in s[i]]
+
     k = 0
-    limit = min(w.nr, w.nc)
+    limit = min(nr, nc)
     while k < limit:
         best = None
-        for i in range(k, w.nr):
-            for j in range(k, w.nc):
-                e = w.s[i][j]
+        for i in range(k, nr):
+            for j in range(k, nc):
+                e = s[i][j]
                 if not e.is_zero and (best is None or e.span < best[0]):
                     best = (e.span, i, j)
         if best is None:
             break
-        w.swap_rows(k, best[1])
-        w.swap_cols(k, best[2])
+        s[k], s[best[1]] = s[best[1]], s[k]
+        swap_cols(k, best[2])
         while True:
             # keep coefficients tame: make the pivot row primitive
-            w.scale_row(k, _unit_quotient(w.s[k][k]))
+            make_primitive(k)
             moved = False
-            for i in range(w.nr):
-                if i != k and not w.s[i][k].is_zero:
-                    q, r = _poly_divmod(w.s[i][k], w.s[k][k])
-                    w.add_row(i, k, -q)
+            for i in range(nr):
+                if i != k and not s[i][k].is_zero:
+                    q, r = _poly_divmod(s[i][k], s[k][k])
+                    add_row(i, k, -q)
                     if not r.is_zero:
-                        w.swap_rows(i, k)
+                        s[i], s[k] = s[k], s[i]
                         moved = True
                         break
             if moved:
                 continue
-            for j in range(w.nc):
-                if j != k and not w.s[k][j].is_zero:
-                    q, r = _poly_divmod(w.s[k][j], w.s[k][k])
-                    w.add_col(j, k, -q)
+            for j in range(nc):
+                if j != k and not s[k][j].is_zero:
+                    q, r = _poly_divmod(s[k][j], s[k][k])
+                    add_col(j, k, -q)
                     if not r.is_zero:
-                        w.swap_cols(j, k)
+                        swap_cols(j, k)
                         moved = True
                         break
             if not moved:
@@ -305,27 +261,27 @@ def _eliminate(w: _Worker) -> int:
     while changed:
         changed = False
         for i in range(k - 1):
-            a, b = w.s[i][i], w.s[i + 1][i + 1]
+            a, b = s[i][i], s[i + 1][i + 1]
             if not divides(a, b):
-                w.add_row(i, i + 1, LaurentPoly.one())
+                add_row(i, i + 1, LaurentPoly.one())
                 # re-clear the 2x2 block [[a, b], [0, b]]
                 while True:
-                    w.scale_row(i, _unit_quotient(w.s[i][i]))
-                    q, r = _poly_divmod(w.s[i][i + 1], w.s[i][i])
-                    w.add_col(i + 1, i, -q)
-                    if w.s[i][i + 1].is_zero:
+                    make_primitive(i)
+                    q, r = _poly_divmod(s[i][i + 1], s[i][i])
+                    add_col(i + 1, i, -q)
+                    if s[i][i + 1].is_zero:
                         break
-                    w.swap_cols(i, i + 1)
-                if not w.s[i + 1][i].is_zero:
-                    q, r = _poly_divmod(w.s[i + 1][i], w.s[i][i])
-                    w.add_row(i + 1, i, -q)
-                    if not (r.is_zero and w.s[i + 1][i].is_zero):
+                    swap_cols(i, i + 1)
+                if not s[i + 1][i].is_zero:
+                    q, r = _poly_divmod(s[i + 1][i], s[i][i])
+                    add_row(i + 1, i, -q)
+                    if not (r.is_zero and s[i + 1][i].is_zero):
                         raise RuntimeError(
                             "divisibility repair left a subdiagonal entry")
                 changed = True
     for i in range(k):
-        w.scale_row(i, _unit_quotient(w.s[i][i]))
-    return k
+        make_primitive(i)
+    return [s[i][i] for i in range(k)]
 
 
 def _unit_prepass(m: GammaMatrix) -> tuple[int, GammaMatrix]:
@@ -400,63 +356,9 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
     (['1', 't^2 - 1'], 2)
     """
     pivots, core = _unit_prepass(m)
-    w = _Worker(core, track=False)
-    rank = _eliminate(w)
-    factors = (PrimitiveRep.one(),) * pivots + tuple(
-        normalize(w.s[i][i]) for i in range(rank))
-    return factors, pivots + rank
-
-
-def snf_transforms(m: GammaMatrix) -> tuple[GammaMatrix, GammaMatrix, GammaMatrix]:
-    """Invertible U, V and diagonal S with S = U * m * V."""
-    w = _Worker(m, track=True)
-    _eliminate(w)
-    return (GammaMatrix(w.u, cols=m.rows),
-            GammaMatrix(w.s, cols=m.cols),
-            GammaMatrix(w.v, cols=m.cols))
-
-
-def kernel_basis(m: GammaMatrix) -> GammaMatrix:
-    """A basis of {v : v * m = 0}, one row per basis vector.
-
-    Rows of U whose image row in S vanishes form a basis, because S = U*m*V
-    with U, V invertible and a diagonal matrix kills exactly its zero rows.
-
-    >>> k = kernel_basis(GammaMatrix([["t - 1"], ["t - 1"]]))
-    >>> k.rows, k.cols
-    (1, 2)
-    """
-    u, s, _ = snf_transforms(m)
-    zero_rows = [i for i in range(m.rows)
-                 if all(s.entry(i, j).is_zero for j in range(m.cols))]
-    return GammaMatrix([u.row(i) for i in zero_rows], cols=m.rows)
-
-
-def solve_left(m: GammaMatrix, b: GammaMatrix) -> GammaMatrix:
-    """The X with X * m = b, when b's rows lie in m's row space.
-
-    Raises ValueError when some row of b is not a Gamma-combination of the
-    rows of m.
-    """
-    if b.cols != m.cols:
-        raise ValueError("column mismatch in solve_left")
-    u, s, v = snf_transforms(m)
-    c = b * v
-    rank = sum(1 for i in range(min(m.rows, m.cols)) if not s.entry(i, i).is_zero)
-    ys = []
-    for i in range(b.rows):
-        yrow = [LaurentPoly.zero()] * m.rows
-        for j in range(m.cols):
-            target = c.entry(i, j)
-            if j < rank:
-                q, r = _poly_divmod(target, s.entry(j, j))
-                if not r.is_zero:
-                    raise ValueError("target is not in the row space (division fails)")
-                yrow[j] = q
-            elif not target.is_zero:
-                raise ValueError("target is not in the row space")
-        ys.append(yrow)
-    return GammaMatrix(ys, cols=m.rows) * u
+    diagonal = _eliminate(core)
+    factors = (PrimitiveRep.one(),) * pivots + tuple(normalize(d) for d in diagonal)
+    return factors, pivots + len(diagonal)
 
 
 # -- canonical modules --------------------------------------------------------
@@ -686,22 +588,36 @@ def tor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
     return FgGammaModule.from_summands(0, orders)
 
 
-def kunneth(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
-            i: int) -> FgGammaModule:
-    """Degree-i homology of a product from the graded factors.
+def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
+                  i: int, s_min: int = 0) -> PrimitiveRep:
+    """Order of the degree-i homology of a product, from the graded factors.
 
-    The tensor terms live on the degree-i antidiagonal and the Tor terms on
-    the degree-(i-1) one.
+    Only the Kunneth terms whose right-hand degree s is at least s_min count:
+    the tensor terms on the degree-i antidiagonal and the Tor terms on the
+    degree-(i-1) one.  Order is multiplicative over direct sums, both
+    Gamma/(x) (x) Gamma/(y) and Tor(Gamma/(x), Gamma/(y)) have order
+    gcd(x, y), and a free summand tensored with a torsion module keeps that
+    module's order.  A free (x) free term raises NotTorsion.
 
     >>> seq = [FgGammaModule.cyclic("t - 1")]
-    >>> kunneth(seq, seq, 1)
-    FgGammaModule(free=0, torsion=['t - 1'])
+    >>> kunneth_order(seq, seq, 1)
+    PrimitiveRep('t - 1')
     """
-    total = FgGammaModule.zero()
-    for r, lmod in enumerate(left):
-        for s, rmod in enumerate(right):
-            if r + s == i:
-                total = total.direct_sum(tensor(lmod, rmod))
-            elif r + s == i - 1:
-                total = total.direct_sum(tor(lmod, rmod))
-    return total
+    out = PrimitiveRep.one()
+    for s in range(max(s_min, 0), len(right)):
+        b = right[s]
+        for r in (i - s, i - 1 - s):
+            if not 0 <= r < len(left):
+                continue
+            a = left[r]
+            if r == i - s:                    # tensor: free parts distribute
+                if a.free_rank and b.free_rank:
+                    raise NotTorsion("order polynomial requires a torsion module")
+                for x in a.torsion:
+                    out = out * x ** b.free_rank
+                for y in b.torsion:
+                    out = out * y ** a.free_rank
+            for x in a.torsion:
+                for y in b.torsion:
+                    out = out * gcd(x, y)
+    return out

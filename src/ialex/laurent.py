@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Optional, Union
 
 from .zfactor import exact_div, factor_primitive, poly_gcd
 
@@ -121,10 +122,6 @@ class LaurentPoly:
         return cls({0: value})
 
     @classmethod
-    def t_power(cls, k: int) -> "LaurentPoly":
-        return cls({k: 1})
-
-    @classmethod
     def from_coeffs(cls, coeffs: Iterable, shift: int = 0) -> "LaurentPoly":
         """Build from a dense coefficient list, lowest exponent first."""
         return cls({shift + i: c for i, c in enumerate(coeffs)})
@@ -210,17 +207,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def evaluate(self, value) -> Fraction:
-        """Evaluate at a nonzero rational point (exactly).
-
-        >>> LaurentPoly({2: 1, 0: -1}).evaluate(2)
-        Fraction(3, 1)
-        """
-        x = _fraction(value)
-        if not x and self._terms and self.min_exp < 0:
-            raise ZeroDivisionError("cannot evaluate negative exponents at 0")
-        return sum((c * x**e for e, c in self._terms.items()), Fraction(0))
 
     def involute(self) -> "LaurentPoly":
         """The ring involution t -> t^-1."""

@@ -195,8 +195,8 @@ def product_inputs(draw, realizable=False):
     and the kernel parts absorb every t - 1 factor of the unwindowed orders,
     as geometric instances do.
     """
-    from ialex.engine import ProductSingularityInput, _windowed_kunneth_order
-    from ialex.gmodule import FgGammaModule, kunneth, order_polynomial
+    from ialex.engine import ProductSingularityInput
+    from ialex.gmodule import FgGammaModule, kunneth_order
     from ialex.laurent import exact_quotient, multiplicity
 
     t1 = normalize("t - 1")
@@ -222,8 +222,8 @@ def product_inputs(draw, realizable=False):
     s_min = k - p(k + 1)
     a_high, a_full = [], []
     for i in range(n - 1):
-        nu = order_polynomial(kunneth(sigma, links, i))
-        high = _windowed_kunneth_order(sigma, links, i, s_min)
+        nu = kunneth_order(sigma, links, i)
+        high = kunneth_order(sigma, links, i, s_min)
         low = exact_quotient(nu.to_laurent(), high.to_laurent())
         ah = _draw_divisor(draw, high)
         al = _draw_divisor(draw, low)

@@ -8,7 +8,10 @@ rational Euclid instead of the integer heuristic GCD,
 invariant factors come from gcds of minors instead of elimination, ranks
 come from plain fraction Gaussian elimination, and twisted homology is cut
 out of stalk-valued chains by kernels and solves instead of universal
-coefficients.  Slow is fine; these only ever see small inputs.
+coefficients.  Those kernels and solves come from a transform-tracking
+Smith form of their own, independent of the library's elimination.  The module-valued Kunneth sum cross-checks
+`gmodule.kunneth_order`'s order arithmetic.  Slow is fine; these only ever
+see small inputs.
 """
 
 from __future__ import annotations
@@ -16,16 +19,17 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 
-from ialex.gmodule import (
-    FgGammaModule,
-    GammaMatrix,
-    kernel_basis,
-    snf_transforms,
-    solve_left,
+from ialex.gmodule import FgGammaModule, GammaMatrix, tensor, tor
+from ialex.laurent import (
+    LaurentPoly,
+    PrimitiveRep,
+    _poly_divmod,
+    as_laurent,
+    divides,
+    normalize,
 )
-from ialex.laurent import LaurentPoly, PrimitiveRep, as_laurent, normalize
 
 # -- dense polynomial helpers (coefficients indexed by exponent) ----------
 
@@ -90,9 +94,11 @@ def _eval_int(coeffs: list[int], x: int) -> int:
 
 
 def _int_divisors(n: int) -> list[int]:
+    """The divisors of n, both signs, by absolute value ascending."""
     n = abs(n)
-    small = [d for d in range(1, n + 1) if n % d == 0]
-    return [s for d in small for s in (d, -d)]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return [s for d in small + large for s in (d, -d)]
 
 
 def _rational_roots(coeffs: list[int]):
@@ -136,38 +142,51 @@ def _fractions_to_primitive_ints(coeffs: list[Fraction]) -> list[int]:
     return ints
 
 
-def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Interpolating polynomial through the given integer points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
+def _lagrange_basis(xs: list[int]) -> tuple[list[list[int]], int]:
+    """Lagrange basis polynomials of the points xs over one common denominator.
+
+    Returns (numerators, d): the basis polynomial for xs[i] is numerators[i]
+    / d, coefficients lowest first, so the polynomial through (xs[i], ys[i])
+    has coefficient k equal to sum_i ys[i] * numerators[i][k] / d.
+    """
+    bases = []
+    for i, xi in enumerate(xs):
         basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
-            # multiply basis by (x - xj)
+            # multiply basis by (x - xj) / (xi - xj)
             basis = [Fraction(0)] + basis
             for k in range(len(basis) - 1):
                 basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        for k in range(len(basis)):
-            coeffs[k] += yi * basis[k] / denom
-    return coeffs
+            basis = [c / (xi - xj) for c in basis]
+        bases.append(basis)
+    d = 1
+    for basis in bases:
+        for c in basis:
+            d = d * c.denominator // int_gcd(d, c.denominator)
+    return [[int(c * d) for c in basis] for basis in bases], d
 
 
 def _kronecker_divisor(coeffs: list[int], deg: int):
-    """Search for a degree-``deg`` integer divisor by value interpolation."""
+    """Search for a degree-``deg`` integer divisor by value interpolation.
+
+    g and -g divide alike, so the value at x = 0 runs over positive
+    divisors only.
+    """
     xs = [0, 1, -1, 2, -2, 3][: deg + 1]
     values = [_eval_int(coeffs, x) for x in xs]
     if any(v == 0 for v in values):
         raise AssertionError("rational roots must be stripped first")
+    numerators, d = _lagrange_basis(xs)
     choices = [_int_divisors(v) for v in values]
+    choices[0] = [y for y in choices[0] if y > 0]
     for combo in itertools.product(*choices):
-        cand = _lagrange(list(zip(xs, combo)))
-        if any(c.denominator != 1 for c in cand):
+        scaled = [sum(y * basis[k] for y, basis in zip(combo, numerators))
+                  for k in range(deg + 1)]
+        if any(c % d for c in scaled):
             continue
-        cint = [int(c) for c in cand]
+        cint = [c // d for c in scaled]
         while cint and cint[-1] == 0:
             cint.pop()
         if len(cint) != deg + 1:
@@ -365,6 +384,185 @@ def untwisted_betti(simplices):
         ranks[p] = fraction_rank(rows)
     return [len(by_dim[p]) - ranks.get(p, 0) - ranks.get(p + 1, 0)
             for p in range(dim + 1)]
+
+
+# -- transform-tracking Smith form, kernels and solves ------------------------
+
+
+class _TrackingWorker:
+    """Mutable elimination state: S = U * A * V throughout."""
+
+    def __init__(self, m: GammaMatrix):
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        self.s = [list(row) for row in m.entries]
+        self.nr, self.nc = m.rows, m.cols
+        self.u = [[one if i == j else zero for j in range(self.nr)]
+                  for i in range(self.nr)]
+        self.v = [[one if i == j else zero for j in range(self.nc)]
+                  for i in range(self.nc)]
+
+    def swap_rows(self, a: int, b: int):
+        self.s[a], self.s[b] = self.s[b], self.s[a]
+        self.u[a], self.u[b] = self.u[b], self.u[a]
+
+    def swap_cols(self, a: int, b: int):
+        for row in self.s + self.v:
+            row[a], row[b] = row[b], row[a]
+
+    def add_row(self, dst: int, src: int, f: LaurentPoly):
+        """row dst += f * row src"""
+        self.s[dst] = [a + f * b for a, b in zip(self.s[dst], self.s[src])]
+        self.u[dst] = [a + f * b for a, b in zip(self.u[dst], self.u[src])]
+
+    def add_col(self, dst: int, src: int, f: LaurentPoly):
+        for row in self.s + self.v:
+            row[dst] = row[dst] + f * row[src]
+
+    def make_primitive(self, i: int):
+        """Scale row i by the unit that makes its diagonal entry primitive."""
+        value = self.s[i][i]
+        rep = normalize(value).to_laurent()
+        q, r = _poly_divmod(value, rep)
+        if not (r.is_zero and q.is_unit):
+            raise RuntimeError(f"{value} is not a unit times {rep}")
+        f = q.inverse()
+        self.s[i] = [f * a for a in self.s[i]]
+        self.u[i] = [f * a for a in self.u[i]]
+
+
+def _tracking_eliminate(w: _TrackingWorker) -> None:
+    """Diagonalize densely with Euclidean pivoting, no unit pre-pass."""
+    k = 0
+    while k < min(w.nr, w.nc):
+        best = None
+        for i in range(k, w.nr):
+            for j in range(k, w.nc):
+                e = w.s[i][j]
+                if not e.is_zero and (best is None or e.span < best[0]):
+                    best = (e.span, i, j)
+        if best is None:
+            break
+        w.swap_rows(k, best[1])
+        w.swap_cols(k, best[2])
+        moved = True
+        while moved:
+            w.make_primitive(k)
+            moved = False
+            for i in range(w.nr):
+                if i != k and not w.s[i][k].is_zero:
+                    q, r = _poly_divmod(w.s[i][k], w.s[k][k])
+                    w.add_row(i, k, -q)
+                    if not r.is_zero:
+                        w.swap_rows(i, k)
+                        moved = True
+                        break
+            if moved:
+                continue
+            for j in range(w.nc):
+                if j != k and not w.s[k][j].is_zero:
+                    q, r = _poly_divmod(w.s[k][j], w.s[k][k])
+                    w.add_col(j, k, -q)
+                    if not r.is_zero:
+                        w.swap_cols(j, k)
+                        moved = True
+                        break
+        k += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            if not divides(w.s[i][i], w.s[i + 1][i + 1]):
+                w.add_row(i, i + 1, LaurentPoly.one())
+                while True:
+                    w.make_primitive(i)
+                    q, _ = _poly_divmod(w.s[i][i + 1], w.s[i][i])
+                    w.add_col(i + 1, i, -q)
+                    if w.s[i][i + 1].is_zero:
+                        break
+                    w.swap_cols(i, i + 1)
+                if not w.s[i + 1][i].is_zero:
+                    q, r = _poly_divmod(w.s[i + 1][i], w.s[i][i])
+                    w.add_row(i + 1, i, -q)
+                    if not (r.is_zero and w.s[i + 1][i].is_zero):
+                        raise RuntimeError(
+                            "divisibility repair left a subdiagonal entry")
+                changed = True
+    for i in range(k):
+        w.make_primitive(i)
+
+
+def snf_transforms(m: GammaMatrix) -> tuple[GammaMatrix, GammaMatrix, GammaMatrix]:
+    """Invertible U, V and diagonal S with S = U * m * V."""
+    w = _TrackingWorker(m)
+    _tracking_eliminate(w)
+    return (GammaMatrix(w.u, cols=m.rows),
+            GammaMatrix(w.s, cols=m.cols),
+            GammaMatrix(w.v, cols=m.cols))
+
+
+def kernel_basis(m: GammaMatrix) -> GammaMatrix:
+    """A basis of {v : v * m = 0}, one row per basis vector.
+
+    Rows of U whose image row in S vanishes form a basis, because S = U*m*V
+    with U, V invertible and a diagonal matrix kills exactly its zero rows.
+
+    >>> k = kernel_basis(GammaMatrix([["t - 1"], ["t - 1"]]))
+    >>> k.rows, k.cols
+    (1, 2)
+    """
+    u, s, _ = snf_transforms(m)
+    zero_rows = [i for i in range(m.rows)
+                 if all(s.entry(i, j).is_zero for j in range(m.cols))]
+    return GammaMatrix([u.row(i) for i in zero_rows], cols=m.rows)
+
+
+def solve_left(m: GammaMatrix, b: GammaMatrix) -> GammaMatrix:
+    """The X with X * m = b, when b's rows lie in m's row space.
+
+    Raises ValueError when some row of b is not a Gamma-combination of the
+    rows of m.
+    """
+    if b.cols != m.cols:
+        raise ValueError("column mismatch in solve_left")
+    u, s, v = snf_transforms(m)
+    c = b * v
+    rank = sum(1 for i in range(min(m.rows, m.cols)) if not s.entry(i, i).is_zero)
+    ys = []
+    for i in range(b.rows):
+        yrow = [LaurentPoly.zero()] * m.rows
+        for j in range(m.cols):
+            target = c.entry(i, j)
+            if j < rank:
+                q, r = _poly_divmod(target, s.entry(j, j))
+                if not r.is_zero:
+                    raise ValueError("target is not in the row space (division fails)")
+                yrow[j] = q
+            elif not target.is_zero:
+                raise ValueError("target is not in the row space")
+        ys.append(yrow)
+    return GammaMatrix(ys, cols=m.rows) * u
+
+
+# -- module-valued Kunneth formula ---------------------------------------------
+
+
+def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
+    """The degree-i Kunneth terms with right-hand degree s >= s_min, summed
+    as a canonical module through `tensor`, `tor` and `direct_sum`.
+
+    `order_polynomial` of the result is what `gmodule.kunneth_order`
+    computes by order arithmetic alone.
+    """
+    total = FgGammaModule.zero()
+    for r, lmod in enumerate(left):
+        for s, rmod in enumerate(right):
+            if s < s_min:
+                continue
+            if r + s == i:
+                total = total.direct_sum(tensor(lmod, rmod))
+            elif r + s == i - 1:
+                total = total.direct_sum(tor(lmod, rmod))
+    return total
 
 
 # -- kernel-and-solve route to twisted homology -----------------------------

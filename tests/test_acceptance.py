@@ -25,7 +25,6 @@ from ialex.engine import (
     DiskKnotData,
     Perversity,
     ProductSingularityInput,
-    _windowed_kunneth_order,
     ia_point,
     ia_product,
     superdual_polynomials,
@@ -42,7 +41,7 @@ from ialex.exactseq import (
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
-    kunneth,
+    kunneth_order,
     order_polynomial,
     smith_normal_form,
 )
@@ -154,8 +153,8 @@ def rand_product_input(rng, realizable=False, alexander=False):
     s_min = k - p(k + 1)
     a_high, a_full = [], []
     for i in range(n - 1):
-        nu = order_polynomial(kunneth(sigma, links, i))
-        high = _windowed_kunneth_order(sigma, links, i, s_min)
+        nu = kunneth_order(sigma, links, i)
+        high = kunneth_order(sigma, links, i, s_min)
         low = exact_quotient(nu.to_laurent(), high.to_laurent())
         ah = rand_divisor(rng, high)
         al = rand_divisor(rng, low)

@@ -21,11 +21,11 @@ from ialex.gmodule import (
     GammaMatrix,
     NotPrime,
     cokernel,
-    kernel_basis,
     order_polynomial,
     support_primes,
 )
 from ialex.laurent import PrimitiveRep, normalize, parse, similar
+from oracles import kernel_basis
 
 A = normalize("t - 1")
 B = normalize("t + 1")

@@ -21,13 +21,10 @@ from ialex.gmodule import (
     NotTorsion,
     cokernel,
     conjugate,
-    kernel_basis,
-    kunneth,
+    kunneth_order,
     order_polynomial,
     primary_component,
     smith_normal_form,
-    snf_transforms,
-    solve_left,
     tensor,
     tor,
 )
@@ -40,7 +37,14 @@ from ialex.laurent import (
     parse,
     similar,
 )
-from oracles import determinantal_invariant_factors, simplex_closure
+from oracles import (
+    determinantal_invariant_factors,
+    kernel_basis,
+    kunneth,
+    simplex_closure,
+    snf_transforms,
+    solve_left,
+)
 
 # -- Smith normal form ---------------------------------------------------------
 
@@ -376,15 +380,44 @@ def test_tensor_tor_additive(a, b, c):
 
 def test_kunneth_frozen():
     point = [FgGammaModule.cyclic("t - 1")]
-    assert kunneth(point, point, 0) == FgGammaModule.cyclic("t - 1")
-    assert kunneth(point, point, 1) == FgGammaModule.cyclic("t - 1")
-    assert kunneth(point, point, 2).is_zero
+    assert kunneth_order(point, point, 0) == normalize("t - 1")
+    assert kunneth_order(point, point, 1) == normalize("t - 1")
+    assert kunneth_order(point, point, 2).is_one
 
     sphere = [FgGammaModule.free(1), FgGammaModule.zero(), FgGammaModule.free(1)]
-    assert kunneth(sphere, point, 2) == FgGammaModule.cyclic("t - 1")
+    assert kunneth_order(sphere, point, 2) == normalize("t - 1")
 
-    assert kunneth([FgGammaModule.cyclic("t + 1")], point, 0).is_zero
-    assert kunneth([FgGammaModule.cyclic("t + 1")], point, 1).is_zero
+    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 0).is_one
+    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 1).is_one
+
+    # the window drops every term with right-hand degree below s_min
+    two = [FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t^2 - 1")]
+    assert kunneth_order(two, two, 1) == normalize("t^3 - 3*t^2 + 3*t - 1")
+    assert kunneth_order(two, two, 1, 1) == normalize("t - 1")
+    assert kunneth_order(two, two, 1, 2).is_one
+
+    # free (x) free has no order, but outside the window it does not count
+    circle = [FgGammaModule.free(1), FgGammaModule.free(1)]
+    with pytest.raises(NotTorsion):
+        kunneth_order(circle, circle, 2)
+    assert kunneth_order(circle, [FgGammaModule.free(1)], 1, 1).is_one
+    with pytest.raises(NotTorsion):
+        kunneth_order(circle, [FgGammaModule.zero(), FgGammaModule.free(1)], 1, 1)
+
+
+@given(st.lists(fg_modules(max_free=1, max_summands=2), min_size=1, max_size=3),
+       st.lists(fg_modules(max_free=1, max_summands=2), min_size=1, max_size=3),
+       st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_kunneth_order_matches_module_valued_kunneth(left, right, i, s_min):
+    for window in (0, s_min):
+        try:
+            expected = order_polynomial(kunneth(left, right, i, window))
+        except NotTorsion:
+            with pytest.raises(NotTorsion):
+                kunneth_order(left, right, i, window)
+        else:
+            assert kunneth_order(left, right, i, window) == expected
 
 
 # -- subquotient support --------------------------------------------------------------
