@@ -5,7 +5,7 @@ Smith normal form over the Euclidean domain (norm = span of the primitive
 representative) reduces every module to the canonical shape
 free rank + invariant-factor chain, which the classification theorem makes a
 complete invariant.  On top of that normal form sit the order polynomial,
-primary decomposition, conjugation and the tensor/Tor calculus.  The
+primary decomposition and the tensor/Tor calculus.  The
 Kunneth formula needs only orders, so `kunneth_order` multiplies them in
 closed form without building the product's module.
 """
@@ -27,7 +27,6 @@ from ialex.laurent import (
     exact_quotient,
     factor,
     gcd,
-    involute,
     multiplicity,
     normalize,
 )
@@ -535,23 +534,6 @@ def primary_component(m: FgGammaModule, prime: PolyLike) -> FgGammaModule:
         if e:
             parts.append(rep**e)
     return FgGammaModule.from_summands(0, parts)
-
-
-def support_primes(m: FgGammaModule) -> tuple[PrimitiveRep, ...]:
-    """The primes dividing some torsion coefficient (largest one suffices)."""
-    if not m.torsion:
-        return ()
-    return tuple(p for p, _ in factor(m.torsion[-1]))
-
-
-def conjugate(m: FgGammaModule) -> FgGammaModule:
-    """Apply the involution t -> t^-1 coefficient-wise.
-
-    >>> conjugate(FgGammaModule(1, ["2*t - 1"]))
-    FgGammaModule(free=1, torsion=['t - 2'])
-    """
-    return FgGammaModule(
-        m.free_rank, [normalize(involute(t.to_laurent())) for t in m.torsion])
 
 
 def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:

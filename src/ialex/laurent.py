@@ -13,10 +13,11 @@ elements keep arbitrary-precision rational coefficients, while gcd and
 division run on the integer primitive representatives: by Gauss's lemma,
 gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
 polynomials, so no rational Euclid (and no coefficient blow-up) is needed.
-gcds use sympy's heuristic integer GCD; factorization divides out the
+gcds use the heuristic GCD of Char, Geddes and Gonnet, which reads the
+gcd off the integer gcd of two values; factorization divides out the
 cyclotomic factors exactly and hands only the rest to the modular
-factorizer of :mod:`ialex.zfactor`, where the dense integer arithmetic
-lives.
+factorizer.  Both live in :mod:`ialex.zfactor`, with the rest of the dense
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -533,8 +534,9 @@ def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
     """Greatest common divisor, as a canonical representative.
 
     Computed on the primitive representatives in Z[t] (Gauss's lemma) by
-    sympy's heuristic integer GCD, which verifies its answer by division and
-    falls back to a primitive PRS gcd, so the result is exact.
+    the heuristic GCD of Char, Geddes and Gonnet (``zfactor.poly_gcd``),
+    which verifies its answer by exact division and falls back to a
+    primitive PRS gcd, so the result is exact.
 
     >>> gcd(parse("t - 1"), parse("t + 1"))
     PrimitiveRep('1')

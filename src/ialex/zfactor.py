@@ -27,8 +27,11 @@ and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
   by the constant-term test and the norm bound and accepted only when the
   candidate divides exactly.
 
-Only the standard library is imported, except by :func:`poly_gcd`, which
-defers to sympy's heuristic integer GCD.  There is no floating point, and
+:func:`poly_gcd` is the heuristic GCD of Char, Geddes and Gonnet (1989),
+which reads the gcd off the integer gcd of two values, with primitive
+pseudo-remainder Euclid as its fallback.
+
+Only the standard library is imported.  There is no floating point, and
 the random choices of the splitting step come from a generator seeded per
 call, so the same input always does the same work.
 """
@@ -62,6 +65,8 @@ PRIMES_TRIED = 5
 DDF_BLOCK = 4
 # each equal-degree splitting try succeeds with probability at least 4/9
 EDF_TRIES = 64
+# evaluation points the heuristic gcd tries before pseudo-remainder Euclid
+HEU_GCD_TRIES = 6
 
 # -- dense integer polynomials ---------------------------------------------
 
@@ -99,13 +104,21 @@ def exact_div(a: Poly, b: Poly) -> Optional[tuple[int, ...]]:
 
     b must be primitive.  By Gauss's lemma a primitive b divides a over Q
     exactly when it divides it in Z[t], so the leading coefficient of b must
-    divide every step of the long division exactly.
+    divide every step of the long division exactly.  A power of t in b is
+    divided out of a first.
 
     >>> exact_div((-1, 0, 1), (1, 1))
     (-1, 1)
     >>> exact_div((1, 0, 1), (1, 1)) is None
     True
+    >>> exact_div((0, 0, 1), (0, 1)), exact_div((1, 1), (0, 1))
+    ((0, 1), None)
     """
+    if not b[0]:
+        low = next(i for i, c in enumerate(b) if c)
+        if any(a[:low]):
+            return None
+        a, b = a[low:], b[low:]
     db = len(b) - 1
     shift = len(a) - 1 - db
     if shift < 0 or a[0] % b[0]:
@@ -126,21 +139,90 @@ def exact_div(a: Poly, b: Poly) -> Optional[tuple[int, ...]]:
     return tuple(quot)
 
 
+def _primitive(a: Poly) -> list:
+    """a over its content, with positive leading coefficient."""
+    content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _evaluate(a: Poly, x: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
+def _symmetric_digits(value: int, x: int) -> list:
+    """The polynomial h with h(x) = value whose coefficients are the
+    base-x digits of value taken in (-x/2, x/2]."""
+    digits = []
+    while value:
+        d = value % x
+        if d > x // 2:
+            d -= x
+        digits.append(d)
+        value = (value - d) // x
+    return digits
+
+
+def _prs_gcd(f: Poly, g: Poly) -> list:
+    """The primitive gcd of primitive f and g of positive degree, by
+    Euclid on pseudo-remainders made primitive at every step (Knuth, TAOCP
+    vol. 2, section 4.6.1, Algorithm E)."""
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        db, lead = len(g) - 1, g[-1]
+        for i in range(len(f) - 1 - db, -1, -1):
+            c = f[-1]
+            f = [lead * x for x in f[:-1]]
+            for j in range(db):
+                f[i + j] -= c * g[j]
+        f = _trim(f)
+        if not f:
+            return g
+        f, g = g, _primitive(f)
+    return [1]
+
+
 def poly_gcd(a: Poly, b: Poly) -> tuple[int, ...]:
     """gcd in Z[t] of two nonzero polynomials, with positive leading
     coefficient; primitive when either argument is.
 
-    sympy's heuristic integer GCD verifies its answer by division and falls
-    back to a primitive PRS gcd, so the result is exact.
+    The gcd of the contents times the gcd of the primitive parts f and g,
+    which is the heuristic GCD of Char, Geddes and Gonnet ("GCDHEU: Heuristic
+    polynomial GCD algorithm based on integer GCD computation", *J. Symb.
+    Comp.* 7, 1989) with the evaluation point of Liao and Fateman (1995):
+    the symmetric base-xi digits of gcd(f(xi), g(xi)), made primitive, are
+    accepted when they divide both f and g.  Every xi tried is at least twice
+    a root bound of f or g, which makes a common divisor found this way the
+    gcd itself.  xi grows after each miss; after HEU_GCD_TRIES misses, a
+    primitive pseudo-remainder Euclid gives the gcd instead.
 
     >>> poly_gcd((-1, 0, 1), (1, -2, 1))
     (-1, 1)
+    >>> poly_gcd((0, 6, 6), (4, 4))
+    (2, 2)
     """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
-
-    g = dup_gcd([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ)
-    return tuple(int(c) for c in reversed(g))
+    content = math.gcd(*a, *b)
+    if len(a) == 1 or len(b) == 1:
+        return (content,)
+    f, g = _primitive(a), _primitive(b)
+    norm_f, norm_g = max(map(abs, f)), max(map(abs, g))
+    bound = 2 * min(norm_f, norm_g) + 29
+    # every root r of f has |r| < 1 + norm_f / lc(f) (Cauchy); from twice
+    # that on, |q(xi)| > xi/2 for a nonconstant q dividing f, so a candidate
+    # dividing both inputs cannot miss a factor q of the gcd: q(xi) would
+    # divide the candidate's content, made of digits at most xi/2
+    roots = min(-(-norm_f // f[-1]), -(-norm_g // g[-1]))
+    xi = max(min(bound, 99 * math.isqrt(bound)), 2 * roots + 2)
+    for _ in range(HEU_GCD_TRIES):
+        h = _primitive(_symmetric_digits(
+            math.gcd(_evaluate(f, xi), _evaluate(g, xi)), xi))
+        if exact_div(f, h) is not None and exact_div(g, h) is not None:
+            return tuple(content * c for c in h)
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return tuple(content * c for c in _prs_gcd(f, g))
 
 
 # -- Kronecker substitution -------------------------------------------------

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from ialex.laurent import LaurentPoly, normalize  # noqa: E402
 
-# laurent imports sympy on the first gcd or factorization; import it once
+# the sympy oracles in oracles.py import sympy on first use; import it once
 # here, so that the 0.3 s import is not timed inside whichever hypothesis
 # example happens to make that first call
 import sympy  # noqa: E402,F401

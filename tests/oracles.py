@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: factorization
 is done by Kronecker interpolation and trial division instead of the modular
 factorizer, or by sympy's `Poly.factor_list` on the whole polynomial instead
 of the cyclotomic pre-pass and `ialex.zfactor` on the cofactor, gcds by
-rational Euclid instead of the integer heuristic GCD,
+rational Euclid or by sympy's `dup_gcd` instead of the integer heuristic
+GCD,
 invariant factors come from gcds of minors instead of elimination, ranks
 come from plain fraction Gaussian elimination, and twisted homology is cut
 out of stalk-valued chains by kernels and solves instead of universal
@@ -28,6 +29,8 @@ from ialex.laurent import (
     _poly_divmod,
     as_laurent,
     divides,
+    factor,
+    involute,
     normalize,
 )
 
@@ -258,6 +261,17 @@ def sympy_factor(p) -> tuple:
                         key=lambda kv: kv[0].sort_key()))
 
 
+def sympy_gcd(a, b) -> tuple[int, ...]:
+    """gcd in Z[t] of two nonzero integer coefficient tuples (lowest
+    exponent first) by sympy's `dup_gcd`: the same contract as
+    `zfactor.poly_gcd`, which replaced it."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
+    g = dup_gcd([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ)
+    return tuple(int(c) for c in reversed(g))
+
+
 @functools.cache
 def sympy_swinnerton_dyer(n: int) -> PrimitiveRep:
     """S_n from `sympy.swinnerton_dyer_poly`: irreducible of degree 2^n,
@@ -410,13 +424,19 @@ class _TrackingWorker:
             row[a], row[b] = row[b], row[a]
 
     def add_row(self, dst: int, src: int, f: LaurentPoly):
-        """row dst += f * row src"""
-        self.s[dst] = [a + f * b for a, b in zip(self.s[dst], self.s[src])]
-        self.u[dst] = [a + f * b for a, b in zip(self.u[dst], self.u[src])]
+        """row dst += f * row src; zero terms are skipped"""
+        if f.is_zero:
+            return
+        for rows in (self.s, self.u):
+            rows[dst] = [a if b.is_zero else a + f * b
+                         for a, b in zip(rows[dst], rows[src])]
 
     def add_col(self, dst: int, src: int, f: LaurentPoly):
+        if f.is_zero:
+            return
         for row in self.s + self.v:
-            row[dst] = row[dst] + f * row[src]
+            if not row[src].is_zero:
+                row[dst] = row[dst] + f * row[src]
 
     def make_primitive(self, i: int):
         """Scale row i by the unit that makes its diagonal entry primitive."""
@@ -426,8 +446,8 @@ class _TrackingWorker:
         if not (r.is_zero and q.is_unit):
             raise RuntimeError(f"{value} is not a unit times {rep}")
         f = q.inverse()
-        self.s[i] = [f * a for a in self.s[i]]
-        self.u[i] = [f * a for a in self.u[i]]
+        for rows in (self.s, self.u):
+            rows[i] = [a if a.is_zero else f * a for a in rows[i]]
 
 
 def _tracking_eliminate(w: _TrackingWorker) -> None:
@@ -563,6 +583,26 @@ def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
             elif r + s == i - 1:
                 total = total.direct_sum(tor(lmod, rmod))
     return total
+
+
+# -- module operations no library route needs ------------------------------
+
+
+def support_primes(m: FgGammaModule) -> tuple[PrimitiveRep, ...]:
+    """The primes dividing some torsion coefficient (largest one suffices)."""
+    if not m.torsion:
+        return ()
+    return tuple(p for p, _ in factor(m.torsion[-1]))
+
+
+def conjugate(m: FgGammaModule) -> FgGammaModule:
+    """Apply the involution t -> t^-1 coefficient-wise.
+
+    >>> conjugate(FgGammaModule(1, ["2*t - 1"]))
+    FgGammaModule(free=1, torsion=['t - 2'])
+    """
+    return FgGammaModule(
+        m.free_rank, [normalize(involute(t.to_laurent())) for t in m.torsion])
 
 
 # -- kernel-and-solve route to twisted homology -----------------------------

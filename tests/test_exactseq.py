@@ -22,7 +22,6 @@ from ialex.gmodule import (
     NotPrime,
     cokernel,
     order_polynomial,
-    support_primes,
 )
 from ialex.laurent import PrimitiveRep, normalize, parse, similar
 from oracles import kernel_basis

@@ -20,7 +20,6 @@ from ialex.gmodule import (
     NotPrime,
     NotTorsion,
     cokernel,
-    conjugate,
     kunneth_order,
     order_polynomial,
     primary_component,
@@ -38,12 +37,14 @@ from ialex.laurent import (
     similar,
 )
 from oracles import (
+    conjugate,
     determinantal_invariant_factors,
     kernel_basis,
     kunneth,
     simplex_closure,
     snf_transforms,
     solve_left,
+    support_primes,
 )
 
 # -- Smith normal form ---------------------------------------------------------
@@ -312,8 +313,6 @@ def test_primary_component_errors():
 @given(torsion_modules())
 @settings(max_examples=50, deadline=None)
 def test_primary_reassembly(m):
-    from ialex.gmodule import support_primes
-
     rebuilt = FgGammaModule.zero()
     for p in support_primes(m):
         rebuilt = rebuilt.direct_sum(primary_component(m, p))

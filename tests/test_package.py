@@ -1,11 +1,17 @@
 """Package-level guarantees that span every module."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ialex
+from ialex.cli import KINDS
 
 MODULES = ["ialex"] + [f"ialex.{info.name}"
                        for info in pkgutil.iter_modules(ialex.__path__)]
@@ -19,3 +25,46 @@ def test_every_all_entry_resolves(name):
     missing = [entry for entry in getattr(module, "__all__", ())
                if not hasattr(module, entry)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = REPO / "fixtures" / "corpus"
+
+# Runs `ialex corpus` and `ialex run` on one case file of each kind in one
+# interpreter, then reports whether sympy got imported; with "block" as
+# argument, any import of sympy fails.
+SCRIPT = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["sympy"] = None
+from click.testing import CliRunner
+from ialex.cli import main
+runs = [CliRunner().invoke(main, args) for args in json.loads(sys.argv[2])]
+sys.stdout.write(json.dumps({
+    "runs": [[r.exit_code, r.output] for r in runs],
+    "sympy": sys.modules.get("sympy") is not None}))
+"""
+
+
+def test_cli_runs_without_sympy():
+    """sympy is a test-only dependency: the corpus and one case of every
+    kind give the same bytes when it cannot be imported."""
+    first_of_kind = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        kind = json.loads(path.read_text(encoding="utf-8"))["kind"]
+        first_of_kind.setdefault(kind, path)
+    assert sorted(first_of_kind) == sorted(KINDS)
+    commands = [["corpus", str(CORPUS)]] + [
+        ["run", "--input", str(path)] for path in first_of_kind.values()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    outputs = {}
+    for mode in ("block", "allow"):
+        proc = subprocess.run(
+            [sys.executable, "-c", SCRIPT, mode, json.dumps(commands)],
+            capture_output=True, text=True, env=env, cwd=REPO)
+        assert proc.returncode == 0, proc.stderr
+        outputs[mode] = json.loads(proc.stdout)
+    assert outputs["block"] == outputs["allow"]
+    assert not outputs["allow"]["sympy"]
+    assert all(code == 0 for code, _ in outputs["block"]["runs"])

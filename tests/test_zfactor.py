@@ -13,13 +13,16 @@ from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 from conftest import seeded_eisenstein
 from ialex import zfactor
 from ialex.zfactor import (
+    exact_div,
     factor_mod_p,
     hensel_lift,
     kron_pack,
     kron_unpack,
+    poly_gcd,
     poly_mul,
 )
 from ialex.zfactor import _divmod
+from oracles import sympy_gcd
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
@@ -77,6 +80,65 @@ def test_poly_mul_matches_convolution(a, b):
     assert poly_mul(a, b) == naive_mul(a, b)
     nonneg_a, nonneg_b = [abs(c) for c in a], [abs(c) for c in b]
     assert poly_mul(nonneg_a, nonneg_b) == naive_mul(nonneg_a, nonneg_b)
+
+
+# -- gcd in Z[t] ----------------------------------------------------------------
+
+
+def int_polys(max_degree, max_coeff):
+    """Nonzero integer polynomials, lowest coefficient first."""
+    return st.lists(st.integers(-max_coeff, max_coeff), min_size=1,
+                    max_size=max_degree + 1).map(
+        lambda c: c[:-1] + [c[-1] or 1])
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Pairs t^i * m * common * cofactor, up to degree 64 before the powers
+    of t: shared factors, coprime pairs (common = 1), integer contents m,
+    constants (degree 0 throughout), and coefficients up to 10^15, far past
+    the first evaluation point for such inputs."""
+    max_coeff = draw(st.sampled_from([1, 9, 10**15]))
+    common = draw(st.one_of(st.just([1]), int_polys(32, max_coeff)))
+    pair = []
+    for _ in range(2):
+        cofactor = draw(int_polys(32, max_coeff))
+        content = draw(st.sampled_from([1, 1, -1, 6, -10**13]))
+        shift = draw(st.integers(0, 3))
+        pair.append([0] * shift + [content * c
+                                   for c in poly_mul(common, cofactor)])
+    return pair
+
+
+@given(gcd_pairs())
+@settings(max_examples=200, deadline=None)
+def test_poly_gcd_matches_sympy(pair):
+    a, b = pair
+    assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+@given(gcd_pairs())
+@settings(max_examples=60, deadline=None)
+def test_prs_fallback_alone_matches_sympy(pair):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zfactor, "HEU_GCD_TRIES", 0)
+        assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+def test_large_coefficients_grow_the_evaluation_point(monkeypatch):
+    """A gcd with 10^13-sized coefficients has digits too wide for the first
+    point; the heuristic grows it and succeeds without the fallback."""
+    tries = []
+    real = zfactor._symmetric_digits
+    monkeypatch.setattr(zfactor, "_symmetric_digits",
+                        lambda value, x: tries.append(x) or real(value, x))
+    monkeypatch.setattr(zfactor, "_prs_gcd", None)
+    common = [7, -(10**13), 3 * 10**13 + 1]
+    a = poly_mul(common, [1, 2, 3, 1])
+    b = poly_mul(common, [5, 0, -1, 2])
+    assert poly_gcd(a, b) == tuple(common) == sympy_gcd(a, b)
+    assert len(tries) > 1 and tries == sorted(tries)
 
 
 # -- division over Z/m ----------------------------------------------------------
