@@ -103,6 +103,8 @@ def _entry(value, path: str) -> laurent.LaurentPoly:
     _require(value, path, str, "a polynomial string")
     try:
         return laurent.parse(value)
+    except laurent.SpanCapExceeded:
+        raise                      # a resource cap, not a schema error
     except ValueError as exc:
         raise SchemaError(path, f"bad polynomial: {exc}") from exc
 
@@ -112,6 +114,8 @@ def _poly(value, path: str) -> laurent.PrimitiveRep:
     _require(value, path, str, "a polynomial string")
     try:
         return laurent.normalize(value)
+    except laurent.SpanCapExceeded:
+        raise
     except ValueError as exc:
         raise SchemaError(path, f"bad polynomial: {exc}") from exc
 
@@ -195,6 +199,8 @@ def _e2table(value, path: str) -> bounds.E2Table:
     _require(value, path, dict, 'a table literal {"entries": [...]}')
     try:
         return bounds.E2Table.from_json(value)
+    except laurent.SpanCapExceeded:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(path, f"bad table: {exc}") from exc
 
@@ -203,6 +209,8 @@ def _stratification(value, path: str) -> bounds.StratificationData:
     _require(value, path, dict, "a stratification literal")
     try:
         return bounds.StratificationData.from_json(value)
+    except laurent.SpanCapExceeded:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(path, f"bad stratification: {exc}") from exc
 

@@ -22,6 +22,7 @@ from ialex.laurent import (
     PrimitiveRep,
     _as_rep,
     _poly_divmod,
+    _unit_quotient,
     as_laurent,
     divides,
     exact_quotient,
@@ -182,15 +183,6 @@ class GammaMatrix:
 
 
 # -- Smith normal form -------------------------------------------------------
-
-
-def _unit_quotient(value: LaurentPoly) -> LaurentPoly:
-    """The unit u with u * value equal to value's primitive representative."""
-    rep = normalize(value).to_laurent()
-    q, r = _poly_divmod(value, rep)
-    if not (r.is_zero and q.is_unit):
-        raise RuntimeError(f"{value} is not a unit times {rep}")
-    return q.inverse()
 
 
 def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:

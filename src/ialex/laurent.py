@@ -8,10 +8,20 @@ coefficient.  :class:`LaurentPoly` is the general ring element;
 :class:`PrimitiveRep` is that canonical representative, so similarity tests
 reduce to structural equality.
 
-All arithmetic is exact and no floating point is used anywhere.  Ring
-elements keep arbitrary-precision rational coefficients, while gcd and
-division run on the integer primitive representatives: by Gauss's lemma,
-gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
+All arithmetic is exact and no floating point is used anywhere.  A ring
+element is one dense integer polynomial over one positive denominator, the
+canonical form of FLINT's ``fmpq_poly``: ``t^shift * (num[0] + num[1]*t +
+...) / den``, where ``num`` is a tuple of integers whose first and last
+entries are nonzero (the empty tuple for zero) and ``den`` is positive and
+coprime to the content of ``num``.  Equal elements have equal triples, so
+equality and hashing are tuple compares, and ``+`` and ``*`` run on integer
+tuples without building a rational per coefficient.  Dense storage needs a
+bound: an element built from terms, by :func:`parse`, the mapping
+constructor or ``+``, may span at most :data:`MAX_SPAN` exponents, checked
+before the tuple is allocated.
+
+gcd and division run on the integer primitive representatives: by Gauss's
+lemma, gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
 polynomials, so no rational Euclid (and no coefficient blow-up) is needed.
 gcds use the heuristic GCD of Char, Geddes and Gonnet, which reads the
 gcd off the integer gcd of two values; factorization divides out the
@@ -28,15 +38,17 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from typing import Optional, Union
 
-from .zfactor import exact_div, factor_primitive, poly_gcd
+from .zfactor import exact_div, factor_primitive, poly_gcd, poly_mul
 
 __all__ = [
     "BothZero",
     "DEFAULT_DEGREE_CAP",
     "DegreeCapExceeded",
     "LaurentPoly",
+    "MAX_SPAN",
     "PolyLike",
     "PrimitiveRep",
+    "SpanCapExceeded",
     "ZeroPolynomial",
     "as_laurent",
     "divides",
@@ -52,6 +64,13 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 64
+# the largest max_exp - min_exp of an element built from terms
+MAX_SPAN = 2**16
+# products of more coefficient pairs than this use Kronecker substitution
+# (zfactor.poly_mul); on CPython 3.11 schoolbook multiplication was faster
+# below about 16 x 12 pairs of small coefficients, and up to 32 x 8 pairs
+# of 20-digit ones
+SCHOOLBOOK_PAIRS = 200
 
 
 class ZeroPolynomial(ValueError):
@@ -66,14 +85,92 @@ class DegreeCapExceeded(ValueError):
     """A factorization request exceeded the configured degree cap."""
 
 
+class SpanCapExceeded(DegreeCapExceeded):
+    """An element built from terms would span more than MAX_SPAN exponents."""
+
+
+def _check_span(lo: int, hi: int) -> None:
+    if hi - lo > MAX_SPAN:
+        raise SpanCapExceeded(
+            f"exponents {lo}..{hi} span {hi - lo}, over the cap {MAX_SPAN}")
+
+
 def _fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed")
     return Fraction(value)
 
 
+def _convolve(a: tuple, b: tuple) -> list:
+    """The product of two nonempty integer coefficient sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    if len(a) * len(b) > SCHOOLBOOK_PAIRS:
+        return poly_mul(a, b)
+    out = [0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
+    return out
+
+
+_new = object.__new__
+
+
+def _make(shift: int, num: tuple, den: int) -> "LaurentPoly":
+    """An element from a triple already in canonical form."""
+    p = _new(LaurentPoly)
+    p._shift, p._num, p._den = shift, num, den
+    return p
+
+
+def _canonical(shift: int, coeffs: list, den: int) -> "LaurentPoly":
+    """t^shift * coeffs / den, with zero ends trimmed and gcd(den, content)
+    divided out; den must be positive."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _ZERO
+    lo = 0
+    while not coeffs[lo]:
+        lo += 1
+    if lo or hi < len(coeffs):
+        coeffs = coeffs[lo:hi]
+    if den != 1:
+        g = math.gcd(den, *coeffs)
+        if g != 1:
+            den //= g
+            coeffs = [c // g for c in coeffs]
+    return _make(shift + lo, tuple(coeffs), den)
+
+
+def _from_terms(terms: dict, den: int = 1) -> "LaurentPoly":
+    """The element sum(c * t^e) / den of a map from exponents to nonzero
+    ints or Fractions, checking the span before the dense tuple is built."""
+    if not terms:
+        return _ZERO
+    lo, hi = min(terms), max(terms)
+    _check_span(lo, hi)
+    common = math.lcm(*(c.denominator for c in terms.values()))
+    coeffs = [0] * (hi - lo + 1)
+    for e, c in terms.items():
+        coeffs[e - lo] = c.numerator * (common // c.denominator)
+    return _canonical(lo, coeffs, den * common)
+
+
 class LaurentPoly:
-    """An element of Q[t, t^-1], stored as a sparse exponent-to-coefficient map.
+    """An element of Q[t, t^-1]: ``t^shift * num / den`` in canonical form.
+
+    ``shift`` is the lowest exponent, ``num`` a dense tuple of integers with
+    nonzero first and last entries (empty for zero), and ``den`` a positive
+    integer with ``gcd(den, *num) == 1``.  The constructor takes a mapping
+    or iterable of (exponent, coefficient) pairs with integer or rational
+    coefficients; floats are refused.
 
     >>> p = LaurentPoly({1: 1, 0: -1})
     >>> print(p)
@@ -86,10 +183,9 @@ class LaurentPoly:
     1 - t^-1
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_shift", "_num", "_den")
 
     def __init__(self, terms: Union[Mapping[int, object], Iterable[tuple]] = ()):
-        data: dict[int, Fraction] = {}
         if isinstance(terms, Mapping):
             items = terms.items()
         else:
@@ -99,24 +195,28 @@ class LaurentPoly:
                 raise TypeError(
                     "terms must be a mapping or iterable of (exponent, coefficient)"
                 ) from None
+        data: dict[int, Union[int, Fraction]] = {}
         for exp, coeff in items:
-            c = _fraction(coeff)
+            c = coeff if type(coeff) is int else _fraction(coeff)
             if c:
                 e = int(exp)
-                data[e] = data.get(e, Fraction(0)) + c
-                if not data[e]:
+                total = data.get(e, 0) + c
+                if total:
+                    data[e] = total
+                else:
                     del data[e]
-        self._terms = data
+        p = _from_terms(data)
+        self._shift, self._num, self._den = p._shift, p._num, p._den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def constant(cls, value) -> "LaurentPoly":
@@ -131,71 +231,111 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_unit(self) -> bool:
         """True iff the element is a unit q*t^k of the ring."""
-        return len(self._terms) == 1
+        return len(self._num) == 1
 
     @property
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self._num:
             raise ZeroPolynomial("zero polynomial has no exponents")
-        return min(self._terms)
+        return self._shift
 
     @property
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self._num:
             raise ZeroPolynomial("zero polynomial has no exponents")
-        return max(self._terms)
+        return self._shift + len(self._num) - 1
 
     @property
     def span(self) -> int:
         """Degree of the primitive representative (max_exp - min_exp)."""
-        return self.max_exp - self.min_exp
+        if not self._num:
+            raise ZeroPolynomial("zero polynomial has no exponents")
+        return len(self._num) - 1
 
     def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+        i = exp - self._shift
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
+        return Fraction(0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._terms.items()))
+        shift, den = self._shift, self._den
+        return iter([(shift + i, Fraction(c, den))
+                     for i, c in enumerate(self._num) if c])
 
     # -- ring operations -------------------------------------------------
 
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, for sign 1 or -1."""
+        na, nb = self._num, other._num
+        if not nb:
+            return self
+        if not na:
+            return other if sign == 1 else -other
+        sa, sb = self._shift, other._shift
+        lo = min(sa, sb)
+        hi = max(sa + len(na), sb + len(nb))
+        _check_span(lo, hi - 1)
+        da, db = self._den, other._den
+        if da == db:
+            den, fa, fb = da, 1, sign
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g * sign
+            den = da * fa
+        out = [0] * (hi - lo)
+        i = sa - lo
+        out[i:i + len(na)] = na if fa == 1 else [c * fa for c in na]
+        i = sb - lo
+        out[i:i + len(nb)] = [x + c * fb for x, c in zip(out[i:i + len(nb)], nb)]
+        return _canonical(lo, out, den)
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            data[e] = data.get(e, Fraction(0)) + c
-        return LaurentPoly(data)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _make(self._shift, tuple([-c for c in self._num]), self._den)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, LaurentPoly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        data: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                data[e] = data.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(data)
+        if not self._num or not other._num:
+            return _ZERO
+        # a product of nonzero polynomials keeps nonzero end coefficients
+        num = _convolve(self._num, other._num)
+        den = self._den * other._den
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                den //= g
+                num = [c // g for c in num]
+        return _make(self._shift + other._shift, tuple(num), den)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "LaurentPoly":
-        c = _fraction(value)
-        return LaurentPoly({e: c * v for e, v in self._terms.items()})
+        if not isinstance(value, (int, Fraction)):
+            value = _fraction(value)
+        p, q = value.numerator, value.denominator
+        if not p or not self._num:
+            return _ZERO
+        return _canonical(self._shift, [c * p for c in self._num], self._den * q)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        if not self._num:
+            return self
+        return _make(self._shift + k, self._num, self._den)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -211,7 +351,10 @@ class LaurentPoly:
 
     def involute(self) -> "LaurentPoly":
         """The ring involution t -> t^-1."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        if not self._num:
+            return self
+        return _make(-(self._shift + len(self._num) - 1), self._num[::-1],
+                     self._den)
 
     def inverse(self) -> "LaurentPoly":
         """The inverse of a unit q*t^k; raises ValueError for nonunits.
@@ -221,27 +364,32 @@ class LaurentPoly:
         """
         if not self.is_unit:
             raise ValueError(f"{self} is not a unit")
-        ((exp, coeff),) = self._terms.items()
-        return LaurentPoly({-exp: 1 / coeff})
+        (c,) = self._num
+        return _make(-self._shift, (self._den if c > 0 else -self._den,), abs(c))
 
     # -- comparison and presentation ------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return (self._num == other._num and self._shift == other._shift
+                and self._den == other._den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._shift, self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __str__(self) -> str:
-        return _format_terms(sorted(self._terms.items(), reverse=True))
+        return _format_terms(self._shift, self._num, self._den)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
+
+
+_ZERO = _make(0, (), 1)
+_ONE = _make(0, (1,), 1)
 
 
 PolyLike = Union["LaurentPoly", "PrimitiveRep", int, str]
@@ -278,8 +426,15 @@ class PrimitiveRep:
         self._coeffs = cs
 
     @classmethod
+    def _trusted(cls, coeffs: tuple) -> "PrimitiveRep":
+        """A representative from a tuple already known to be canonical."""
+        rep = _new(cls)
+        rep._coeffs = coeffs
+        return rep
+
+    @classmethod
     def one(cls) -> "PrimitiveRep":
-        return cls((1,))
+        return cls._trusted((1,))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -294,7 +449,7 @@ class PrimitiveRep:
         return self._coeffs == (1,)
 
     def to_laurent(self) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self._coeffs)
+        return _make(0, self._coeffs, 1)
 
     def evaluate_at_one(self) -> int:
         return sum(self._coeffs)
@@ -305,12 +460,8 @@ class PrimitiveRep:
         # A product of primitive integer polynomials is primitive (Gauss),
         # and the sign/offset normalizations are preserved, so the raw
         # convolution is already canonical.
-        a, b = self._coeffs, other._coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return PrimitiveRep(out)
+        return PrimitiveRep._trusted(
+            tuple(_convolve(self._coeffs, other._coeffs)))
 
     def __pow__(self, n: int) -> "PrimitiveRep":
         if n < 0:
@@ -335,9 +486,7 @@ class PrimitiveRep:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        return _format_terms(
-            sorted(((i, Fraction(c)) for i, c in enumerate(self._coeffs) if c),
-                   reverse=True))
+        return _format_terms(0, self._coeffs, 1)
 
     def __repr__(self) -> str:
         return f"PrimitiveRep({str(self)!r})"
@@ -374,54 +523,74 @@ def parse(text: str) -> LaurentPoly:
     Traceback (most recent call last):
         ...
     ValueError: zero denominator in '1/0'
+
+    The terms are summed over the lcm of their denominators, and the span
+    of the sum is checked against :data:`MAX_SPAN` before the dense tuple
+    is built.
     """
-    compact = re.sub(r"\s+", "", text).replace("−", "-")
+    compact = "".join(text.split()).replace("−", "-")
     if not compact:
         raise ValueError("empty polynomial text")
-    terms: dict[int, Fraction] = {}
-    pos = 0
-    first = True
-    while pos < len(compact):
-        m = _TERM_RE.match(compact, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial at {compact[pos:]!r}")
-        sign, coef = m.group("sign"), m.group("coef")
-        tpart = m.group("tc") or m.group("tv")
-        exp = m.group("expc") or m.group("expv")
-        if sign and first and coef is None and tpart is None:
-            raise ValueError(f"dangling sign in {text!r}")
-        if not first and not sign:
+    parsed: list[tuple[int, int, int]] = []  # (exponent, numerator, denominator)
+    pos, den = 0, 1
+    # the leftmost match from pos starts at pos exactly when a term does
+    for m in _TERM_RE.finditer(compact):
+        if m.start() != pos:
+            break
+        sign, coef, tc, expc, tv, expv = m.groups()
+        if pos and not sign:
             raise ValueError(f"missing operator before {compact[pos:]!r}")
-        try:
-            c = Fraction(coef) if coef is not None else Fraction(1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {coef!r}") from None
-        if sign == "-":
-            c = -c
-        e = int(exp) if exp is not None else (1 if tpart else 0)
-        terms[e] = terms.get(e, Fraction(0)) + c
+        if coef is None:
+            c, d = 1, 1
+        elif "/" in coef:
+            c_text, _, d_text = coef.partition("/")
+            c, d = int(c_text), int(d_text)
+            if not d:
+                raise ValueError(f"zero denominator in {coef!r}")
+            den = math.lcm(den, d)
+        else:
+            c, d = int(coef), 1
+        exp = expc or expv
+        e = int(exp) if exp else (1 if tc or tv else 0)
+        parsed.append((e, -c if sign == "-" else c, d))
         pos = m.end()
-        first = False
-    return LaurentPoly(terms)
+    if pos < len(compact):
+        raise ValueError(f"cannot parse polynomial at {compact[pos:]!r}")
+    terms: dict[int, int] = {}
+    for e, c, d in parsed:
+        if c:
+            total = terms.get(e, 0) + c * (den // d)
+            if total:
+                terms[e] = total
+            else:
+                del terms[e]
+    return _from_terms(terms, den)
 
 
-def _format_terms(items: list[tuple[int, Fraction]]) -> str:
-    if not items:
-        return "0"
+def _format_terms(shift: int, num: tuple, den: int) -> str:
+    """The text of t^shift * num / den, highest exponent first."""
     parts: list[str] = []
-    for i, (exp, coeff) in enumerate(items):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+    for i in range(len(num) - 1, -1, -1):
+        c = num[i]
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        if den == 1:
+            text = str(mag)
+        else:
+            g = math.gcd(mag, den)
+            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        exp = shift + i
         if exp == 0:
-            body = str(mag)
+            body = text
         else:
             tpart = "t" if exp == 1 else f"t^{exp}"
-            body = tpart if mag == 1 else f"{mag}*{tpart}"
-        if i == 0:
-            parts.append(f"-{body}" if neg else body)
+            body = tpart if text == "1" else f"{text}*{tpart}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
         else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(parts) if parts else "0"
 
 
 def as_laurent(value: PolyLike) -> LaurentPoly:
@@ -454,18 +623,28 @@ def normalize(p: PolyLike) -> PrimitiveRep:
     """
     if isinstance(p, PrimitiveRep):
         return p
-    q = as_laurent(p)
-    if q.is_zero:
+    num = as_laurent(p)._num
+    if not num:
         raise ZeroPolynomial("the zero polynomial has no primitive representative")
-    lo = q.min_exp
-    coeffs = [q.coeff(e) for e in range(lo, q.max_exp + 1)]
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return PrimitiveRep(ints)
+    content = math.gcd(*num)
+    if num[-1] < 0:
+        content = -content
+    if content != 1:
+        num = tuple([c // content for c in num])
+    return PrimitiveRep._trusted(num)
+
+
+def _unit_quotient(value: LaurentPoly) -> LaurentPoly:
+    """The unit u with u * value equal to value's primitive representative.
+
+    value is t^shift * num / den, and its representative is num / c for c
+    the content of num signed like its leading coefficient, so u is
+    den * t^-shift / c.
+    """
+    shift, num, den = value.min_exp, value._num, value._den
+    c = math.gcd(*num)
+    g = math.gcd(den, c)
+    return _make(-shift, (den // g if num[-1] > 0 else -den // g,), c // g)
 
 
 def similar(p: PolyLike, q: PolyLike) -> bool:
@@ -503,8 +682,8 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
         return LaurentPoly.zero(), LaurentPoly.zero()
     shift_a, shift_b = a.min_exp, b.min_exp
     da, db = a.span, b.span
-    ca = [a.coeff(shift_a + i) for i in range(da + 1)]
-    cb = [b.coeff(shift_b + i) for i in range(db + 1)]
+    ca = [Fraction(c, a._den) for c in a._num]
+    cb = [Fraction(c, b._den) for c in b._num]
     q = [Fraction(0)] * max(da - db + 1, 0)
     for i in range(da - db, -1, -1):
         f = ca[i + db] / cb[db]

@@ -1,18 +1,19 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here deliberately avoids the code paths under test: factorization
-is done by Kronecker interpolation and trial division instead of the modular
-factorizer, or by sympy's `Poly.factor_list` on the whole polynomial instead
-of the cyclotomic pre-pass and `ialex.zfactor` on the cofactor, gcds by
-rational Euclid or by sympy's `dup_gcd` instead of the integer heuristic
-GCD,
-invariant factors come from gcds of minors instead of elimination, ranks
-come from plain fraction Gaussian elimination, and twisted homology is cut
-out of stalk-valued chains by kernels and solves instead of universal
+Everything here deliberately avoids the code paths under test: the ring
+element is a sparse map to Fractions instead of an integer numerator over
+one denominator, factorization is done by Kronecker interpolation and trial
+division instead of the modular factorizer, or by sympy's
+`Poly.factor_list` on the whole polynomial instead of the cyclotomic
+pre-pass and `ialex.zfactor` on the cofactor, gcds by rational Euclid or by
+sympy's `dup_gcd` instead of the integer heuristic GCD, invariant factors
+come from gcds of minors instead of elimination, ranks come from plain
+fraction Gaussian elimination, and twisted homology is cut out of
+stalk-valued chains by kernels and solves instead of universal
 coefficients.  Those kernels and solves come from a transform-tracking
-Smith form of their own, independent of the library's elimination.  The module-valued Kunneth sum cross-checks
-`gmodule.kunneth_order`'s order arithmetic.  Slow is fine; these only ever
-see small inputs.
+Smith form of their own, independent of the library's elimination.  The
+module-valued Kunneth sum cross-checks `gmodule.kunneth_order`'s order
+arithmetic.  Slow is fine; these only ever see small inputs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,137 @@ from ialex.laurent import (
     involute,
     normalize,
 )
+
+# -- the dict-of-Fraction ring element ----------------------------------------
+
+
+class DictLaurent:
+    """An element of Q[t, t^-1] as a sparse exponent-to-Fraction map.
+
+    A frozen copy of the ring element the library used before it moved to
+    one integer numerator over one denominator; every operation here works
+    term by term on Fractions, so it shares no arithmetic with
+    `laurent.LaurentPoly`.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=()):
+        items = terms.items() if isinstance(terms, dict) else terms
+        data: dict[int, Fraction] = {}
+        for exp, coeff in items:
+            if isinstance(coeff, float):
+                raise TypeError("floating point coefficients are not allowed")
+            c = Fraction(coeff)
+            if c:
+                data[exp] = data.get(exp, Fraction(0)) + c
+                if not data[exp]:
+                    del data[exp]
+        self._terms = data
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    @property
+    def is_unit(self) -> bool:
+        return len(self._terms) == 1
+
+    @property
+    def min_exp(self) -> int:
+        return min(self._terms)
+
+    @property
+    def max_exp(self) -> int:
+        return max(self._terms)
+
+    @property
+    def span(self) -> int:
+        return self.max_exp - self.min_exp
+
+    def coeff(self, exp: int) -> Fraction:
+        return self._terms.get(exp, Fraction(0))
+
+    def items(self) -> list[tuple[int, Fraction]]:
+        return sorted(self._terms.items())
+
+    def __add__(self, other: "DictLaurent") -> "DictLaurent":
+        data = dict(self._terms)
+        for e, c in other._terms.items():
+            data[e] = data.get(e, Fraction(0)) + c
+        return DictLaurent(data)
+
+    def __neg__(self) -> "DictLaurent":
+        return DictLaurent({e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other: "DictLaurent") -> "DictLaurent":
+        return self + (-other)
+
+    def __mul__(self, other: "DictLaurent") -> "DictLaurent":
+        data: dict[int, Fraction] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                data[e1 + e2] = data.get(e1 + e2, Fraction(0)) + c1 * c2
+        return DictLaurent(data)
+
+    def scale(self, value) -> "DictLaurent":
+        c = Fraction(value)
+        return DictLaurent({e: c * v for e, v in self._terms.items()})
+
+    def shift(self, k: int) -> "DictLaurent":
+        return DictLaurent({e + k: c for e, c in self._terms.items()})
+
+    def __pow__(self, n: int) -> "DictLaurent":
+        result = DictLaurent({0: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def involute(self) -> "DictLaurent":
+        return DictLaurent({-e: c for e, c in self._terms.items()})
+
+    def inverse(self) -> "DictLaurent":
+        ((exp, coeff),) = self._terms.items()
+        return DictLaurent({-exp: 1 / coeff})
+
+    def normalize(self) -> tuple[int, ...]:
+        """The coefficients of the primitive representative."""
+        lo = self.min_exp
+        coeffs = [self.coeff(e) for e in range(lo, self.max_exp + 1)]
+        denom = 1
+        for c in coeffs:
+            denom = denom * c.denominator // int_gcd(denom, c.denominator)
+        ints = [int(c * denom) for c in coeffs]
+        content = int_gcd(*ints)
+        if ints[-1] < 0:
+            content = -content
+        return tuple(c // content for c in ints)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DictLaurent) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __str__(self) -> str:
+        items = sorted(self._terms.items(), reverse=True)
+        if not items:
+            return "0"
+        parts: list[str] = []
+        for i, (exp, coeff) in enumerate(items):
+            neg = coeff < 0
+            mag = -coeff if neg else coeff
+            if exp == 0:
+                body = str(mag)
+            else:
+                tpart = "t" if exp == 1 else f"t^{exp}"
+                body = tpart if mag == 1 else f"{mag}*{tpart}"
+            if i == 0:
+                parts.append(f"-{body}" if neg else body)
+            else:
+                parts.append(f"- {body}" if neg else f"+ {body}")
+        return " ".join(parts)
+
 
 # -- dense polynomial helpers (coefficients indexed by exponent) ----------
 

@@ -143,6 +143,31 @@ def test_factor_phi_240_at_the_cap(tmp_path):
     assert report_of(result)["error"]["code"] == "degree-cap"
 
 
+_WIDE = "t^1000000000 + 1"  # span 10^9, over laurent.MAX_SPAN
+
+
+@pytest.mark.parametrize("case", [
+    {"kind": "factor", "payload": {"poly": _WIDE}},
+    {"kind": "snf", "payload": {"matrix": [["t - 1", _WIDE]]}},
+    {"kind": "bounds", "payload": {"op": "check", "ia": "t - 1",
+                                   "allowed": [_WIDE]}},
+    {"kind": "bounds", "payload": {
+        "op": "maxpower", "gamma": "t - 1", "gamma_j": 3, "j": 2, "n": 6,
+        "perversity": [0] * 5,
+        "table": {"entries": [{"i": 0, "p": 2, "q": 0, "poly": _WIDE}]}}},
+    {"kind": "bounds", "payload": {
+        "op": "allowed", "j": 2, "lambda": "t - 1",
+        "stratification": {"n": 7, "strata": [
+            {"dim": 1, "components": [{"xi": [_WIDE]}]}]}}},
+], ids=["poly", "matrix-entry", "bounds", "e2-table", "stratification"])
+def test_span_cap_exits_two(tmp_path, case):
+    result = invoke(tmp_path, case, "run")
+    assert result.exit_code == 2
+    error = report_of(result)["error"]
+    assert error["code"] == "degree-cap"
+    assert "span 1000000000" in error["message"]
+
+
 _OVER_CAP = "t^5 - t - 1"
 _CAPPED_CASES = {
     "allowed-single": {"op": "allowed", "i": 2, "n": 7, "k": 4,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     fg_modules,
     gamma_matrices,
+    nonzero_polys,
     prime_products,
     small_primes_st,
     torsion_modules,
@@ -29,6 +30,7 @@ from ialex.gmodule import (
 )
 from ialex.laurent import (
     LaurentPoly,
+    _unit_quotient,
     PrimitiveRep,
     divides,
     involute,
@@ -48,6 +50,13 @@ from oracles import (
 )
 
 # -- Smith normal form ---------------------------------------------------------
+
+
+@given(nonzero_polys(max_span=6, max_coeff=60))
+def test_unit_quotient_makes_the_representative(v):
+    u = _unit_quotient(v)
+    assert u.is_unit
+    assert u * v == normalize(v).to_laurent()
 
 
 def test_snf_frozen_cases():

@@ -1,6 +1,7 @@
 """Ring arithmetic, canonical forms and factorization over Q[t, t^-1]."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -18,11 +19,14 @@ from conftest import (
     seeded_eisenstein,
     small_primes_st,
 )
+import ialex.laurent as laurent
 from ialex.laurent import (
+    MAX_SPAN,
     BothZero,
     DegreeCapExceeded,
     LaurentPoly,
     PrimitiveRep,
+    SpanCapExceeded,
     ZeroPolynomial,
     divides,
     exact_quotient,
@@ -37,6 +41,7 @@ from ialex.laurent import (
 )
 from ialex.laurent import _cyclotomic, _cyclotomic_orders
 from oracles import (
+    DictLaurent,
     dense_coeffs,
     dense_divmod,
     kronecker_factor,
@@ -77,6 +82,160 @@ def test_str_descending_exponents():
 @given(laurent_polys())
 def test_parse_str_round_trip(p):
     assert parse(str(p)) == p
+
+
+def test_span_cap_checked_before_allocation():
+    # a dense tuple for this text would hold 10^9 + 1 slots
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(SpanCapExceeded):
+            parse("t^1000000000 + 1")
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
+    assert issubclass(SpanCapExceeded, DegreeCapExceeded)
+    with pytest.raises(SpanCapExceeded):
+        LaurentPoly({10**9: 1, 0: 1})
+    far = parse("t^1000000000")  # a unit: one slot
+    assert far.span == 0 and far.shift(-10**9) == LaurentPoly.one()
+    with pytest.raises(SpanCapExceeded):
+        far + LaurentPoly.one()
+    with pytest.raises(SpanCapExceeded):
+        LaurentPoly.one() - far
+    assert parse(f"t^{MAX_SPAN} + 1").span == MAX_SPAN
+    with pytest.raises(SpanCapExceeded):
+        parse(f"t^{MAX_SPAN + 1} + 1")
+    # terms that cancel do not count
+    assert parse("t^1000000000 - t^1000000000 + 1") == LaurentPoly.one()
+    assert LaurentPoly({10**9: 0, 0: 1}) == LaurentPoly.one()
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(TypeError):
+        LaurentPoly.from_coeffs([1, 2.0])
+    with pytest.raises(TypeError):
+        parse("t").scale(0.5)
+    assert LaurentPoly({0: "3/4", 1: True}) == parse("t + 3/4")
+
+
+def test_ring_element_builds_no_fraction(monkeypatch):
+    """Parsing, ring arithmetic, normalization and comparison run on the
+    integer numerator and denominator alone."""
+    class Refused(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("the ring element built a Fraction")
+
+    monkeypatch.setattr(laurent, "Fraction", Refused)
+    p = parse("3*t^2 - 6*t + 9")
+    q = parse("3/4*t^-1 + 5/6 - 7/10*t")
+    total, product = p + q, p * q
+    assert (total - q) == p and (total - total).is_zero
+    rep = normalize(product)
+    # (t^2 - 2t + 3) * (42t^2 - 50t - 45)
+    assert rep.coeffs == (-135, -60, 181, -134, 42)
+    assert rep.to_laurent().span == product.span == 4
+    assert normalize(rep.to_laurent()) == rep
+    assert parse("2/3*t^5").is_unit and not q.is_unit
+    assert p == parse("9 - 6*t + 3*t^2") and p != q
+    assert normalize(p) == normalize(parse("t^2 - 2*t + 3"))
+
+
+# -- differential test against the dict-of-Fraction element --------------------
+
+# products of 2, 3 and 5, so that denominators share factors with the
+# content of the numerator
+_SMOOTH = [1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 30]
+_smooth_fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-30, 30),
+              st.sampled_from(_SMOOTH + [-c for c in _SMOOTH])),
+    st.sampled_from(_SMOOTH))
+
+
+def dict_laurents(max_terms=4):
+    return st.dictionaries(st.integers(-4, 4), _smooth_fractions,
+                           max_size=max_terms).map(DictLaurent)
+
+
+@st.composite
+def dict_pairs(draw):
+    """Two oracle elements; the second may cancel the first in part or in
+    full, or be a unit multiple of it."""
+    p, q = draw(dict_laurents()), draw(dict_laurents(max_terms=2))
+    mode = draw(st.sampled_from(["free", "cancel", "multiple"]))
+    if mode == "cancel":
+        q = q - p
+    elif mode == "multiple":
+        q = p.scale(draw(_smooth_fractions)).shift(draw(st.integers(-2, 2)))
+    return p, q
+
+
+def _lift(d: DictLaurent) -> LaurentPoly:
+    return LaurentPoly(dict(d.items()))
+
+
+def _assert_agrees(p: LaurentPoly, d: DictLaurent):
+    assert list(p.items()) == d.items()
+    assert str(p) == str(d)
+    assert p.is_zero == d.is_zero and bool(p) == (not d.is_zero)
+    for e in range(-12, 13):
+        assert p.coeff(e) == d.coeff(e)
+    if d.is_zero:
+        assert p == LaurentPoly.zero()
+        return
+    assert (p.min_exp, p.max_exp, p.span, p.is_unit) == (
+        d.min_exp, d.max_exp, d.span, d.is_unit)
+    assert normalize(p).coeffs == d.normalize()
+    assert parse(str(p)) == p
+
+
+@given(dict_pairs(), _smooth_fractions, st.integers(-3, 3), st.integers(0, 3))
+@settings(max_examples=300)
+def test_ring_element_matches_dict_oracle(pair, c, k, n):
+    dp, dq = pair
+    p, q = _lift(dp), _lift(dq)
+    _assert_agrees(p, dp)
+    _assert_agrees(q, dq)
+    _assert_agrees(p + q, dp + dq)
+    _assert_agrees(p - q, dp - dq)
+    _assert_agrees(-p, -dp)
+    _assert_agrees(p * q, dp * dq)
+    _assert_agrees(p.scale(c), dp.scale(c))
+    _assert_agrees(p * c, dp.scale(c))
+    _assert_agrees(p.shift(k), dp.shift(k))
+    _assert_agrees(p.involute(), dp.involute())
+    _assert_agrees(p ** n, dp ** n)
+    if dp.is_unit:
+        _assert_agrees(p.inverse(), dp.inverse())
+    assert (p == q) == (dp == dq)
+    # equal elements reached by different routes hash alike
+    again = (p + q) - q
+    assert again == p and hash(again) == hash(p)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+def _term_text(exp: int, num: int, den: int) -> str:
+    coef = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    if exp == 0:
+        return coef
+    tpart = "t" if exp == 1 else f"t^{exp}"
+    return tpart if coef == "1" else f"{coef}*{tpart}"
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-30, 30),
+                          st.sampled_from(_SMOOTH)), min_size=1, max_size=6))
+def test_parse_matches_dict_oracle(terms):
+    """Unreduced terms, repeated exponents and cancellation in the text."""
+    text = "-" if terms[0][1] < 0 else ""
+    text += _term_text(*terms[0])
+    for exp, num, den in terms[1:]:
+        text += f" {'-' if num < 0 else '+'} {_term_text(exp, num, den)}"
+    expected = DictLaurent([(e, Fraction(c, d)) for e, c, d in terms])
+    _assert_agrees(parse(text), expected)
+    assert parse(text) == _lift(expected)
 
 
 # -- normalization and similarity -------------------------------------------
