@@ -233,10 +233,12 @@ def _case_snf(payload, opts: RunOptions):
     m = _matrix(_list_field(payload, "matrix", "payload"),
                 "payload.matrix", cols)
     factors, rank = gmodule.smith_normal_form(m)
+    cokernel = gmodule.FgGammaModule(m.cols - rank,
+                                     [f for f in factors if not f.is_one])
     return "pass", {
         "factors": [str(f) for f in factors],
         "rank": rank,
-        "cokernel": gmodule.cokernel(m).to_json(),
+        "cokernel": cokernel.to_json(),
     }, []
 
 

@@ -18,7 +18,6 @@ from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
     PolyLike,
     PrimitiveRep,
-    _as_rep,
     divides,
     exact_quotient,
     involute,
@@ -179,7 +178,7 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
 
 def ia_locally_flat(lams: Sequence[PolyLike]) -> tuple[PrimitiveRep, ...]:
     """Locally flat knots keep their ordinary Alexander polynomials."""
-    return tuple(_as_rep(p) for p in lams)
+    return tuple(normalize(p) for p in lams)
 
 
 class DiskKnotData:
@@ -204,9 +203,9 @@ class DiskKnotData:
         if n < 3:
             raise ValueError("ambient sphere dimension must be at least 3")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", tuple(_as_rep(x) for x in a))
-        object.__setattr__(self, "b", tuple(_as_rep(x) for x in b))
-        object.__setattr__(self, "c", tuple(_as_rep(x) for x in c))
+        object.__setattr__(self, "a", tuple(normalize(x) for x in a))
+        object.__setattr__(self, "b", tuple(normalize(x) for x in b))
+        object.__setattr__(self, "c", tuple(normalize(x) for x in c))
         object.__setattr__(self, "top",
                            max(len(self.a), len(self.b), len(self.c), 1) - 1)
         polys = []
@@ -335,9 +334,9 @@ class ProductSingularityInput:
         object.__setattr__(self, "perversity", perversity)
         object.__setattr__(self, "sigma_homology", sigma)
         object.__setattr__(self, "link_modules", links)
-        object.__setattr__(self, "c", tuple(_as_rep(x) for x in c))
-        object.__setattr__(self, "a_high", tuple(_as_rep(x) for x in a_high))
-        full = tuple(_as_rep(x) for x in a) if a is not None else self.a_high
+        object.__setattr__(self, "c", tuple(normalize(x) for x in c))
+        object.__setattr__(self, "a_high", tuple(normalize(x) for x in a_high))
+        full = tuple(normalize(x) for x in a) if a is not None else self.a_high
         object.__setattr__(self, "a", full)
 
     def __setattr__(self, name, value):
@@ -410,7 +409,7 @@ def superdual_polynomials(ia: Sequence[PolyLike], n: int,
     >>> [str(q) for q in superdual_polynomials(["t - 1", "2*t - 1"], 3)]
     ['1', 't - 2', 't - 1']
     """
-    reps = [_as_rep(q) for q in ia]
+    reps = [normalize(q) for q in ia]
     out = []
     for i in range(n):
         j = n - 1 - i
@@ -432,7 +431,7 @@ def validate_normalization(ia: Sequence[PolyLike], n: int,
 
     Returns one record per degree with the requirement and its outcome.
     """
-    reps = [_as_rep(q) for q in ia]
+    reps = [normalize(q) for q in ia]
     report = []
     for i, rep in enumerate(reps):
         if super_variant:

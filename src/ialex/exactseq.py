@@ -23,14 +23,13 @@ from ialex.gmodule import (
 )
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
-    LaurentPoly,
     PolyLike,
     PrimitiveRep,
-    _as_rep,
     _poly_divmod,
     divides,
     exact_quotient,
     multiplicity,
+    normalize,
 )
 
 __all__ = [
@@ -73,10 +72,10 @@ class PolySequence:
 
     def __init__(self, polys: Iterable[PolyLike],
                  splittings: Optional[Iterable[PolyLike]] = None):
-        ps = tuple(_as_rep(p) for p in polys)
+        ps = tuple(normalize(p) for p in polys)
         ds = None
         if splittings is not None:
-            ds = tuple(_as_rep(d) for d in splittings)
+            ds = tuple(normalize(d) for d in splittings)
             if len(ds) != len(ps) + 1:
                 raise ValueError("need exactly one splitting per junction")
             if not ds[0].is_one or not ds[-1].is_one:
@@ -127,9 +126,9 @@ def check_alternating_product(polys: Sequence[PolyLike]) -> bool:
     even = odd = PrimitiveRep.one()
     for i, p in enumerate(polys):
         if i % 2 == 0:
-            even = even * _as_rep(p)
+            even = even * normalize(p)
         else:
-            odd = odd * _as_rep(p)
+            odd = odd * normalize(p)
     return even == odd
 
 
@@ -148,7 +147,7 @@ def subpolynomials(polys: Sequence[PolyLike]) -> tuple[PrimitiveRep, ...]:
     """
     deltas = [PrimitiveRep.one()]
     for i, p in enumerate(polys):
-        rep = _as_rep(p)
+        rep = normalize(p)
         if not divides(deltas[-1], rep):
             raise NotExactCompatible(
                 f"entry {i} is not divisible by its left delta")
@@ -178,7 +177,7 @@ def solve_missing_third(
     """
     junctions = dict(junctions or {})
     polys: list[Optional[PrimitiveRep]] = [
-        None if p is None else _as_rep(p) for p in entries]
+        None if p is None else normalize(p) for p in entries]
     if not polys:
         raise ValueError("empty sequence")
     unknown = [i for i, p in enumerate(polys) if p is None]
@@ -192,7 +191,7 @@ def solve_missing_third(
     for idx, value in junctions.items():
         if not 0 <= idx <= n:
             raise ValueError(f"junction index {idx} out of range")
-        deltas[idx] = _as_rep(value)
+        deltas[idx] = normalize(value)
 
     def quotient(entry: PrimitiveRep, delta: PrimitiveRep, where: int) -> PrimitiveRep:
         if not divides(delta, entry):
@@ -306,11 +305,6 @@ class ModuleSequence:
         return f"ModuleSequence({list(self.modules)!r})"
 
 
-def _reduce_entry(entry: LaurentPoly, order: PrimitiveRep) -> LaurentPoly:
-    _, r = _poly_divmod(entry, order.to_laurent())
-    return r
-
-
 def split_primary(seq: ModuleSequence, prime: PolyLike,
                   degree_cap: int = DEFAULT_DEGREE_CAP) -> ModuleSequence:
     """Restrict a module sequence to the p-primary summands.
@@ -345,7 +339,7 @@ def split_primary(seq: ModuleSequence, prime: PolyLike,
     for i, t in enumerate(seq.maps):
         rows, cols = kept_indices[i], kept_indices[i + 1]
         target = components[i + 1]
-        grid = [[_reduce_entry(t.entry(r, c), target.torsion[l])
+        grid = [[_poly_divmod(t.entry(r, c), target.torsion[l].to_laurent())[1]
                  for l, c in enumerate(cols)] for r in rows]
         new_maps.append(GammaMatrix(grid, cols=len(cols)))
     return ModuleSequence(components, new_maps)

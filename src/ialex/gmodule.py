@@ -4,10 +4,13 @@ A matrix presents its cokernel: rows are relations, columns are generators.
 Smith normal form over the Euclidean domain (norm = span of the primitive
 representative) reduces every module to the canonical shape
 free rank + invariant-factor chain, which the classification theorem makes a
-complete invariant.  On top of that normal form sit the order polynomial,
-primary decomposition and the tensor/Tor calculus.  The
-Kunneth formula needs only orders, so `kunneth_order` multiplies them in
-closed form without building the product's module.
+complete invariant.  It runs in two steps: diagonalise by Euclidean row and
+column operations, then turn the diagonal into the chain by gcd/lcm
+pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), the same step
+that canonicalises a direct sum of cyclic modules.  On top of that normal
+form sit the order polynomial, primary decomposition and the tensor/Tor
+calculus.  The Kunneth formula needs only orders, so `kunneth_order`
+multiplies them in closed form without building the product's module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from ialex.laurent import (
     LaurentPoly,
     PolyLike,
     PrimitiveRep,
-    _as_rep,
     _poly_divmod,
     _unit_quotient,
     as_laurent,
@@ -186,26 +188,17 @@ class GammaMatrix:
 
 
 def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:
-    """Diagonalize with Euclidean pivoting; returns the nonzero diagonal."""
+    """Diagonalise with Euclidean pivoting; returns the nonzero diagonal.
+
+    The diagonal need not be a divisibility chain: `_invariant_chain` makes
+    it one.
+    """
     s = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
 
     def swap_cols(a: int, b: int):
         for row in s:
             row[a], row[b] = row[b], row[a]
-
-    def add_row(dst: int, src: int, f: LaurentPoly):
-        """row dst += f * row src"""
-        s[dst] = [a + f * b for a, b in zip(s[dst], s[src])]
-
-    def add_col(dst: int, src: int, f: LaurentPoly):
-        for row in s:
-            row[dst] = row[dst] + f * row[src]
-
-    def make_primitive(i: int):
-        """Scale row i by the unit that makes its diagonal entry primitive."""
-        f = _unit_quotient(s[i][i])
-        s[i] = [f * a for a in s[i]]
 
     k = 0
     limit = min(nr, nc)
@@ -221,13 +214,15 @@ def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:
         s[k], s[best[1]] = s[best[1]], s[k]
         swap_cols(k, best[2])
         while True:
-            # keep coefficients tame: make the pivot row primitive
-            make_primitive(k)
+            # keep coefficients tame: scale the pivot row by the unit that
+            # makes its diagonal entry primitive
+            f = _unit_quotient(s[k][k])
+            s[k] = [f * a for a in s[k]]
             moved = False
             for i in range(nr):
                 if i != k and not s[i][k].is_zero:
                     q, r = _poly_divmod(s[i][k], s[k][k])
-                    add_row(i, k, -q)
+                    s[i] = [a - q * b for a, b in zip(s[i], s[k])]
                     if not r.is_zero:
                         s[i], s[k] = s[k], s[i]
                         moved = True
@@ -237,7 +232,8 @@ def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:
             for j in range(nc):
                 if j != k and not s[k][j].is_zero:
                     q, r = _poly_divmod(s[k][j], s[k][k])
-                    add_col(j, k, -q)
+                    for row in s:
+                        row[j] = row[j] - q * row[k]
                     if not r.is_zero:
                         swap_cols(j, k)
                         moved = True
@@ -245,33 +241,6 @@ def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:
             if not moved:
                 break
         k += 1
-
-    # repair the divisibility chain; each pass strictly reduces the gcd at
-    # the earlier slot, so this terminates
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if not divides(a, b):
-                add_row(i, i + 1, LaurentPoly.one())
-                # re-clear the 2x2 block [[a, b], [0, b]]
-                while True:
-                    make_primitive(i)
-                    q, r = _poly_divmod(s[i][i + 1], s[i][i])
-                    add_col(i + 1, i, -q)
-                    if s[i][i + 1].is_zero:
-                        break
-                    swap_cols(i, i + 1)
-                if not s[i + 1][i].is_zero:
-                    q, r = _poly_divmod(s[i + 1][i], s[i][i])
-                    add_row(i + 1, i, -q)
-                    if not (r.is_zero and s[i + 1][i].is_zero):
-                        raise RuntimeError(
-                            "divisibility repair left a subdiagonal entry")
-                changed = True
-    for i in range(k):
-        make_primitive(i)
     return [s[i][i] for i in range(k)]
 
 
@@ -340,7 +309,9 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
     column count loses when passing to the cokernel's free rank.  Unit
     entries are eliminated first on sparse rows (Dumas, Saunders and
     Villard, JSC 2001), each one a factor 1, so boundary matrices of
-    simplicial complexes shrink to a small core before Euclidean pivoting.
+    simplicial complexes shrink to a small core.  The core is diagonalised
+    by Euclidean pivoting, and the gcd/lcm chain of its diagonal gives the
+    remaining factors.
 
     >>> factors, rank = smith_normal_form(GammaMatrix([["t - 1", "1"], ["0", "t + 1"]]))
     >>> [str(f) for f in factors], rank
@@ -348,8 +319,33 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
     """
     pivots, core = _unit_prepass(m)
     diagonal = _eliminate(core)
-    factors = (PrimitiveRep.one(),) * pivots + tuple(normalize(d) for d in diagonal)
-    return factors, pivots + len(diagonal)
+    factors = _invariant_chain([normalize(d) for d in diagonal])
+    return (PrimitiveRep.one(),) * pivots + tuple(factors), pivots + len(factors)
+
+
+def _invariant_chain(reps: list[PrimitiveRep]) -> list[PrimitiveRep]:
+    """The invariant-factor chain of a diagonal, units first.
+
+    Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), so pairing each
+    slot with every later one leaves gcds in front of lcms: every prime's
+    exponents end up sorted, which makes the slots a divisibility chain and
+    puts the units in front.  A unit slot pairs to no change.
+
+    >>> chain = _invariant_chain([normalize(p) for p in ("t^2 - 1", "t - 1", "t + 1")])
+    >>> [str(c) for c in chain]
+    ['1', 't^2 - 1', 't^2 - 1']
+    """
+    chain = list(reps)
+    for i, a in enumerate(chain):
+        if a.is_one:
+            continue
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
+            g = gcd(a, b)
+            chain[j] = a * exact_quotient(b, g)
+            a = g
+        chain[i] = a
+    return chain
 
 
 # -- canonical modules --------------------------------------------------------
@@ -375,7 +371,7 @@ class FgGammaModule:
     def __init__(self, free_rank: int, torsion: Iterable[Union[PrimitiveRep, str]] = ()):
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        chain = tuple(_as_rep(t) for t in torsion)
+        chain = tuple(normalize(t) for t in torsion)
         for t in chain:
             if t.degree < 1:
                 raise ValueError("torsion coefficients must be nonunits")
@@ -404,25 +400,14 @@ class FgGammaModule:
 
     @classmethod
     def from_summands(cls, free_rank: int, orders: Iterable[PolyLike]) -> "FgGammaModule":
-        """Canonicalize a direct sum of cyclic pieces and a free part.
-
-        Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), so pairing each
-        slot with every later one leaves gcds in front of lcms: every prime's
-        exponents end up sorted and the slots form the invariant-factor
-        chain, with the units first.
+        """Canonicalize a direct sum of cyclic pieces and a free part: the
+        gcd/lcm chain of the orders (`_invariant_chain`) without its units.
 
         >>> FgGammaModule.from_summands(1, ["t + 1", "t^2 - 1", "t - 1", "3"])
         FgGammaModule(free=1, torsion=['t^2 - 1', 't^2 - 1'])
         """
-        coeffs = [_as_rep(c) for c in orders]
-        for i, a in enumerate(coeffs):
-            for j in range(i + 1, len(coeffs)):
-                b = coeffs[j]
-                g = gcd(a, b)
-                coeffs[j] = a * exact_quotient(b, g)
-                a = g
-            coeffs[i] = a
-        return cls(free_rank, [c for c in coeffs if not c.is_one])
+        chain = _invariant_chain([normalize(c) for c in orders])
+        return cls(free_rank, [c for c in chain if not c.is_one])
 
     @property
     def is_zero(self) -> bool:
@@ -501,7 +486,7 @@ def order_polynomial(m: FgGammaModule) -> PrimitiveRep:
 
 def _require_prime(prime: PolyLike,
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> PrimitiveRep:
-    rep = _as_rep(prime)
+    rep = normalize(prime)
     if rep.is_one or factor(rep, degree_cap) != ((rep, 1),):
         raise NotPrime(f"{rep} is not irreducible")
     return rep

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from typing import Optional, Union
 
-from .zfactor import exact_div, factor_primitive, poly_gcd, poly_mul
+from .zfactor import exact_div, factor_primitive, poly_gcd, poly_mul, pseudo_divmod
 
 __all__ = [
     "BothZero",
@@ -498,7 +498,7 @@ _TERM_RE = re.compile(
     r"""
     (?P<sign>[+-]?)
     (?:
-        (?P<coef>\d+(?:/\d+)?)\*?(?P<tc>t(?:\^(?P<expc>-?\d+))?)?
+        (?P<coef>\d+(?:/\d+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?\d+))?))?
       | (?P<tv>t(?:\^(?P<expv>-?\d+))?)
     )
     """,
@@ -511,7 +511,8 @@ def parse(text: str) -> LaurentPoly:
 
     Terms are ``c*t^e``, ``c``, ``t^e`` or ``t``, joined by ``+`` and ``-``;
     ``c`` is an integer or ``p/q`` rational and ``e`` a possibly negative
-    integer.  Whitespace is ignored.
+    integer.  The ``*`` may be left out, and stands only before ``t``.
+    Whitespace is ignored.
 
     >>> print(parse("3/2*t^-1 - 3/2"))
     -3/2 + 3/2*t^-1
@@ -675,38 +676,33 @@ def involute(p: PolyLike) -> LaurentPoly:
 
 
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division a = q*b + r with r zero or of smaller span than b."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero(), LaurentPoly.zero()
-    shift_a, shift_b = a.min_exp, b.min_exp
-    da, db = a.span, b.span
-    ca = [Fraction(c, a._den) for c in a._num]
-    cb = [Fraction(c, b._den) for c in b._num]
-    q = [Fraction(0)] * max(da - db + 1, 0)
-    for i in range(da - db, -1, -1):
-        f = ca[i + db] / cb[db]
-        if f:
-            q[i] = f
-            for j in range(db + 1):
-                ca[i + j] -= f * cb[j]
-    quot = LaurentPoly.from_coeffs(q, shift=shift_a - shift_b)
-    rem = LaurentPoly.from_coeffs(ca[:db], shift=shift_a)
-    return quot, rem
+    """Euclidean division a = q*b + r with r zero or of smaller span than b.
 
-
-def _as_rep(value: PolyLike, allow_zero: bool = False) -> Optional[PrimitiveRep]:
-    """The primitive representative; representatives pass through as is.
-
-    Zero raises :class:`ZeroPolynomial`, or gives None when allowed.
+    a is t^sa * na / da and b is t^sb * nb / db.  One pseudo-division of the
+    integer numerators, L*na = Q*nb + R with L a power of nb's leading
+    coefficient, gives q = t^(sa-sb) * Q * db / (L*da) and
+    r = t^sa * R / (L*da).
     """
+    na, nb = a._num, b._num
+    if not nb:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not na:
+        return _ZERO, _ZERO
+    quot, rem = pseudo_divmod(na, nb)
+    den = nb[-1] ** max(len(na) - len(nb) + 1, 0) * a._den
+    sign = 1 if den > 0 else -1
+    scale = b._den * sign
+    return (_canonical(a._shift - b._shift, [c * scale for c in quot], den * sign),
+            _canonical(a._shift, [c * sign for c in rem], den * sign))
+
+
+def _rep_or_none(value: PolyLike) -> Optional[PrimitiveRep]:
+    """The primitive representative, or None for zero; representatives
+    pass through as they are."""
     if isinstance(value, PrimitiveRep):
         return value
     q = as_laurent(value)
-    if allow_zero and q.is_zero:
-        return None
-    return normalize(q)
+    return None if q.is_zero else normalize(q)
 
 
 def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
@@ -724,7 +720,7 @@ def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
     >>> gcd(parse("t^2 - 1"), LaurentPoly.zero())
     PrimitiveRep('t^2 - 1')
     """
-    a, b = _as_rep(p, allow_zero=True), _as_rep(q, allow_zero=True)
+    a, b = _rep_or_none(p), _rep_or_none(q)
     if a is None and b is None:
         raise BothZero("gcd(0, 0) is undefined")
     if a is None or b is None:
@@ -734,7 +730,7 @@ def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
 
 def divides(d: PolyLike, p: PolyLike) -> bool:
     """True iff d divides p in the ring (up to units). Everything divides 0."""
-    dd, pp = _as_rep(d, allow_zero=True), _as_rep(p, allow_zero=True)
+    dd, pp = _rep_or_none(d), _rep_or_none(p)
     if pp is None:
         return True
     if dd is None:
@@ -744,7 +740,7 @@ def divides(d: PolyLike, p: PolyLike) -> bool:
 
 def exact_quotient(p: PolyLike, d: PolyLike) -> PrimitiveRep:
     """The canonical representative of p/d; raises if d does not divide p."""
-    pp, dd = _as_rep(p, allow_zero=True), _as_rep(d, allow_zero=True)
+    pp, dd = _rep_or_none(p), _rep_or_none(d)
     if dd is None:
         raise ZeroDivisionError("division by the zero polynomial")
     if pp is None:
@@ -761,10 +757,10 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
     >>> multiplicity("t - 1", "t^3 - 3*t^2 + 3*t - 1")
     3
     """
-    g = _as_rep(prime)
+    g = normalize(prime)
     if g.is_one:
         raise ValueError("multiplicity of a unit is not defined")
-    current = _as_rep(p, allow_zero=True)
+    current = _rep_or_none(p)
     if current is None:
         raise ZeroPolynomial("multiplicity in the zero polynomial is not defined")
     coeffs, count = current.coeffs, 0

@@ -2,9 +2,9 @@
 
 Polynomials are sequences of integer coefficients indexed from exponent 0
 upward, the layout of ``laurent.PrimitiveRep.coeffs``; zero is the empty
-sequence.  This module is the one home for that arithmetic: exact division,
-gcd, products by Kronecker substitution, and the factorizer that
-``laurent.factor`` hands its cyclotomic-free cofactor to.
+sequence.  This module is the one home for that arithmetic: exact and
+pseudo-division, gcd, products by Kronecker substitution, and the factorizer
+that ``laurent.factor`` hands its cyclotomic-free cofactor to.
 
 :func:`factor_primitive` is the classical small-prime route (von zur Gathen
 and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
@@ -54,6 +54,7 @@ __all__ = [
     "kron_unpack",
     "poly_gcd",
     "poly_mul",
+    "pseudo_divmod",
 ]
 
 Poly = Sequence[int]
@@ -165,6 +166,29 @@ def _symmetric_digits(value: int, x: int) -> list:
     return digits
 
 
+def pseudo_divmod(a: Poly, b: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """q and r with lc(b)^(d+1) * a = q*b + r, r shorter than b and trimmed,
+    for d = deg a - deg b (d + 1 counts as 0 when a is shorter than b); each
+    step scales a by lc(b) and subtracts a multiple of b, so none divides
+    (Knuth, TAOCP vol. 2, section 4.6.1, Algorithm R).
+
+    >>> pseudo_divmod((1, 0, 1), (1, 2))    # 4*(t^2 + 1) = (2t - 1)(2t + 1) + 5
+    ((-1, 2), (5,))
+    """
+    n, lead = len(b) - 1, b[-1]
+    r, q = list(a), []
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = r.pop()
+        if lead != 1:
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+        q.append(c)
+        if c:
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return tuple(reversed(q)), tuple(_trim(r))
+
+
 def _prs_gcd(f: Poly, g: Poly) -> list:
     """The primitive gcd of primitive f and g of positive degree, by
     Euclid on pseudo-remainders made primitive at every step (Knuth, TAOCP
@@ -172,13 +196,7 @@ def _prs_gcd(f: Poly, g: Poly) -> list:
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
-        db, lead = len(g) - 1, g[-1]
-        for i in range(len(f) - 1 - db, -1, -1):
-            c = f[-1]
-            f = [lead * x for x in f[:-1]]
-            for j in range(db):
-                f[i + j] -= c * g[j]
-        f = _trim(f)
+        f = pseudo_divmod(f, g)[1]
         if not f:
             return g
         f, g = g, _primitive(f)

@@ -11,7 +11,9 @@ come from gcds of minors instead of elimination, ranks come from plain
 fraction Gaussian elimination, and twisted homology is cut out of
 stalk-valued chains by kernels and solves instead of universal
 coefficients.  Those kernels and solves come from a transform-tracking
-Smith form of their own, independent of the library's elimination.  The
+Smith form of their own, independent of the library's elimination, that
+divides by `laurent_divmod`, rational long division on dense Fraction
+lists rather than the library's integer pseudo-division.  The
 module-valued Kunneth sum cross-checks `gmodule.kunneth_order`'s order
 arithmetic.  Slow is fine; these only ever see small inputs.
 """
@@ -27,7 +29,6 @@ from ialex.gmodule import FgGammaModule, GammaMatrix, tensor, tor
 from ialex.laurent import (
     LaurentPoly,
     PrimitiveRep,
-    _poly_divmod,
     as_laurent,
     divides,
     factor,
@@ -203,6 +204,18 @@ def dense_coeffs(p) -> list[Fraction]:
     if q.is_zero:
         return []
     return [q.coeff(e) for e in range(q.min_exp, q.max_exp + 1)]
+
+
+def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Euclidean division a = q*b + r in Q[t, t^-1] by `dense_divmod` on the
+    coefficient lists, r zero or of smaller span than b."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return LaurentPoly.zero(), LaurentPoly.zero()
+    q, r = dense_divmod(dense_coeffs(a), dense_coeffs(b))
+    return (LaurentPoly.from_coeffs(q, shift=a.min_exp - b.min_exp),
+            LaurentPoly.from_coeffs(r, shift=a.min_exp))
 
 
 def rational_euclid_gcd(p, q) -> PrimitiveRep:
@@ -574,7 +587,7 @@ class _TrackingWorker:
         """Scale row i by the unit that makes its diagonal entry primitive."""
         value = self.s[i][i]
         rep = normalize(value).to_laurent()
-        q, r = _poly_divmod(value, rep)
+        q, r = laurent_divmod(value, rep)
         if not (r.is_zero and q.is_unit):
             raise RuntimeError(f"{value} is not a unit times {rep}")
         f = q.inverse()
@@ -602,7 +615,7 @@ def _tracking_eliminate(w: _TrackingWorker) -> None:
             moved = False
             for i in range(w.nr):
                 if i != k and not w.s[i][k].is_zero:
-                    q, r = _poly_divmod(w.s[i][k], w.s[k][k])
+                    q, r = laurent_divmod(w.s[i][k], w.s[k][k])
                     w.add_row(i, k, -q)
                     if not r.is_zero:
                         w.swap_rows(i, k)
@@ -612,7 +625,7 @@ def _tracking_eliminate(w: _TrackingWorker) -> None:
                 continue
             for j in range(w.nc):
                 if j != k and not w.s[k][j].is_zero:
-                    q, r = _poly_divmod(w.s[k][j], w.s[k][k])
+                    q, r = laurent_divmod(w.s[k][j], w.s[k][k])
                     w.add_col(j, k, -q)
                     if not r.is_zero:
                         w.swap_cols(j, k)
@@ -627,13 +640,13 @@ def _tracking_eliminate(w: _TrackingWorker) -> None:
                 w.add_row(i, i + 1, LaurentPoly.one())
                 while True:
                     w.make_primitive(i)
-                    q, _ = _poly_divmod(w.s[i][i + 1], w.s[i][i])
+                    q, _ = laurent_divmod(w.s[i][i + 1], w.s[i][i])
                     w.add_col(i + 1, i, -q)
                     if w.s[i][i + 1].is_zero:
                         break
                     w.swap_cols(i, i + 1)
                 if not w.s[i + 1][i].is_zero:
-                    q, r = _poly_divmod(w.s[i + 1][i], w.s[i][i])
+                    q, r = laurent_divmod(w.s[i + 1][i], w.s[i][i])
                     w.add_row(i + 1, i, -q)
                     if not (r.is_zero and w.s[i + 1][i].is_zero):
                         raise RuntimeError(
@@ -685,7 +698,7 @@ def solve_left(m: GammaMatrix, b: GammaMatrix) -> GammaMatrix:
         for j in range(m.cols):
             target = c.entry(i, j)
             if j < rank:
-                q, r = _poly_divmod(target, s.entry(j, j))
+                q, r = laurent_divmod(target, s.entry(j, j))
                 if not r.is_zero:
                     raise ValueError("target is not in the row space (division fails)")
                 yrow[j] = q

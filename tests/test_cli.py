@@ -117,6 +117,16 @@ def test_zero_denominator_is_schema_error(tmp_path, command):
     assert report["error"]["path"] == "payload.matrix[0][1]"
 
 
+@pytest.mark.parametrize("text", ["2*", "2*+t", "2*-1"])
+def test_star_without_t_is_schema_error(tmp_path, text):
+    """A `*` stands only before `t`: `2*` is not the constant 2."""
+    result = invoke(tmp_path, {"kind": "factor", "payload": {"poly": text}},
+                    "run")
+    assert result.exit_code == 1
+    error = report_of(result)["error"]
+    assert (error["code"], error["path"]) == ("schema", "payload.poly")
+
+
 def test_missing_input_file(tmp_path):
     runner = CliRunner()
     result = runner.invoke(cli.main, ["run", "--input",
@@ -219,6 +229,11 @@ def test_snf_case(tmp_path):
     assert values["factors"] == ["1", "t^2 - 1"]
     assert values["rank"] == 2
     assert values["cokernel"] == {"free": 0, "torsion": ["t^2 - 1"]}
+    # a third generator with no relation stays free in the cokernel
+    case["payload"]["matrix"] = [["t - 1", "1", "0"], ["0", "t + 1", "0"]]
+    values = report_of(invoke(tmp_path, case, "snf"))["values"]
+    assert values == {"factors": ["1", "t^2 - 1"], "rank": 2,
+                      "cokernel": {"free": 1, "torsion": ["t^2 - 1"]}}
 
 
 def test_snf_empty_matrix_needs_cols(tmp_path):

@@ -1,5 +1,6 @@
 """Smith reduction, canonical modules and the tensor/Tor calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     gamma_matrices,
     nonzero_polys,
     prime_products,
+    seeded_eisenstein,
     small_primes_st,
     torsion_modules,
 )
@@ -68,6 +70,11 @@ def test_snf_frozen_cases():
 
     factors, rank = smith_normal_form(GammaMatrix([["t - 1", "1"], ["0", "t + 1"]]))
     assert [str(f) for f in factors] == ["1", "t^2 - 1"] and rank == 2
+
+    # a diagonal that is not a chain
+    m = GammaMatrix.diagonal(["t^2 - 1", "t - 1", "3*t + 3", "t^2 + 1"])
+    factors, rank = smith_normal_form(m)
+    assert [str(f) for f in factors] == ["1", "1", "t^2 - 1", "t^4 - 1"] and rank == 4
 
     factors, rank = smith_normal_form(GammaMatrix([], cols=4))
     assert factors == () and rank == 0
@@ -162,6 +169,71 @@ def test_unit_prepass_cases(grid, pivots, core_shape, expected):
     assert [str(f) for f in factors] == expected and rank == len(expected)
     assert list(factors) == determinantal_invariant_factors(
         [list(m.row(i)) for i in range(m.rows)])
+
+
+# pairwise non-associate irreducibles: small ones, and Eisenstein polynomials
+# at 2 of higher degree
+_RNG = random.Random(20031)
+HIGHDEG_PRIMES = [normalize(p) for p in ("t - 1", "t + 1", "2*t - 1", "t^2 + 1",
+                                         "t^2 - t + 1", "t^2 - t - 1")]
+HIGHDEG_PRIMES += [seeded_eisenstein(_RNG, d, lead)
+                   for d, lead in ((5, 1), (9, 3), (16, 1))]
+_LINEAR = st.lists(st.integers(-2, 2), min_size=1, max_size=2).map(
+    LaurentPoly.from_coeffs)
+_GAMMA_UNIT = st.builds(lambda c, k: LaurentPoly({k: c}),
+                        st.sampled_from([1, -1, 2, Fraction(-1, 3)]),
+                        st.integers(-2, 2))
+
+
+def _prime_product(exponents) -> PrimitiveRep:
+    out = PrimitiveRep.one()
+    for p, e in zip(HIGHDEG_PRIMES, exponents):
+        out = out * p**e
+    return out
+
+
+@st.composite
+def planted_highdeg(draw):
+    """A diagonal of products of HIGHDEG_PRIMES, of total degree at most 64
+    and in any slot order, so mostly not a divisibility chain; then n
+    elementary row or column operations over Z[t] and a unit scaling of
+    every row, unless the diagonal is kept as it is.  Returns the matrix
+    and its invariant factors, which sorting every prime's exponents over
+    the slots gives."""
+    n = draw(st.integers(2, 4))
+    exponents, room = [], 64
+    for _ in range(n):
+        row = []
+        for p in HIGHDEG_PRIMES:
+            e = draw(st.integers(0, min(3, room // p.degree)))
+            row.append(e)
+            room -= e * p.degree
+        exponents.append(row)
+    exponents = draw(st.permutations(exponents))
+    grid = [[_prime_product(es).to_laurent() if i == j else LaurentPoly.zero()
+             for j in range(n)] for i, es in enumerate(exponents)]
+    if draw(st.booleans()):
+        for _ in range(n):
+            src, dst = draw(st.permutations(range(n)))[:2]
+            f = draw(_LINEAR)
+            if draw(st.booleans()):      # row dst += f * row src
+                grid[dst] = [a + f * b for a, b in zip(grid[dst], grid[src])]
+            else:                        # column dst += f * column src
+                for row in grid:
+                    row[dst] = row[dst] + f * row[src]
+        for i in range(n):
+            u = draw(_GAMMA_UNIT)
+            grid[i] = [u * a for a in grid[i]]
+    chain = zip(*(sorted(es[k] for es in exponents)
+                  for k in range(len(HIGHDEG_PRIMES))))
+    return GammaMatrix(grid), tuple(_prime_product(es) for es in chain)
+
+
+@given(planted_highdeg())
+@settings(max_examples=100, deadline=None)
+def test_snf_recovers_planted_highdeg_chain(case):
+    m, expected = case
+    assert smith_normal_form(m) == (expected, len(expected))
 
 
 @given(gamma_matrices(max_rows=3, max_cols=3))

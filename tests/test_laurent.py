@@ -20,6 +20,7 @@ from conftest import (
     small_primes_st,
 )
 import ialex.laurent as laurent
+from ialex.gmodule import GammaMatrix, smith_normal_form
 from ialex.laurent import (
     MAX_SPAN,
     BothZero,
@@ -45,6 +46,7 @@ from oracles import (
     dense_coeffs,
     dense_divmod,
     kronecker_factor,
+    laurent_divmod,
     rational_euclid_gcd,
     sympy_cyclotomic,
     sympy_factor,
@@ -66,7 +68,8 @@ def test_parse_grammar_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "t^", "q + 1", "1 +", "+", "t 1", "1..5"]:
+    for bad in ["", "t^", "q + 1", "1 +", "+", "t 1", "1..5",
+                "2*", "2*+t", "2*-1", "t*t"]:
         with pytest.raises(ValueError):
             parse(bad)
 
@@ -140,6 +143,12 @@ def test_ring_element_builds_no_fraction(monkeypatch):
     assert parse("2/3*t^5").is_unit and not q.is_unit
     assert p == parse("9 - 6*t + 3*t^2") and p != q
     assert normalize(p) == normalize(parse("t^2 - 2*t + 3"))
+    # Euclidean division and Smith form on rational entries
+    quot, rem = laurent._poly_divmod(q, parse("2/3*t^2 + 3"))
+    assert (str(quot), str(rem)) == ("-21/20*t^-1", "5/6 + 39/10*t^-1")
+    m = GammaMatrix([[q, "2/3*t - 1/2"], ["3/4*t^2 - 3/4", "5/7*t^-1"]])
+    det = q * parse("5/7*t^-1") - parse("2/3*t - 1/2") * parse("3/4*t^2 - 3/4")
+    assert smith_normal_form(m) == ((PrimitiveRep.one(), normalize(det)), 2)
 
 
 # -- differential test against the dict-of-Fraction element --------------------
@@ -413,6 +422,29 @@ def test_integer_core_matches_rational_route(pair, data):
             assert exact_quotient(xx, dx) == expected
     if not normalize(common).is_one:
         assert multiplicity(cp, pp) == _rational_multiplicity(common, p) >= 1
+
+
+@given(laurent_polys(max_span=8, max_terms=8, max_coeff=40),
+       nonzero_polys(max_span=4, max_coeff=40))
+@settings(max_examples=200, deadline=None)
+def test_poly_divmod_matches_dense_divmod(a, b):
+    """Pseudo-division on the integer numerators gives the rational long
+    division's quotient and remainder."""
+    q, r = laurent._poly_divmod(a, b)
+    assert (q, r) == laurent_divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero or r.span < b.span
+
+
+def test_poly_divmod_edges():
+    b = parse("-3*t^2 + 2")
+    assert laurent._poly_divmod(LaurentPoly.zero(), b) == (LaurentPoly.zero(),) * 2
+    short = parse("5/2*t^-3")
+    assert laurent._poly_divmod(short, b) == (LaurentPoly.zero(), short)
+    assert laurent._poly_divmod(b, parse("-2/3*t^4")) == (parse("9/2*t^-2 - 3*t^-4"),
+                                                          LaurentPoly.zero())
+    with pytest.raises(ZeroDivisionError):
+        laurent._poly_divmod(b, LaurentPoly.zero())
 
 
 def test_integer_core_zero_and_unit_arguments():

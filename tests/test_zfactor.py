@@ -20,6 +20,7 @@ from ialex.zfactor import (
     kron_unpack,
     poly_gcd,
     poly_mul,
+    pseudo_divmod,
 )
 from ialex.zfactor import _divmod
 from oracles import sympy_gcd
@@ -139,6 +140,28 @@ def test_large_coefficients_grow_the_evaluation_point(monkeypatch):
     b = poly_mul(common, [5, 0, -1, 2])
     assert poly_gcd(a, b) == tuple(common) == sympy_gcd(a, b)
     assert len(tries) > 1 and tries == sorted(tries)
+
+
+# -- pseudo-division in Z[t] --------------------------------------------------
+
+
+_nonzero_top = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30).filter(
+    lambda a: a[-1] != 0)
+
+
+@given(_nonzero_top, _nonzero_top)
+@settings(max_examples=200, deadline=None)
+def test_pseudo_divmod_identity(a, b):
+    """lc(b)^(d+1) * a = q*b + r with r shorter than b and trimmed."""
+    q, r = pseudo_divmod(a, b)
+    power = max(len(a) - len(b) + 1, 0)
+    assert len(r) < len(b) and (not r or r[-1])
+    assert len(q) == power
+    rebuilt = naive_mul(q, b) if q else []
+    rebuilt = [x + y for x, y in zip_longest(rebuilt, r, fillvalue=0)]
+    while rebuilt and not rebuilt[-1]:
+        rebuilt.pop()
+    assert rebuilt == [b[-1] ** power * c for c in a]
 
 
 # -- division over Z/m ----------------------------------------------------------
