@@ -174,8 +174,13 @@ class StratificationData:
     def from_json(cls, data: dict) -> "StratificationData":
         strata = []
         for record in data.get("strata", ()):
+            if not isinstance(record, dict):
+                raise TypeError("a stratum must be an object")
+            comps = record.get("components", ())
+            if not all(isinstance(c, dict) for c in comps):
+                raise TypeError("a component must be an object")
             comps = [StratumComponent(c.get("xi", ()), c.get("zeta"))
-                     for c in record.get("components", ())]
+                     for c in comps]
             strata.append(Stratum(record["dim"], comps))
         return cls(data["n"], strata)
 

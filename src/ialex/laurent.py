@@ -805,6 +805,8 @@ def _cyclotomic_orders(bound: int) -> list[tuple[int, int]]:
 # Phi_n and Phi_n(2) by n: constants of the ring, built on first use
 _CYCLOTOMIC: dict[int, tuple[int, ...]] = {}
 _CYCLOTOMIC_AT_2: dict[int, int] = {}
+# _cyclotomic_orders(_ORDERS_BOUND), rebuilt when a larger degree is factored
+_ORDERS_BOUND, _CYCLOTOMIC_ORDERS = -1, []
 
 
 def _proper_divisors(n: int) -> list[int]:
@@ -860,15 +862,19 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     >>> [str(prime) for prime, _ in factor("t^6 - 1")]
     ['t - 1', 't + 1', 't^2 - t + 1', 't^2 + t + 1']
     """
+    global _ORDERS_BOUND, _CYCLOTOMIC_ORDERS
     rep = normalize(p)
     if rep.degree > degree_cap:
         raise DegreeCapExceeded(
             f"degree {rep.degree} exceeds the factorization cap {degree_cap}")
+    if rep.degree > _ORDERS_BOUND:
+        _ORDERS_BOUND, _CYCLOTOMIC_ORDERS = (
+            rep.degree, _cyclotomic_orders(rep.degree))
     rest = rep.coeffs
     at_2 = sum(c << i for i, c in enumerate(rest))
     found: list[tuple[PrimitiveRep, int]] = []
-    for n, phi in _cyclotomic_orders(rep.degree):
-        if phi >= len(rest):
+    for n, phi in _CYCLOTOMIC_ORDERS:
+        if phi >= len(rest):  # which holds for every phi(n) > rep.degree
             continue
         phi_at_2 = _cyclotomic_at_2(n)
         if at_2 % phi_at_2:

@@ -9,7 +9,9 @@ that ``laurent.factor`` hands its cyclotomic-free cofactor to.
 :func:`factor_primitive` is the classical small-prime route (von zur Gathen
 and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
 
-- Yun's square-free decomposition, which also gives the multiplicities;
+- Yun's square-free decomposition, which also gives the multiplicities,
+  needed only when f is not square-free mod the first odd prime not
+  dividing its leading coefficient;
 - an odd prime p not dividing the leading coefficient with f square-free
   mod p, taken, as sympy does, as the first with fewer than 15 modular
   factors or else the best of five;
@@ -20,12 +22,14 @@ and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
   map h -> h^p mod f is a precomputed table of x^(p*j) mod f, so it costs
   one big-integer multiply-add per coefficient;
 - quadratic Hensel lifting down a binary factor tree (ibid., Alg. 15.10
-  and 15.17) until p^k exceeds twice the factor bound, with products by
-  Kronecker substitution (ibid., section 8.4) and long division on one
-  packed integer;
-- recombination of lifted factors over subsets of growing size, filtered
-  by the constant-term test and the norm bound and accepted only when the
-  candidate divides exactly.
+  and 15.17) until p^k exceeds twice Mignotte's bound on a factor of
+  degree at most n/2, in Knuth's form (TAOCP vol. 2, section 4.6.2), with
+  products of residues by Kronecker substitution (ibid., section 8.4) in
+  slots sized by the modulus and long division on one packed integer;
+- recombination of lifted factors over subsets of growing size, each read
+  on its side of degree at most n/2, the side that bound makes exact,
+  filtered by the constant-term test and accepted only when it divides
+  exactly.
 
 :func:`poly_gcd` is the heuristic GCD of Char, Geddes and Gonnet (1989),
 which reads the gcd off the integer gcd of two values, with primitive
@@ -78,10 +82,6 @@ def _trim(a: list) -> list:
     return a
 
 
-def _add(a: Poly, b: Poly) -> list:
-    return _trim([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
 def _sub(a: Poly, b: Poly) -> list:
     return _trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
@@ -90,10 +90,10 @@ def _reduce(a: Poly, m: int) -> list:
     return _trim([c % m for c in a])
 
 
-def _symmetric(a: Poly, m: int) -> list:
-    """Residues mod m moved into (-m/2, m/2]."""
-    half = m // 2
-    return [c - m if c > half else c for c in a]
+def _add_mod(a: Poly, b: Poly, m: int, scale: int = 1) -> list:
+    """a + scale*b reduced mod m, in one pass."""
+    return _trim([(x + scale * y) % m
+                  for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _derivative(a: Poly) -> list:
@@ -322,8 +322,6 @@ def _bias(half: int, bits: int, n: int) -> int:
 def poly_mul(a: Poly, b: Poly) -> list[int]:
     """The product of two integer polynomials, by Kronecker substitution.
 
-    Nonnegative factors, such as residues, skip the signed bias.
-
     >>> poly_mul([1, 1], [-1, 0, 1])
     [-1, -1, 1, 1]
     """
@@ -332,11 +330,17 @@ def poly_mul(a: Poly, b: Poly) -> list[int]:
     n = len(a) + len(b) - 1
     bound = (max(1, *map(abs, a)) * max(1, *map(abs, b))
              * min(len(a), len(b)))  # also at least every coefficient
-    if min(a) >= 0 and min(b) >= 0:
-        bits = _slot_bits(bound)
-        return _unpack(_pack(a, bits) * _pack(b, bits), bits, n)
     bits = _slot_bits(2 * bound + 1)
     return kron_unpack(kron_pack(a, bits) * kron_pack(b, bits), bits, n)
+
+
+def _mul_residues(a: Poly, b: Poly, m: int) -> list[int]:
+    """The product, not reduced, of two polynomials with coefficients in
+    [0, m): ``poly_mul`` with its slot width read off m, not the factors."""
+    if not a or not b:
+        return []
+    bits = _slot_bits((m - 1) ** 2 * min(len(a), len(b)))
+    return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1)
 
 
 def _divmod(a: Poly, h: Poly, m: int) -> tuple[list, list]:
@@ -374,10 +378,22 @@ def _gf_monic(a: Poly, p: int) -> list:
     return [c * inv % p for c in a]
 
 
+def _gf_divmod(a: Poly, b: Poly, p: int) -> tuple[list, list]:
+    """``_divmod`` over GF(p), in one pass when the quotient is linear, as
+    in nearly every step of Euclid's algorithm."""
+    if len(a) != len(b) + 1 or len(b) == 1:
+        return _divmod(a, b, p)
+    inv = pow(b[-1], -1, p)
+    lead = a[-1] * inv % p
+    low = (a[-2] - lead * b[-2]) * inv % p
+    return [low, lead], _trim([(x - low * y - lead * z) % p
+                               for x, y, z in zip(a, b[:-1], [0, *b])])
+
+
 def _gf_gcd(a: Poly, b: Poly, p: int) -> list:
     """The monic gcd over GF(p) of reduced polynomials, not both zero."""
     while b:
-        a, b = b, _divmod(a, b, p)[1]
+        a, b = b, _gf_divmod(a, b, p)[1]
     return _gf_monic(a, p)
 
 
@@ -386,10 +402,10 @@ def _gf_gcdex(a: Poly, b: Poly, p: int) -> tuple[list, list]:
     r0, r1 = list(a), list(b)
     s0, s1, t0, t1 = [1], [], [], [1]
     while r1:
-        q, r = _divmod(r0, r1, p)
+        q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _reduce(_sub(s0, poly_mul(q, s1)), p)
-        t0, t1 = t1, _reduce(_sub(t0, poly_mul(q, t1)), p)
+        s0, s1 = s1, _add_mod(s0, _mul_residues(q, s1, p), p, -1)
+        t0, t1 = t1, _add_mod(t0, _mul_residues(q, t1, p), p, -1)
     if len(r0) != 1:
         raise RuntimeError("Hensel lifting needs factors coprime mod p")
     inv = pow(r0[0], -1, p)
@@ -521,11 +537,6 @@ def _equal_degree(g: list, d: int, ring: _QuotientRing,
     raise RuntimeError(f"no split of a product of degree-{d} factors mod {p}")
 
 
-def _squarefree_mod(f: Poly, p: int) -> bool:
-    fp = _reduce(f, p)
-    return len(_gf_gcd(fp, _reduce(_derivative(fp), p), p)) == 1
-
-
 def factor_mod_p(f: Poly, p: int) -> Optional[list[list[int]]]:
     """The monic irreducible factors, sorted, of a polynomial that is
     nonzero mod the odd prime p, or None when it is not square-free mod p.
@@ -535,9 +546,10 @@ def factor_mod_p(f: Poly, p: int) -> Optional[list[list[int]]]:
     >>> factor_mod_p([1, 2, 1], 5) is None
     True
     """
-    if not _squarefree_mod(f, p):
+    f = _reduce(f, p)
+    if len(_gf_gcd(f, _reduce(_derivative(f), p), p)) > 1:
         return None
-    f = _gf_monic(_reduce(f, p), p)
+    f = _gf_monic(f, p)
     if len(f) <= 2:
         return [f] if len(f) == 2 else []
     ring = _QuotientRing(f, p)
@@ -556,11 +568,15 @@ def _odd_primes():
             yield n
 
 
-def _modular_factorization(f: Poly) -> tuple[int, list[list[int]]]:
-    """A prime p and the monic factors of f mod p (see the module notes)."""
+def _modular_factorization(f: Poly, first: Optional[list] = None) -> tuple:
+    """A prime p and the monic factors of f mod p (see the module notes);
+    ``first``, when given, is f's factorization mod the first odd prime not
+    dividing lc(f)."""
     best, tried = None, 0
     for p in _odd_primes():
-        factors = None if f[-1] % p == 0 else factor_mod_p(f, p)
+        if f[-1] % p == 0:
+            continue
+        factors, first = first or factor_mod_p(f, p), None
         if factors is None:
             continue
         tried += 1
@@ -574,29 +590,30 @@ def _modular_factorization(f: Poly) -> tuple[int, list[list[int]]]:
 
 
 def _hensel_step(f, g, h, s, t, m0: int, m1: int, inverses: bool):
-    """From f = g*h and s*g + t*h = 1 mod m0 to the same mod m0*m1, for h
-    monic and m1 dividing m0 (von zur Gathen and Gerhard, Alg. 15.10).
+    """From f = g*h and s*g + t*h = 1 mod m0 to the same mod m0*m1, for
+    g, h, s and t residues mod m0, h monic and m1 dividing m0 (von zur
+    Gathen and Gerhard, Alg. 15.10).
 
     Both errors f - g*h and s*g + t*h - 1 are divisible by m0, so each
-    correction is m0 times one computed mod m1 from the error over m0.
-    The Bezout cofactors s and t are lifted only when ``inverses`` is set.
+    correction is m0 times one computed mod m1 from the error over m0; g
+    and h keep their residues mod m1.  The Bezout cofactors s and t are
+    lifted only when ``inverses`` is set.
     """
     m = m0 * m1
     e = _trim([(x - y) % m // m0 for x, y in itertools.zip_longest(
-        f, poly_mul(g, h), fillvalue=0)])
-    s1, t1, h1 = _reduce(s, m1), _reduce(t, m1), _reduce(h, m1)
-    q, r = _divmod(_reduce(poly_mul(s1, e), m1), h1, m1)
-    dg = _reduce(_add(poly_mul(t1, e), poly_mul(q, _reduce(g, m1))), m1)
-    g = _add(g, [m0 * c for c in dg])
-    h = _add(h, [m0 * c for c in r])
+        f, _mul_residues(g, h, m0), fillvalue=0)])
+    s1, t1, g1, h1 = (a if m1 == m0 else _reduce(a, m1) for a in (s, t, g, h))
+    q, r = _divmod(_reduce(_mul_residues(s1, e, m1), m1), h1, m1)
+    dg = _add_mod(_mul_residues(t1, e, m1), _mul_residues(q, g1, m1), m1)
+    g, h = _add_mod(g, dg, m, m0), _add_mod(h, r, m, m0)
     if inverses:
-        b = _add(poly_mul(s, g), poly_mul(t, h))
+        b = _mul_residues(s, g, m)
         b[0] -= 1
-        b = _trim([c % m // m0 for c in b])
-        c, d = _divmod(_reduce(poly_mul(s1, b), m1), _reduce(h, m1), m1)
-        dt = _reduce(_add(poly_mul(t1, b), poly_mul(c, _reduce(g, m1))), m1)
-        s = _reduce(_sub(s, [m0 * c for c in d]), m)
-        t = _reduce(_sub(t, [m0 * c for c in dt]), m)
+        b = _trim([(x + y) % m // m0 for x, y in itertools.zip_longest(
+            b, _mul_residues(t, h, m), fillvalue=0)])
+        c, d = _divmod(_reduce(_mul_residues(s1, b, m1), m1), h1, m1)
+        dt = _add_mod(_mul_residues(t1, b, m1), _mul_residues(c, g1, m1), m1)
+        s, t = _add_mod(s, d, m, -m0), _add_mod(t, dt, m, -m0)
     return g, h, s, t
 
 
@@ -619,10 +636,10 @@ def hensel_lift(f: Poly, factors: list, p: int, k: int) -> list[list[int]]:
     half = len(factors) // 2
     g = [lead % p]
     for q in factors[:half]:
-        g = _reduce(poly_mul(g, q), p)
+        g = _reduce(_mul_residues(g, q, p), p)
     h = [1]
     for q in factors[half:]:
-        h = _reduce(poly_mul(h, q), p)
+        h = _reduce(_mul_residues(h, q, p), p)
     s, t = _gf_gcdex(g, h, p)
     exponents = [k]
     while exponents[-1] > 1:
@@ -641,14 +658,7 @@ def hensel_lift(f: Poly, factors: list, p: int, k: int) -> list[list[int]]:
 def _squarefree_parts(f: Poly) -> list[tuple[tuple, int]]:
     """Yun's square-free decomposition of a primitive f with positive
     leading coefficient: (part, multiplicity) pairs, parts of positive
-    degree, pairwise coprime, with f = prod part^multiplicity.
-
-    A square factor of f would stay one mod every prime p not dividing
-    the leading coefficient, so f square-free mod one such p is square-free
-    and needs no gcd over Z.
-    """
-    if _squarefree_mod(f, next(p for p in _odd_primes() if f[-1] % p)):
-        return [(tuple(f), 1)]
+    degree, pairwise coprime, with f = prod part^multiplicity."""
     df = _derivative(f)
     g = poly_gcd(f, df)
     if len(g) == 1:
@@ -668,58 +678,58 @@ def _squarefree_parts(f: Poly) -> list[tuple[tuple, int]]:
     return parts
 
 
-def _zassenhaus(f: tuple) -> list[tuple]:
+def _zassenhaus(f: tuple, first: Optional[list] = None) -> list[tuple]:
     """The irreducible factors of a square-free primitive f of positive
-    degree with positive leading coefficient."""
+    degree with positive leading coefficient; ``first`` as for
+    ``_modular_factorization``."""
     n = len(f) - 1
     if n == 1:
         return [f]
-    p, modular = _modular_factorization(f)
+    p, modular = _modular_factorization(f, first)
     if len(modular) == 1:
         return [f]
-    # a factor pair g*h of lead*f has |g|_1 * |h|_1 <= bound (Mignotte)
-    bound = math.isqrt((n + 1) * (2**n * max(map(abs, f)) * f[-1]) ** 2)
+    # f = g*h with deg g <= n/2 gives |coeff_j(lc(h)*g)| <= C(deg g, j) *
+    # M(f) <= bound for the Mahler measure M(f) <= |f|_2 (Mignotte's bound in
+    # Knuth's form, TAOCP vol. 2, section 4.6.2): exact mod p^k > 2*bound
+    bound = math.comb(n // 2, n // 4) * (math.isqrt(sum(c * c for c in f)) + 1)
     k, modulus = 1, p
     while modulus <= 2 * bound:
         k, modulus = k + 1, modulus * p
-    return _recombine(f, hensel_lift(f, modular, p, k), modulus, bound)
+    return _recombine(f, hensel_lift(f, modular, p, k), modulus)
 
 
-def _recombine(f: tuple, lifted: list, modulus: int, bound: int) -> list:
+def _recombine(f: tuple, lifted: list, modulus: int) -> list:
     """The factors of f from its lifted monic modular factors, by subsets
     of growing size, as in Zassenhaus's algorithm.
 
-    A subset S stands for lead * prod_S F_i mod the modulus, in symmetric
-    residues.  Its constant term must divide lead * f(0), and it and the
-    complementary product must pass the norm bound; a candidate passing
-    both is accepted only when it divides f exactly.
+    A subset S stands for a split f = g*h with lc(h)*g = lead * prod_S F_i
+    mod the modulus.  The modulus bounds only a side of degree at most
+    deg f / 2, so the candidate is that side, S or its complement, in
+    symmetric residues.  Its constant term must divide lead * f(0), and its
+    primitive part must divide f exactly; S's factor is then that part or f
+    over it.
     """
-    constants = [q[0] for q in lifted]
+    constants, half = [q[0] for q in lifted], modulus // 2
     found, left, size = [], list(range(len(lifted))), 1
     while 2 * size <= len(left):
         lead = f[-1]
         for subset in itertools.combinations(left, size):
-            q = lead * math.prod(constants[i] for i in subset) % modulus
-            if q > modulus // 2:
+            small = 2 * sum(len(lifted[i]) - 1 for i in subset) < len(f)
+            side = subset if small else [i for i in left if i not in subset]
+            q = lead * math.prod(constants[i] for i in side) % modulus
+            if q > half:
                 q -= modulus
             if not q or lead * f[0] % q:
                 continue
-            g = h = [lead]
-            for i in left:
-                if i in subset:
-                    g = _reduce(poly_mul(g, lifted[i]), modulus)
-                else:
-                    h = _reduce(poly_mul(h, lifted[i]), modulus)
-            g, h = _symmetric(g, modulus), _symmetric(h, modulus)
-            if sum(map(abs, g)) * sum(map(abs, h)) > bound:
-                continue
-            content = math.gcd(*g)
-            g = tuple(c // content for c in g)
+            g = [lead]
+            for i in side:
+                g = _reduce(_mul_residues(g, lifted[i], modulus), modulus)
+            g = tuple(_primitive([c - modulus if c > half else c for c in g]))
             quotient = exact_div(f, g)
             if quotient is None:
                 continue
-            found.append(g)
-            f = quotient
+            found.append(g if small else quotient)
+            f = quotient if small else g
             left = [i for i in left if i not in subset]
             break
         else:
@@ -733,15 +743,19 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     polynomial of positive degree with positive leading coefficient.
 
     The factors are primitive with positive leading coefficients; their
-    product with multiplicities is checked to equal f.
+    product with multiplicities is checked to equal f.  A square factor of
+    f would stay one mod every prime p not dividing lc(f), so f square-free
+    mod the first such p is square-free and skips Yun's gcds over Z.
 
     >>> factor_primitive((-1, 0, 0, 0, 1))
     [((-1, 1), 1), ((1, 1), 1), ((1, 0, 1), 1)]
     >>> factor_primitive((1, 2, 1))
     [((1, 1), 2)]
     """
-    found = sorted(((q, mult) for part, mult in _squarefree_parts(f)
-                    for q in _zassenhaus(part)),
+    modular = factor_mod_p(f, next(p for p in _odd_primes() if f[-1] % p))
+    parts = _squarefree_parts(f) if modular is None else [(tuple(f), 1)]
+    found = sorted(((q, mult) for part, mult in parts
+                    for q in _zassenhaus(part, modular)),
                    key=lambda pair: (len(pair[0]), pair[0]))
     product = [1]
     for q, mult in found:

@@ -1,12 +1,14 @@
 """Case-file handling, report shapes, and exit codes of the command line."""
 
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ialex import cli
@@ -386,6 +388,21 @@ def test_bounds_allowed_single_and_general(tmp_path):
     assert report_of(result)["values"]["allowed"] == ["t + 1"]
 
 
+def _malformed_stratification(strata):
+    return {"kind": "bounds", "payload": {
+        "op": "allowed", "j": 2, "lambda": "1",
+        "stratification": {"n": 7, "strata": strata}}}
+
+
+@pytest.mark.parametrize("strata", [[True], [{"dim": 3, "components": [5]}]])
+def test_malformed_stratification_is_schema_error(tmp_path, strata):
+    result = invoke(tmp_path, _malformed_stratification(strata), "run")
+    assert result.exit_code == 1
+    error = report_of(result)["error"]
+    assert error["code"] == "schema"
+    assert error["path"] == "payload.stratification"
+
+
 def test_bounds_exclude(tmp_path):
     payload = {"op": "exclude", "i": 2, "k": 4, "perversity": [0] * 5,
                "lambda": "t - 2", "xi": ["t - 1", "t^2 - t + 1"]}
@@ -543,3 +560,42 @@ def test_factor_output_reparses_to_input(primes):
     for text, mult in report_of(result)["values"]["factors"]:
         rebuilt = rebuilt * normalize(text) ** mult
     assert rebuilt == product
+
+
+# -- mutated corpus cases ----------------------------------------------------------------
+
+CORPUS = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(
+    (Path(__file__).resolve().parents[1] / "fixtures" / "corpus").glob("*.json"))]
+FUZZ_POOL = [None, True, 0, -1, 2, 7, 1.5, "", "t", "t - 1", "2*", [], [True],
+             [5], {}, {"dim": 3, "components": [5]}]
+
+
+@st.composite
+def _mutated(draw, value):
+    """value with one entry replaced by a pool value, one entry deleted, or
+    one entry mutated in the same way (a nested mutation)."""
+    if not isinstance(value, (dict, list)) or not value:
+        return draw(st.sampled_from(FUZZ_POOL))
+    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                               else range(len(value))))
+    action = draw(st.sampled_from(["replace", "delete", "nest"]))
+    value = copy.copy(value)
+    if action == "delete":
+        del value[key]
+    else:
+        value[key] = draw(st.sampled_from(FUZZ_POOL) if action == "replace"
+                          else _mutated(value[key]))
+    return value
+
+
+@given(st.sampled_from(CORPUS).flatmap(_mutated))
+@example(_malformed_stratification([True]))
+@example(_malformed_stratification([{"dim": 3, "components": [5]}]))
+@settings(max_examples=300, deadline=None)
+def test_mutated_corpus_cases_end_in_a_report(case):
+    """Every mutation of a shipped case gives a report and an exit code of
+    0, 1 or 2, and the report renders both ways: no traceback."""
+    report, code = cli.run_case(case, cli.RunOptions())
+    assert code in (0, 1, 2)
+    for fmt in ("json", "text"):
+        assert cli.render_report(report, fmt)

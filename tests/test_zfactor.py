@@ -12,6 +12,7 @@ from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 
 from conftest import seeded_eisenstein
 from ialex import zfactor
+from ialex.laurent import LaurentPoly
 from ialex.zfactor import (
     exact_div,
     factor_mod_p,
@@ -22,8 +23,8 @@ from ialex.zfactor import (
     poly_mul,
     pseudo_divmod,
 )
-from ialex.zfactor import _divmod
-from oracles import sympy_gcd
+from ialex.zfactor import _divmod, _gf_divmod
+from oracles import sympy_factor, sympy_gcd
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
@@ -181,6 +182,29 @@ def test_divmod_is_long_division(m, a, h):
     assert reduced(rebuilt, m) == a
 
 
+@st.composite
+def short_quotient_pairs(draw):
+    """(p, a, b) over GF(p) with deg a - deg b mostly 1, the one-pass case,
+    and sometimes -1, 0 or 2, which go to the long division."""
+    p = draw(st.sampled_from(SMALL_PRIMES + (2**31 - 1, 2**127 - 1)))
+    residues = st.integers(0, p - 1)
+    b = draw(st.lists(residues, min_size=0, max_size=12))
+    b.append(draw(st.integers(1, p - 1)))
+    d = draw(st.sampled_from([0, 1, 1, 1, -1, 2]))
+    a = draw(st.lists(residues, min_size=max(len(b) + d - 1, 0),
+                      max_size=max(len(b) + d - 1, 0)))
+    if len(b) + d > 0:
+        a.append(draw(st.integers(1, p - 1)))
+    return p, a, b
+
+
+@given(short_quotient_pairs())
+@settings(max_examples=200, deadline=None)
+def test_gf_divmod_matches_long_division(case):
+    p, a, b = case
+    assert _gf_divmod(a, b, p) == _divmod(a, b, p)
+
+
 # -- GF(p) factorization -------------------------------------------------------
 
 
@@ -242,6 +266,8 @@ def test_hensel_rejects_factors_sharing_a_root():
 
 
 def test_lifting_stops_at_the_first_power_past_twice_the_bound(monkeypatch):
+    """The lift stops at p^k > 2B, B = C(m, m//2) * (isqrt(sum c^2) + 1) for
+    m = n//2, the bound on a factor of degree at most n/2 (Knuth-Cohen)."""
     calls = []
     real = zfactor.hensel_lift
 
@@ -257,6 +283,30 @@ def test_lifting_stops_at_the_first_power_past_twice_the_bound(monkeypatch):
     assert len(zfactor.factor_primitive(f)) == 3
     top, p, k = calls[0]
     assert top == tuple(f)
-    n = len(f) - 1
-    bound = math.isqrt((n + 1) * (2**n * max(map(abs, f)) * f[-1]) ** 2)
+    half = (len(f) - 1) // 2
+    bound = math.comb(half, half // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
     assert p ** (k - 1) <= 2 * bound < p**k
+
+
+@pytest.mark.parametrize("lead", [1, 3])
+def test_recombination_reads_the_complement(monkeypatch, lead):
+    """g of degree 9 stays irreducible mod the prime chosen, and
+    h1 = t^4 - 10t^2 + 1 and h2 = t^4 - 4t^2 + 1 split in two there, so the
+    first subset that is a true factor is {g mod p}, whose side has degree
+    9 > 17/2: only the complement h1*h2 is within the bound, and g is found
+    as f over it, while the reducible h1*h2 goes on to be split."""
+    g = seeded_eisenstein(random.Random(7), 9, lead=lead).coeffs
+    h1, h2 = (1, 0, -10, 0, 1), (1, 0, -4, 0, 1)
+    f = poly_mul(g, poly_mul(h1, h2))
+    p, modular = zfactor._modular_factorization(f)
+    assert sorted(len(q) - 1 for q in modular) == [2, 2, 2, 2, 9]
+    divisors = []
+    real = zfactor.exact_div
+    monkeypatch.setattr(zfactor, "exact_div",
+                        lambda a, b: divisors.append(tuple(b)) or real(a, b))
+    factors = zfactor.factor_primitive(f)
+    assert tuple(poly_mul(h1, h2)) in divisors and tuple(g) not in divisors
+    expected = {(tuple(g), 1), (h1, 1), (h2, 1)}
+    assert set(factors) == expected
+    assert {(q.coeffs, m) for q, m in sympy_factor(
+        LaurentPoly.from_coeffs(f))} == expected
