@@ -517,6 +517,8 @@ def run_case(case, opts: RunOptions) -> tuple[dict, int]:
         return _error_report(kind, "degree-cap", str(exc)), 2
     except (ValueError, LookupError) as exc:
         return _error_report(kind, "validation", str(exc)), 1
+    except Exception as exc:                  # a fault of ialex, not of the case
+        return _error_report(kind, "internal", f"{type(exc).__name__}: {exc}"), 1
     report = {"kind": kind, "status": status, "values": values,
               "certificates": certificates}
     return report, 0 if status == "pass" else 1

@@ -100,10 +100,6 @@ class Perversity:
     def top(cls, max_codim: int) -> "Perversity":
         return cls([k - 2 for k in range(2, max_codim + 1)])
 
-    @classmethod
-    def lower_middle(cls, max_codim: int) -> "Perversity":
-        return cls([(k - 2) // 2 for k in range(2, max_codim + 1)])
-
     @property
     def max_codim(self) -> int:
         return len(self.values) + 1
@@ -111,10 +107,6 @@ class Perversity:
     @property
     def is_traditional(self) -> bool:
         return self.values[0] == 0
-
-    @property
-    def is_super(self) -> bool:
-        return self.values[0] == 1
 
     def __call__(self, codim: int) -> int:
         if not 2 <= codim <= self.max_codim:

@@ -295,12 +295,6 @@ class ModuleSequence:
     def order_polynomials(self) -> tuple[PrimitiveRep, ...]:
         return tuple(order_polynomial(m) for m in self.modules)
 
-    def passes_order_accounting(self) -> bool:
-        """The exactness consequence visible at the polynomial level."""
-        if not self.modules:
-            return True
-        return check_alternating_product(self.order_polynomials())
-
     def __repr__(self) -> str:
         return f"ModuleSequence({list(self.modules)!r})"
 

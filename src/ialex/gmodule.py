@@ -4,13 +4,14 @@ A matrix presents its cokernel: rows are relations, columns are generators.
 Smith normal form over the Euclidean domain (norm = span of the primitive
 representative) reduces every module to the canonical shape
 free rank + invariant-factor chain, which the classification theorem makes a
-complete invariant.  It runs in two steps: diagonalise by Euclidean row and
-column operations, then turn the diagonal into the chain by gcd/lcm
-pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), the same step
-that canonicalises a direct sum of cyclic modules.  On top of that normal
-form sit the order polynomial, primary decomposition and the tensor/Tor
-calculus.  The Kunneth formula needs only orders, so `kunneth_order`
-multiplies them in closed form without building the product's module.
+complete invariant.  It runs in two steps: one sparse Euclidean elimination
+diagonalises, unit pivots being the pivots of least span, then gcd/lcm
+pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), turns the
+diagonal into the chain, the same step that canonicalises a direct sum of
+cyclic modules.  On top of that normal form sit the order polynomial,
+primary decomposition and the tensor/Tor calculus.  The Kunneth formula
+needs only orders, so `kunneth_order` multiplies them in closed form
+without building the product's module.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ialex.laurent import (
     LaurentPoly,
     PolyLike,
     PrimitiveRep,
+    _ZERO,
     _poly_divmod,
     _unit_quotient,
     as_laurent,
@@ -187,71 +189,20 @@ class GammaMatrix:
 # -- Smith normal form -------------------------------------------------------
 
 
-def _eliminate(m: GammaMatrix) -> list[LaurentPoly]:
-    """Diagonalise with Euclidean pivoting; returns the nonzero diagonal.
+def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
+    """Diagonalise by sparse Euclidean pivoting; returns the nonzero diagonal.
 
-    The diagonal need not be a divisibility chain: `_invariant_chain` makes
-    it one.
-    """
-    s = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-
-    def swap_cols(a: int, b: int):
-        for row in s:
-            row[a], row[b] = row[b], row[a]
-
-    k = 0
-    limit = min(nr, nc)
-    while k < limit:
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                e = s[i][j]
-                if not e.is_zero and (best is None or e.span < best[0]):
-                    best = (e.span, i, j)
-        if best is None:
-            break
-        s[k], s[best[1]] = s[best[1]], s[k]
-        swap_cols(k, best[2])
-        while True:
-            # keep coefficients tame: scale the pivot row by the unit that
-            # makes its diagonal entry primitive
-            f = _unit_quotient(s[k][k])
-            s[k] = [f * a for a in s[k]]
-            moved = False
-            for i in range(nr):
-                if i != k and not s[i][k].is_zero:
-                    q, r = _poly_divmod(s[i][k], s[k][k])
-                    s[i] = [a - q * b for a, b in zip(s[i], s[k])]
-                    if not r.is_zero:
-                        s[i], s[k] = s[k], s[i]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(nc):
-                if j != k and not s[k][j].is_zero:
-                    q, r = _poly_divmod(s[k][j], s[k][k])
-                    for row in s:
-                        row[j] = row[j] - q * row[k]
-                    if not r.is_zero:
-                        swap_cols(j, k)
-                        moved = True
-                        break
-            if not moved:
-                break
-        k += 1
-    return [s[i][i] for i in range(k)]
-
-
-def _unit_prepass(m: GammaMatrix) -> tuple[int, GammaMatrix]:
-    """Eliminate unit pivots on sparse rows; returns their count and the core.
-
-    A unit pivot clears its column by row operations, after which its row
-    is cleared by column operations without touching the rest, so the pivot
-    splits off an invariant factor 1 and leaves the matrix without that row
-    and column.  Pivots come from the shortest row holding a unit, and
-    within it from the sparsest column, which keeps fill-in low.
+    Rows are dicts of their nonzero entries.  Each round pivots on an entry
+    of least span, from the row with the least (span, length, index) and
+    then the sparsest column, which keeps fill-in low; units are the pivots
+    of span 0 (Dumas, Saunders and Villard, JSC 2001).  Row operations clear
+    the pivot column through the inverse of a unit, or else by Euclidean
+    division once the pivot row is scaled to make the pivot primitive, which
+    keeps coefficients tame.  A column left holding only the pivot lets
+    column operations reduce the pivot row without touching any other row,
+    and a pivot left alone splits off.  A remainder has less span than every
+    entry, so each round without a split lowers the least span.
+    `_invariant_chain` turns the diagonal into a divisibility chain.
     """
     rows: dict[int, dict[int, LaurentPoly]] = {}
     holders: dict[int, set[int]] = {}       # column -> rows with an entry
@@ -261,28 +212,40 @@ def _unit_prepass(m: GammaMatrix) -> tuple[int, GammaMatrix]:
             rows[i] = sparse
             for j in sparse:
                 holders.setdefault(j, set()).add(i)
-    queue = [(len(row), i) for i, row in rows.items()
-             if any(e.is_unit for e in row.values())]
-    heapq.heapify(queue)
-    pivots = 0
+    queue: list[tuple[int, int, int]] = []
+
+    def push(k: int):
+        row = rows[k]
+        heapq.heappush(queue, (min([e.span for e in row.values()]), len(row), k))
+
+    for i in rows:
+        push(i)
+    diagonal = []
     while queue:
-        size, i = heapq.heappop(queue)
+        span, size, i = heapq.heappop(queue)
         pivot_row = rows.get(i)
         if pivot_row is None or len(pivot_row) != size:
-            continue                          # stale: removed or refilled
-        units = [j for j, e in pivot_row.items() if e.is_unit]
-        if not units:
+            continue                          # stale: removed or changed
+        col = min(pivot_row, key=lambda j: (pivot_row[j].span, len(holders[j]), j))
+        if pivot_row[col].span != span:
             continue
-        col = min(units, key=lambda j: (len(holders[j]), j))
-        inverse = pivot_row.pop(col).inverse()
-        del rows[i]
-        for j in pivot_row:
-            holders[j].discard(i)
-        for k in holders.pop(col) - {i}:
+        pivot = pivot_row.pop(col)
+        scale, unit = _unit_quotient(pivot), pivot.is_unit
+        if not unit:                          # a unit's row splits off at once
+            pivot = scale * pivot
+            rows[i] = pivot_row = {j: scale * e for j, e in pivot_row.items()}
+        column = holders[col]
+        changed = [k for k in column if k != i]
+        for k in changed:
             row = rows[k]
-            f = row.pop(col) * inverse
+            entry = row.pop(col)
+            q, r = (entry * scale, _ZERO) if unit else _poly_divmod(entry, pivot)
+            if r.is_zero:
+                column.discard(k)
+            else:
+                row[col] = r
             for j, e in pivot_row.items():
-                value = row[j] - f * e if j in row else -(f * e)
+                value = row[j] - q * e if j in row else -(q * e)
                 if value.is_zero:
                     del row[j]
                     holders[j].discard(k)
@@ -291,14 +254,24 @@ def _unit_prepass(m: GammaMatrix) -> tuple[int, GammaMatrix]:
                     holders[j].add(k)
             if not row:
                 del rows[k]
-            elif any(e.is_unit for e in row.values()):
-                heapq.heappush(queue, (len(row), k))
-        pivots += 1
-    cols = sorted({j for row in rows.values() for j in row})
-    zero = LaurentPoly.zero()
-    core = GammaMatrix([[row.get(j, zero) for j in cols]
-                        for _, row in sorted(rows.items())], cols=len(cols))
-    return pivots, core
+        if len(column) == 1:                  # the column holds only the pivot
+            for j, e in list(pivot_row.items()):
+                r = _ZERO if unit else _poly_divmod(e, pivot)[1]
+                if r.is_zero:
+                    del pivot_row[j]
+                    holders[j].discard(i)
+                else:
+                    pivot_row[j] = r
+        if len(column) == 1 and not pivot_row:
+            diagonal.append(pivot)
+            del rows[i], holders[col]
+        else:
+            pivot_row[col] = pivot
+            changed.append(i)
+        for k in changed:
+            if k in rows:
+                push(k)
+    return diagonal
 
 
 def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
@@ -306,21 +279,20 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
 
     The factors include unit pivots and form a divisibility chain; the second
     value (the matrix rank, equal to the number of factors) is what the
-    column count loses when passing to the cokernel's free rank.  Unit
-    entries are eliminated first on sparse rows (Dumas, Saunders and
-    Villard, JSC 2001), each one a factor 1, so boundary matrices of
-    simplicial complexes shrink to a small core.  The core is diagonalised
-    by Euclidean pivoting, and the gcd/lcm chain of its diagonal gives the
-    remaining factors.
+    column count loses when passing to the cokernel's free rank.  One sparse
+    Euclidean elimination (`_diagonalise`) splits off the diagonal, unit
+    pivots first, so boundary matrices of simplicial complexes reduce
+    without a dense pass; each unit is a factor 1, and the gcd/lcm chain of
+    the other entries gives the remaining factors.
 
     >>> factors, rank = smith_normal_form(GammaMatrix([["t - 1", "1"], ["0", "t + 1"]]))
     >>> [str(f) for f in factors], rank
     (['1', 't^2 - 1'], 2)
     """
-    pivots, core = _unit_prepass(m)
-    diagonal = _eliminate(core)
-    factors = _invariant_chain([normalize(d) for d in diagonal])
-    return (PrimitiveRep.one(),) * pivots + tuple(factors), pivots + len(factors)
+    diagonal = _diagonalise(m)
+    nonunits = [normalize(d) for d in diagonal if not d.is_unit]
+    ones = (PrimitiveRep.one(),) * (len(diagonal) - len(nonunits))
+    return ones + tuple(_invariant_chain(nonunits)), len(diagonal)
 
 
 def _invariant_chain(reps: list[PrimitiveRep]) -> list[PrimitiveRep]:

@@ -745,18 +745,26 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     The factors are primitive with positive leading coefficients; their
     product with multiplicities is checked to equal f.  A square factor of
     f would stay one mod every prime p not dividing lc(f), so f square-free
-    mod the first such p is square-free and skips Yun's gcds over Z.
+    mod the first such p is square-free and skips Yun's gcds over Z.  A
+    power of t is split off first, as the factor (0, 1): recombination
+    reads constant terms, and t has none.
 
     >>> factor_primitive((-1, 0, 0, 0, 1))
     [((-1, 1), 1), ((1, 1), 1), ((1, 0, 1), 1)]
     >>> factor_primitive((1, 2, 1))
     [((1, 1), 2)]
+    >>> factor_primitive((0, 0, -1, 0, 1))
+    [((-1, 1), 1), ((0, 1), 2), ((1, 1), 1)]
     """
-    modular = factor_mod_p(f, next(p for p in _odd_primes() if f[-1] % p))
-    parts = _squarefree_parts(f) if modular is None else [(tuple(f), 1)]
-    found = sorted(((q, mult) for part, mult in parts
-                    for q in _zassenhaus(part, modular)),
-                   key=lambda pair: (len(pair[0]), pair[0]))
+    low = next(i for i, c in enumerate(f) if c)
+    rest = tuple(f[low:])
+    found = [((0, 1), low)] if low else []
+    if len(rest) > 1:
+        modular = factor_mod_p(rest, next(p for p in _odd_primes() if rest[-1] % p))
+        parts = _squarefree_parts(rest) if modular is None else [(rest, 1)]
+        found += [(q, mult) for part, mult in parts
+                  for q in _zassenhaus(part, modular)]
+    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     product = [1]
     for q, mult in found:
         for _ in range(mult):

@@ -426,7 +426,7 @@ def test_criterion_08_sequence_calculus():
         rebuilt = [FgGammaModule.zero()] * 3
         for prime in primes:
             part = split_primary(seq, prime)
-            assert part.passes_order_accounting()
+            assert check_alternating_product(part.order_polynomials())
             rebuilt = [acc.direct_sum(m)
                        for acc, m in zip(rebuilt, part.modules)]
         assert rebuilt == modules

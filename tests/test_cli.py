@@ -144,6 +144,20 @@ def test_degree_cap_exits_two(tmp_path):
     assert report_of(result)["error"]["code"] == "degree-cap"
 
 
+def test_unexpected_exception_is_internal_error(tmp_path, monkeypatch):
+    """A broken invariant inside ialex (zfactor and exactseq raise
+    RuntimeError for one) ends in an error report, not a traceback."""
+    def broken(payload, opts):
+        raise RuntimeError("factors of (1, 1) do not multiply back")
+
+    monkeypatch.setitem(cli._HANDLERS, "factor", broken)
+    result = invoke(tmp_path, FACTOR_CASE, "factor")
+    assert result.exit_code == 1
+    assert report_of(result)["error"] == {
+        "code": "internal",
+        "message": "RuntimeError: factors of (1, 1) do not multiply back"}
+
+
 def test_factor_phi_240_at_the_cap(tmp_path):
     phi240 = "t^64 + t^56 - t^40 - t^32 - t^24 + t^8 + 1"  # degree 64
     case = {"kind": "factor", "payload": {"poly": phi240}}

@@ -18,7 +18,6 @@ from conftest import (
 )
 from ialex.gmodule import (
     FgGammaModule,
-    _unit_prepass,
     GammaMatrix,
     NotPrime,
     NotTorsion,
@@ -152,19 +151,26 @@ def test_snf_matches_determinantal_oracle_on_unit_entries(m):
     assert rank == len(oracle)
 
 
-@pytest.mark.parametrize("grid,pivots,core_shape,expected", [
-    # all units, and the pre-pass leaves no core
-    (boundary_pattern(TETRAHEDRON, 1), 3, (0, 0), ["1", "1", "1"]),
-    # all units, but they sum to a nonunit in the core: a circle twisted by t
-    ([["-1", "1", "0"], ["-1", "0", "t"], ["0", "-1", "1"]], 2, (1, 1),
-     ["1", "1", "t - 1"]),
-    # no units: the core is the whole matrix
-    ([["t - 1", "0"], ["t^2 - 1", "t^2 - 1"]], 0, (2, 2), ["t - 1", "t^2 - 1"]),
+@pytest.mark.parametrize("grid,expected", [
+    pytest.param(boundary_pattern(TETRAHEDRON, 1), ["1", "1", "1"], id="all-units"),
+    # every entry a unit, but a circle twisted by t leaves a nonunit
+    pytest.param([["-1", "1", "0"], ["-1", "0", "t"], ["0", "-1", "1"]],
+                 ["1", "1", "t - 1"], id="units-leaving-a-nonunit"),
+    pytest.param([["t - 1", "0"], ["t^2 - 1", "t^2 - 1"]], ["t - 1", "t^2 - 1"],
+                 id="no-units"),
+    # the pivot t - 1 leaves the remainder 2 in its own row
+    pytest.param([["t - 1", "t + 1"]], ["1"], id="remainder-in-pivot-row"),
+    # and in its own column
+    pytest.param([["t - 1"], ["t + 1"]], ["1"], id="remainder-in-pivot-column"),
+    # no unit anywhere: Euclid leaves remainders of span 2, 1 and 0 before
+    # the first pivot splits off
+    pytest.param([["-t^3 - t^2 + t - 1", "-t^3 - 2*t - 1"],
+                  ["2*t^3 - 2*t^2 - 1", "-t^3 - 2*t^2 + 2*t - 2"]],
+                 ["1", "3*t^6 + t^5 + 3*t^4 - 4*t^3 + 4*t^2 - 6*t + 1"],
+                 id="several-euclidean-rounds"),
 ])
-def test_unit_prepass_cases(grid, pivots, core_shape, expected):
+def test_snf_elimination_cases(grid, expected):
     m = GammaMatrix(grid)
-    found, core = _unit_prepass(m)
-    assert (found, (core.rows, core.cols)) == (pivots, core_shape)
     factors, rank = smith_normal_form(m)
     assert [str(f) for f in factors] == expected and rank == len(expected)
     assert list(factors) == determinantal_invariant_factors(

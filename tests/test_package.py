@@ -1,5 +1,6 @@
 """Package-level guarantees that span every module."""
 
+import ast
 import importlib
 import json
 import os
@@ -68,3 +69,13 @@ def test_cli_runs_without_sympy():
     assert outputs["block"] == outputs["allow"]
     assert not outputs["allow"]["sympy"]
     assert all(code == 0 for code, _ in outputs["block"]["runs"])
+
+
+def test_no_assert_statements_in_the_package():
+    """Algorithm invariants are explicit checks that raise: `python -O`
+    strips assert statements, and a failed one is a bare AssertionError."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((REPO / "src" / "ialex").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in ialex: {found}"

@@ -310,3 +310,13 @@ def test_recombination_reads_the_complement(monkeypatch, lead):
     assert set(factors) == expected
     assert {(q.coeffs, m) for q, m in sympy_factor(
         LaurentPoly.from_coeffs(f))} == expected
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_power_of_t_splits_off(power):
+    """Recombination reads constant terms, which a factor t lacks: without
+    splitting t^power off first, t*h1*h2 came back as h2 and the reducible
+    t*h1 = (0, 1, 0, -10, 0, 1)."""
+    h1, h2 = (1, 0, -10, 0, 1), (1, 0, -4, 0, 1)
+    f = (0,) * power + tuple(poly_mul(h1, h2))
+    assert zfactor.factor_primitive(f) == [((0, 1), power), (h1, 1), (h2, 1)]
