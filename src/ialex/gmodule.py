@@ -1,6 +1,10 @@
 """Finitely generated modules over Q[t, t^-1] via presentation matrices.
 
 A matrix presents its cokernel: rows are relations, columns are generators.
+`GammaMatrix` stores only the nonzero entries, one dict per row, so the
+boundary matrices of simplicial complexes, with p + 1 entries in a row of
+any length, go into the elimination without a dense pass.
+
 Smith normal form over the Euclidean domain (norm = span of the primitive
 representative) reduces every module to the canonical shape
 free rank + invariant-factor chain, which the classification theorem makes a
@@ -17,7 +21,7 @@ without building the product's module.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
@@ -60,70 +64,69 @@ class NotPrime(ValueError):
 
 
 class GammaMatrix:
-    """A dense matrix over Q[t, t^-1]; rows are relations, columns generators.
+    """A sparse matrix over Q[t, t^-1]; rows are relations, columns generators.
+
+    Only nonzero entries are stored, one {column: entry} dict per row with
+    columns ascending, the form `_diagonalise` eliminates on; the dense grid
+    `entries` is built only when asked for.
 
     >>> m = GammaMatrix([["t - 1", "1"], ["0", "t + 1"]])
     >>> m.rows, m.cols
     (2, 2)
     >>> print(m.entry(0, 1))
     1
+    >>> m == GammaMatrix.from_rows([{0: "t - 1", 1: "1"}, {1: "t + 1"}], 2)
+    True
     """
 
-    __slots__ = ("_entries", "rows", "cols")
+    __slots__ = ("_rows", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[PolyLike]], cols: int | None = None):
-        grid = tuple(tuple(as_laurent(v) for v in row) for row in entries)
-        if grid:
-            widths = {len(row) for row in grid}
-            if len(widths) != 1:
-                raise ValueError("ragged rows in matrix")
-            width = widths.pop()
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match the entry grid")
-            cols = width
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "_entries", grid)
-        object.__setattr__(self, "rows", len(grid))
+        grid = [tuple(row) for row in entries]
+        if len({len(row) for row in grid}) > 1:
+            raise ValueError("ragged rows in matrix")
+        if grid and cols not in (None, len(grid[0])):
+            raise ValueError("cols does not match the entry grid")
+        width = len(grid[0]) if grid else cols or 0
+        self._fill([dict(enumerate(row)) for row in grid], width)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping[int, PolyLike]], cols: int) -> "GammaMatrix":
+        """The matrix with the given {column: entry} rows; zeros are dropped."""
+        m = object.__new__(cls)
+        m._fill(rows, cols)
+        return m
+
+    def _fill(self, rows: Iterable[Mapping[int, PolyLike]], cols: int):
+        out = []
+        for row in rows:
+            keys = sorted(row)
+            if keys and not 0 <= keys[0] <= keys[-1] < cols:
+                raise ValueError(f"a column lies outside a {cols}-column matrix")
+            sparse = {j: as_laurent(row[j]) for j in keys}
+            if not all(sparse.values()):
+                sparse = {j: e for j, e in sparse.items() if e}
+            out.append(sparse)
+        object.__setattr__(self, "_rows", tuple(out))
+        object.__setattr__(self, "rows", len(out))
         object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaMatrix is immutable")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "GammaMatrix":
-        z = LaurentPoly.zero()
-        return cls([[z] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "GammaMatrix":
-        one = LaurentPoly.one()
-        z = LaurentPoly.zero()
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[PolyLike], cols: int | None = None) -> "GammaMatrix":
-        vals = [as_laurent(v) for v in values]
-        n = len(vals)
-        width = cols if cols is not None else n
-        z = LaurentPoly.zero()
-        return cls([[vals[i] if i == j else z for j in range(width)] for i in range(n)],
-                   cols=width)
+    def diagonal(cls, values: Sequence[PolyLike]) -> "GammaMatrix":
+        return cls.from_rows([{i: v} for i, v in enumerate(values)], len(values))
 
     @property
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        return self._entries
+        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols))
+                     for row in self._rows)
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return self._entries[i][j]
-
-    def row(self, i: int) -> tuple[LaurentPoly, ...]:
-        return self._entries[i]
-
-    def transpose(self) -> "GammaMatrix":
-        return GammaMatrix(
-            [[self._entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows)
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self._rows[i].get(j, _ZERO)
 
     def __mul__(self, other: "GammaMatrix") -> "GammaMatrix":
         if not isinstance(other, GammaMatrix):
@@ -132,53 +135,39 @@ class GammaMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    a = self._entries[i][k]
-                    if not a.is_zero:
-                        acc = acc + a * other._entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return GammaMatrix(out, cols=other.cols)
-
-    def scale(self, value: PolyLike) -> "GammaMatrix":
-        f = as_laurent(value)
-        return GammaMatrix([[f * e for e in row] for row in self._entries],
-                           cols=self.cols)
+        for row in self._rows:
+            acc: dict[int, LaurentPoly] = {}
+            for k, a in row.items():
+                for j, b in other._rows[k].items():
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            out.append(acc)
+        return GammaMatrix.from_rows(out, other.cols)
 
     def stack(self, other: "GammaMatrix") -> "GammaMatrix":
         """Stack vertically: more relations on the same generators."""
         if self.cols != other.cols:
             raise ValueError("column mismatch in stack")
-        return GammaMatrix(self._entries + other._entries, cols=self.cols)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "GammaMatrix":
-        return GammaMatrix(
-            [[self._entries[i][j] for j in col_idx] for i in row_idx],
-            cols=len(col_idx))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self._entries for e in row)
+        return GammaMatrix.from_rows(self._rows + other._rows, self.cols)
 
     def to_json(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self._entries]
+        return [[str(e) for e in row] for row in self.entries]
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, tuple(tuple(row.items()) for row in self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
+        return hash(self._key())
 
     def __str__(self) -> str:
-        if not self._entries:
+        if not self.rows:
             return f"<empty {self.rows}x{self.cols}>"
-        cells = [[str(e) for e in row] for row in self._entries]
-        width = max(len(c) for row in cells for c in row)
+        cells = self.to_json()
+        width = max(len(c) for row in cells for c in row) if self.cols else 0
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
                          for row in cells)
 
@@ -192,26 +181,24 @@ class GammaMatrix:
 def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
     """Diagonalise by sparse Euclidean pivoting; returns the nonzero diagonal.
 
-    Rows are dicts of their nonzero entries.  Each round pivots on an entry
-    of least span, from the row with the least (span, length, index) and
-    then the sparsest column, which keeps fill-in low; units are the pivots
-    of span 0 (Dumas, Saunders and Villard, JSC 2001).  Row operations clear
-    the pivot column through the inverse of a unit, or else by Euclidean
-    division once the pivot row is scaled to make the pivot primitive, which
-    keeps coefficients tame.  A column left holding only the pivot lets
-    column operations reduce the pivot row without touching any other row,
-    and a pivot left alone splits off.  A remainder has less span than every
-    entry, so each round without a split lowers the least span.
+    It works on copies of the matrix's sparse rows.  Each round pivots on an
+    entry of least span, from the row with the least (span, length, index)
+    and then the sparsest column, which keeps fill-in low; units are the
+    pivots of span 0 (Dumas, Saunders and Villard, JSC 2001).  Row
+    operations clear the pivot column through the inverse of a unit, or else
+    by Euclidean division once the pivot row is scaled to make the pivot
+    primitive, which keeps coefficients tame.  A column left holding only
+    the pivot lets column operations reduce the pivot row without touching
+    any other row, and a pivot left alone splits off.  A remainder has less
+    span than every entry, so each round without a split lowers the least
+    span.
     `_invariant_chain` turns the diagonal into a divisibility chain.
     """
-    rows: dict[int, dict[int, LaurentPoly]] = {}
+    rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
     holders: dict[int, set[int]] = {}       # column -> rows with an entry
-    for i, row in enumerate(m.entries):
-        sparse = {j: e for j, e in enumerate(row) if not e.is_zero}
-        if sparse:
-            rows[i] = sparse
-            for j in sparse:
-                holders.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
     queue: list[tuple[int, int, int]] = []
 
     def push(k: int):

@@ -18,6 +18,7 @@ order polynomial of whatever the pages converge to.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ialex.bounds import E2Table
@@ -81,27 +82,28 @@ class TwistedComplex:
     LaurentPoly('t^-1')
     """
 
-    __slots__ = ("simplices", "monodromy", "stalk")
+    __slots__ = ("simplices", "monodromy", "stalk", "_by_dim")
 
     def __init__(self, simplices: Iterable[Iterable[int]],
                  monodromy: Optional[Mapping] = None,
                  stalk: FgGammaModule = FgGammaModule.free(1)):
-        closure = set()
+        faces: list[set] = []                   # faces[p]: the p-simplices
         for raw in simplices:
             simplex = tuple(sorted(int(v) for v in raw))
             if len(set(simplex)) != len(simplex):
                 raise ValueError(f"repeated vertex in simplex {raw}")
             if simplex and simplex[0] < 0:
                 raise ValueError("vertices must be non-negative integers")
-            for mask in range(1, 1 << len(simplex)):
-                closure.add(tuple(v for j, v in enumerate(simplex)
-                                  if mask >> j & 1))
-        if not closure:
+            faces += [set() for _ in range(len(simplex) - len(faces))]
+            for k in range(1, len(simplex) + 1):
+                faces[k - 1].update(itertools.combinations(simplex, k))
+        if not faces:
             raise EmptyComplex("the complex has no simplices")
-        object.__setattr__(self, "simplices",
-                           tuple(sorted(closure, key=lambda s: (len(s), s))))
+        by_dim = tuple(tuple(sorted(f)) for f in faces)
+        object.__setattr__(self, "_by_dim", by_dim)
+        object.__setattr__(self, "simplices", tuple(itertools.chain(*by_dim)))
 
-        edges = {s for s in closure if len(s) == 2}
+        edges = faces[1] if len(faces) > 1 else set()
         table: dict[tuple[int, int], LaurentPoly] = {}
         for raw_key, value in dict(monodromy or {}).items():
             u, v = _edge_key(raw_key)
@@ -137,7 +139,7 @@ class TwistedComplex:
         return len(self.simplices[-1]) - 1
 
     def simplices_of_dim(self, p: int) -> tuple:
-        return tuple(s for s in self.simplices if len(s) == p + 1)
+        return self._by_dim[p] if 0 <= p < len(self._by_dim) else ()
 
     def transport(self, u: int, v: int) -> LaurentPoly:
         """The unit carried by the oriented edge from u to v."""
@@ -146,15 +148,6 @@ class TwistedComplex:
         key = (min(u, v), max(u, v))
         unit = self.monodromy.get(key, LaurentPoly.one())
         return unit if u < v else unit.inverse()
-
-    def with_stalk(self, stalk: FgGammaModule) -> "TwistedComplex":
-        out = object.__new__(TwistedComplex)
-        object.__setattr__(out, "simplices", self.simplices)
-        object.__setattr__(out, "monodromy", self.monodromy)
-        if not isinstance(stalk, FgGammaModule):
-            raise TypeError("stalk must be an FgGammaModule")
-        object.__setattr__(out, "stalk", stalk)
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -184,18 +177,19 @@ class TwistedComplex:
 
 def _boundary_matrix(tc: TwistedComplex, p: int) -> GammaMatrix:
     """The degree-p boundary on chains with coefficients in the ring; rows
-    are sources, columns targets."""
+    are sources, columns targets.  A row holds the p + 1 signed units of a
+    simplex's faces; dropping vertex j = p, ..., 0 visits them in ascending
+    column order."""
     bottom = tc.simplices_of_dim(p - 1)
     index = {s: i for i, s in enumerate(bottom)}
-    grid = []
+    signs = (LaurentPoly.one(), -LaurentPoly.one())
+    rows = []
     for simplex in tc.simplices_of_dim(p):
-        row = [LaurentPoly.zero()] * len(bottom)
-        for j in range(p + 1):
-            coeff = (tc.transport(simplex[0], simplex[1]) if j == 0
-                     else LaurentPoly.one())
-            row[index[simplex[:j] + simplex[j + 1:]]] = -coeff if j % 2 else coeff
-        grid.append(row)
-    return GammaMatrix(grid, cols=len(bottom))
+        row = {index[simplex[:j] + simplex[j + 1:]]: signs[j % 2]
+               for j in range(p, 0, -1)}
+        row[index[simplex[1:]]] = tc.transport(simplex[0], simplex[1])
+        rows.append(row)
+    return GammaMatrix.from_rows(rows, len(bottom))
 
 
 def _free_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:

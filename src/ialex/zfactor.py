@@ -568,15 +568,16 @@ def _odd_primes():
             yield n
 
 
-def _modular_factorization(f: Poly, first: Optional[list] = None) -> tuple:
+def _modular_factorization(f: Poly, known: Optional[tuple] = None) -> tuple:
     """A prime p and the monic factors of f mod p (see the module notes);
-    ``first``, when given, is f's factorization mod the first odd prime not
-    dividing lc(f)."""
+    ``known``, when given, is a prime q and ``factor_mod_p(f, q)``, which is
+    read rather than recomputed, so a q where f is not square-free is not
+    tried twice."""
     best, tried = None, 0
     for p in _odd_primes():
         if f[-1] % p == 0:
             continue
-        factors, first = first or factor_mod_p(f, p), None
+        factors = known[1] if known and known[0] == p else factor_mod_p(f, p)
         if factors is None:
             continue
         tried += 1
@@ -678,14 +679,14 @@ def _squarefree_parts(f: Poly) -> list[tuple[tuple, int]]:
     return parts
 
 
-def _zassenhaus(f: tuple, first: Optional[list] = None) -> list[tuple]:
+def _zassenhaus(f: tuple, known: Optional[tuple] = None) -> list[tuple]:
     """The irreducible factors of a square-free primitive f of positive
-    degree with positive leading coefficient; ``first`` as for
+    degree with positive leading coefficient; ``known`` as for
     ``_modular_factorization``."""
     n = len(f) - 1
     if n == 1:
         return [f]
-    p, modular = _modular_factorization(f, first)
+    p, modular = _modular_factorization(f, known)
     if len(modular) == 1:
         return [f]
     # f = g*h with deg g <= n/2 gives |coeff_j(lc(h)*g)| <= C(deg g, j) *
@@ -760,10 +761,11 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     rest = tuple(f[low:])
     found = [((0, 1), low)] if low else []
     if len(rest) > 1:
-        modular = factor_mod_p(rest, next(p for p in _odd_primes() if rest[-1] % p))
+        p = next(p for p in _odd_primes() if rest[-1] % p)
+        modular = factor_mod_p(rest, p)
         parts = _squarefree_parts(rest) if modular is None else [(rest, 1)]
         found += [(q, mult) for part, mult in parts
-                  for q in _zassenhaus(part, modular)]
+                  for q in _zassenhaus(part, (p, modular) if part == rest else None)]
     found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     product = [1]
     for q, mult in found:

@@ -678,7 +678,7 @@ def kernel_basis(m: GammaMatrix) -> GammaMatrix:
     u, s, _ = snf_transforms(m)
     zero_rows = [i for i in range(m.rows)
                  if all(s.entry(i, j).is_zero for j in range(m.cols))]
-    return GammaMatrix([u.row(i) for i in zero_rows], cols=m.rows)
+    return GammaMatrix([u.entries[i] for i in zero_rows], cols=m.rows)
 
 
 def solve_left(m: GammaMatrix, b: GammaMatrix) -> GammaMatrix:
@@ -753,6 +753,17 @@ def conjugate(m: FgGammaModule) -> FgGammaModule:
 # -- kernel-and-solve route to twisted homology -----------------------------
 
 
+def transpose(m: GammaMatrix) -> GammaMatrix:
+    """Rows become columns."""
+    return GammaMatrix([[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)],
+                       cols=m.rows)
+
+
+def leading_columns(m: GammaMatrix, n: int) -> GammaMatrix:
+    """The first n columns of m."""
+    return GammaMatrix([row[:n] for row in m.entries], cols=n)
+
+
 def stalk_boundary_matrix(tc, p: int, copies: int) -> GammaMatrix:
     """The degree-p boundary on stalk-valued chains, one block of `copies`
     generators per simplex; rows are sources, columns targets."""
@@ -813,13 +824,13 @@ def kernel_solve_homology(tc) -> tuple:
     for p in range(dim + 1):
         count = len(tc.simplices_of_dim(p))
         if p == 0:
-            cycles = GammaMatrix.identity(count * gens)
+            cycles = GammaMatrix.diagonal([1] * (count * gens))
         else:
             below = len(tc.simplices_of_dim(p - 1))
             stacked = stalk_boundary_matrix(tc, p, gens).stack(
                 stalk_relations(tc.stalk, below))
             full = kernel_basis(stacked)
-            cycles = full.submatrix(range(full.rows), range(count * gens))
+            cycles = leading_columns(full, count * gens)
         relations = stalk_relations(tc.stalk, count)
         if p < dim:
             relations = relations.stack(stalk_boundary_matrix(tc, p + 1, gens))

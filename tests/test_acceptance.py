@@ -356,7 +356,7 @@ def test_criterion_06_snf_oracle():
         m = rand_matrix(rng)
         factors, rank = smith_normal_form(m)
         oracle = determinantal_invariant_factors(
-            [list(m.row(i)) for i in range(m.rows)])
+            [list(row) for row in m.entries])
         assert list(factors) == oracle
         assert rank == len(oracle)
     elapsed = time.perf_counter() - start
@@ -499,28 +499,46 @@ def test_criterion_10_cli_determinism():
     assert elapsed < 60.0, f"took {elapsed:.2f} s"
 
 
+TORUS_STALK = FgGammaModule.from_summands(0, ["t - 1", "t^2 - 1"])
+# H(T^2; Gamma/(t-1) + Gamma/(t^2-1)) by universal coefficients: untwisted,
+# H(T; Gamma) is free of ranks 1, 2, 1, so H_p = stalk^b_p; twisted by t
+# around one loop, H(T; Gamma_t) = (Gamma/(t-1), Gamma/(t-1), 0), and tensor
+# and Tor with the stalk both give (Gamma/(t-1))^2
+TORUS_STALK_HOMOLOGY = {
+    False: (["t - 1", "t^2 - 1"], ["t - 1", "t^2 - 1"] * 2, ["t - 1", "t^2 - 1"]),
+    True: (["t - 1"] * 2, ["t - 1"] * 4, ["t - 1"] * 2),
+}
+
+
+def _torus_stalk_homology(m: int, twisted: bool) -> float:
+    """Check the m x m torus with TORUS_STALK against the closed form;
+    returns the seconds twisted_homology took."""
+    tc = torus_complex(m, twisted)
+    tc = TwistedComplex(tc.simplices, tc.monodromy, TORUS_STALK)
+    assert len(tc.simplices) == 6 * m * m
+    start = time.perf_counter()
+    homology = twisted_homology(tc)
+    elapsed = time.perf_counter() - start
+    assert homology == tuple(FgGammaModule.from_summands(0, d)
+                             for d in TORUS_STALK_HOMOLOGY[twisted])
+    return elapsed
+
+
 def test_criterion_11_torus_torsion_stalk():
     """H(T^2; Gamma/(t-1) + Gamma/(t^2-1)) on the 4x4 torus, untwisted and
     twisted by t around one loop, matches the universal-coefficient closed
     form, each in under 0.5 s."""
-    stalk = FgGammaModule.from_summands(0, ["t - 1", "t^2 - 1"])
-    orders = ["t - 1", "t^2 - 1"]
-    # untwisted: H(T; Gamma) is free of ranks 1, 2, 1, so H_p = stalk^b_p;
-    # twisted: H(T; Gamma_t) = (Gamma/(t-1), Gamma/(t-1), 0), and tensor and
-    # Tor with the stalk both give (Gamma/(t-1))^2
-    expected = {
-        False: (orders, orders * 2, orders),
-        True: (["t - 1"] * 2, ["t - 1"] * 4, ["t - 1"] * 2),
-    }
-    for twisted, degrees in expected.items():
-        tc = torus_complex(4, twisted).with_stalk(stalk)
-        assert len(tc.simplices) == 96
-        start = time.perf_counter()
-        homology = twisted_homology(tc)
-        elapsed = time.perf_counter() - start
-        assert homology == tuple(FgGammaModule.from_summands(0, d)
-                                 for d in degrees)
+    for twisted in (False, True):
+        elapsed = _torus_stalk_homology(4, twisted)
         assert elapsed < 0.5, f"took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("m", [8, 12])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_large_torus_torsion_stalk(m, twisted):
+    """The same closed form on the 8x8 and 12x12 tori, whose boundary
+    matrices reach 288 x 432 (rows of 3 entries) through sparse rows."""
+    _torus_stalk_homology(m, twisted)
 
 
 def test_criterion_12_highdeg_gcd():

@@ -24,7 +24,7 @@ from ialex.gmodule import (
     order_polynomial,
 )
 from ialex.laurent import PrimitiveRep, normalize, parse, similar
-from oracles import kernel_basis
+from oracles import kernel_basis, leading_columns
 
 A = normalize("t - 1")
 B = normalize("t + 1")
@@ -256,7 +256,7 @@ def test_short_exact_order_multiplicativity(gens, diag):
     ambient = cokernel(presentation)
 
     ker = kernel_basis(gens.stack(presentation))
-    sub_rel = ker.submatrix(range(ker.rows), range(gens.rows))
+    sub_rel = leading_columns(ker, gens.rows)
     sub = cokernel(sub_rel)
     quotient = cokernel(presentation.stack(gens))
 

@@ -1,5 +1,6 @@
 """Ring arithmetic, canonical forms and factorization over Q[t, t^-1]."""
 
+import math
 import random
 import time
 from collections import Counter
@@ -224,6 +225,32 @@ def test_ring_element_matches_dict_oracle(pair, c, k, n):
     assert again == p and hash(again) == hash(p)
     if p == q:
         assert hash(p) == hash(q)
+
+
+def _assert_canonical(p: LaurentPoly):
+    """(shift, num, den) with nonzero ends and gcd(den, *num) == 1, den > 0."""
+    num, den = p._num, p._den
+    assert den > 0
+    if num:
+        assert num[0] and num[-1] and math.gcd(den, *num) == 1
+    else:
+        assert (p._shift, den) == (0, 1)
+
+
+@given(dict_laurents(), st.sampled_from([1, -1]), st.integers(-4, 4),
+       _smooth_fractions)
+@settings(max_examples=300)
+def test_signed_monomial_product_matches_dict_oracle(dp, sign, k, c):
+    """A factor +-t^k takes the shift-and-sign path of the product, on
+    either side; a unit c*t^k with any other c changes the content and takes
+    the general path.  Both agree with the oracle and stay canonical, also
+    when the other operand has a denominator."""
+    p = _lift(dp)
+    for du in (DictLaurent({k: sign}), DictLaurent({k: c})):
+        u = _lift(du)
+        for product in (p * u, u * p):
+            _assert_agrees(product, dp * du)
+            _assert_canonical(product)
 
 
 def _term_text(exp: int, num: int, den: int) -> str:

@@ -23,7 +23,7 @@ from ialex.twisted import (
     twisted_homology,
 )
 
-from oracles import kernel_solve_homology, untwisted_betti
+from oracles import kernel_solve_homology, stalk_boundary_matrix, untwisted_betti
 
 CIRCLE = [[0, 1], [1, 2], [0, 2]]
 SPHERE = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
@@ -112,14 +112,15 @@ def test_circle_trivial_monodromy():
 
 
 def test_circle_loop_t_torsion_stalk():
-    tc = ngon(3).with_stalk(FgGammaModule.cyclic("t^2 - t + 1"))
+    tc = TwistedComplex(ngon(3).simplices, ngon(3).monodromy,
+                        FgGammaModule.cyclic("t^2 - t + 1"))
     h0, h1 = twisted_homology(tc)
     assert h0.is_zero and h1.is_zero
 
 
 def test_circle_loop_inside_stalk_support():
     # loop t, stalk Gamma/(t - 1): the twist acts trivially on the stalk
-    tc = ngon(3).with_stalk(FgGammaModule.cyclic("t - 1"))
+    tc = TwistedComplex(ngon(3).simplices, ngon(3).monodromy, FgGammaModule.cyclic("t - 1"))
     h0, h1 = twisted_homology(tc)
     assert h0 == FgGammaModule.cyclic("t - 1")
     assert h1 == FgGammaModule.cyclic("t - 1")
@@ -255,8 +256,22 @@ _STALKS = st.one_of(
 @given(st.one_of(random_ngons(), random_tori(), gauged_complexes()), _STALKS)
 @settings(max_examples=30, deadline=None)
 def test_universal_coefficients_match_kernel_solve(tc, stalk):
-    tc = tc.with_stalk(stalk)
+    tc = TwistedComplex(tc.simplices, tc.monodromy, stalk)
     assert twisted_homology(tc) == kernel_solve_homology(tc)
+
+
+@given(st.one_of(random_ngons(), random_tori(), gauged_complexes()))
+@settings(max_examples=30, deadline=None)
+def test_boundary_rows_hold_their_faces_only(tc):
+    """Each row of a boundary matrix stores exactly the p + 1 signed units
+    of its simplex's faces, columns ascending, and the matrix equals the
+    dense one the kernel-and-solve oracle builds."""
+    for p in range(1, tc.dimension + 1):
+        m = twisted._boundary_matrix(tc, p)
+        for row in m._rows:
+            assert len(row) == p + 1 and list(row) == sorted(row)
+            assert all(e.is_unit for e in row.values())
+        assert m == stalk_boundary_matrix(tc, p, 1)
 
 
 # -- conservation laws -----------------------------------------------------------------
@@ -314,7 +329,8 @@ def test_alternating_order_conservation(simplices, mono, order):
 ])
 def test_circle_subdivision_invariance(stalk, expected):
     for n in range(3, 8):
-        assert twisted_homology(ngon(n).with_stalk(stalk)) == expected
+        tc = ngon(n)
+        assert twisted_homology(TwistedComplex(tc.simplices, tc.monodromy, stalk)) == expected
 
 
 def test_loop_unit_spread_over_edges():

@@ -320,3 +320,27 @@ def test_power_of_t_splits_off(power):
     h1, h2 = (1, 0, -10, 0, 1), (1, 0, -4, 0, 1)
     f = (0,) * power + tuple(poly_mul(h1, h2))
     assert zfactor.factor_primitive(f) == [((0, 1), power), (h1, 1), (h2, 1)]
+
+
+
+@pytest.mark.parametrize("f", [
+    (-3, 0, 1),                                   # t^2 - 3 is t^2 mod 3
+    tuple(poly_mul((-3, 0, 1), (1, 1, 1))),       # t^2 + t + 1 = (t - 1)^2 mod 3
+    tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 1))),  # Yun splits
+    (-5, 0, 0, 0, 0, 0, 0, 0, 3),                 # lc 3: the first prime is 5
+])
+def test_no_prime_is_tried_twice(monkeypatch, f):
+    """f is not square-free mod the first prime, whether or not Yun's
+    decomposition splits it; no (part, prime) pair reaches factor_mod_p
+    twice.  factor_primitive itself checks that the factors multiply back."""
+    calls = []
+    real = zfactor.factor_mod_p
+
+    def record(g, p):
+        calls.append((tuple(g), p))
+        return real(g, p)
+
+    monkeypatch.setattr(zfactor, "factor_mod_p", record)
+    zfactor.factor_primitive(f)
+    assert real(*calls[0]) is None
+    assert len(calls) == len(set(calls))
