@@ -1,7 +1,7 @@
 """Alternate parent/change runs of the benchmark and compare them.
 
     python3 scripts/pairs.py --parent ../parent --change . \
-        --workload twisted-torus --seed 7321 --pairs 5 --seconds 25
+        --workload twisted-torus --seed 7321 --pairs 10 --seconds 25
 
 Each of the N pairs runs `perfbench/run.py` once in the parent checkout and
 once in the change checkout, one after the other, so slow drift of the
@@ -13,6 +13,11 @@ better in the direction `BENCHMARK.json` gives; a positive gain is better.
 A run that does not finish or reports a failed case is shown and stops the
 script with exit code 1.
 
+Runs write no bytecode, and the script refuses to start when one checkout
+holds `__pycache__` directories under `src/` or `perfbench/` and the other
+does not: compiled modules cut the side that has them short in `setup_s`.
+Remove them from both checkouts (or leave them in both) and start again.
+
 Only the standard library is used.
 """
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -31,7 +37,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, check=False)
+        cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"run in {checkout} exited {done.returncode}:\n"
@@ -41,6 +48,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"run in {checkout} failed {result['failed']} of "
                            f"{result['attempted']} cases")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def has_bytecode(checkout: Path) -> bool:
+    return any(next((checkout / d).rglob("__pycache__"), None) is not None
+               for d in ("src", "perfbench"))
 
 
 def quartiles(values: list) -> tuple:
@@ -73,12 +85,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
+    cached = [side for side, path in sides.items() if has_bytecode(path)]
+    if len(cached) == 1:
+        print(f"only the {cached[0]} checkout holds __pycache__ directories; "
+              "remove them so that both sides compile alike", file=sys.stderr)
+        return 2
     runs: dict[str, list] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

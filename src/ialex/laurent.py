@@ -128,12 +128,6 @@ def _make(shift: int, num: tuple, den: int) -> "LaurentPoly":
     return p
 
 
-def _signed_shift(p: "LaurentPoly", sign: int, k: int) -> "LaurentPoly":
-    """sign * t^k * p, for sign 1 or -1 and p nonzero."""
-    return _make(p._shift + k, p._num if sign == 1 else tuple([-c for c in p._num]),
-                 p._den)
-
-
 def _canonical(shift: int, coeffs: list, den: int) -> "LaurentPoly":
     """t^shift * coeffs / den, with zero ends trimmed and gcd(den, content)
     divided out; den must be positive."""
@@ -315,17 +309,10 @@ class LaurentPoly:
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
-        na, nb = self._num, other._num
-        if not na or not nb:
+        if not self._num or not other._num:
             return _ZERO
-        # a factor +-t^k only shifts the other and maybe flips its sign; a
-        # wider unit q*t^k would change the content den must be coprime to
-        if len(nb) == 1 and other._den == 1 and nb[0] in (1, -1):
-            return _signed_shift(self, nb[0], other._shift)
-        if len(na) == 1 and self._den == 1 and na[0] in (1, -1):
-            return _signed_shift(other, na[0], self._shift)
         # a product of nonzero polynomials keeps nonzero end coefficients
-        num = _convolve(na, nb)
+        num = _convolve(self._num, other._num)
         den = self._den * other._den
         if den != 1:
             g = math.gcd(den, *num)

@@ -178,16 +178,17 @@ class TwistedComplex:
 def _boundary_matrix(tc: TwistedComplex, p: int) -> GammaMatrix:
     """The degree-p boundary on chains with coefficients in the ring; rows
     are sources, columns targets.  A row holds the p + 1 signed units of a
-    simplex's faces; dropping vertex j = p, ..., 0 visits them in ascending
-    column order."""
+    simplex's faces."""
     bottom = tc.simplices_of_dim(p - 1)
     index = {s: i for i, s in enumerate(bottom)}
     signs = (LaurentPoly.one(), -LaurentPoly.one())
     rows = []
     for simplex in tc.simplices_of_dim(p):
-        row = {index[simplex[:j] + simplex[j + 1:]]: signs[j % 2]
-               for j in range(p, 0, -1)}
-        row[index[simplex[1:]]] = tc.transport(simplex[0], simplex[1])
+        row = {}
+        for j in range(p + 1):
+            face = index[simplex[:j] + simplex[j + 1:]]
+            row[face] = (tc.transport(simplex[0], simplex[1]) if j == 0
+                         else signs[j % 2])
         rows.append(row)
     return GammaMatrix.from_rows(rows, len(bottom))
 

@@ -241,10 +241,9 @@ def _assert_canonical(p: LaurentPoly):
        _smooth_fractions)
 @settings(max_examples=300)
 def test_signed_monomial_product_matches_dict_oracle(dp, sign, k, c):
-    """A factor +-t^k takes the shift-and-sign path of the product, on
-    either side; a unit c*t^k with any other c changes the content and takes
-    the general path.  Both agree with the oracle and stay canonical, also
-    when the other operand has a denominator."""
+    """A unit +-t^k or c*t^k, on either side, as boundary pivots and their
+    inverses are: the product agrees with the oracle and stays canonical,
+    also when the other operand has a denominator."""
     p = _lift(dp)
     for du in (DictLaurent({k: sign}), DictLaurent({k: c})):
         u = _lift(du)
