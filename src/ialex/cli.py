@@ -11,7 +11,8 @@ aligned plain-text table.  Reports are byte-stable: the same case file always
 produces the same output.
 
 Exit codes: 0 when the report status is pass, 1 on a failed check or invalid
-input, 2 when a computation hits its degree cap.
+input, 2 when a computation hits its degree cap (error code `degree-cap`) or
+a complex's face closure could exceed `twisted.MAX_FACES` (`complex-size`).
 """
 
 from __future__ import annotations
@@ -515,6 +516,8 @@ def run_case(case, opts: RunOptions) -> tuple[dict, int]:
         return _error_report(kind, "schema", exc.message, exc.path), 1
     except laurent.DegreeCapExceeded as exc:
         return _error_report(kind, "degree-cap", str(exc)), 2
+    except twisted.ComplexTooLarge as exc:
+        return _error_report(kind, "complex-size", str(exc)), 2
     except (ValueError, LookupError) as exc:
         return _error_report(kind, "validation", str(exc)), 1
     except Exception as exc:                  # a fault of ialex, not of the case

@@ -4,10 +4,13 @@ A local system on a finite complex is stored as a unit of the ring on every
 oriented edge, subject to the cocycle condition on triangles, together with
 one coefficient module shared by all vertices.  Chains with coefficients in
 the ring itself form a complex of free modules whose boundary picks up the
-edge unit on the face opposite the leading vertex; the Smith form of each
-boundary matrix gives that complex's homology from ranks and invariant
-factors alone.  The stalk enters afterwards, by the universal coefficient
-theorem over a principal ideal domain (Hatcher, Algebraic Topology, 3.A):
+edge unit on the face opposite the leading vertex.  Contracting a spanning
+forest of the 1-skeleton gives H_0 in closed form, from the holonomy of
+each edge outside the forest, and leaves a smaller complex with the same
+homology; the Smith form of each of its boundary matrices above degree 1
+gives the rest from ranks and invariant factors alone.  The stalk enters
+afterwards, by the universal coefficient theorem over a principal ideal
+domain (Hatcher, Algebraic Topology, 3.A):
 H_p(X; M) = H_p(X; Gamma) (x) M  +  Tor(H_{p-1}(X; Gamma), M).
 
 On top of the homology sit the second-page tables of the neighborhood
@@ -31,11 +34,20 @@ from ialex.gmodule import (
     tensor,
     tor,
 )
-from ialex.laurent import LaurentPoly, PolyLike, PrimitiveRep, as_laurent
+from ialex.laurent import (
+    LaurentPoly,
+    PolyLike,
+    PrimitiveRep,
+    as_laurent,
+    gcd,
+    normalize,
+)
 
 __all__ = [
     "CocycleViolation",
+    "ComplexTooLarge",
     "EmptyComplex",
+    "MAX_FACES",
     "NotTorsionEntry",
     "TwistedComplex",
     "abutment_divisor_bound",
@@ -43,6 +55,15 @@ __all__ = [
     "e2_link_page",
     "twisted_homology",
 ]
+
+
+# the most faces a complex's input may close to, counted as the sum of
+# 2^|s| - 1 over its simplices before any face is built
+MAX_FACES = 2**16
+
+
+class ComplexTooLarge(ValueError):
+    """Closing the input under faces could exceed MAX_FACES simplices."""
 
 
 class CocycleViolation(ValueError):
@@ -70,10 +91,12 @@ class TwistedComplex:
     """A finite simplicial complex with edge units and a coefficient module.
 
     Simplices are sorted tuples of non-negative integer vertices; the input
-    list is closed under faces automatically.  The monodromy map assigns a
-    unit q*t^k to each oriented edge, keyed "u-v" or (u, v); the reverse
-    orientation is the inverse and absent edges carry 1.  Triangles must
-    satisfy the cocycle condition, checked at construction.
+    list is closed under faces automatically, unless the sum of 2^|s| - 1
+    over its simplices s exceeds MAX_FACES (`ComplexTooLarge`).  The
+    monodromy map assigns a unit q*t^k to each oriented edge, keyed "u-v"
+    or (u, v); the reverse orientation is the inverse and absent edges
+    carry 1.  Triangles must satisfy the cocycle condition, checked at
+    construction.
 
     >>> circle = TwistedComplex([[0, 1], [1, 2], [0, 2]], {"0-1": "t"})
     >>> circle.dimension
@@ -87,13 +110,21 @@ class TwistedComplex:
     def __init__(self, simplices: Iterable[Iterable[int]],
                  monodromy: Optional[Mapping] = None,
                  stalk: FgGammaModule = FgGammaModule.free(1)):
-        faces: list[set] = []                   # faces[p]: the p-simplices
+        given = []
         for raw in simplices:
             simplex = tuple(sorted(int(v) for v in raw))
             if len(set(simplex)) != len(simplex):
                 raise ValueError(f"repeated vertex in simplex {raw}")
             if simplex and simplex[0] < 0:
                 raise ValueError("vertices must be non-negative integers")
+            given.append(simplex)
+        bound = sum(2 ** len(s) - 1 for s in given)
+        if bound > MAX_FACES:
+            raise ComplexTooLarge(
+                f"closing the simplices under faces could give {bound} "
+                f"faces, over the cap {MAX_FACES}")
+        faces: list[set] = []                   # faces[p]: the p-simplices
+        for simplex in given:
             faces += [set() for _ in range(len(simplex) - len(faces))]
             for k in range(1, len(simplex) + 1):
                 faces[k - 1].update(itertools.combinations(simplex, k))
@@ -175,43 +206,104 @@ class TwistedComplex:
                 f"dim {self.dimension}, stalk {self.stalk})")
 
 
-def _boundary_matrix(tc: TwistedComplex, p: int) -> GammaMatrix:
+def _boundary_matrix(tc: TwistedComplex, p: int,
+                     index: Mapping[tuple, int]) -> GammaMatrix:
     """The degree-p boundary on chains with coefficients in the ring; rows
-    are sources, columns targets.  A row holds the p + 1 signed units of a
-    simplex's faces."""
-    bottom = tc.simplices_of_dim(p - 1)
-    index = {s: i for i, s in enumerate(bottom)}
+    are sources, columns targets.  `index` numbers the (p-1)-faces kept as
+    columns: a row holds the signed units of its simplex's faces in
+    `index`, p + 1 of them when every face is kept."""
     signs = (LaurentPoly.one(), -LaurentPoly.one())
     rows = []
     for simplex in tc.simplices_of_dim(p):
         row = {}
         for j in range(p + 1):
-            face = index[simplex[:j] + simplex[j + 1:]]
-            row[face] = (tc.transport(simplex[0], simplex[1]) if j == 0
-                         else signs[j % 2])
+            face = index.get(simplex[:j] + simplex[j + 1:])
+            if face is not None:
+                row[face] = (tc.transport(simplex[0], simplex[1]) if j == 0
+                             else signs[j % 2])
         rows.append(row)
-    return GammaMatrix.from_rows(rows, len(bottom))
+    return GammaMatrix.from_rows(rows, len(index))
+
+
+def _spanning_forest(tc: TwistedComplex) -> tuple[FgGammaModule, int, dict]:
+    """H_0 with coefficients in the ring, the rank of the reduced degree-1
+    boundary, and the column index of the edges outside a spanning forest.
+
+    A search from the least vertex of each component gives every vertex v
+    its potential phi(v), the transport along the tree path from the root.
+    A tree edge with the vertex it reaches is a reduction pair (its
+    boundary holds that vertex with a unit coefficient), so contracting the
+    forest leaves one generator per root, related by h(e) - 1 for each
+    non-tree edge e = (u, v) with holonomy h(e) = phi(u) T(u, v) / phi(v).
+    A component is Gamma when every h(e) is 1 and Gamma/(g) otherwise, with
+    g the gcd of its h(e) - 1; the gcd stops at a unit.
+    """
+    one = LaurentPoly.one()
+    neighbours: dict[int, list[int]] = {v: [] for (v,) in tc.simplices_of_dim(0)}
+    for u, v in tc.simplices_of_dim(1):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    potential: dict[int, LaurentPoly] = {}
+    root: dict[int, int] = {}
+    tree: set[tuple[int, int]] = set()
+    for start in neighbours:
+        if start in potential:
+            continue
+        potential[start], root[start] = one, start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in neighbours[u]:
+                if v not in potential:
+                    potential[v] = potential[u] * tc.transport(u, v)
+                    root[v] = start
+                    tree.add((u, v) if u < v else (v, u))
+                    stack.append(v)
+
+    orders: dict[int, PrimitiveRep] = {}    # root -> gcd of its h(e) - 1
+    index = {}
+    for edge in tc.simplices_of_dim(1):
+        if edge in tree:
+            continue
+        index[edge] = len(index)
+        u, v = edge
+        g = orders.get(root[u])
+        if g is not None and g.is_one:
+            continue
+        carried = potential[u] * tc.transport(u, v)
+        if carried != potential[v]:
+            loop = carried * potential[v].inverse() - one
+            orders[root[u]] = normalize(loop) if g is None else gcd(g, loop)
+    h0 = FgGammaModule.from_summands(len(potential) - len(tree) - len(orders),
+                                     orders.values())
+    return h0, len(orders), index
 
 
 def _free_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     """Homology with coefficients in the ring, ignoring the stalk.
 
-    With r_p the rank of the degree-p boundary and c_p the number of
-    p-simplices, H_p has free rank c_p - r_p - r_{p+1}, and its torsion is
-    that of the cokernel of the degree-(p+1) boundary, i.e. that boundary's
+    Contracting a spanning forest of the 1-skeleton (`_spanning_forest`,
+    after Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998)
+    gives H_0 in closed form and leaves a complex with the same homology:
+    the roots in degree 0, the non-tree edges in degree 1, and every
+    simplex above; the degree-2 boundary just loses its tree-edge columns.
+    With r_p the rank of a reduced boundary and c_p the number of reduced
+    p-cells, H_p has free rank c_p - r_p - r_{p+1}, and its torsion is that
+    of the cokernel of the degree-(p+1) boundary, i.e. that boundary's
     nonunit invariant factors: chains modulo cycles embed in the free
     (p-1)-chains, so the cycles split off the chains as a direct summand.
     """
     dim = tc.dimension
-    ranks = [0] * (dim + 2)
-    torsion = [()] * (dim + 1)
-    for p in range(1, dim + 1):
-        factors, ranks[p] = smith_normal_form(_boundary_matrix(tc, p))
-        torsion[p - 1] = [f for f in factors if not f.is_one]
-    return tuple(
-        FgGammaModule(len(tc.simplices_of_dim(p)) - ranks[p] - ranks[p + 1],
-                      torsion[p])
-        for p in range(dim + 1))
+    h0, rank_below, index = _spanning_forest(tc)
+    out = [h0]
+    for p in range(2, dim + 2):
+        factors, rank = (smith_normal_form(_boundary_matrix(tc, p, index))
+                         if p <= dim else ((), 0))
+        out.append(FgGammaModule(len(index) - rank_below - rank,
+                                 [f for f in factors if not f.is_one]))
+        index = {s: i for i, s in enumerate(tc.simplices_of_dim(p))}
+        rank_below = rank
+    return tuple(out)
 
 
 def _universal_coefficients(free: Sequence[FgGammaModule],
@@ -231,8 +323,9 @@ def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
 
     The chain groups with coefficients in the ring are free and the edge
     units act invertibly, so the homology with coefficients in the ring
-    comes from one Smith form per boundary matrix, and the stalk enters by
-    the universal coefficient theorem.
+    comes from a spanning-forest contraction and one Smith form per
+    boundary matrix above degree 1, and the stalk enters by the universal
+    coefficient theorem.
 
     >>> circle = TwistedComplex([[0, 1], [1, 2], [0, 2]], {"0-1": "t"})
     >>> twisted_homology(circle)

@@ -10,12 +10,14 @@ sympy's `dup_gcd` instead of the integer heuristic GCD, invariant factors
 come from gcds of minors instead of elimination, ranks come from plain
 fraction Gaussian elimination, and twisted homology is cut out of
 stalk-valued chains by kernels and solves instead of universal
-coefficients.  Those kernels and solves come from a transform-tracking
-Smith form of their own, independent of the library's elimination, that
-divides by `laurent_divmod`, rational long division on dense Fraction
-lists rather than the library's integer pseudo-division.  The
-module-valued Kunneth sum cross-checks `gmodule.kunneth_order`'s order
-arithmetic.  Slow is fine; these only ever see small inputs.
+coefficients, or read off the Smith form of every full boundary instead
+of contracting a spanning forest first.  Those kernels and solves come
+from a transform-tracking Smith form of their own, independent of the
+library's elimination, that divides by `laurent_divmod`, rational long
+division on dense Fraction lists rather than the library's integer
+pseudo-division.  The module-valued Kunneth sum cross-checks
+`gmodule.kunneth_order`'s order arithmetic.  Slow is fine; these only
+ever see small inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
-from ialex.gmodule import FgGammaModule, GammaMatrix, tensor, tor
+from ialex.gmodule import FgGammaModule, GammaMatrix, smith_normal_form, tensor, tor
 from ialex.laurent import (
     LaurentPoly,
     PrimitiveRep,
@@ -806,6 +808,23 @@ def dense_cokernel(m: GammaMatrix) -> FgGammaModule:
                 if not s.entry(i, i).is_zero]
     return FgGammaModule(m.cols - len(diagonal),
                          [normalize(d) for d in diagonal if not d.is_unit])
+
+
+def snf_free_homology(tc) -> tuple:
+    """Homology with coefficients in the ring from the full Smith form of
+    every boundary, the degree-1 boundary included: H_p has free rank
+    c_p - r_p - r_{p+1} and the nonunit invariant factors of the
+    degree-(p+1) boundary as torsion."""
+    dim = tc.dimension
+    ranks = [0] * (dim + 2)
+    torsion = [()] * (dim + 1)
+    for p in range(1, dim + 1):
+        factors, ranks[p] = smith_normal_form(stalk_boundary_matrix(tc, p, 1))
+        torsion[p - 1] = [f for f in factors if not f.is_one]
+    return tuple(
+        FgGammaModule(len(tc.simplices_of_dim(p)) - ranks[p] - ranks[p + 1],
+                      torsion[p])
+        for p in range(dim + 1))
 
 
 def kernel_solve_homology(tc) -> tuple:

@@ -276,6 +276,13 @@ def test_check_result_cases():
     assert capped == {"ok": False, "prime": "t - 1", "observed": 3, "allowed": 2}
 
 
+def test_check_result_reducible_allowed_entry_allows_no_prime():
+    """Allowed entries are primes: a reducible one matches no factor, so the
+    first factor is reported, although the entry divides ia_j exactly."""
+    out = check_result("t^2 - 1", {normalize("t^2 - 1")})
+    assert out == {"ok": False, "prime": "t - 1", "observed": 1, "allowed": 0}
+
+
 @given(product_inputs(realizable=True))
 @settings(max_examples=30, deadline=None)
 def test_engine_outputs_inside_single_window(inp):

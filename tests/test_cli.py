@@ -464,6 +464,21 @@ def test_homology_case(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("kind,payload", [
+    ("homology", {"simplices": [list(range(40))]}),
+    ("e2", {"base": [{"simplices": [[0]]}, {"simplices": [list(range(40))]}],
+            "links": [{"torsion": ["t - 1"]}, {"torsion": ["t + 1"]}]}),
+], ids=["homology", "e2-family"])
+def test_complex_size_cap_exits_two(tmp_path, kind, payload):
+    """One 40-vertex simplex would close to 2^40 - 1 faces; the cap refuses
+    it before any face is built."""
+    result = invoke(tmp_path, {"kind": kind, "payload": payload}, "run")
+    assert result.exit_code == 2
+    error = report_of(result)["error"]
+    assert error["code"] == "complex-size"
+    assert "1099511627775 faces" in error["message"]
+
+
 def test_e2_cone_case(tmp_path):
     case = {"kind": "e2", "payload": {
         "base": {"simplices": [[0]]},

@@ -23,7 +23,12 @@ from ialex.twisted import (
     twisted_homology,
 )
 
-from oracles import kernel_solve_homology, stalk_boundary_matrix, untwisted_betti
+from oracles import (
+    kernel_solve_homology,
+    snf_free_homology,
+    stalk_boundary_matrix,
+    untwisted_betti,
+)
 
 CIRCLE = [[0, 1], [1, 2], [0, 2]]
 SPHERE = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
@@ -267,11 +272,158 @@ def test_boundary_rows_hold_their_faces_only(tc):
     of its simplex's faces, columns ascending, and the matrix equals the
     dense one the kernel-and-solve oracle builds."""
     for p in range(1, tc.dimension + 1):
-        m = twisted._boundary_matrix(tc, p)
+        faces = tc.simplices_of_dim(p - 1)
+        m = twisted._boundary_matrix(tc, p, {s: i for i, s in enumerate(faces)})
         for row in m._rows:
             assert len(row) == p + 1 and list(row) == sorted(row)
             assert all(e.is_unit for e in row.values())
         assert m == stalk_boundary_matrix(tc, p, 1)
+
+
+@given(st.one_of(random_ngons(), random_tori(), gauged_complexes()))
+@settings(max_examples=20, deadline=None)
+def test_boundary_rows_keep_only_indexed_faces(tc):
+    """A face outside the index loses its column and nothing else changes:
+    the kept columns of the full boundary, renumbered."""
+    faces = tc.simplices_of_dim(1)
+    kept = faces[::2]
+    m = twisted._boundary_matrix(tc, 2, {s: i for i, s in enumerate(kept)})
+    full = stalk_boundary_matrix(tc, 2, 1)
+    assert m.cols == len(kept)
+    assert m.entries == tuple(tuple(row[faces.index(s)] for s in kept)
+                              for row in full.entries)
+
+
+# -- the spanning-forest reduction against full Smith forms ---------------------------
+
+
+_LOOP_UNITS = st.sampled_from(["t", "t^2", "t^3", "-t", "t^-1", "2*t^2",
+                               "2", "1/2", "-1", "1"]).map(parse)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Components that are wedges of one or two loops, each loop with a
+    random unit on its closing edge, plus isolated vertices, the vertices
+    relabelled at random so that roots and search order vary."""
+    simplices, mono, size = [], {}, 0
+    for wedge in draw(st.lists(st.lists(_LOOP_UNITS, min_size=1, max_size=2),
+                               min_size=1, max_size=3)):
+        centre = size
+        size += 1
+        for unit in wedge:
+            path = [centre] + list(range(size, size + draw(st.integers(2, 3))))
+            size = path[-1] + 1
+            simplices += [[a, b] for a, b in zip(path, path[1:])]
+            simplices.append([path[-1], centre])
+            mono[(path[-1], centre)] = unit
+    isolated = draw(st.integers(0, 2))
+    simplices += [[v] for v in range(size, size + isolated)]
+    label = draw(st.permutations(range(size + isolated)))
+    return TwistedComplex([[label[v] for v in s] for s in simplices],
+                          {(label[a], label[b]): unit
+                           for (a, b), unit in mono.items()})
+
+
+@st.composite
+def point_sets(draw):
+    """A 0-dimensional complex: vertices and no edges."""
+    vertices = draw(st.sets(st.integers(0, 9), min_size=1, max_size=4))
+    return TwistedComplex([[v] for v in vertices])
+
+
+@st.composite
+def tetrahedra(draw):
+    """The boundary of the 3-simplex or the solid 3-simplex, with edge units
+    from a random gauge (every local system on them is one)."""
+    simplices = draw(st.sampled_from([SPHERE, [[0, 1, 2, 3]]]))
+    phi = draw(st.lists(_UNITS, min_size=4, max_size=4))
+    edges = TwistedComplex(simplices).simplices_of_dim(1)
+    return TwistedComplex(simplices, {(u, v): phi[v] * phi[u].inverse()
+                                      for u, v in edges})
+
+
+_FOREST_CASES = st.one_of(disjoint_unions(), point_sets(), tetrahedra(),
+                          random_ngons(), random_tori(), gauged_complexes())
+
+
+@given(_FOREST_CASES)
+@settings(max_examples=60, deadline=None)
+def test_forest_reduction_matches_full_smith_form(tc):
+    assert twisted._free_homology(tc) == snf_free_homology(tc)
+
+
+@given(st.one_of(disjoint_unions(), point_sets(), tetrahedra()), _STALKS)
+@settings(max_examples=30, deadline=None)
+def test_forest_reduction_matches_kernel_solve(tc, stalk):
+    tc = TwistedComplex(tc.simplices, tc.monodromy, stalk)
+    assert twisted_homology(tc) == kernel_solve_homology(tc)
+
+
+@given(disjoint_unions(), st.lists(_ORDERS, min_size=1, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_link_page_over_disconnected_base(base, orders):
+    links = [FgGammaModule.cyclic(order) for order in orders]
+    page = e2_link_page(base, links)
+    for q, module in enumerate(links):
+        stalked = TwistedComplex(base.simplices, base.monodromy, module)
+        for p, h in enumerate(kernel_solve_homology(stalked)):
+            assert page.entry(0, p, q) == order_polynomial(h)
+
+
+def test_disjoint_loops_pair_their_orders():
+    loops = TwistedComplex([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]],
+                           {"0-2": "t^2", "3-5": "t^3"})
+    h0, h1 = twisted_homology(loops)
+    assert h0 == FgGammaModule(0, ["t - 1", "t^4 + t^3 - t - 1"])
+    assert h1.is_zero
+
+
+def test_wedge_of_loops_takes_the_gcd():
+    wedge = TwistedComplex([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]],
+                           {"0-2": "t^2", "0-4": "t^3"})
+    h0, h1 = twisted_homology(wedge)
+    assert h0 == FgGammaModule.cyclic("t - 1")
+    assert h1 == FgGammaModule.free(1)
+
+
+@pytest.mark.parametrize("unit", ["2", "1/2", "-1"])
+def test_rational_unit_loop_is_acyclic(unit):
+    """h - 1 is a nonzero constant, a unit: the gcd stops there."""
+    tc = TwistedComplex(CIRCLE + [[7]], {"0-2": unit})
+    h0, h1 = twisted_homology(tc)
+    assert h0 == FgGammaModule.free(1) and h1.is_zero
+
+
+def test_point_set_homology_is_free():
+    assert twisted_homology(TwistedComplex([[3], [0], [5]])) == (
+        FgGammaModule.free(3),)
+
+
+# -- complex-size cap ------------------------------------------------------------------
+
+
+def test_face_closure_cap_is_checked_before_building():
+    with pytest.raises(twisted.ComplexTooLarge, match="1099511627775 faces"):
+        TwistedComplex([list(range(40))])
+    with pytest.raises(twisted.ComplexTooLarge):
+        TwistedComplex([[0, 1]] * (twisted.MAX_FACES // 3 + 1))
+
+
+def test_large_torus_under_the_cap():
+    m = 24
+
+    def v(i, j):
+        return (i % m) * m + (j % m)
+
+    tris = [[v(i, j), v(i + a, j + 1 - a), v(i + 1, j + 1)]
+            for i in range(m) for j in range(m) for a in (0, 1)]
+    tc = TwistedComplex(tris, stalk=FgGammaModule.cyclic("t - 1"))
+    assert len(tc.simplices) == 3456
+    h0, h1, h2 = twisted_homology(tc)
+    assert (h0, h1, h2) == (FgGammaModule.cyclic("t - 1"),
+                            FgGammaModule(0, ["t - 1", "t - 1"]),
+                            FgGammaModule.cyclic("t - 1"))
 
 
 # -- conservation laws -----------------------------------------------------------------
