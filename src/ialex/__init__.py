@@ -11,7 +11,6 @@ those bounds are read from.
 
 from ialex.laurent import (
     LaurentPoly,
-    PrimitiveRep,
     factor,
     gcd,
     involute,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentPoly",
-    "PrimitiveRep",
     "factor",
     "gcd",
     "involute",

@@ -24,8 +24,8 @@ from ialex.engine import Perversity
 from ialex.gmodule import NotPrime, _require_prime
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
+    LaurentPoly,
     PolyLike,
-    PrimitiveRep,
     divides,
     factor,
     multiplicity,
@@ -59,11 +59,11 @@ class MissingOrdinaryData(ValueError):
 _T_MINUS_ONE = normalize("t - 1")
 
 
-def _primes_of(poly: PolyLike, degree_cap: int) -> set[PrimitiveRep]:
+def _primes_of(poly: PolyLike, degree_cap: int) -> set[LaurentPoly]:
     return {p for p, _ in factor(poly, degree_cap)}
 
 
-def _link_primes(poly: PolyLike, degree_cap: int) -> set[PrimitiveRep]:
+def _link_primes(poly: PolyLike, degree_cap: int) -> set[LaurentPoly]:
     return _primes_of(poly, degree_cap) - {_T_MINUS_ONE}
 
 
@@ -132,7 +132,7 @@ class StratificationData:
     >>> data = StratificationData(7, [
     ...     Stratum(2, [StratumComponent(["t - 1", "t^2 - t + 1"])])])
     >>> data.strata[0].components[0].xi[1]
-    PrimitiveRep('t^2 - t + 1')
+    LaurentPoly('t^2 - t + 1')
     """
 
     __slots__ = ("n", "strata")
@@ -203,9 +203,9 @@ class E2Table:
 
     >>> table = E2Table({(0, 2, 0): "t - 1", (0, 0, 1): "1"})
     >>> table.entry(0, 2, 0)
-    PrimitiveRep('t - 1')
+    LaurentPoly('t - 1')
     >>> table.entry(0, 0, 1)
-    PrimitiveRep('1')
+    LaurentPoly('1')
     """
 
     __slots__ = ("_entries",)
@@ -221,8 +221,8 @@ class E2Table:
                 table[(i, p, q)] = rep
         self._entries = table
 
-    def entry(self, i: int, p: int, q: int) -> PrimitiveRep:
-        return self._entries.get((i, p, q), PrimitiveRep.one())
+    def entry(self, i: int, p: int, q: int) -> LaurentPoly:
+        return self._entries.get((i, p, q), LaurentPoly.one())
 
     def items(self) -> tuple:
         return tuple(sorted(self._entries.items()))
@@ -250,7 +250,7 @@ class E2Table:
 def allowed_primes_single(i: int, n: int, k: int, c_i: PolyLike,
                           xi: Sequence[PolyLike],
                           degree_cap: int = DEFAULT_DEGREE_CAP,
-                          ) -> set[PrimitiveRep]:
+                          ) -> set[LaurentPoly]:
     """Admissible prime divisors when the singular set is one closed manifold
     stratum with a product link-cone neighborhood.
 
@@ -304,7 +304,7 @@ def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
 def allowed_primes_general(j: int, lambda_j: PolyLike, data: StratificationData,
                            use_ordinary: bool = False,
                            degree_cap: int = DEFAULT_DEGREE_CAP,
-                           ) -> set[PrimitiveRep]:
+                           ) -> set[LaurentPoly]:
     """Admissible prime divisors for an arbitrary stratified singular set.
 
     A prime dividing the degree-j intersection polynomial divides lambda_j or
@@ -369,7 +369,7 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
     return total
 
 
-def check_result(ia_j: PolyLike, allowed: Iterable[PrimitiveRep],
+def check_result(ia_j: PolyLike, allowed: Iterable[LaurentPoly],
                  power_bounds: Optional[Mapping[PolyLike, int]] = None,
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> dict:
     """Compare a computed polynomial against an admissibility set and

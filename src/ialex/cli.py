@@ -56,7 +56,6 @@ class RunOptions:
     """Flags threaded from the command line into the handlers."""
 
     degree_cap: int = laurent.DEFAULT_DEGREE_CAP
-    assume_zero_kernel: bool = False
 
 
 # -- schema helpers --------------------------------------------------------------
@@ -110,7 +109,7 @@ def _entry(value, path: str) -> laurent.LaurentPoly:
         raise SchemaError(path, f"bad polynomial: {exc}") from exc
 
 
-def _poly(value, path: str) -> laurent.PrimitiveRep:
+def _poly(value, path: str) -> laurent.LaurentPoly:
     """A nonzero polynomial in canonical form."""
     _require(value, path, str, "a polynomial string")
     try:
@@ -121,7 +120,7 @@ def _poly(value, path: str) -> laurent.PrimitiveRep:
         raise SchemaError(path, f"bad polynomial: {exc}") from exc
 
 
-def _poly_field(obj, key, path) -> laurent.PrimitiveRep:
+def _poly_field(obj, key, path) -> laurent.LaurentPoly:
     _str_field(obj, key, path)
     return _poly(obj[key], f"{path}.{key}")
 
@@ -318,8 +317,6 @@ def _case_ia_point(payload, opts: RunOptions):
 def _case_ia_product(payload, opts: RunOptions):
     a_high = _poly_list(_list_field(payload, "a_high", "payload"),
                         "payload.a_high")
-    if opts.assume_zero_kernel:
-        a_high = []
     a = None
     if "a" in payload:
         a = _poly_list(_list_field(payload, "a", "payload"), "payload.a")
@@ -663,15 +660,7 @@ def _common_options(f):
     f = click.option("--degree-cap", type=int,
                      default=laurent.DEFAULT_DEGREE_CAP, show_default=True,
                      help="Refuse factorizations above this degree.")(f)
-    f = click.option("--assume-zero-kernel", is_flag=True,
-                     help="Exploration aid for ia-product: treat every "
-                          "high kernel polynomial as 1.")(f)
     return f
-
-
-def _make_options(degree_cap: int, assume_zero_kernel: bool) -> RunOptions:
-    return RunOptions(degree_cap=degree_cap,
-                      assume_zero_kernel=assume_zero_kernel)
 
 
 @click.group()
@@ -690,9 +679,8 @@ def _leaf(group, name: str, expect_kind: Optional[str],
           expect_op: Optional[str], help_text: str):
     @group.command(name, help=help_text)
     @_common_options
-    def command(input_path, fmt, degree_cap, assume_zero_kernel):
-        _case_command(input_path, fmt,
-                      _make_options(degree_cap, assume_zero_kernel),
+    def command(input_path, fmt, degree_cap):
+        _case_command(input_path, fmt, RunOptions(degree_cap),
                       expect_kind, expect_op)
     return command
 
@@ -763,11 +751,9 @@ _leaf(bounds_group, "check", "bounds", "check",
 @click.option("--degree-cap", type=int, default=laurent.DEFAULT_DEGREE_CAP,
               show_default=True,
               help="Refuse factorizations above this degree.")
-@click.option("--assume-zero-kernel", is_flag=True,
-              help="Exploration aid for ia-product cases.")
-def corpus(directory, fmt, degree_cap, assume_zero_kernel):
+def corpus(directory, fmt, degree_cap):
     """Run every .json case file in DIR and print a summary report."""
-    opts = _make_options(degree_cap, assume_zero_kernel)
+    opts = RunOptions(degree_cap)
     root = Path(directory)
     if not root.is_dir():
         report = _error_report("corpus", "io", f"not a directory: {directory}")

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 from ialex.exactseq import PolySequence
 from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
+    LaurentPoly,
     PolyLike,
-    PrimitiveRep,
     divides,
     exact_quotient,
     involute,
@@ -59,7 +59,7 @@ class DivisibilityViolation(ValueError):
     """Input data contradicts a divisibility the theory guarantees."""
 
 
-_ONE = PrimitiveRep.one()
+_ONE = LaurentPoly.one()
 
 
 class Perversity:
@@ -123,11 +123,7 @@ class Perversity:
         >>> Perversity.top(6).superdual().values
         (1, 1, 1, 1, 1)
         """
-        dual = [k - 1 - self(k) for k in range(2, self.max_codim + 1)]
-        try:
-            return Perversity(dual)
-        except InvalidPerversity as exc:  # pragma: no cover - impossible
-            raise InvalidPerversity(f"superdual failed: {exc}") from exc
+        return Perversity([k - 1 - self(k) for k in range(2, self.max_codim + 1)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Perversity):
@@ -158,17 +154,14 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
     cutoff = n - 1 - p(n)
     out = []
     for i in range(n):
-        mod = link[i] if i < len(link) else FgGammaModule.zero()
-        if i == 0:
-            out.append(mod)
-        elif i >= cutoff:
-            out.append(FgGammaModule.zero())
+        if i == 0 or i < cutoff:
+            out.append(link[i] if i < len(link) else FgGammaModule.zero())
         else:
-            out.append(mod)
+            out.append(FgGammaModule.zero())
     return tuple(out)
 
 
-def ia_locally_flat(lams: Sequence[PolyLike]) -> tuple[PrimitiveRep, ...]:
+def ia_locally_flat(lams: Sequence[PolyLike]) -> tuple[LaurentPoly, ...]:
     """Locally flat knots keep their ordinary Alexander polynomials."""
     return tuple(normalize(p) for p in lams)
 
@@ -214,28 +207,28 @@ class DiskKnotData:
     def __setattr__(self, name, value):
         raise AttributeError("DiskKnotData is immutable")
 
-    def a_at(self, i: int) -> PrimitiveRep:
+    def a_at(self, i: int) -> LaurentPoly:
         if i < 0 or i >= len(self.a):
             return _ONE
         return self.a[i]
 
-    def b_at(self, i: int) -> PrimitiveRep:
+    def b_at(self, i: int) -> LaurentPoly:
         if i < 0 or i >= len(self.b):
             return _ONE
         return self.b[i]
 
-    def c_at(self, i: int) -> PrimitiveRep:
+    def c_at(self, i: int) -> LaurentPoly:
         if i < 0 or i >= len(self.c):
             return _ONE
         return self.c[i]
 
-    def lam(self, i: int) -> PrimitiveRep:
+    def lam(self, i: int) -> LaurentPoly:
         return self.b_at(i) * self.c_at(i)
 
-    def nu(self, i: int) -> PrimitiveRep:
+    def nu(self, i: int) -> LaurentPoly:
         return self.a_at(i) * self.b_at(i)
 
-    def mu(self, i: int) -> PrimitiveRep:
+    def mu(self, i: int) -> LaurentPoly:
         return self.c_at(i) * self.a_at(i - 1)
 
     def __repr__(self) -> str:
@@ -250,7 +243,7 @@ def _require_traditional(p: Perversity):
             "superperverse values")
 
 
-def ia_point(data: DiskKnotData, p: Perversity) -> tuple[PrimitiveRep, ...]:
+def ia_point(data: DiskKnotData, p: Perversity) -> tuple[LaurentPoly, ...]:
     """Intersection Alexander polynomials of a knot with one point singularity.
 
     Below the perversity cutoff m = n-1-p(n) the answer is the ordinary
@@ -334,18 +327,18 @@ class ProductSingularityInput:
     def __setattr__(self, name, value):
         raise AttributeError("ProductSingularityInput is immutable")
 
-    def c_at(self, i: int) -> PrimitiveRep:
+    def c_at(self, i: int) -> LaurentPoly:
         return self.c[i] if 0 <= i < len(self.c) else _ONE
 
-    def a_high_at(self, i: int) -> PrimitiveRep:
+    def a_high_at(self, i: int) -> LaurentPoly:
         return self.a_high[i] if 0 <= i < len(self.a_high) else _ONE
 
-    def a_at(self, i: int) -> PrimitiveRep:
+    def a_at(self, i: int) -> LaurentPoly:
         return self.a[i] if 0 <= i < len(self.a) else _ONE
 
 
 def ia_product(inp: ProductSingularityInput,
-               ) -> tuple[tuple[PrimitiveRep, ...], list[dict]]:
+               ) -> tuple[tuple[LaurentPoly, ...], list[dict]]:
     """Intersection Alexander polynomials for a product-neighborhood stratum.
 
     Degree by degree: the full Mayer-Vietoris polynomial nu_i is the Kunneth
@@ -357,7 +350,7 @@ def ia_product(inp: ProductSingularityInput,
     """
     p = inp.perversity
     s_min = inp.k - p(inp.k + 1)
-    out: list[PrimitiveRep] = []
+    out: list[LaurentPoly] = []
     report: list[dict] = []
     for i in range(inp.n - 1):
         nu = kunneth_order(inp.sigma_homology, inp.link_modules, i)
@@ -392,7 +385,7 @@ def ia_product(inp: ProductSingularityInput,
 
 
 def superdual_polynomials(ia: Sequence[PolyLike], n: int,
-                          ) -> tuple[PrimitiveRep, ...]:
+                          ) -> tuple[LaurentPoly, ...]:
     """Transport polynomials across superduality: degree i from degree n-1-i.
 
     The dual-perversity polynomial in degree i is the involution of the
@@ -406,7 +399,7 @@ def superdual_polynomials(ia: Sequence[PolyLike], n: int,
     for i in range(n):
         j = n - 1 - i
         if 0 <= j < len(reps):
-            out.append(normalize(involute(reps[j].to_laurent())))
+            out.append(normalize(involute(reps[j])))
         else:
             out.append(_ONE)
     return tuple(out)
@@ -430,14 +423,12 @@ def validate_normalization(ia: Sequence[PolyLike], n: int,
             if i == 0 or i > n - 1:
                 requirement, ok = "similar to 1", rep.is_one
             elif i == n - 1:
-                requirement, ok = "similar to t - 1", similar(
-                    rep.to_laurent(), "t - 1")
+                requirement, ok = "similar to t - 1", similar(rep, "t - 1")
             else:
                 requirement, ok = "Alexander type", is_alexander_type(rep)
         else:
             if i == 0:
-                requirement, ok = "similar to t - 1", similar(
-                    rep.to_laurent(), "t - 1")
+                requirement, ok = "similar to t - 1", similar(rep, "t - 1")
             elif i >= n - 1:
                 requirement, ok = "similar to 1", rep.is_one
             else:

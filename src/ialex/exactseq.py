@@ -23,8 +23,8 @@ from ialex.gmodule import (
 )
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
+    LaurentPoly,
     PolyLike,
-    PrimitiveRep,
     _poly_divmod,
     divides,
     exact_quotient,
@@ -123,7 +123,7 @@ def check_alternating_product(polys: Sequence[PolyLike]) -> bool:
     """
     if not polys:
         raise ValueError("empty sequence")
-    even = odd = PrimitiveRep.one()
+    even = odd = LaurentPoly.one()
     for i, p in enumerate(polys):
         if i % 2 == 0:
             even = even * normalize(p)
@@ -132,7 +132,7 @@ def check_alternating_product(polys: Sequence[PolyLike]) -> bool:
     return even == odd
 
 
-def subpolynomials(polys: Sequence[PolyLike]) -> tuple[PrimitiveRep, ...]:
+def subpolynomials(polys: Sequence[PolyLike]) -> tuple[LaurentPoly, ...]:
     """Recover the deltas by dividing in from the left end.
 
     delta_0 = 1 and delta_{i+1} = Delta_i / delta_i; the run must close with
@@ -145,7 +145,7 @@ def subpolynomials(polys: Sequence[PolyLike]) -> tuple[PrimitiveRep, ...]:
         ...
     ialex.exactseq.NotExactCompatible: entry 1 is not divisible by its left delta
     """
-    deltas = [PrimitiveRep.one()]
+    deltas = [LaurentPoly.one()]
     for i, p in enumerate(polys):
         rep = normalize(p)
         if not divides(deltas[-1], rep):
@@ -176,7 +176,7 @@ def solve_missing_third(
     ['t^2 - 1', 't^2 + 3*t + 2', 't + 2']
     """
     junctions = dict(junctions or {})
-    polys: list[Optional[PrimitiveRep]] = [
+    polys: list[Optional[LaurentPoly]] = [
         None if p is None else normalize(p) for p in entries]
     if not polys:
         raise ValueError("empty sequence")
@@ -185,15 +185,15 @@ def solve_missing_third(
         raise ValueError("unknown positions must be congruent mod 3")
 
     n = len(polys)
-    deltas: list[Optional[PrimitiveRep]] = [None] * (n + 1)
-    deltas[0] = PrimitiveRep.one()
-    deltas[n] = PrimitiveRep.one()
+    deltas: list[Optional[LaurentPoly]] = [None] * (n + 1)
+    deltas[0] = LaurentPoly.one()
+    deltas[n] = LaurentPoly.one()
     for idx, value in junctions.items():
         if not 0 <= idx <= n:
             raise ValueError(f"junction index {idx} out of range")
         deltas[idx] = normalize(value)
 
-    def quotient(entry: PrimitiveRep, delta: PrimitiveRep, where: int) -> PrimitiveRep:
+    def quotient(entry: LaurentPoly, delta: LaurentPoly, where: int) -> LaurentPoly:
         if not divides(delta, entry):
             raise NonDividingSplitting(
                 f"delta {delta} does not divide entry {where} ({entry})")
@@ -272,7 +272,7 @@ class ModuleSequence:
                     f"{src.rank}x{dst.rank}")
             for j, cj in enumerate(src.torsion):
                 for l, dl in enumerate(dst.torsion):
-                    if not divides(dl, cj.to_laurent() * t.entry(j, l)):
+                    if not divides(dl, cj * t.entry(j, l)):
                         raise ValueError(
                             f"map {i} does not respect relation {j} of its source")
         for i in range(len(mats) - 1):
@@ -292,7 +292,7 @@ class ModuleSequence:
     def __len__(self) -> int:
         return len(self.modules)
 
-    def order_polynomials(self) -> tuple[PrimitiveRep, ...]:
+    def order_polynomials(self) -> tuple[LaurentPoly, ...]:
         return tuple(order_polynomial(m) for m in self.modules)
 
     def __repr__(self) -> str:
@@ -333,7 +333,7 @@ def split_primary(seq: ModuleSequence, prime: PolyLike,
     for i, t in enumerate(seq.maps):
         rows, cols = kept_indices[i], kept_indices[i + 1]
         target = components[i + 1]
-        grid = [[_poly_divmod(t.entry(r, c), target.torsion[l].to_laurent())[1]
+        grid = [[_poly_divmod(t.entry(r, c), target.torsion[l])[1]
                  for l, c in enumerate(cols)] for r in rows]
         new_maps.append(GammaMatrix(grid, cols=len(cols)))
     return ModuleSequence(components, new_maps)

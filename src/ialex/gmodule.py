@@ -5,11 +5,11 @@ A matrix presents its cokernel: rows are relations, columns are generators.
 boundary matrices of simplicial complexes, with p + 1 entries in a row of
 any length, go into the elimination without a dense pass.
 
-Smith normal form over the Euclidean domain (norm = span of the primitive
-representative) reduces every module to the canonical shape
+Smith normal form over the Euclidean domain (norm = degree of the normal
+form) reduces every module to the canonical shape
 free rank + invariant-factor chain, which the classification theorem makes a
 complete invariant.  It runs in two steps: one sparse Euclidean elimination
-diagonalises, unit pivots being the pivots of least span, then gcd/lcm
+diagonalises, unit pivots being the pivots of least degree, then gcd/lcm
 pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), turns the
 diagonal into the chain, the same step that canonicalises a direct sum of
 cyclic modules.  On top of that normal form sit the order polynomial,
@@ -21,13 +21,12 @@ without building the product's module.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
-    PrimitiveRep,
     _ZERO,
     _poly_divmod,
     _unit_quotient,
@@ -114,10 +113,6 @@ class GammaMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("GammaMatrix is immutable")
 
-    @classmethod
-    def diagonal(cls, values: Sequence[PolyLike]) -> "GammaMatrix":
-        return cls.from_rows([{i: v} for i, v in enumerate(values)], len(values))
-
     @property
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols))
@@ -182,16 +177,16 @@ def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
     """Diagonalise by sparse Euclidean pivoting; returns the nonzero diagonal.
 
     It works on copies of the matrix's sparse rows.  Each round pivots on an
-    entry of least span, from the row with the least (span, length, index)
-    and then the sparsest column, which keeps fill-in low; units are the
-    pivots of span 0 (Dumas, Saunders and Villard, JSC 2001).  Row
+    entry of least degree, from the row with the least (degree, length,
+    index) and then the sparsest column, which keeps fill-in low; units are
+    the pivots of degree 0 (Dumas, Saunders and Villard, JSC 2001).  Row
     operations clear the pivot column through the inverse of a unit, or else
     by Euclidean division once the pivot row is scaled to make the pivot
     primitive, which keeps coefficients tame.  A column left holding only
     the pivot lets column operations reduce the pivot row without touching
     any other row, and a pivot left alone splits off.  A remainder has less
-    span than every entry, so each round without a split lowers the least
-    span.
+    degree than every entry, so each round without a split lowers the least
+    degree.
     `_invariant_chain` turns the diagonal into a divisibility chain.
     """
     rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
@@ -203,18 +198,18 @@ def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
 
     def push(k: int):
         row = rows[k]
-        heapq.heappush(queue, (min([e.span for e in row.values()]), len(row), k))
+        heapq.heappush(queue, (min([e.degree for e in row.values()]), len(row), k))
 
     for i in rows:
         push(i)
     diagonal = []
     while queue:
-        span, size, i = heapq.heappop(queue)
+        degree, size, i = heapq.heappop(queue)
         pivot_row = rows.get(i)
         if pivot_row is None or len(pivot_row) != size:
             continue                          # stale: removed or changed
-        col = min(pivot_row, key=lambda j: (pivot_row[j].span, len(holders[j]), j))
-        if pivot_row[col].span != span:
+        col = min(pivot_row, key=lambda j: (pivot_row[j].degree, len(holders[j]), j))
+        if pivot_row[col].degree != degree:
             continue
         pivot = pivot_row.pop(col)
         scale, unit = _unit_quotient(pivot), pivot.is_unit
@@ -261,7 +256,7 @@ def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
     return diagonal
 
 
-def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
+def smith_normal_form(m: GammaMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
     """Invariant factors of a presentation matrix, plus the rank.
 
     The factors include unit pivots and form a divisibility chain; the second
@@ -278,11 +273,11 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[PrimitiveRep, ...], int]:
     """
     diagonal = _diagonalise(m)
     nonunits = [normalize(d) for d in diagonal if not d.is_unit]
-    ones = (PrimitiveRep.one(),) * (len(diagonal) - len(nonunits))
+    ones = (LaurentPoly.one(),) * (len(diagonal) - len(nonunits))
     return ones + tuple(_invariant_chain(nonunits)), len(diagonal)
 
 
-def _invariant_chain(reps: list[PrimitiveRep]) -> list[PrimitiveRep]:
+def _invariant_chain(reps: list[LaurentPoly]) -> list[LaurentPoly]:
     """The invariant-factor chain of a diagonal, units first.
 
     Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), so pairing each
@@ -327,7 +322,7 @@ class FgGammaModule:
 
     __slots__ = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: Iterable[Union[PrimitiveRep, str]] = ()):
+    def __init__(self, free_rank: int, torsion: Iterable[PolyLike] = ()):
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         chain = tuple(normalize(t) for t in torsion)
@@ -429,22 +424,22 @@ def cokernel(m: GammaMatrix) -> FgGammaModule:
     return FgGammaModule(m.cols - rank, [f for f in factors if not f.is_one])
 
 
-def order_polynomial(m: FgGammaModule) -> PrimitiveRep:
+def order_polynomial(m: FgGammaModule) -> LaurentPoly:
     """Product of the torsion coefficients; 1 for the zero module.
 
     >>> order_polynomial(FgGammaModule(0, ["t - 1", "t^2 - 1"]))
-    PrimitiveRep('t^3 - t^2 - t + 1')
+    LaurentPoly('t^3 - t^2 - t + 1')
     """
     if m.free_rank:
         raise NotTorsion("order polynomial requires a torsion module")
-    out = PrimitiveRep.one()
+    out = LaurentPoly.one()
     for t in m.torsion:
         out = out * t
     return out
 
 
 def _require_prime(prime: PolyLike,
-                   degree_cap: int = DEFAULT_DEGREE_CAP) -> PrimitiveRep:
+                   degree_cap: int = DEFAULT_DEGREE_CAP) -> LaurentPoly:
     rep = normalize(prime)
     if rep.is_one or factor(rep, degree_cap) != ((rep, 1),):
         raise NotPrime(f"{rep} is not irreducible")
@@ -485,7 +480,7 @@ def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
         return b
     if b == FgGammaModule.free(1):
         return a
-    orders: list[PrimitiveRep] = []
+    orders: list[LaurentPoly] = []
     orders.extend(t for t in b.torsion for _ in range(a.free_rank))
     orders.extend(t for t in a.torsion for _ in range(b.free_rank))
     for x in a.torsion:
@@ -507,7 +502,7 @@ def tor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
 
 
 def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
-                  i: int, s_min: int = 0) -> PrimitiveRep:
+                  i: int, s_min: int = 0) -> LaurentPoly:
     """Order of the degree-i homology of a product, from the graded factors.
 
     Only the Kunneth terms whose right-hand degree s is at least s_min count:
@@ -519,9 +514,9 @@ def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
 
     >>> seq = [FgGammaModule.cyclic("t - 1")]
     >>> kunneth_order(seq, seq, 1)
-    PrimitiveRep('t - 1')
+    LaurentPoly('t - 1')
     """
-    out = PrimitiveRep.one()
+    out = LaurentPoly.one()
     for s in range(max(s_min, 0), len(right)):
         b = right[s]
         for r in (i - s, i - 1 - s):

@@ -4,9 +4,11 @@ The ring of Laurent polynomials with rational coefficients is a principal
 ideal domain whose units are the monomials q*t^k with q a nonzero rational.
 Every nonzero element is similar (equal up to a unit) to exactly one
 primitive integer polynomial with nonzero constant term and positive leading
-coefficient.  :class:`LaurentPoly` is the general ring element;
-:class:`PrimitiveRep` is that canonical representative, so similarity tests
-reduce to structural equality.
+coefficient.  :class:`LaurentPoly` is the one ring element, and
+:func:`normalize` maps each nonzero element to that canonical
+representative, its normal form, which is again a :class:`LaurentPoly`
+(``shift == 0``, ``den == 1``, content 1, positive leading coefficient).
+Similarity tests therefore reduce to equality of normal forms.
 
 All arithmetic is exact and no floating point is used anywhere.  A ring
 element is one dense integer polynomial over one positive denominator, the
@@ -15,16 +17,17 @@ canonical form of FLINT's ``fmpq_poly``: ``t^shift * (num[0] + num[1]*t +
 entries are nonzero (the empty tuple for zero) and ``den`` is positive and
 coprime to the content of ``num``.  Equal elements have equal triples, so
 equality and hashing are tuple compares, and ``+`` and ``*`` run on integer
-tuples without building a rational per coefficient.  Dense storage needs a
-bound: an element built from terms, by :func:`parse`, the mapping
-constructor or ``+``, may span at most :data:`MAX_SPAN` exponents, checked
-before the tuple is allocated.
+tuples without building a rational per coefficient.  A product of normal
+forms is a normal form (Gauss's lemma).  Dense storage needs a bound: an
+element built from terms, by :func:`parse`, the mapping constructor or
+``+``, may span at most :data:`MAX_SPAN` exponents, checked before the tuple
+is allocated.
 
-gcd and division run on the integer primitive representatives: by Gauss's
-lemma, gcds and divisibility in Q[t, t^-1] are those of Z[t] on primitive
-polynomials, so no rational Euclid (and no coefficient blow-up) is needed.
-gcds use the heuristic GCD of Char, Geddes and Gonnet, which reads the
-gcd off the integer gcd of two values; factorization divides out the
+gcd and division run on the integer numerators of the normal forms: by
+Gauss's lemma, gcds and divisibility in Q[t, t^-1] are those of Z[t] on
+primitive polynomials, so no rational Euclid (and no coefficient blow-up) is
+needed.  gcds use the heuristic GCD of Char, Geddes and Gonnet, which reads
+the gcd off the integer gcd of two values; factorization divides out the
 cyclotomic factors exactly and hands only the rest to the modular
 factorizer.  Both live in :mod:`ialex.zfactor`, with the rest of the dense
 integer arithmetic.
@@ -47,7 +50,6 @@ __all__ = [
     "LaurentPoly",
     "MAX_SPAN",
     "PolyLike",
-    "PrimitiveRep",
     "SpanCapExceeded",
     "ZeroPolynomial",
     "as_laurent",
@@ -222,11 +224,6 @@ class LaurentPoly:
     def constant(cls, value) -> "LaurentPoly":
         return cls({0: value})
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable, shift: int = 0) -> "LaurentPoly":
-        """Build from a dense coefficient list, lowest exponent first."""
-        return cls({shift + i: c for i, c in enumerate(coeffs)})
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -251,11 +248,15 @@ class LaurentPoly:
         return self._shift + len(self._num) - 1
 
     @property
-    def span(self) -> int:
-        """Degree of the primitive representative (max_exp - min_exp)."""
-        if not self._num:
-            raise ZeroPolynomial("zero polynomial has no exponents")
+    def degree(self) -> int:
+        """max_exp - min_exp, the degree of the normal form; -1 for zero."""
         return len(self._num) - 1
+
+    @property
+    def is_one(self) -> bool:
+        """True iff the element is 1; a normal form is 1 iff its class is
+        the units."""
+        return self._num == (1,) and not self._shift and self._den == 1
 
     def coeff(self, exp: int) -> Fraction:
         i = exp - self._shift
@@ -378,6 +379,10 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self._shift, self._num, self._den))
 
+    def sort_key(self) -> tuple:
+        """The canonical order: by degree, then coefficients, lowest first."""
+        return (len(self._num) - 1, self._num, self._shift, self._den)
+
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -392,104 +397,7 @@ _ZERO = _make(0, (), 1)
 _ONE = _make(0, (1,), 1)
 
 
-PolyLike = Union["LaurentPoly", "PrimitiveRep", int, str]
-
-
-class PrimitiveRep:
-    """The canonical representative of a nonzero similarity class.
-
-    Coefficients are integers indexed from exponent 0 upward; the constant
-    term is nonzero, the coefficient gcd is 1, and the leading coefficient is
-    positive.  Two nonzero Laurent polynomials are similar exactly when their
-    representatives are equal.
-
-    >>> PrimitiveRep([-1, 1])
-    PrimitiveRep('t - 1')
-    >>> PrimitiveRep([2, 2])
-    Traceback (most recent call last):
-        ...
-    ValueError: coefficients must have gcd 1
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = tuple(int(c) for c in coeffs)
-        if not cs:
-            raise ZeroPolynomial("a primitive representative cannot be zero")
-        if cs[0] == 0:
-            raise ValueError("constant term must be nonzero")
-        if cs[-1] <= 0:
-            raise ValueError("leading coefficient must be positive")
-        if math.gcd(*cs) != 1:
-            raise ValueError("coefficients must have gcd 1")
-        self._coeffs = cs
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple) -> "PrimitiveRep":
-        """A representative from a tuple already known to be canonical."""
-        rep = _new(cls)
-        rep._coeffs = coeffs
-        return rep
-
-    @classmethod
-    def one(cls) -> "PrimitiveRep":
-        return cls._trusted((1,))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def is_one(self) -> bool:
-        return self._coeffs == (1,)
-
-    def to_laurent(self) -> LaurentPoly:
-        return _make(0, self._coeffs, 1)
-
-    def evaluate_at_one(self) -> int:
-        return sum(self._coeffs)
-
-    def __mul__(self, other: "PrimitiveRep") -> "PrimitiveRep":
-        if not isinstance(other, PrimitiveRep):
-            return NotImplemented
-        # A product of primitive integer polynomials is primitive (Gauss),
-        # and the sign/offset normalizations are preserved, so the raw
-        # convolution is already canonical.
-        return PrimitiveRep._trusted(
-            tuple(_convolve(self._coeffs, other._coeffs)))
-
-    def __pow__(self, n: int) -> "PrimitiveRep":
-        if n < 0:
-            raise ValueError("negative powers leave the ring")
-        result = PrimitiveRep.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def sort_key(self) -> tuple:
-        return (self.degree, self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrimitiveRep):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __lt__(self, other: "PrimitiveRep") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __str__(self) -> str:
-        return _format_terms(0, self._coeffs, 1)
-
-    def __repr__(self) -> str:
-        return f"PrimitiveRep({str(self)!r})"
+PolyLike = Union["LaurentPoly", int, str]
 
 
 # -- text form ---------------------------------------------------------
@@ -595,11 +503,9 @@ def _format_terms(shift: int, num: tuple, den: int) -> str:
 
 
 def as_laurent(value: PolyLike) -> LaurentPoly:
-    """Coerce strings, integers and representatives to :class:`LaurentPoly`."""
+    """Coerce strings and integers to :class:`LaurentPoly`."""
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, PrimitiveRep):
-        return value.to_laurent()
     if isinstance(value, int):
         return LaurentPoly.constant(value)
     if isinstance(value, str):
@@ -610,21 +516,23 @@ def as_laurent(value: PolyLike) -> LaurentPoly:
 # -- similarity calculus ------------------------------------------------
 
 
-def normalize(p: PolyLike) -> PrimitiveRep:
-    """The canonical primitive representative of a nonzero element.
+def normalize(p: PolyLike) -> LaurentPoly:
+    """The normal form of a nonzero element: its canonical primitive
+    representative, with shift 0, denominator 1, content 1 and a positive
+    leading coefficient.
 
     >>> normalize(parse("3/2*t^-1 - 3/2"))
-    PrimitiveRep('t - 1')
+    LaurentPoly('t - 1')
     >>> normalize(parse("t^2 - t"))
-    PrimitiveRep('t - 1')
+    LaurentPoly('t - 1')
     >>> normalize(parse("2*t^2 + 2*t + 2"))
-    PrimitiveRep('t^2 + t + 1')
+    LaurentPoly('t^2 + t + 1')
 
-    A representative is already canonical and is returned as it is.
+    An element already in normal form is returned as it is.
     """
-    if isinstance(p, PrimitiveRep):
-        return p
-    num = as_laurent(p)._num
+    if type(p) is not LaurentPoly:
+        p = as_laurent(p)
+    num = p._num
     if not num:
         raise ZeroPolynomial("the zero polynomial has no primitive representative")
     content = math.gcd(*num)
@@ -632,7 +540,9 @@ def normalize(p: PolyLike) -> PrimitiveRep:
         content = -content
     if content != 1:
         num = tuple([c // content for c in num])
-    return PrimitiveRep._trusted(num)
+    elif not p._shift and p._den == 1:
+        return p
+    return _make(0, num, 1)
 
 
 def _unit_quotient(value: LaurentPoly) -> LaurentPoly:
@@ -676,7 +586,7 @@ def involute(p: PolyLike) -> LaurentPoly:
 
 
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division a = q*b + r with r zero or of smaller span than b.
+    """Euclidean division a = q*b + r with r zero or of smaller degree than b.
 
     a is t^sa * na / da and b is t^sb * nb / db.  One pseudo-division of the
     integer numerators, L*na = Q*nb + R with L a power of nb's leading
@@ -696,17 +606,28 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
             _canonical(a._shift, [c * sign for c in rem], den * sign))
 
 
-def _rep_or_none(value: PolyLike) -> Optional[PrimitiveRep]:
-    """The primitive representative, or None for zero; representatives
-    pass through as they are."""
-    if isinstance(value, PrimitiveRep):
-        return value
-    q = as_laurent(value)
-    return None if q.is_zero else normalize(q)
+def _rep_or_none(value: PolyLike) -> Optional[LaurentPoly]:
+    """The normal form, or None for zero."""
+    q = value if type(value) is LaurentPoly else as_laurent(value)
+    return normalize(q) if q._num else None
 
 
-def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
-    """Greatest common divisor, as a canonical representative.
+def _checked_rep(coeffs: tuple) -> LaurentPoly:
+    """A computed integer tuple, lowest exponent first, as a normal form;
+    raises if it is not one."""
+    if not coeffs:
+        raise ZeroPolynomial("a primitive representative cannot be zero")
+    if coeffs[0] == 0:
+        raise ValueError("constant term must be nonzero")
+    if coeffs[-1] <= 0:
+        raise ValueError("leading coefficient must be positive")
+    if math.gcd(*coeffs) != 1:
+        raise ValueError("coefficients must have gcd 1")
+    return _make(0, tuple(coeffs), 1)
+
+
+def gcd(p: PolyLike, q: PolyLike) -> LaurentPoly:
+    """Greatest common divisor, as a normal form.
 
     Computed on the primitive representatives in Z[t] (Gauss's lemma) by
     the heuristic GCD of Char, Geddes and Gonnet (``zfactor.poly_gcd``),
@@ -714,18 +635,18 @@ def gcd(p: PolyLike, q: PolyLike) -> PrimitiveRep:
     primitive PRS gcd, so the result is exact.
 
     >>> gcd(parse("t - 1"), parse("t + 1"))
-    PrimitiveRep('1')
+    LaurentPoly('1')
     >>> gcd(parse("t^2 - 1"), parse("t^3 - 3*t^2 + 3*t - 1"))
-    PrimitiveRep('t - 1')
+    LaurentPoly('t - 1')
     >>> gcd(parse("t^2 - 1"), LaurentPoly.zero())
-    PrimitiveRep('t^2 - 1')
+    LaurentPoly('t^2 - 1')
     """
     a, b = _rep_or_none(p), _rep_or_none(q)
     if a is None and b is None:
         raise BothZero("gcd(0, 0) is undefined")
     if a is None or b is None:
         return a or b
-    return PrimitiveRep(poly_gcd(a.coeffs, b.coeffs))
+    return _checked_rep(poly_gcd(a._num, b._num))
 
 
 def divides(d: PolyLike, p: PolyLike) -> bool:
@@ -735,20 +656,20 @@ def divides(d: PolyLike, p: PolyLike) -> bool:
         return True
     if dd is None:
         return False
-    return exact_div(pp.coeffs, dd.coeffs) is not None
+    return exact_div(pp._num, dd._num) is not None
 
 
-def exact_quotient(p: PolyLike, d: PolyLike) -> PrimitiveRep:
-    """The canonical representative of p/d; raises if d does not divide p."""
+def exact_quotient(p: PolyLike, d: PolyLike) -> LaurentPoly:
+    """The normal form of p/d; raises if d does not divide p."""
     pp, dd = _rep_or_none(p), _rep_or_none(d)
     if dd is None:
         raise ZeroDivisionError("division by the zero polynomial")
     if pp is None:
         raise ZeroPolynomial("quotient of zero has no representative")
-    q = exact_div(pp.coeffs, dd.coeffs)
+    q = exact_div(pp._num, dd._num)
     if q is None:
         raise ValueError(f"{as_laurent(d)} does not divide {as_laurent(p)}")
-    return PrimitiveRep(q)
+    return _checked_rep(q)
 
 
 def multiplicity(prime: PolyLike, p: PolyLike) -> int:
@@ -763,8 +684,8 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
     current = _rep_or_none(p)
     if current is None:
         raise ZeroPolynomial("multiplicity in the zero polynomial is not defined")
-    coeffs, count = current.coeffs, 0
-    while (coeffs := exact_div(coeffs, g.coeffs)) is not None:
+    coeffs, count = current._num, 0
+    while (coeffs := exact_div(coeffs, g._num)) is not None:
         count += 1
     return count
 
@@ -854,11 +775,11 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     subset recombination), and a cofactor 1 is never passed on.
 
     >>> factor("t^2 - 1")
-    ((PrimitiveRep('t - 1'), 1), (PrimitiveRep('t + 1'), 1))
+    ((LaurentPoly('t - 1'), 1), (LaurentPoly('t + 1'), 1))
     >>> factor("7")
     ()
     >>> factor("t^5 - 3*t^4 + 5*t^3 - 5*t^2 + 3*t - 1")
-    ((PrimitiveRep('t - 1'), 1), (PrimitiveRep('t^2 - t + 1'), 2))
+    ((LaurentPoly('t - 1'), 1), (LaurentPoly('t^2 - t + 1'), 2))
     >>> [str(prime) for prime, _ in factor("t^6 - 1")]
     ['t - 1', 't + 1', 't^2 - t + 1', 't^2 + t + 1']
     """
@@ -870,9 +791,9 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     if rep.degree > _ORDERS_BOUND:
         _ORDERS_BOUND, _CYCLOTOMIC_ORDERS = (
             rep.degree, _cyclotomic_orders(rep.degree))
-    rest = rep.coeffs
+    rest = rep._num
     at_2 = sum(c << i for i, c in enumerate(rest))
-    found: list[tuple[PrimitiveRep, int]] = []
+    found: list[tuple[LaurentPoly, int]] = []
     for n, phi in _CYCLOTOMIC_ORDERS:
         if phi >= len(rest):  # which holds for every phi(n) > rep.degree
             continue
@@ -883,15 +804,15 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
         while (quotient := exact_div(rest, cyclo)) is not None:
             rest, at_2, mult = quotient, at_2 // phi_at_2, mult + 1
         if mult:
-            found.append((PrimitiveRep(cyclo), mult))
+            found.append((_checked_rep(cyclo), mult))
     if len(rest) > 1:
-        found.extend((PrimitiveRep(part), mult)
+        found.extend((_checked_rep(part), mult)
                      for part, mult in factor_primitive(rest))
     return tuple(sorted(found, key=lambda pair: pair[0].sort_key()))
 
 
 def is_alexander_type(p: PolyLike) -> bool:
-    """True iff the primitive representative evaluates to +-1 at t = 1.
+    """True iff the normal form evaluates to +-1 at t = 1.
 
     >>> is_alexander_type("t^2 - t + 1")
     True
@@ -900,4 +821,4 @@ def is_alexander_type(p: PolyLike) -> bool:
     >>> is_alexander_type("3*t - 1")
     False
     """
-    return normalize(p).evaluate_at_one() in (1, -1)
+    return sum(normalize(p)._num) in (1, -1)

@@ -37,7 +37,6 @@ from ialex.gmodule import (
 from ialex.laurent import (
     LaurentPoly,
     PolyLike,
-    PrimitiveRep,
     as_laurent,
     gcd,
     normalize,
@@ -260,7 +259,7 @@ def _spanning_forest(tc: TwistedComplex) -> tuple[FgGammaModule, int, dict]:
                     tree.add((u, v) if u < v else (v, u))
                     stack.append(v)
 
-    orders: dict[int, PrimitiveRep] = {}    # root -> gcd of its h(e) - 1
+    orders: dict[int, LaurentPoly] = {}    # root -> gcd of its h(e) - 1
     index = {}
     for edge in tc.simplices_of_dim(1):
         if edge in tree:
@@ -364,7 +363,7 @@ def e2_link_page(base, link_modules: Sequence[FgGammaModule],
     >>> page = e2_link_page(point, [FgGammaModule.cyclic("t - 1"),
     ...                             FgGammaModule.cyclic("t + 1")])
     >>> page.entry(0, 0, 1)
-    PrimitiveRep('t + 1')
+    LaurentPoly('t + 1')
     """
     family = _family(base, len(link_modules))
     free: dict[tuple, tuple[FgGammaModule, ...]] = {}
@@ -390,15 +389,15 @@ def e2_cone_page(link_modules: Sequence[FgGammaModule], codim: int,
     >>> links = [FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t + 1")]
     >>> page = e2_cone_page(links, 3, Perversity([0, 1]), point)
     >>> page.entry(0, 0, 1)
-    PrimitiveRep('1')
+    LaurentPoly('1')
     >>> page.entry(0, 0, 0)
-    PrimitiveRep('t - 1')
+    LaurentPoly('t - 1')
     """
     coned = cone_ih(link_modules, codim, p)[:len(link_modules)]
     return e2_link_page(base, coned, stratum_dim)
 
 
-def abutment_divisor_bound(table: E2Table, j: int) -> PrimitiveRep:
+def abutment_divisor_bound(table: E2Table, j: int) -> LaurentPoly:
     """Product of the degree-j antidiagonal of a page.
 
     Whatever the page converges to has, in total degree j, an order
@@ -409,11 +408,11 @@ def abutment_divisor_bound(table: E2Table, j: int) -> PrimitiveRep:
     >>> point = TwistedComplex([[0]])
     >>> page = e2_link_page(point, [FgGammaModule.cyclic("t^2 - 1")])
     >>> abutment_divisor_bound(page, 0)
-    PrimitiveRep('t^2 - 1')
+    LaurentPoly('t^2 - 1')
     >>> abutment_divisor_bound(page, 5)
-    PrimitiveRep('1')
+    LaurentPoly('1')
     """
-    out = PrimitiveRep.one()
+    out = LaurentPoly.one()
     for (_, p, q), poly in table.items():
         if p + q == j:
             out = out * poly

@@ -1,8 +1,8 @@
 """Dense integer polynomial arithmetic and factorization in Z[t].
 
 Polynomials are sequences of integer coefficients indexed from exponent 0
-upward, the layout of ``laurent.PrimitiveRep.coeffs``; zero is the empty
-sequence.  This module is the one home for that arithmetic: exact and
+upward, the layout of the numerator of a ``laurent.LaurentPoly`` in normal
+form; zero is the empty sequence.  This module is the one home for that arithmetic: exact and
 pseudo-division, gcd, products by Kronecker substitution, and the factorizer
 that ``laurent.factor`` hands its cyclotomic-free cofactor to.
 

@@ -53,8 +53,8 @@ def small_primes_st():
 def eisenstein_coeffs(constant, middle, lead):
     """A representative irreducible by Eisenstein's criterion at 2, from
     an odd constant/2, integer middle/2 and an odd leading coefficient."""
-    return normalize(LaurentPoly.from_coeffs(
-        [2 * constant, *(2 * c for c in middle), lead]))
+    return normalize(LaurentPoly(enumerate(
+        [2 * constant, *(2 * c for c in middle), lead])))
 
 
 def seeded_eisenstein(rng, degree, lead=1):
@@ -66,10 +66,8 @@ def seeded_eisenstein(rng, degree, lead=1):
 
 def prime_products(max_factors=3):
     """Products of a few small fixed primes, as representatives."""
-    from ialex.laurent import PrimitiveRep
-
     def multiply(primes):
-        out = PrimitiveRep.one()
+        out = LaurentPoly.one()
         for p in primes:
             out = out * p
         return out
@@ -93,6 +91,14 @@ def fg_modules(max_free=2, max_summands=3):
         st.integers(min_value=0, max_value=max_free),
         torsion_modules(max_summands),
     ).map(lambda t: FgGammaModule(t[0] + t[1].free_rank, t[1].torsion))
+
+
+def diagonal_matrix(values):
+    """The square matrix with the given diagonal."""
+    from ialex.gmodule import GammaMatrix
+
+    return GammaMatrix.from_rows([{i: v} for i, v in enumerate(values)],
+                                 len(values))
 
 
 def gamma_matrices(max_rows=3, max_cols=3, max_span=2, max_coeff=3):
@@ -125,9 +131,7 @@ MIXED_POOL = [normalize(s) for s in
 
 @st.composite
 def pool_products(draw, pool=ALEX_POOL, max_factors=2):
-    from ialex.laurent import PrimitiveRep
-
-    out = PrimitiveRep.one()
+    out = LaurentPoly.one()
     for _ in range(draw(st.integers(0, max_factors))):
         out = out * draw(st.sampled_from(pool))
     return out
@@ -150,9 +154,8 @@ def disk_knot_data(draw, n=None):
     """Consistent subpolynomial data for a point singularity, anchored so the
     outputs satisfy the normalization clauses."""
     from ialex.engine import DiskKnotData
-    from ialex.laurent import PrimitiveRep
 
-    one = PrimitiveRep.one()
+    one = LaurentPoly.one()
     if n is None:
         n = draw(st.integers(4, 7))
     top = n - 3
@@ -165,11 +168,10 @@ def disk_knot_data(draw, n=None):
 @st.composite
 def torsion_from_pool(draw, pool, max_summands=2):
     from ialex.gmodule import FgGammaModule
-    from ialex.laurent import PrimitiveRep
 
     orders = []
     for _ in range(draw(st.integers(0, max_summands))):
-        order = PrimitiveRep.one()
+        order = LaurentPoly.one()
         for _ in range(draw(st.integers(1, 2))):
             order = order * draw(st.sampled_from(pool))
         orders.append(order)
@@ -177,9 +179,9 @@ def torsion_from_pool(draw, pool, max_summands=2):
 
 
 def _draw_divisor(draw, rep):
-    from ialex.laurent import PrimitiveRep, factor
+    from ialex.laurent import factor
 
-    out = PrimitiveRep.one()
+    out = LaurentPoly.one()
     for prime, mult in factor(rep):
         out = out * prime ** draw(st.integers(0, mult))
     return out
@@ -224,7 +226,7 @@ def product_inputs(draw, realizable=False):
     for i in range(n - 1):
         nu = kunneth_order(sigma, links, i)
         high = kunneth_order(sigma, links, i, s_min)
-        low = exact_quotient(nu.to_laurent(), high.to_laurent())
+        low = exact_quotient(nu, high)
         ah = _draw_divisor(draw, high)
         al = _draw_divisor(draw, low)
         if realizable:

@@ -30,7 +30,6 @@ from math import gcd as int_gcd, isqrt
 from ialex.gmodule import FgGammaModule, GammaMatrix, smith_normal_form, tensor, tor
 from ialex.laurent import (
     LaurentPoly,
-    PrimitiveRep,
     as_laurent,
     divides,
     factor,
@@ -210,17 +209,17 @@ def dense_coeffs(p) -> list[Fraction]:
 
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Euclidean division a = q*b + r in Q[t, t^-1] by `dense_divmod` on the
-    coefficient lists, r zero or of smaller span than b."""
+    coefficient lists, r zero or of smaller degree than b."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return LaurentPoly.zero(), LaurentPoly.zero()
     q, r = dense_divmod(dense_coeffs(a), dense_coeffs(b))
-    return (LaurentPoly.from_coeffs(q, shift=a.min_exp - b.min_exp),
-            LaurentPoly.from_coeffs(r, shift=a.min_exp))
+    return (LaurentPoly(enumerate(q)).shift(a.min_exp - b.min_exp),
+            LaurentPoly(enumerate(r)).shift(a.min_exp))
 
 
-def rational_euclid_gcd(p, q) -> PrimitiveRep:
+def rational_euclid_gcd(p, q) -> LaurentPoly:
     """gcd by Euclid over Q with Fraction coefficients, then normalized.
 
     Shares no integer arithmetic with `laurent.gcd`; at least one argument
@@ -230,7 +229,7 @@ def rational_euclid_gcd(p, q) -> PrimitiveRep:
     while b:
         _, r = dense_divmod(a, b)
         a, b = b, r
-    return normalize(LaurentPoly.from_coeffs(a))
+    return normalize(LaurentPoly(enumerate(a)))
 
 
 # -- Kronecker factorization (degree at most 6) ---------------------------
@@ -346,21 +345,30 @@ def _kronecker_divisor(coeffs: list[int], deg: int):
     return None
 
 
+def _rep(coeffs) -> LaurentPoly:
+    """The normal form with these integer coefficients, lowest exponent
+    first; they must already be one."""
+    p = LaurentPoly(enumerate(coeffs))
+    if normalize(p) is not p:
+        raise ValueError(f"{p} is not a normal form")
+    return p
+
+
 def kronecker_factor(p) -> tuple:
     """Factor a polynomial of span at most 6 by divisor interpolation.
 
     Returns the same shape as :func:`ialex.laurent.factor`: a canonically
-    sorted tuple of ``(PrimitiveRep, multiplicity)`` pairs.
+    sorted tuple of ``(normal form, multiplicity)`` pairs.
     """
     rep = normalize(p)
     if rep.degree > 6:
         raise ValueError("the brute-force oracle is limited to degree 6")
-    work = list(rep.coeffs)
-    primes: list[PrimitiveRep] = []
+    work = list(rep._num)
+    primes: list[LaurentPoly] = []
     while len(work) > 1:
         roots, work = _rational_roots(work)
         for r in roots:
-            primes.append(PrimitiveRep(
+            primes.append(_rep(
                 _fractions_to_primitive_ints(
                     [Fraction(-r.numerator), Fraction(r.denominator)])))
         if len(work) <= 1:
@@ -378,13 +386,13 @@ def kronecker_factor(p) -> tuple:
             # no factor of degree <= 3 and no rational root: irreducible,
             # because a reducible polynomial of degree <= 6 (or 7) always
             # has a factor of degree at most 3
-            primes.append(PrimitiveRep(work))
+            primes.append(_rep(work))
             break
-        primes.append(PrimitiveRep(hit))
+        primes.append(_rep(hit))
         quot, rem = dense_divmod([Fraction(c) for c in work], [Fraction(c) for c in hit])
         assert not rem
         work = _fractions_to_primitive_ints(quot)
-    counted: dict[PrimitiveRep, int] = {}
+    counted: dict[LaurentPoly, int] = {}
     for q in primes:
         counted[q] = counted.get(q, 0) + 1
     return tuple(sorted(counted.items(), key=lambda kv: kv[0].sort_key()))
@@ -400,9 +408,9 @@ def sympy_factor(p) -> tuple:
 
     rep = normalize(p)
     t = sympy.Symbol("t")
-    _, parts = sympy.Poly(rep.coeffs[::-1], t, domain="ZZ").factor_list()
-    found = [(normalize(LaurentPoly.from_coeffs(
-        [int(c) for c in reversed(part.all_coeffs())])), int(mult))
+    _, parts = sympy.Poly(rep._num[::-1], t, domain="ZZ").factor_list()
+    found = [(normalize(LaurentPoly(enumerate(
+        [int(c) for c in reversed(part.all_coeffs())]))), int(mult))
         for part, mult in parts]
     return tuple(sorted(((q, m) for q, m in found if q.degree > 0),
                         key=lambda kv: kv[0].sort_key()))
@@ -420,23 +428,23 @@ def sympy_gcd(a, b) -> tuple[int, ...]:
 
 
 @functools.cache
-def sympy_swinnerton_dyer(n: int) -> PrimitiveRep:
+def sympy_swinnerton_dyer(n: int) -> LaurentPoly:
     """S_n from `sympy.swinnerton_dyer_poly`: irreducible of degree 2^n,
     with only factors of degree at most 2 modulo every prime."""
     import sympy
 
     t = sympy.Symbol("t")
     coeffs = sympy.Poly(sympy.swinnerton_dyer_poly(n, t), t).all_coeffs()
-    return PrimitiveRep(int(c) for c in reversed(coeffs))
+    return _rep([int(c) for c in reversed(coeffs)])
 
 
-def sympy_cyclotomic(n: int) -> PrimitiveRep:
+def sympy_cyclotomic(n: int) -> LaurentPoly:
     """Phi_n from `sympy.cyclotomic_poly`."""
     import sympy
 
     t = sympy.Symbol("t")
     coeffs = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
-    return PrimitiveRep(int(c) for c in reversed(coeffs))
+    return _rep([int(c) for c in reversed(coeffs)])
 
 
 # -- determinantal-divisor route to invariant factors ----------------------
@@ -461,7 +469,7 @@ def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return total
 
 
-def determinantal_invariant_factors(rows: list[list[LaurentPoly]]) -> list[PrimitiveRep]:
+def determinantal_invariant_factors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     """Invariant factors from gcds of k-by-k minors.
 
     The k-th determinantal divisor d_k is the gcd of all k-by-k minors
@@ -472,7 +480,7 @@ def determinantal_invariant_factors(rows: list[list[LaurentPoly]]) -> list[Primi
 
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    divisors: list[PrimitiveRep] = []
+    divisors: list[LaurentPoly] = []
     for k in range(1, min(nrows, ncols) + 1):
         acc: LaurentPoly | None = None
         for ris in itertools.combinations(range(nrows), k):
@@ -481,12 +489,12 @@ def determinantal_invariant_factors(rows: list[list[LaurentPoly]]) -> list[Primi
                 d = laurent_det(sub)
                 if d.is_zero:
                     continue
-                acc = d if acc is None else poly_gcd(acc, d).to_laurent()
+                acc = d if acc is None else poly_gcd(acc, d)
         if acc is None:
             break
         divisors.append(normalize(acc))
-    factors: list[PrimitiveRep] = []
-    prev = PrimitiveRep.one()
+    factors: list[LaurentPoly] = []
+    prev = LaurentPoly.one()
     for d in divisors:
         factors.append(exact_quotient(d, prev))
         prev = d
@@ -588,7 +596,7 @@ class _TrackingWorker:
     def make_primitive(self, i: int):
         """Scale row i by the unit that makes its diagonal entry primitive."""
         value = self.s[i][i]
-        rep = normalize(value).to_laurent()
+        rep = normalize(value)
         q, r = laurent_divmod(value, rep)
         if not (r.is_zero and q.is_unit):
             raise RuntimeError(f"{value} is not a unit times {rep}")
@@ -605,8 +613,8 @@ def _tracking_eliminate(w: _TrackingWorker) -> None:
         for i in range(k, w.nr):
             for j in range(k, w.nc):
                 e = w.s[i][j]
-                if not e.is_zero and (best is None or e.span < best[0]):
-                    best = (e.span, i, j)
+                if not e.is_zero and (best is None or e.degree < best[0]):
+                    best = (e.degree, i, j)
         if best is None:
             break
         w.swap_rows(k, best[1])
@@ -735,7 +743,7 @@ def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
 # -- module operations no library route needs ------------------------------
 
 
-def support_primes(m: FgGammaModule) -> tuple[PrimitiveRep, ...]:
+def support_primes(m: FgGammaModule) -> tuple[LaurentPoly, ...]:
     """The primes dividing some torsion coefficient (largest one suffices)."""
     if not m.torsion:
         return ()
@@ -749,7 +757,7 @@ def conjugate(m: FgGammaModule) -> FgGammaModule:
     FgGammaModule(free=1, torsion=['t - 2'])
     """
     return FgGammaModule(
-        m.free_rank, [normalize(involute(t.to_laurent())) for t in m.torsion])
+        m.free_rank, [normalize(involute(t)) for t in m.torsion])
 
 
 # -- kernel-and-solve route to twisted homology -----------------------------
@@ -795,7 +803,7 @@ def stalk_relations(stalk, copies: int) -> GammaMatrix:
     for c in range(copies):
         for g, tau in enumerate(stalk.torsion):
             row = [LaurentPoly.zero()] * (copies * gens)
-            row[c * gens + stalk.free_rank + g] = tau.to_laurent()
+            row[c * gens + stalk.free_rank + g] = tau
             rows.append(row)
     return GammaMatrix(rows, cols=copies * gens)
 
@@ -843,7 +851,8 @@ def kernel_solve_homology(tc) -> tuple:
     for p in range(dim + 1):
         count = len(tc.simplices_of_dim(p))
         if p == 0:
-            cycles = GammaMatrix.diagonal([1] * (count * gens))
+            cycles = GammaMatrix.from_rows(
+                [{i: 1} for i in range(count * gens)], count * gens)
         else:
             below = len(tc.simplices_of_dim(p - 1))
             stacked = stalk_boundary_matrix(tc, p, gens).stack(

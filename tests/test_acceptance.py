@@ -47,7 +47,6 @@ from ialex.gmodule import (
 )
 from ialex.laurent import (
     LaurentPoly,
-    PrimitiveRep,
     divides,
     exact_quotient,
     factor,
@@ -69,7 +68,7 @@ from oracles import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
-ONE = PrimitiveRep.one()
+ONE = LaurentPoly.one()
 T1 = normalize("t - 1")
 
 IRREDUCIBLES = [normalize(s) for s in (
@@ -155,7 +154,7 @@ def rand_product_input(rng, realizable=False, alexander=False):
     for i in range(n - 1):
         nu = kunneth_order(sigma, links, i)
         high = kunneth_order(sigma, links, i, s_min)
-        low = exact_quotient(nu.to_laurent(), high.to_laurent())
+        low = exact_quotient(nu, high)
         ah = rand_divisor(rng, high)
         al = rand_divisor(rng, low)
         if realizable or alexander:
@@ -300,8 +299,7 @@ def test_criterion_03_product_consistency():
         p = inp.perversity
         for i, q in enumerate(out):
             nu = normalize(report[i]["nu"])
-            lam = exact_quotient(nu.to_laurent(),
-                                 inp.a_at(i).to_laurent()) * inp.c_at(i)
+            lam = exact_quotient(nu, inp.a_at(i)) * inp.c_at(i)
             if i < inp.k - p(inp.k + 1):
                 assert q == lam
             if i >= inp.n - p(inp.k + 1) + 1:
@@ -322,7 +320,7 @@ def test_criterion_04_superduality():
                    for row in validate_normalization(dual, n, True))
         twice = superdual_polynomials(dual, n)
         for i, q in enumerate(ia):
-            assert similar(twice[i].to_laurent(), q.to_laurent())
+            assert similar(twice[i], q)
 
     for _ in range(100):
         data = rand_disk_knot(rng)
@@ -420,7 +418,7 @@ def test_criterion_08_sequence_calculus():
         modules = [FgGammaModule.cyclic(alpha),
                    FgGammaModule.cyclic(alpha * beta),
                    FgGammaModule.cyclic(beta)]
-        seq = ModuleSequence(modules, [GammaMatrix([[beta.to_laurent()]]),
+        seq = ModuleSequence(modules, [GammaMatrix([[beta]]),
                                        GammaMatrix([[LaurentPoly({0: 1})]])])
         primes = [q for q, _ in factor(alpha * beta)]
         rebuilt = [FgGammaModule.zero()] * 3
@@ -473,8 +471,7 @@ def test_criterion_09_bound_soundness():
                                             inp.c_at(i), xi)
             assert check_result(out[i], allowed)["ok"]
             nu = normalize(report[i]["nu"])
-            lam = exact_quotient(nu.to_laurent(),
-                                 inp.a_at(i).to_laurent()) * inp.c_at(i)
+            lam = exact_quotient(nu, inp.a_at(i)) * inp.c_at(i)
             for gamma in PROBES:
                 if exclusion_single(gamma, i, inp.k, inp.perversity,
                                     lam, xi):
@@ -546,9 +543,9 @@ def test_criterion_12_highdeg_gcd():
     comes out exactly, in under 0.05 s."""
     rng = random.Random(0)
     planted = normalize("2*t^2 - 3*t + 5")
-    polys = [LaurentPoly.from_coeffs(
-        [rng.randint(-9, 9) for _ in range(54)] + [rng.randint(1, 9)])
-        * planted.to_laurent() for _ in range(2)]
+    polys = [LaurentPoly(enumerate(
+        [rng.randint(-9, 9) for _ in range(54)] + [rng.randint(1, 9)]))
+        * planted for _ in range(2)]
     gcd(polys[0], planted)  # warm-up
     start = time.perf_counter()
     g = gcd(*polys)
@@ -593,5 +590,5 @@ def test_criterion_14_highdeg_factor():
         pairs = factor(product)
         elapsed = time.perf_counter() - start
         assert pairs == tuple((q, 1) for q in sorted(planted,
-                                                     key=PrimitiveRep.sort_key))
+                                                     key=LaurentPoly.sort_key))
         assert elapsed < 0.5, f"degree {product.degree} took {elapsed:.3f} s"

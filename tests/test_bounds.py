@@ -19,11 +19,11 @@ from ialex.bounds import (
 )
 from ialex.engine import Perversity, ia_product
 from ialex.gmodule import NotPrime, order_polynomial
-from ialex.laurent import PrimitiveRep, divides, exact_quotient, normalize
+from ialex.laurent import LaurentPoly, divides, exact_quotient, normalize
 
 from conftest import MIXED_POOL, product_inputs, traditional_perversities
 
-ONE = PrimitiveRep.one()
+ONE = LaurentPoly.one()
 T1 = normalize("t - 1")
 ZERO6 = Perversity.zero(6)
 
@@ -302,7 +302,7 @@ def test_engine_outputs_respect_exclusions(inp):
     probes = MIXED_POOL + [normalize("t^2 + 1")]
     for i in range(1, inp.n - 2 + 1):
         nu = normalize(report[i]["nu"])
-        lam = exact_quotient(nu.to_laurent(), inp.a_at(i).to_laurent()) * inp.c_at(i)
+        lam = exact_quotient(nu, inp.a_at(i)) * inp.c_at(i)
         for gamma in probes:
             if exclusion_single(gamma, i, inp.k, inp.perversity, lam, xi):
                 assert not divides(gamma, out[i])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_matrices, prime_products, small_primes_st
+from conftest import diagonal_matrix, gamma_matrices, prime_products, small_primes_st
 from ialex.exactseq import (
     MissingSplitting,
     ModuleSequence,
@@ -23,7 +23,7 @@ from ialex.gmodule import (
     cokernel,
     order_polynomial,
 )
-from ialex.laurent import PrimitiveRep, normalize, parse, similar
+from ialex.laurent import LaurentPoly, normalize, parse, similar
 from oracles import kernel_basis, leading_columns
 
 A = normalize("t - 1")
@@ -46,7 +46,7 @@ def test_alternating_product_frozen():
 
 
 def test_subpolynomials_frozen():
-    assert subpolynomials([A, A * B, B]) == (PrimitiveRep.one(), A, B, PrimitiveRep.one())
+    assert subpolynomials([A, A * B, B]) == (LaurentPoly.one(), A, B, LaurentPoly.one())
     with pytest.raises(NotExactCompatible):
         subpolynomials([A, B])
 
@@ -55,7 +55,7 @@ def test_subpolynomials_five_term():
     # built from the delta chain [1, a, b, c, a', b'=1]
     polys = [A, A * B, B * C, C * A2, A2]
     assert subpolynomials(polys) == (
-        PrimitiveRep.one(), A, B, C, A2, PrimitiveRep.one())
+        LaurentPoly.one(), A, B, C, A2, LaurentPoly.one())
 
 
 def test_subpolynomials_nonclosing():
@@ -71,7 +71,7 @@ def _chain_to_polys(deltas):
 @given(st.lists(prime_products(max_factors=2), min_size=1, max_size=5))
 @settings(max_examples=50, deadline=None)
 def test_extraction_recovers_deltas(interior):
-    deltas = [PrimitiveRep.one()] + interior + [PrimitiveRep.one()]
+    deltas = [LaurentPoly.one()] + interior + [LaurentPoly.one()]
     polys = _chain_to_polys(deltas)
     assert subpolynomials(polys) == tuple(deltas)
     assert check_alternating_product(polys)
@@ -84,7 +84,7 @@ def test_extraction_recovers_deltas(interior):
        small_primes_st())
 @settings(max_examples=50, deadline=None)
 def test_perturbed_sequence_detected(interior, pos, extra):
-    deltas = [PrimitiveRep.one()] + interior + [PrimitiveRep.one()]
+    deltas = [LaurentPoly.one()] + interior + [LaurentPoly.one()]
     polys = _chain_to_polys(deltas)
     polys[pos % len(polys)] = polys[pos % len(polys)] * extra
     # one extra prime factor unbalances the alternating product, and the
@@ -96,11 +96,11 @@ def test_perturbed_sequence_detected(interior, pos, extra):
 
 def test_poly_sequence_validation():
     with pytest.raises(ValueError):
-        PolySequence([A], [A, PrimitiveRep.one()])  # boundary not 1
+        PolySequence([A], [A, LaurentPoly.one()])  # boundary not 1
     with pytest.raises(ValueError):
-        PolySequence([A, B], [PrimitiveRep.one(), A, PrimitiveRep.one()])
+        PolySequence([A, B], [LaurentPoly.one(), A, LaurentPoly.one()])
     with pytest.raises(ValueError):
-        PolySequence([A], [PrimitiveRep.one()])  # wrong length
+        PolySequence([A], [LaurentPoly.one()])  # wrong length
 
 
 # -- missing third ---------------------------------------------------------------
@@ -109,21 +109,21 @@ def test_poly_sequence_validation():
 def test_solve_missing_third_point_pattern():
     # two Mayer-Vietoris blocks nu, lambda, mu with the mu entries unknown;
     # junction deltas are the a_i at the block boundaries
-    nu1, lam1 = PrimitiveRep.one() * B, B * C          # a_1 = 1, b_1 = t+1
+    nu1, lam1 = LaurentPoly.one() * B, B * C          # a_1 = 1, b_1 = t+1
     mu1 = C * A2                                       # c_1 = t^2-t+1, a_0 = t-2
     nu0, lam0 = A2 * A, A                              # b_0 = t-1, c_0 = 1
-    mu0 = PrimitiveRep.one()
+    mu0 = LaurentPoly.one()
     got = solve_missing_third(
         [nu1, lam1, None, nu0, lam0, None],
-        {0: PrimitiveRep.one(), 3: A2, 6: PrimitiveRep.one()})
+        {0: LaurentPoly.one(), 3: A2, 6: LaurentPoly.one()})
     assert got.polys == (nu1, lam1, mu1, nu0, lam0, mu0)
     assert got.splittings == (
-        PrimitiveRep.one(), B, C, A2, A, PrimitiveRep.one(), PrimitiveRep.one())
+        LaurentPoly.one(), B, C, A2, A, LaurentPoly.one(), LaurentPoly.one())
 
 
 def test_solve_missing_third_all_ones():
-    got = solve_missing_third([PrimitiveRep.one(), PrimitiveRep.one(), None])
-    assert got.polys == (PrimitiveRep.one(),) * 3
+    got = solve_missing_third([LaurentPoly.one(), LaurentPoly.one(), None])
+    assert got.polys == (LaurentPoly.one(),) * 3
 
 
 def test_solve_missing_third_window():
@@ -155,13 +155,13 @@ def test_solve_missing_third_errors():
 def test_missing_third_round_trip(blocks):
     # delta chain [1, b_m, c_m, a_{m-1}, b_{m-1}, ..., c_0, 1] built from
     # random block deltas (a, b, c); the leading a and trailing junction are 1
-    deltas = [PrimitiveRep.one()]
+    deltas = [LaurentPoly.one()]
     for idx, (a, b, c) in enumerate(blocks):
         if idx:
             deltas.append(a)
         deltas.append(b)
         deltas.append(c)
-    deltas.append(PrimitiveRep.one())
+    deltas.append(LaurentPoly.one())
     polys = _chain_to_polys(deltas)
     blanked = [None if i % 3 == 2 else p for i, p in enumerate(polys)]
     junctions = {i: deltas[i] for i in range(0, len(deltas), 3)}
@@ -172,17 +172,17 @@ def test_missing_third_round_trip(blocks):
 # -- module sequences and primary splitting -------------------------------------------
 
 
-def _divisor_sequence(m: PrimitiveRep, d: PrimitiveRep) -> ModuleSequence:
+def _divisor_sequence(m: LaurentPoly, d: LaurentPoly) -> ModuleSequence:
     """0 -> G/(d) -> G/(m) -> G/(m/d) -> 0 with the multiplication maps."""
     from ialex.laurent import exact_quotient
 
-    q = exact_quotient(m.to_laurent(), d.to_laurent())
+    q = exact_quotient(m, d)
     mods = [FgGammaModule.cyclic(d), FgGammaModule.cyclic(m), FgGammaModule.cyclic(q)]
     maps = []
-    pairs = [(mods[0], mods[1], q), (mods[1], mods[2], PrimitiveRep.one())]
+    pairs = [(mods[0], mods[1], q), (mods[1], mods[2], LaurentPoly.one())]
     for src, dst, mult in pairs:
         if src.rank and dst.rank:
-            maps.append(GammaMatrix([[mult.to_laurent()]]))
+            maps.append(GammaMatrix([[mult]]))
         else:
             maps.append(GammaMatrix([[] for _ in range(src.rank)], cols=dst.rank))
     return ModuleSequence(mods, maps)
@@ -220,7 +220,7 @@ def test_split_reassembly(m, seed):
     from ialex.laurent import factor
 
     parts = factor(m)
-    d = PrimitiveRep.one()
+    d = LaurentPoly.one()
     for idx, (p, e) in enumerate(parts):
         d = d * p ** ((seed >> idx) % (e + 1))
     seq = _divisor_sequence(m, d)
@@ -235,7 +235,7 @@ def test_split_reassembly(m, seed):
 
     # per-prime order products recover the original orders
     for i, mod in enumerate(seq.modules):
-        total = PrimitiveRep.one()
+        total = LaurentPoly.one()
         for p, _ in parts:
             total = total * order_polynomial(split_primary(seq, p).modules[i])
         assert total == order_polynomial(mod)
@@ -246,13 +246,11 @@ def test_split_reassembly(m, seed):
 @settings(max_examples=30, deadline=None)
 def test_short_exact_order_multiplicativity(gens, diag):
     """order(M) ~ order(N) * order(M/N) for a random submodule N of M."""
-    from ialex.laurent import LaurentPoly
-
     zero = LaurentPoly.zero()
     gens = GammaMatrix(
         [tuple(row[:3]) + (zero,) * max(3 - gens.cols, 0) for row in gens.entries],
         cols=3)
-    presentation = GammaMatrix.diagonal([c.to_laurent() for c in diag])
+    presentation = diagonal_matrix(diag)
     ambient = cokernel(presentation)
 
     ker = kernel_basis(gens.stack(presentation))

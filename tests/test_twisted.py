@@ -11,7 +11,7 @@ from ialex import twisted
 from ialex.bounds import E2Table
 from ialex.engine import Perversity
 from ialex.gmodule import FgGammaModule, order_polynomial
-from ialex.laurent import LaurentPoly, PrimitiveRep, divides, normalize, parse
+from ialex.laurent import LaurentPoly, divides, normalize, parse
 from ialex.twisted import (
     CocycleViolation,
     EmptyComplex,
@@ -456,8 +456,8 @@ def test_alternating_order_conservation(simplices, mono, order):
     stalk_order = normalize(order)
     tc = TwistedComplex(simplices, mono, FgGammaModule.cyclic(order))
     homology = twisted_homology(tc)
-    even = PrimitiveRep.one()
-    odd = PrimitiveRep.one()
+    even = LaurentPoly.one()
+    odd = LaurentPoly.one()
     for p in range(tc.dimension + 1):
         chains = stalk_order ** len(tc.simplices_of_dim(p))
         ranks = order_polynomial(homology[p])
@@ -505,7 +505,7 @@ def test_link_page_point_base():
                             (0, 0, 1): "t^2 + 2*t + 1"})
     shifted = e2_link_page(point, links, stratum_dim=2)
     assert shifted.entry(2, 0, 0) == normalize("t - 1")
-    assert shifted.entry(0, 0, 0) == PrimitiveRep.one()
+    assert shifted.entry(0, 0, 0) == LaurentPoly.one()
 
 
 def test_link_page_acyclic_twist_is_empty():
@@ -581,7 +581,7 @@ def test_abutment_bound_frozen():
     table = E2Table({(0, 0, 0): "t - 1", (0, 1, 1): "t^2 - t + 1",
                      (1, 2, 0): "t + 1", (0, 0, 2): "2*t - 1"})
     assert abutment_divisor_bound(table, 0) == normalize("t - 1")
-    assert abutment_divisor_bound(table, 1) == PrimitiveRep.one()
+    assert abutment_divisor_bound(table, 1) == LaurentPoly.one()
     expected = (normalize("t^2 - t + 1") * normalize("t + 1")
                 * normalize("2*t - 1"))
     assert abutment_divisor_bound(table, 2) == expected

@@ -279,7 +279,7 @@ def test_lifting_stops_at_the_first_power_past_twice_the_bound(monkeypatch):
     rng = random.Random(14)
     f = [1]
     for degree in (9, 12, 15):
-        f = poly_mul(f, seeded_eisenstein(rng, degree, lead=3).coeffs)
+        f = poly_mul(f, seeded_eisenstein(rng, degree, lead=3)._num)
     assert len(zfactor.factor_primitive(f)) == 3
     top, p, k = calls[0]
     assert top == tuple(f)
@@ -295,7 +295,7 @@ def test_recombination_reads_the_complement(monkeypatch, lead):
     first subset that is a true factor is {g mod p}, whose side has degree
     9 > 17/2: only the complement h1*h2 is within the bound, and g is found
     as f over it, while the reducible h1*h2 goes on to be split."""
-    g = seeded_eisenstein(random.Random(7), 9, lead=lead).coeffs
+    g = seeded_eisenstein(random.Random(7), 9, lead=lead)._num
     h1, h2 = (1, 0, -10, 0, 1), (1, 0, -4, 0, 1)
     f = poly_mul(g, poly_mul(h1, h2))
     p, modular = zfactor._modular_factorization(f)
@@ -308,8 +308,8 @@ def test_recombination_reads_the_complement(monkeypatch, lead):
     assert tuple(poly_mul(h1, h2)) in divisors and tuple(g) not in divisors
     expected = {(tuple(g), 1), (h1, 1), (h2, 1)}
     assert set(factors) == expected
-    assert {(q.coeffs, m) for q, m in sympy_factor(
-        LaurentPoly.from_coeffs(f))} == expected
+    assert {(q._num, m) for q, m in sympy_factor(
+        LaurentPoly(enumerate(f)))} == expected
 
 
 @pytest.mark.parametrize("power", [1, 2])
