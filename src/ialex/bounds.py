@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ialex.engine import Perversity
-from ialex.gmodule import NotPrime, _require_prime
+from ialex.gmodule import _require_prime
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
@@ -158,32 +158,6 @@ class StratificationData:
                             f"link polynomials of a {stratum.dim}-stratum in "
                             f"S^{self.n} are graded below {limit}")
 
-    def to_json(self) -> dict:
-        strata = []
-        for stratum in self.strata:
-            comps = []
-            for comp in stratum.components:
-                entry = {"xi": [str(q) for q in comp.xi]}
-                if comp.zeta is not None:
-                    entry["zeta"] = [str(q) for q in comp.zeta]
-                comps.append(entry)
-            strata.append({"dim": stratum.dim, "components": comps})
-        return {"n": self.n, "strata": strata}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StratificationData":
-        strata = []
-        for record in data.get("strata", ()):
-            if not isinstance(record, dict):
-                raise TypeError("a stratum must be an object")
-            comps = record.get("components", ())
-            if not all(isinstance(c, dict) for c in comps):
-                raise TypeError("a component must be an object")
-            comps = [StratumComponent(c.get("xi", ()), c.get("zeta"))
-                     for c in comps]
-            strata.append(Stratum(record["dim"], comps))
-        return cls(data["n"], strata)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StratificationData):
             return NotImplemented
@@ -231,11 +205,6 @@ class E2Table:
         return {"entries": [
             {"i": i, "p": p, "q": q, "poly": str(poly)}
             for (i, p, q), poly in self.items()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "E2Table":
-        return cls({(e["i"], e["p"], e["q"]): e["poly"]
-                    for e in data.get("entries", ())})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, E2Table):

@@ -4,11 +4,16 @@ A case file is one JSON object `{"kind": ..., "payload": {...}}`; the kind
 selects the computation and the payload carries its inputs, written with the
 shared literals (polynomials as strings in the `laurent` grammar, matrices as
 arrays of polynomial-string rows, modules as `{"free": n, "torsion": [...]}`,
-complexes as vertex-index simplex lists with an edge-to-unit monodromy map).
-Every command validates the payload against its schema before computing
-anything and emits a single report, as canonical JSON (the default) or as an
-aligned plain-text table.  Reports are byte-stable: the same case file always
-produces the same output.
+complexes as vertex-index simplex lists with an edge-to-unit monodromy map
+keyed `"u-v"`, stratifications as
+`{"n", "strata": [{"dim", "components": [{"xi", "zeta"?}]}]}` and
+second-page tables as `{"entries": [{"i", "p", "q", "poly"}]}`).  This module
+is the only reader of that format.  Every command validates the payload
+against its schema before computing anything, field by field: integer fields
+refuse booleans, floats and strings, a table may not repeat an (i, p, q), and
+an invalid field is reported at its JSON path.  Each command emits a single
+report, as canonical JSON (the default) or as an aligned plain-text table.
+Reports are byte-stable: the same case file always produces the same output.
 
 Exit codes: 0 when the report status is pass, 1 on a failed check or invalid
 input, 2 when a computation hits its degree cap (error code `degree-cap`) or
@@ -18,6 +23,7 @@ a complex's face closure could exceed `twisted.MAX_FACES` (`complex-size`).
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,24 +104,14 @@ def _dict_field(obj, key, path, default=_MISSING) -> Mapping:
     return _field(obj, key, path, dict, "an object", default)
 
 
-def _entry(value, path: str) -> laurent.LaurentPoly:
-    """A matrix entry: any polynomial, zero included."""
+def _poly(value, path: str, zero_ok: bool = False) -> laurent.LaurentPoly:
+    """A nonzero polynomial in canonical form; with zero_ok (a matrix entry)
+    any polynomial, as written."""
     _require(value, path, str, "a polynomial string")
     try:
-        return laurent.parse(value)
+        return laurent.parse(value) if zero_ok else laurent.normalize(value)
     except laurent.SpanCapExceeded:
         raise                      # a resource cap, not a schema error
-    except ValueError as exc:
-        raise SchemaError(path, f"bad polynomial: {exc}") from exc
-
-
-def _poly(value, path: str) -> laurent.LaurentPoly:
-    """A nonzero polynomial in canonical form."""
-    _require(value, path, str, "a polynomial string")
-    try:
-        return laurent.normalize(value)
-    except laurent.SpanCapExceeded:
-        raise
     except ValueError as exc:
         raise SchemaError(path, f"bad polynomial: {exc}") from exc
 
@@ -125,21 +121,19 @@ def _poly_field(obj, key, path) -> laurent.LaurentPoly:
     return _poly(obj[key], f"{path}.{key}")
 
 
-def _poly_list(value, path: str, allow_null: bool = False) -> list:
-    _require(value, path, list, "an array of polynomial strings")
-    out = []
-    for i, item in enumerate(value):
-        if item is None and allow_null:
-            out.append(None)
-        else:
-            out.append(_poly(item, f"{path}[{i}]"))
-    return out
+def _polys_field(obj, key, path, default=_MISSING,
+                 allow_null: bool = False) -> list:
+    raw = _field(obj, key, path, list, "an array of polynomial strings",
+                 default)
+    return [None if item is None and allow_null
+            else _poly(item, f"{path}.{key}[{i}]")
+            for i, item in enumerate(raw)]
 
 
 def _module(value, path: str) -> gmodule.FgGammaModule:
     _require(value, path, dict, 'a module literal {"free": n, "torsion": [...]}')
     free = _int_field(value, "free", path, default=0)
-    torsion = _poly_list(value.get("torsion", []), f"{path}.torsion")
+    torsion = _polys_field(value, "torsion", path, default=[])
     try:
         return gmodule.FgGammaModule.from_summands(free, torsion)
     except ValueError as exc:
@@ -156,7 +150,7 @@ def _matrix(value, path: str, cols: Optional[int] = None) -> gmodule.GammaMatrix
     grid = []
     for r, row in enumerate(value):
         _require(row, f"{path}[{r}]", list, "an array of polynomial strings")
-        grid.append([_entry(cell, f"{path}[{r}][{c}]")
+        grid.append([_poly(cell, f"{path}[{r}][{c}]", zero_ok=True)
                      for c, cell in enumerate(row)])
     try:
         return gmodule.GammaMatrix(grid, cols=cols)
@@ -188,6 +182,9 @@ def _complex(value, path: str) -> twisted.TwistedComplex:
             _require(v, f"{path}.simplices[{i}][{j}]", int, "an integer")
     monodromy = _dict_field(value, "monodromy", path, default={})
     for key, unit in monodromy.items():
+        if not re.fullmatch(r"[0-9]+-[0-9]+", key):
+            raise SchemaError(f"{path}.monodromy.{key}",
+                              'expected an edge key "u-v" of two vertex indices')
         _require(unit, f"{path}.monodromy.{key}", str, "a unit string")
     stalk = gmodule.FgGammaModule.free(1)
     if "stalk" in value:
@@ -195,23 +192,41 @@ def _complex(value, path: str) -> twisted.TwistedComplex:
     return twisted.TwistedComplex(simplices, monodromy, stalk)
 
 
-def _e2table(value, path: str) -> bounds.E2Table:
-    _require(value, path, dict, 'a table literal {"entries": [...]}')
+def _e2table(value: Mapping, path: str) -> bounds.E2Table:
+    entries = {}
+    for e, entry in enumerate(_list_field(value, "entries", path, default=[])):
+        epath = f"{path}.entries[{e}]"
+        _require(entry, epath, dict, "a table entry object")
+        key = tuple(_int_field(entry, index, epath) for index in "ipq")
+        if key in entries:
+            raise SchemaError(epath, f"repeated table entry (i, p, q) = {key}")
+        entries[key] = _poly_field(entry, "poly", epath)
     try:
-        return bounds.E2Table.from_json(value)
-    except laurent.SpanCapExceeded:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
+        return bounds.E2Table(entries)
+    except ValueError as exc:
         raise SchemaError(path, f"bad table: {exc}") from exc
 
 
 def _stratification(value, path: str) -> bounds.StratificationData:
     _require(value, path, dict, "a stratification literal")
+    n = _int_field(value, "n", path)
+    strata = []
+    for s, stratum in enumerate(_list_field(value, "strata", path, default=[])):
+        spath = f"{path}.strata[{s}]"
+        _require(stratum, spath, dict, "a stratum object")
+        dim = _int_field(stratum, "dim", spath)
+        components = []
+        for c, comp in enumerate(
+                _list_field(stratum, "components", spath, default=[])):
+            cpath = f"{spath}.components[{c}]"
+            _require(comp, cpath, dict, "a component object")
+            zeta = _polys_field(comp, "zeta", cpath) if "zeta" in comp else None
+            components.append(bounds.StratumComponent(
+                _polys_field(comp, "xi", cpath, default=[]), zeta))
+        strata.append(bounds.Stratum(dim, components))
     try:
-        return bounds.StratificationData.from_json(value)
-    except laurent.SpanCapExceeded:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
+        return bounds.StratificationData(n, strata)
+    except ValueError as exc:
         raise SchemaError(path, f"bad stratification: {exc}") from exc
 
 
@@ -245,20 +260,17 @@ def _case_snf(payload, opts: RunOptions):
 def _case_seq(payload, opts: RunOptions):
     op = _str_field(payload, "op", "payload")
     if op == "check":
-        polys = _poly_list(_list_field(payload, "polys", "payload"),
-                           "payload.polys")
+        polys = _polys_field(payload, "polys", "payload")
         ok = exactseq.check_alternating_product(polys)
         certificates = [] if ok else [
             {"reason": "alternating product of the orders is not a unit"}]
         return ("pass" if ok else "fail"), {"exact": ok}, certificates
     if op == "subpolynomials":
-        polys = _poly_list(_list_field(payload, "polys", "payload"),
-                           "payload.polys")
+        polys = _polys_field(payload, "polys", "payload")
         deltas = exactseq.subpolynomials(polys)
         return "pass", {"deltas": [str(d) for d in deltas]}, []
     if op == "solve":
-        entries = _poly_list(_list_field(payload, "polys", "payload"),
-                             "payload.polys", allow_null=True)
+        entries = _polys_field(payload, "polys", "payload", allow_null=True)
         raw = _dict_field(payload, "junctions", "payload", default={})
         junctions = {}
         for key in sorted(raw):
@@ -297,9 +309,9 @@ def _case_ia_point(payload, opts: RunOptions):
     n = _int_field(payload, "n", "payload")
     data = engine.DiskKnotData(
         n,
-        _poly_list(_list_field(payload, "a", "payload"), "payload.a"),
-        _poly_list(_list_field(payload, "b", "payload"), "payload.b"),
-        _poly_list(_list_field(payload, "c", "payload"), "payload.c"))
+        _polys_field(payload, "a", "payload"),
+        _polys_field(payload, "b", "payload"),
+        _polys_field(payload, "c", "payload"))
     perv = _perversity_field(payload, "perversity", "payload")
     ia = engine.ia_point(data, perv)
     cut = n - 1 - perv(n)
@@ -315,18 +327,15 @@ def _case_ia_point(payload, opts: RunOptions):
 
 
 def _case_ia_product(payload, opts: RunOptions):
-    a_high = _poly_list(_list_field(payload, "a_high", "payload"),
-                        "payload.a_high")
-    a = None
-    if "a" in payload:
-        a = _poly_list(_list_field(payload, "a", "payload"), "payload.a")
+    a_high = _polys_field(payload, "a_high", "payload")
+    a = _polys_field(payload, "a", "payload") if "a" in payload else None
     inp = engine.ProductSingularityInput(
         _int_field(payload, "n", "payload"),
         _int_field(payload, "k", "payload"),
         _perversity_field(payload, "perversity", "payload"),
         _module_list(payload, "sigma", "payload"),
         _module_list(payload, "links", "payload"),
-        _poly_list(_list_field(payload, "c", "payload"), "payload.c"),
+        _polys_field(payload, "c", "payload"),
         a_high,
         a)
     ia, report = engine.ia_product(inp)
@@ -334,7 +343,7 @@ def _case_ia_product(payload, opts: RunOptions):
 
 
 def _case_ia_dual(payload, opts: RunOptions):
-    ia = _poly_list(_list_field(payload, "ia", "payload"), "payload.ia")
+    ia = _polys_field(payload, "ia", "payload")
     n = _int_field(payload, "n", "payload")
     dual = engine.superdual_polynomials(ia, n)
     return "pass", {"dual": [str(q) for q in dual]}, []
@@ -351,7 +360,7 @@ def _case_verify(payload, opts: RunOptions):
     failures = []
     for idx, (inst, path) in enumerate(instances):
         _require(inst, path, dict, "an object")
-        ia = _poly_list(_list_field(inst, "ia", path), f"{path}.ia")
+        ia = _polys_field(inst, "ia", path)
         n = _int_field(inst, "n", path)
         super_variant = _bool_field(inst, "super", path, default=False)
         for row in engine.validate_normalization(ia, n, super_variant):
@@ -388,8 +397,7 @@ def _case_bounds(payload, opts: RunOptions):
                 _int_field(payload, "n", "payload"),
                 _int_field(payload, "k", "payload"),
                 _poly_field(payload, "c", "payload"),
-                _poly_list(_list_field(payload, "xi", "payload"),
-                           "payload.xi"),
+                _polys_field(payload, "xi", "payload"),
                 opts.degree_cap)
         return "pass", {"allowed": _sorted_primes(allowed)}, []
     if op == "exclude":
@@ -399,7 +407,7 @@ def _case_bounds(payload, opts: RunOptions):
             _int_field(payload, "k", "payload"),
             _perversity_field(payload, "perversity", "payload"),
             _poly_field(payload, "lambda", "payload"),
-            _poly_list(_list_field(payload, "xi", "payload"), "payload.xi"),
+            _polys_field(payload, "xi", "payload"),
             opts.degree_cap)
         certificates = [] if excluded else [{
             "reason": "the prime divides lambda or a link polynomial at or "
@@ -418,8 +426,7 @@ def _case_bounds(payload, opts: RunOptions):
             opts.degree_cap)
         return "pass", {"bound": bound}, []
     if op == "check":
-        allowed = _poly_list(_list_field(payload, "allowed", "payload"),
-                             "payload.allowed")
+        allowed = _polys_field(payload, "allowed", "payload")
         raw = _dict_field(payload, "powers", "payload", default={})
         powers = {}
         for key in sorted(raw):

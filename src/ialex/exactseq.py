@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
-    NotPrime,
     NotTorsion,
     _require_prime,
     order_polynomial,

@@ -138,12 +138,6 @@ class GammaMatrix:
             out.append(acc)
         return GammaMatrix.from_rows(out, other.cols)
 
-    def stack(self, other: "GammaMatrix") -> "GammaMatrix":
-        """Stack vertically: more relations on the same generators."""
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return GammaMatrix.from_rows(self._rows + other._rows, self.cols)
-
     def to_json(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.entries]
 
@@ -387,10 +381,6 @@ class FgGammaModule:
 
     def to_json(self) -> dict:
         return {"free": self.free_rank, "torsion": [str(t) for t in self.torsion]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FgGammaModule":
-        return cls(int(data.get("free", 0)), data.get("torsion", ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FgGammaModule):

@@ -22,21 +22,20 @@ order polynomial of whatever the pages converge to.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ialex.bounds import E2Table
 from ialex.engine import Perversity, cone_ih
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
-    order_polynomial,
+    kunneth_order,
     smith_normal_form,
     tensor,
     tor,
 )
 from ialex.laurent import (
     LaurentPoly,
-    PolyLike,
     as_laurent,
     gcd,
     normalize,
@@ -178,21 +177,6 @@ class TwistedComplex:
         key = (min(u, v), max(u, v))
         unit = self.monodromy.get(key, LaurentPoly.one())
         return unit if u < v else unit.inverse()
-
-    def to_json(self) -> dict:
-        return {
-            "simplices": [list(s) for s in self.simplices],
-            "monodromy": {f"{u}-{v}": str(unit)
-                          for (u, v), unit in sorted(self.monodromy.items())},
-            "stalk": self.stalk.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TwistedComplex":
-        stalk = data.get("stalk")
-        return cls(data["simplices"], data.get("monodromy"),
-                   FgGammaModule.free(1) if stalk is None
-                   else FgGammaModule.from_json(stalk))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedComplex):
@@ -372,11 +356,11 @@ def e2_link_page(base, link_modules: Sequence[FgGammaModule],
         key = tuple(sorted(family[q].monodromy.items()))
         if key not in free:
             free[key] = _free_homology(family[q])
-        for p, h in enumerate(_universal_coefficients(free[key], module)):
-            if h.free_rank:
-                raise NotTorsionEntry(
-                    f"page entry (p={p}, q={q}) has free rank {h.free_rank}")
-            entries[(stratum_dim, p, q)] = order_polynomial(h)
+        for p, h in enumerate(free[key]):
+            if h.free_rank * module.free_rank:
+                raise NotTorsionEntry(f"page entry (p={p}, q={q}) has free "
+                                      f"rank {h.free_rank * module.free_rank}")
+            entries[(stratum_dim, p, q)] = kunneth_order(free[key], [module], p)
     return E2Table(entries)
 
 

@@ -763,6 +763,13 @@ def conjugate(m: FgGammaModule) -> FgGammaModule:
 # -- kernel-and-solve route to twisted homology -----------------------------
 
 
+def stack(top: GammaMatrix, bottom: GammaMatrix) -> GammaMatrix:
+    """Stack vertically: more relations on the same generators."""
+    if top.cols != bottom.cols:
+        raise ValueError("column mismatch in stack")
+    return GammaMatrix(top.entries + bottom.entries, cols=top.cols)
+
+
 def transpose(m: GammaMatrix) -> GammaMatrix:
     """Rows become columns."""
     return GammaMatrix([[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)],
@@ -855,12 +862,12 @@ def kernel_solve_homology(tc) -> tuple:
                 [{i: 1} for i in range(count * gens)], count * gens)
         else:
             below = len(tc.simplices_of_dim(p - 1))
-            stacked = stalk_boundary_matrix(tc, p, gens).stack(
-                stalk_relations(tc.stalk, below))
+            stacked = stack(stalk_boundary_matrix(tc, p, gens),
+                            stalk_relations(tc.stalk, below))
             full = kernel_basis(stacked)
             cycles = leading_columns(full, count * gens)
         relations = stalk_relations(tc.stalk, count)
         if p < dim:
-            relations = relations.stack(stalk_boundary_matrix(tc, p + 1, gens))
+            relations = stack(relations, stalk_boundary_matrix(tc, p + 1, gens))
         out.append(dense_cokernel(solve_left(cycles, relations)))
     return tuple(out)

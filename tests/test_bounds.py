@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ialex import cli
 from ialex.bounds import (
     DegreeOutOfRange,
     E2Table,
@@ -142,7 +143,15 @@ def test_stratification_validation():
         StratificationData(7, [Stratum(3, [StratumComponent(["1"] * 4)])])
     data = StratificationData(7, [Stratum(3, []), Stratum(0, [])])
     assert [s.dim for s in data.strata] == [0, 3]
-    assert StratificationData.from_json(data.to_json()) == data
+    literal = {"n": 7, "strata": [{"dim": 3}, {"dim": 0, "components": []}]}
+    assert cli._stratification(literal, "payload.stratification") == data
+    linked = StratificationData(8, [Stratum(3, [
+        StratumComponent(["1", "t^2 + 1"], zeta=["1", "t^2 - t + 1"]),
+        StratumComponent(["t - 1"])])])
+    literal = {"n": 8, "strata": [{"dim": 3, "components": [
+        {"xi": ["1", "t^2 + 1"], "zeta": ["1", "t^2 - t + 1"]},
+        {"xi": ["t - 1"]}]}]}
+    assert cli._stratification(literal, "payload.stratification") == linked
 
 
 @given(st.integers(1, 4), st.integers(6, 12),
@@ -231,7 +240,7 @@ def test_max_power_requires_prime():
 def test_e2_table_roundtrip():
     table = E2Table({(0, 1, 0): "t - 1", (1, 0, 1): "1", (2, 1, 1): "t + 1"})
     assert table.entry(1, 0, 1).is_one
-    assert E2Table.from_json(table.to_json()) == table
+    assert cli._e2table(table.to_json(), "payload.table") == table
     with pytest.raises(ValueError):
         E2Table({(0, -1, 0): "t - 1"})
 

@@ -415,7 +415,81 @@ def test_malformed_stratification_is_schema_error(tmp_path, strata):
     assert result.exit_code == 1
     error = report_of(result)["error"]
     assert error["code"] == "schema"
-    assert error["path"] == "payload.stratification"
+    assert error["path"] == ("payload.stratification.strata[0]" if strata == [True]
+                             else "payload.stratification.strata[0].components[0]")
+
+
+def _stratum(**fields):
+    return _malformed_stratification([dict(
+        {"dim": 3, "components": [{"xi": ["t - 1", "t + 1"]}]}, **fields)])
+
+
+def _maxpower(*entries):
+    return {"kind": "bounds", "payload": {
+        "op": "maxpower", "gamma": "t - 1", "j": 2, "gamma_j": 3,
+        "n": 6, "perversity": [0, 0, 0, 0, 0],
+        "table": {"entries": list(entries)}}}
+
+
+_TABLE_ENTRY = {"i": 0, "p": 2, "q": 0, "poly": "t - 1"}
+
+
+@pytest.mark.parametrize("case,path,message", [
+    (_stratum(dim=True), "payload.stratification.strata[0].dim",
+     "expected an integer, got a boolean"),
+    (_stratum(dim=3.5), "payload.stratification.strata[0].dim",
+     "expected an integer"),
+    (_stratum(dim="3"), "payload.stratification.strata[0].dim",
+     "expected an integer"),
+    ({"kind": "bounds", "payload": {
+        "op": "allowed", "j": 2, "lambda": "1",
+        "stratification": {"n": 7.9, "strata": []}}},
+     "payload.stratification.n", "expected an integer"),
+    ({"kind": "bounds", "payload": {
+        "op": "allowed", "j": 2, "lambda": "1",
+        "stratification": {"strata": []}}},
+     "payload.stratification.n", "required field is missing"),
+    (_stratum(dim=5), "payload.stratification",
+     "bad stratification: stratum dimension 5 leaves no room for a link "
+     "knot pair in S^7"),
+    (_stratum(components=[{"xi": "t"}]),
+     "payload.stratification.strata[0].components[0].xi",
+     "expected an array of polynomial strings"),
+    (_stratum(components=[{"xi": [], "zeta": ["0"]}]),
+     "payload.stratification.strata[0].components[0].zeta[0]", None),
+    (_maxpower(dict(_TABLE_ENTRY, i=0.7)), "payload.table.entries[0].i",
+     "expected an integer"),
+    (_maxpower(dict(_TABLE_ENTRY, p="2")), "payload.table.entries[0].p",
+     "expected an integer"),
+    (_maxpower(dict(_TABLE_ENTRY, q=False)), "payload.table.entries[0].q",
+     "expected an integer, got a boolean"),
+    (_maxpower({"i": 0, "p": 2, "q": 0}), "payload.table.entries[0].poly",
+     "required field is missing"),
+    (_maxpower(_TABLE_ENTRY, dict(_TABLE_ENTRY, poly="t + 1")),
+     "payload.table.entries[1]", "repeated table entry (i, p, q) = (0, 2, 0)"),
+    (_maxpower(dict(_TABLE_ENTRY, p=-1)), "payload.table",
+     "bad table: table indices must be non-negative"),
+    ({"kind": "homology", "payload": {
+        "simplices": [[0, 1, 2]], "monodromy": {"0-1-2": "t"}}},
+     "payload.monodromy.0-1-2",
+     'expected an edge key "u-v" of two vertex indices'),
+    ({"kind": "homology", "payload": {
+        "simplices": [[0, 1]], "monodromy": {"-1-0": "t"}}},
+     "payload.monodromy.-1-0", None),
+], ids=["dim-bool", "dim-float", "dim-string", "n-float", "n-missing",
+        "dim-range", "xi-string", "zeta-zero", "i-float", "p-string",
+        "q-bool", "poly-missing", "repeated-entry", "negative-index",
+        "key-three-parts", "key-negative"])
+def test_malformed_literal_is_schema_error_at_its_path(case, path, message):
+    """Strict field reading: a literal that is not exactly the schema is a
+    schema error at the offending field; the library's own domain checks
+    are reported at the whole literal."""
+    report, code = cli.run_case(case, cli.RunOptions())
+    assert code == 1
+    assert report["error"]["code"] == "schema"
+    assert report["error"]["path"] == path
+    if message is not None:
+        assert report["error"]["message"] == message
 
 
 def test_bounds_exclude(tmp_path):
@@ -594,8 +668,9 @@ def test_factor_output_reparses_to_input(primes):
 
 # -- mutated corpus cases ----------------------------------------------------------------
 
-CORPUS = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(
-    (Path(__file__).resolve().parents[1] / "fixtures" / "corpus").glob("*.json"))]
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "corpus"
+CORPUS = [json.loads(path.read_text(encoding="utf-8"))
+          for path in sorted(CORPUS_DIR.glob("*.json"))]
 FUZZ_POOL = [None, True, 0, -1, 2, 7, 1.5, "", "t", "t - 1", "2*", [], [True],
              [5], {}, {"dim": 3, "components": [5]}]
 
@@ -629,3 +704,32 @@ def test_mutated_corpus_cases_end_in_a_report(case):
     assert code in (0, 1, 2)
     for fmt in ("json", "text"):
         assert cli.render_report(report, fmt)
+
+
+def _integer_leaves(value, path):
+    """(path, parent, key) for every integer leaf below value, with paths as
+    the reader reports them: `.key` for object fields, `[i]` for items."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        here = f"{path}[{key}]" if isinstance(value, list) else \
+            (f"{path}.{key}" if path else key)
+        if isinstance(item, int) and not isinstance(item, bool):
+            yield here, value, key
+        else:
+            yield from _integer_leaves(item, here)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.json")))
+def test_integer_fields_refuse_other_types(name):
+    """Every integer field of a shipped case refuses a boolean, a float and
+    a numeric string, as a schema error at that field's path."""
+    shipped = json.loads((CORPUS_DIR / name).read_text(encoding="utf-8"))
+    for path, _, _ in _integer_leaves(shipped, ""):
+        for bad in (True, 1.5, "2"):
+            case = copy.deepcopy(shipped)
+            parent, key = {p: (v, k) for p, v, k in _integer_leaves(case, "")}[path]
+            parent[key] = bad
+            report, code = cli.run_case(case, cli.RunOptions())
+            assert (code, report["error"]["code"], report["error"]["path"]) \
+                == (1, "schema", path), (bad, report["error"])

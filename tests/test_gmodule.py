@@ -14,9 +14,9 @@ from conftest import (
     nonzero_polys,
     prime_products,
     seeded_eisenstein,
-    small_primes_st,
     torsion_modules,
 )
+from ialex import cli
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
@@ -48,6 +48,7 @@ from oracles import (
     simplex_closure,
     snf_transforms,
     solve_left,
+    stack,
     support_primes,
     transpose,
 )
@@ -343,7 +344,7 @@ def test_module_validation():
 
 def test_module_json_round_trip():
     m = FgGammaModule(2, ["t - 1", "t^2 - 1"])
-    assert FgGammaModule.from_json(m.to_json()) == m
+    assert cli._module(m.to_json(), "payload") == m
     assert m.to_json() == {"free": 2, "torsion": ["t - 1", "t^2 - 1"]}
 
 
@@ -546,7 +547,7 @@ def _submodule_relations(gens: GammaMatrix, diag: list) -> GammaMatrix:
     diagonal determines the second block uniquely.
     """
     p = diagonal_matrix(diag)
-    ker = kernel_basis(gens.stack(p))
+    ker = kernel_basis(stack(gens, p))
     return leading_columns(ker, gens.rows)
 
 
@@ -574,7 +575,7 @@ def test_subquotient_order_divides_ambient(gens, diag, extra):
     zero = LaurentPoly.zero()
     extra_rows = [tuple(row[: gens.rows]) + (zero,) * max(gens.rows - extra.cols, 0)
                   for row in extra.entries]
-    quotient = cokernel(rel.stack(GammaMatrix(extra_rows, cols=gens.rows)))
+    quotient = cokernel(stack(rel, GammaMatrix(extra_rows, cols=gens.rows)))
 
     for sq in (sub, quotient):
         for prime, _ in factor(order_polynomial(sq)):

@@ -15,7 +15,6 @@ from conftest import (
     eisenstein_coeffs,
     laurent_polys,
     nonzero_polys,
-    primitive_reps,
     rationals,
     seeded_eisenstein,
     small_primes_st,

@@ -79,3 +79,27 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in ialex: {found}"
+
+
+def test_every_import_is_used():
+    """A name a module imports is used there, listed in its `__all__`, or
+    marked `# noqa: F401` on its line; a stale import hides a dead
+    dependency between modules."""
+    found = []
+    for path in sorted((REPO / "src" / "ialex").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(importlib.import_module(
+            f"ialex.{path.stem}" if path.stem != "__init__" else "ialex"),
+            "__all__", ()))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert not found, f"unused imports in ialex: {found}"

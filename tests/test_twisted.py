@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ialex import twisted
+from ialex import cli, twisted
 from ialex.bounds import E2Table
 from ialex.engine import Perversity
 from ialex.gmodule import FgGammaModule, order_polynomial
@@ -97,8 +97,9 @@ def test_complex_validation_errors():
 def test_json_round_trip():
     tc = TwistedComplex(CIRCLE, {"0-1": "2*t^3"},
                         FgGammaModule.cyclic("t^2 - t + 1"))
-    again = TwistedComplex.from_json(tc.to_json())
-    assert again == tc
+    literal = {"simplices": CIRCLE, "monodromy": {"0-1": "2*t^3"},
+               "stalk": {"torsion": ["t^2 - t + 1"]}}
+    assert cli._complex(literal, "payload") == tc
 
 
 # -- frozen circle computations ------------------------------------------------------

@@ -14,7 +14,6 @@ from conftest import seeded_eisenstein
 from ialex import zfactor
 from ialex.laurent import LaurentPoly
 from ialex.zfactor import (
-    exact_div,
     factor_mod_p,
     hensel_lift,
     kron_pack,
