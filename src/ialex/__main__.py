@@ -1,6 +1,8 @@
 """Entry point for python -m ialex."""
 
+import sys
+
 from ialex.cli import main
 
 if __name__ == "__main__":
-    main(prog_name="ialex")
+    sys.exit(main())

@@ -10,18 +10,22 @@ keyed `"u-v"`, stratifications as
 second-page tables as `{"entries": [{"i", "p", "q", "poly"}]}`).  This module
 is the only reader of that format.  Every command validates the payload
 against its schema before computing anything, field by field: integer fields
-refuse booleans, floats and strings, a table may not repeat an (i, p, q), and
-an invalid field is reported at its JSON path.  Each command emits a single
-report, as canonical JSON (the default) or as an aligned plain-text table.
-Reports are byte-stable: the same case file always produces the same output.
+refuse booleans, floats and strings, a table may not repeat an (i, p, q), a
+junction key is one index in digits, and an invalid field is reported at its
+JSON path.  Each command emits a single report, as canonical JSON (the
+default) or as an aligned plain-text table.  Reports are byte-stable: the
+same case file always produces the same output.
 
 Exit codes: 0 when the report status is pass, 1 on a failed check or invalid
 input, 2 when a computation hits its degree cap (error code `degree-cap`) or
 a complex's face closure could exceed `twisted.MAX_FACES` (`complex-size`).
+Usage errors (a missing option, a malformed or negative `--degree-cap`, an
+unknown or missing command) print usage on stderr and exit 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import sys
@@ -29,9 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-import click
-
-from ialex import bounds, engine, exactseq, gmodule, laurent, twisted
+from ialex import __version__, bounds, engine, exactseq, gmodule, laurent, twisted
 
 __all__ = [
     "KINDS",
@@ -274,12 +276,12 @@ def _case_seq(payload, opts: RunOptions):
         raw = _dict_field(payload, "junctions", "payload", default={})
         junctions = {}
         for key in sorted(raw):
-            try:
-                idx = int(key)
-            except ValueError:
-                raise SchemaError("payload.junctions",
-                                  f"key {key!r} is not an integer index")
-            junctions[idx] = _poly(raw[key], f"payload.junctions.{key}")
+            kpath = f"payload.junctions.{key}"
+            if not re.fullmatch(r"[0-9]+", key):
+                raise SchemaError(kpath, "expected a junction index of digits")
+            if int(key) in junctions:
+                raise SchemaError(kpath, f"repeated junction index {int(key)}")
+            junctions[int(key)] = _poly(raw[key], kpath)
         solved = exactseq.solve_missing_third(entries, junctions)
         splittings = (None if solved.splittings is None
                       else [str(d) for d in solved.splittings])
@@ -623,149 +625,35 @@ def render_report(report: dict, fmt: str) -> str:
 # -- command line ------------------------------------------------------------------
 
 
-def _case_command(input_path: str, fmt: str, opts: RunOptions,
-                  expect_kind: Optional[str] = None,
-                  expect_op: Optional[str] = None):
+def _case_command(input_path: str, opts: RunOptions, expect_kind: Optional[str],
+                  expect_op: Optional[str]) -> tuple[dict, int]:
     case, load_error = _load_case(input_path)
     if load_error is not None:
-        click.echo(render_report(load_error, fmt), nl=False)
-        sys.exit(1)
+        return load_error, 1
     if expect_kind is not None and isinstance(case, dict):
         raw_kind = case.get("kind")
         if raw_kind != expect_kind:
-            report = _error_report(
+            return _error_report(
                 raw_kind if isinstance(raw_kind, str) else "unknown",
                 "schema", f"this command runs kind {expect_kind!r}, the case "
-                f"file declares {raw_kind!r}", "case.kind")
-            click.echo(render_report(report, fmt), nl=False)
-            sys.exit(1)
+                f"file declares {raw_kind!r}", "case.kind"), 1
     if expect_op is not None and isinstance(case, dict) \
             and isinstance(case.get("payload"), dict):
         payload = dict(case["payload"])
         declared = payload.setdefault("op", expect_op)
         if declared != expect_op:
-            report = _error_report(
+            return _error_report(
                 expect_kind or "unknown", "schema",
                 f"this command runs op {expect_op!r}, the payload declares "
-                f"{declared!r}", "payload.op")
-            click.echo(render_report(report, fmt), nl=False)
-            sys.exit(1)
+                f"{declared!r}", "payload.op"), 1
         case = dict(case, payload=payload)
-    report, code = run_case(case, opts)
-    click.echo(render_report(report, fmt), nl=False)
-    sys.exit(code)
+    return run_case(case, opts)
 
 
-def _common_options(f):
-    f = click.option("--input", "input_path", required=True,
-                     type=click.Path(), metavar="FILE",
-                     help="JSON case file to run.")(f)
-    f = click.option("--json", "fmt", flag_value="json", default=True,
-                     help="Emit the report as canonical JSON (default).")(f)
-    f = click.option("--text", "fmt", flag_value="text",
-                     help="Emit the report as aligned plain text.")(f)
-    f = click.option("--degree-cap", type=int,
-                     default=laurent.DEFAULT_DEGREE_CAP, show_default=True,
-                     help="Refuse factorizations above this degree.")(f)
-    return f
-
-
-@click.group()
-@click.version_option(package_name="ialex", prog_name="ialex")
-def main():
-    """Exact intersection Alexander polynomial calculus.
-
-    Each subcommand consumes a JSON case file and prints one deterministic
-    report; `run` dispatches on the file's declared kind, the named
-    subcommands additionally pin the kind they expect, and `corpus` runs a
-    directory of case files and summarizes.
-    """
-
-
-def _leaf(group, name: str, expect_kind: Optional[str],
-          expect_op: Optional[str], help_text: str):
-    @group.command(name, help=help_text)
-    @_common_options
-    def command(input_path, fmt, degree_cap):
-        _case_command(input_path, fmt, RunOptions(degree_cap),
-                      expect_kind, expect_op)
-    return command
-
-
-_leaf(main, "run", None, None,
-      "Run a case file of any kind, dispatching on its declaration.")
-_leaf(main, "factor", "factor", None,
-      "Factor a polynomial into irreducibles with multiplicities.")
-_leaf(main, "snf", "snf", None,
-      "Smith normal form of a matrix: invariant factors, rank, cokernel.")
-_leaf(main, "homology", "homology", None,
-      "Twisted simplicial homology of a complex with a local system.")
-_leaf(main, "e2", "e2", None,
-      "Second-page table of a stratum and its abutment divisor bounds.")
-
-
-@main.group()
-def seq():
-    """Exact-sequence calculus on order polynomials and module sequences."""
-
-
-_leaf(seq, "check", "seq", "check",
-      "Test the alternating-product criterion on a polynomial sequence.")
-_leaf(seq, "subpolynomials", "seq", "subpolynomials",
-      "Recover the junction subpolynomials of an exact sequence.")
-_leaf(seq, "solve", "seq", "solve",
-      "Fill the unknown every-third entries from junction data.")
-_leaf(seq, "split", "seq", "split",
-      "Restrict a module sequence to one prime's primary summands.")
-
-
-@main.group()
-def ia():
-    """Intersection Alexander polynomials of singular knots."""
-
-
-_leaf(ia, "point", "ia-point", None,
-      "Degree-by-degree polynomials for a point singularity.")
-_leaf(ia, "product", "ia-product", None,
-      "Polynomials for a product-neighborhood singular manifold.")
-_leaf(ia, "dual", "ia-dual", None,
-      "Transport a polynomial sequence across superduality.")
-_leaf(ia, "verify", "verify", None,
-      "Check computed sequences against the normalization clauses.")
-
-
-@main.group(name="bounds")
-def bounds_group():
-    """Divisor and multiplicity bounds for general singular sets."""
-
-
-_leaf(bounds_group, "allowed", "bounds", "allowed",
-      "Admissible prime divisors in one degree, single or general stratum.")
-_leaf(bounds_group, "exclude", "bounds", "exclude",
-      "Certify that a prime cannot divide a given degree's polynomial.")
-_leaf(bounds_group, "maxpower", "bounds", "maxpower",
-      "Cap the multiplicity of a prime from a second-page table.")
-_leaf(bounds_group, "check", "bounds", "check",
-      "Compare a computed polynomial against allowed primes and caps.")
-
-
-@main.command()
-@click.argument("directory", type=click.Path(), metavar="DIR")
-@click.option("--json", "fmt", flag_value="json", default=True,
-              help="Emit the summary as canonical JSON (default).")
-@click.option("--text", "fmt", flag_value="text",
-              help="Emit the summary as an aligned plain-text table.")
-@click.option("--degree-cap", type=int, default=laurent.DEFAULT_DEGREE_CAP,
-              show_default=True,
-              help="Refuse factorizations above this degree.")
-def corpus(directory, fmt, degree_cap):
-    """Run every .json case file in DIR and print a summary report."""
-    opts = RunOptions(degree_cap)
+def _corpus(directory: str, opts: RunOptions) -> tuple[dict, int]:
     root = Path(directory)
     if not root.is_dir():
-        report = _error_report("corpus", "io", f"not a directory: {directory}")
-        click.echo(render_report(report, fmt), nl=False)
-        sys.exit(1)
+        return _error_report("corpus", "io", f"not a directory: {directory}"), 1
     entries = []
     passed = 0
     for path in sorted(root.glob("*.json"), key=lambda p: p.name):
@@ -782,13 +670,109 @@ def corpus(directory, fmt, degree_cap):
         if code == 0:
             passed += 1
     status = "pass" if passed == len(entries) else "fail"
-    aggregate = {"kind": "corpus", "status": status,
-                 "values": {"total": len(entries), "passed": passed,
-                            "cases": entries},
-                 "certificates": []}
-    click.echo(render_report(aggregate, fmt), nl=False)
-    sys.exit(0 if status == "pass" else 1)
+    return {"kind": "corpus", "status": status,
+            "values": {"total": len(entries), "passed": passed,
+                       "cases": entries},
+            "certificates": []}, 0 if status == "pass" else 1
+
+
+# (group, command, kind, op, help): a row with no command opens a group, and
+# the commands after it nest under it; `run` and `corpus` pin no kind.
+_COMMANDS = (
+    (None, "run", None, None, "Run a case file of the kind it declares."),
+    (None, "factor", "factor", None, "Factor a polynomial into irreducibles."),
+    (None, "snf", "snf", None, "Smith form of a matrix: factors, rank, cokernel."),
+    (None, "homology", "homology", None, "Twisted simplicial homology."),
+    (None, "e2", "e2", None, "Second page of a stratum, with divisor bounds."),
+    ("seq", None, None, None, "Exact sequences of orders and of modules."),
+    ("seq", "check", "seq", "check", "Test the alternating-product criterion."),
+    ("seq", "subpolynomials", "seq", "subpolynomials", "Junction subpolynomials."),
+    ("seq", "solve", "seq", "solve", "Fill the unknown every-third entries."),
+    ("seq", "split", "seq", "split", "Restrict to one prime's primary summands."),
+    ("ia", None, None, None, "Intersection Alexander polynomials of singular knots."),
+    ("ia", "point", "ia-point", None, "Polynomials for a point singularity."),
+    ("ia", "product", "ia-product", None, "Polynomials for a product singularity."),
+    ("ia", "dual", "ia-dual", None, "Transport a sequence across superduality."),
+    ("ia", "verify", "verify", None, "Check the normalization clauses."),
+    ("bounds", None, None, None, "Divisor and power bounds for singular sets."),
+    ("bounds", "allowed", "bounds", "allowed", "Admissible primes in one degree."),
+    ("bounds", "exclude", "bounds", "exclude", "Certify a prime cannot divide."),
+    ("bounds", "maxpower", "bounds", "maxpower", "Cap a prime's multiplicity."),
+    ("bounds", "check", "bounds", "check", "Check a polynomial against the bounds."),
+    (None, "corpus", None, None, "Run every .json case file in DIR and summarize."),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as invalid input does: exit code 2 is kept for
+    the resource caps.  Options are spelled out in full.  Subparsers are
+    built from this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _degree_cap(text: str) -> int:
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="ialex",
+        description="Exact intersection Alexander polynomial calculus: each "
+        "command reads JSON case files and prints one deterministic report.")
+    parser.add_argument("--version", action="version",
+                        version=f"ialex {__version__}")
+    groups = {None: parser.add_subparsers(dest="command", required=True,
+                                          metavar="COMMAND")}
+    for group, command, kind, op, help_text in _COMMANDS:
+        if command is None:
+            sub = groups[None].add_parser(group, help=help_text,
+                                          description=help_text)
+            groups[group] = sub.add_subparsers(required=True,
+                                               metavar="COMMAND")
+            continue
+        sub = groups[group].add_parser(command, help=help_text,
+                                       description=help_text)
+        if command == "corpus":
+            sub.add_argument("directory", metavar="DIR")
+        else:
+            sub.add_argument("--input", required=True, metavar="FILE",
+                             help="JSON case file to run.")
+        sub.add_argument("--json", dest="fmt", action="store_const",
+                         const="json", default="json",
+                         help="Emit the report as canonical JSON (default).")
+        sub.add_argument("--text", dest="fmt", action="store_const",
+                         const="text",
+                         help="Emit the report as aligned plain text.")
+        sub.add_argument("--degree-cap", type=_degree_cap, metavar="N",
+                         default=laurent.DEFAULT_DEGREE_CAP,
+                         help="Refuse factorizations above this degree "
+                              "(default: %(default)s).")
+        sub.set_defaults(kind=kind, op=op)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line (default `sys.argv[1:]`): print its report on
+    stdout and return the exit code.  A usage error prints usage and the
+    message on stderr and exits 1."""
+    args = _parser().parse_args(argv)
+    opts = RunOptions(args.degree_cap)
+    if args.command == "corpus":
+        report, code = _corpus(args.directory, opts)
+    else:
+        report, code = _case_command(args.input, opts, args.kind, args.op)
+    sys.stdout.write(render_report(report, args.fmt))
+    return code
 
 
 if __name__ == "__main__":
-    main(prog_name="ialex")
+    sys.exit(main())

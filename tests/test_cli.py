@@ -1,28 +1,43 @@
 """Case-file handling, report shapes, and exit codes of the command line."""
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ialex
 from ialex import cli
 from ialex.laurent import normalize
 
 from conftest import MIXED_POOL
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def run_cli(*argv) -> Result:
+    """`cli.main(argv)` with its stdout captured."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(arg) for arg in argv])
+    return Result(code, out.getvalue())
+
+
 def invoke(tmp_path, case, *command, flags=()):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(case), encoding="utf-8")
-    runner = CliRunner()
-    return runner.invoke(cli.main,
-                         [*command, "--input", str(path), *flags])
+    return run_cli(*command, "--input", path, *flags)
 
 
 def report_of(result):
@@ -130,9 +145,7 @@ def test_star_without_t_is_schema_error(tmp_path, text):
 
 
 def test_missing_input_file(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(cli.main, ["run", "--input",
-                                      str(tmp_path / "absent.json")])
+    result = run_cli("run", "--input", tmp_path / "absent.json")
     assert result.exit_code == 1
     assert report_of(result)["error"]["code"] == "io"
 
@@ -231,6 +244,35 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == invoke(tmp_path, FACTOR_CASE, "factor").output
+
+
+def test_version_needs_no_installed_metadata():
+    """`--version` reads `ialex.__version__`, so it also works from a
+    source checkout that was never installed."""
+    proc = subprocess.run([sys.executable, "-m", "ialex", "--version"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, f"ialex {ialex.__version__}\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["seq"], ["nope"], ["run"], ["corpus"],
+    ["run", "--input", "case.json", "--degree-cap", "x"],
+    ["run", "--input", "case.json", "--degree-cap", "-1"],
+    ["corpus", "fixtures", "--degree-cap", "-5"],
+    ["run", "--inp", "case.json"],
+], ids=["no-command", "no-subcommand", "unknown-command", "missing-input",
+        "missing-dir", "cap-not-int", "cap-negative", "corpus-cap-negative",
+        "abbreviated-option"])
+def test_usage_error_exits_one(argv, capsys):
+    """Exit code 2 means a resource cap; a malformed command line is invalid
+    input and exits 1, with usage and the message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ialex") and "error: " in err
 
 
 # -- kind handlers ------------------------------------------------------------------
@@ -434,6 +476,12 @@ def _maxpower(*entries):
 _TABLE_ENTRY = {"i": 0, "p": 2, "q": 0, "poly": "t - 1"}
 
 
+def _solve(junctions):
+    return {"kind": "seq", "payload": {
+        "op": "solve", "polys": ["t^2 - 1", "t^2 + 3*t + 2", None],
+        "junctions": junctions}}
+
+
 @pytest.mark.parametrize("case,path,message", [
     (_stratum(dim=True), "payload.stratification.strata[0].dim",
      "expected an integer, got a boolean"),
@@ -476,10 +524,18 @@ _TABLE_ENTRY = {"i": 0, "p": 2, "q": 0, "poly": "t - 1"}
     ({"kind": "homology", "payload": {
         "simplices": [[0, 1]], "monodromy": {"-1-0": "t"}}},
      "payload.monodromy.-1-0", None),
+    (_solve({" 0": "t - 1"}), "payload.junctions. 0",
+     "expected a junction index of digits"),
+    (_solve({"+0": "t - 1"}), "payload.junctions.+0", None),
+    (_solve({"0_0": "t - 1"}), "payload.junctions.0_0", None),
+    (_solve({"\u0660": "t - 1"}), "payload.junctions.\u0660", None),
+    (_solve({"0": "t - 1", "00": "t + 1"}), "payload.junctions.00",
+     "repeated junction index 0"),
 ], ids=["dim-bool", "dim-float", "dim-string", "n-float", "n-missing",
         "dim-range", "xi-string", "zeta-zero", "i-float", "p-string",
         "q-bool", "poly-missing", "repeated-entry", "negative-index",
-        "key-three-parts", "key-negative"])
+        "key-three-parts", "key-negative", "junction-space", "junction-plus",
+        "junction-underscore", "junction-arabic-digit", "junction-repeated"])
 def test_malformed_literal_is_schema_error_at_its_path(case, path, message):
     """Strict field reading: a literal that is not exactly the schema is a
     schema error at the offending field; the library's own domain checks
@@ -607,8 +663,7 @@ def write_corpus(root, cases):
 def test_corpus_all_pass(tmp_path):
     write_corpus(tmp_path / "corp", {"a.json": FACTOR_CASE,
                                      "b.json": CIRCLE_CASE})
-    runner = CliRunner()
-    result = runner.invoke(cli.main, ["corpus", str(tmp_path / "corp")])
+    result = run_cli("corpus", tmp_path / "corp")
     assert result.exit_code == 0
     values = report_of(result)["values"]
     assert values["total"] == 2 and values["passed"] == 2
@@ -618,8 +673,7 @@ def test_corpus_all_pass(tmp_path):
 def test_corpus_names_broken_file(tmp_path):
     write_corpus(tmp_path / "corp", {"a.json": FACTOR_CASE})
     (tmp_path / "corp" / "zz.json").write_text("{broken", encoding="utf-8")
-    runner = CliRunner()
-    result = runner.invoke(cli.main, ["corpus", str(tmp_path / "corp")])
+    result = run_cli("corpus", tmp_path / "corp")
     assert result.exit_code == 1
     report = report_of(result)
     assert report["status"] == "fail"
@@ -630,16 +684,14 @@ def test_corpus_names_broken_file(tmp_path):
 
 def test_corpus_empty_directory(tmp_path):
     (tmp_path / "empty").mkdir()
-    runner = CliRunner()
-    result = runner.invoke(cli.main, ["corpus", str(tmp_path / "empty")])
+    result = run_cli("corpus", tmp_path / "empty")
     assert result.exit_code == 0
     assert report_of(result)["values"] == {"cases": [], "passed": 0,
                                            "total": 0}
 
 
 def test_corpus_missing_directory(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(cli.main, ["corpus", str(tmp_path / "nowhere")])
+    result = run_cli("corpus", tmp_path / "nowhere")
     assert result.exit_code == 1
     assert report_of(result)["error"]["code"] == "io"
 
@@ -654,11 +706,8 @@ def test_factor_output_reparses_to_input(primes):
     for q in primes[1:]:
         product = product * q
     case = {"kind": "factor", "payload": {"poly": str(product)}}
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        with open("case.json", "w", encoding="utf-8") as fh:
-            json.dump(case, fh)
-        result = runner.invoke(cli.main, ["factor", "--input", "case.json"])
+    with tempfile.TemporaryDirectory() as tmp:
+        result = invoke(Path(tmp), case, "factor")
     assert result.exit_code == 0
     rebuilt = normalize("1")
     for text, mult in report_of(result)["values"]["factors"]:

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,23 +34,27 @@ CORPUS = REPO / "fixtures" / "corpus"
 
 # Runs `ialex corpus` and `ialex run` on one case file of each kind in one
 # interpreter, then reports whether sympy got imported; with "block" as
-# argument, any import of sympy fails.
+# argument, any import of sympy or click fails.
 SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
 if sys.argv[1] == "block":
     sys.modules["sympy"] = None
-from click.testing import CliRunner
+    sys.modules["click"] = None
 from ialex.cli import main
-runs = [CliRunner().invoke(main, args) for args in json.loads(sys.argv[2])]
+runs = []
+for args in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(args), out.getvalue()])
 sys.stdout.write(json.dumps({
-    "runs": [[r.exit_code, r.output] for r in runs],
-    "sympy": sys.modules.get("sympy") is not None}))
+    "runs": runs, "sympy": sys.modules.get("sympy") is not None}))
 """
 
 
 def test_cli_runs_without_sympy():
-    """sympy is a test-only dependency: the corpus and one case of every
-    kind give the same bytes when it cannot be imported."""
+    """sympy is a test-only dependency, and the command line needs no
+    package outside the standard library: the corpus and one case of every
+    kind give the same bytes when the blocked imports fail."""
     first_of_kind = {}
     for path in sorted(CORPUS.glob("*.json")):
         kind = json.loads(path.read_text(encoding="utf-8"))["kind"]
@@ -69,6 +74,15 @@ def test_cli_runs_without_sympy():
     assert outputs["block"] == outputs["allow"]
     assert not outputs["allow"]["sympy"]
     assert all(code == 0 for code, _ in outputs["block"]["runs"])
+
+
+def test_no_runtime_dependency():
+    """The package installs with the standard library alone, and its
+    version has one source, `ialex.__version__`."""
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+    assert re.search(r'^dynamic = \["version"\]$', pyproject, re.M)
+    assert 'version = {attr = "ialex.__version__"}' in pyproject
 
 
 def test_no_assert_statements_in_the_package():
