@@ -8,8 +8,9 @@ once in the change checkout, one after the other, so slow drift of the
 machine hits both sides alike; the side that goes first alternates from
 pair to pair.  Every run's end-to-end metrics are printed as it finishes.
 At the end, for each metric: the parent and change medians, the parent's
-interquartile range, and the number of pairs the change won, "won" meaning
-better in the direction `BENCHMARK.json` gives; a positive gain is better.
+interquartile range with both sides' quartiles, and the number of pairs
+the change won, "won" meaning better in the direction `BENCHMARK.json`
+gives; a positive gain is better.
 A run that does not finish or reports a failed case is shown and stops the
 script with exit code 1.
 
@@ -63,7 +64,8 @@ def quartiles(values: list) -> tuple:
 
 
 def summary(parent: list, change: list, better: dict) -> list:
-    """One line per metric: medians, parent IQR and pairs won."""
+    """One line per metric: medians, parent IQR, both sides' quartiles
+    and pairs won."""
     lines = []
     for name in parent[0]:
         p = [run[name] for run in parent]
@@ -72,9 +74,11 @@ def summary(parent: list, change: list, better: dict) -> list:
         won = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
         mp, mc = statistics.median(p), statistics.median(c)
         q1, q3 = quartiles(p)
+        c1, c3 = quartiles(c)
         gain = sign * (mc - mp) / mp if mp else 0.0
         lines.append(f"{name:18s} median {mp:.4g} -> {mc:.4g} (gain "
-                     f"{gain:+.1%}), parent IQR {q3 - q1:.4g}, change won "
+                     f"{gain:+.1%}), parent IQR {q3 - q1:.4g}, quartiles "
+                     f"{q1:.4g}..{q3:.4g} -> {c1:.4g}..{c3:.4g}, change won "
                      f"{won}/{len(p)}")
     return lines
 

@@ -26,7 +26,9 @@ from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
+    _capped_rep,
     divides,
+    exact_quotient,
     factor,
     multiplicity,
     normalize,
@@ -57,6 +59,14 @@ class MissingOrdinaryData(ValueError):
 
 
 _T_MINUS_ONE = normalize("t - 1")
+
+
+def _strict_int(value, what: str) -> int:
+    """value when it is an int and not a bool, the rule case files follow;
+    floats and strings are refused, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _primes_of(poly: PolyLike, degree_cap: int) -> set[LaurentPoly]:
@@ -104,7 +114,7 @@ class Stratum:
     __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components: Iterable[StratumComponent]):
-        self.dim = int(dim)
+        self.dim = _strict_int(dim, "a stratum dimension")
         self.components = tuple(components)
         if not all(isinstance(c, StratumComponent) for c in self.components):
             raise TypeError("components must be StratumComponent values")
@@ -138,7 +148,7 @@ class StratificationData:
     __slots__ = ("n", "strata")
 
     def __init__(self, n: int, strata: Iterable[Stratum]):
-        self.n = int(n)
+        self.n = _strict_int(n, "the ambient dimension")
         if self.n < 3:
             raise ValueError("ambient dimension must be at least 3")
         self.strata = tuple(sorted(strata, key=lambda s: s.dim))
@@ -187,7 +197,7 @@ class E2Table:
     def __init__(self, entries: Mapping[tuple, PolyLike]):
         table = {}
         for key, poly in dict(entries).items():
-            i, p, q = (int(v) for v in key)
+            i, p, q = (_strict_int(v, "a table index") for v in key)
             if i < 0 or p < 0 or q < 0:
                 raise ValueError("table indices must be non-negative")
             rep = normalize(poly)
@@ -322,9 +332,9 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
     4
     """
     rep = _require_prime(gamma, degree_cap)
-    if gamma_j < 0:
+    total = _strict_int(gamma_j, "gamma_j")
+    if total < 0:
         raise ValueError("gamma_j is a multiplicity and cannot be negative")
-    total = int(gamma_j)
     for (i, pp, q), poly in table.items():
         if not 0 <= i <= n - 2:
             continue
@@ -344,8 +354,12 @@ def check_result(ia_j: PolyLike, allowed: Iterable[LaurentPoly],
     """Compare a computed polynomial against an admissibility set and
     optional per-prime multiplicity caps.
 
-    Returns {"ok": True} or the first violating prime (in the canonical
-    factor order) with its observed and allowed multiplicities.
+    Returns {"ok": True} or the first violating prime in the canonical
+    order, with its observed and allowed multiplicities.  Each allowed
+    entry that divides what is left of ia_j is proved prime by
+    :func:`factor` (a reducible one allows nothing) and its power divided
+    out; only a nonunit cofactor, whose primes are those not allowed, is
+    factored.
 
     >>> check_result("t^2 - 1", {normalize("t - 1")})
     {'ok': False, 'prime': 't + 1', 'observed': 1, 'allowed': 0}
@@ -354,13 +368,22 @@ def check_result(ia_j: PolyLike, allowed: Iterable[LaurentPoly],
     """
     allowed_set = {normalize(q) for q in allowed}
     caps = {} if power_bounds is None else {
-        normalize(g): int(b) for g, b in dict(power_bounds).items()}
-    for prime, mult in factor(ia_j, degree_cap):
-        if prime not in allowed_set:
-            return {"ok": False, "prime": str(prime),
-                    "observed": mult, "allowed": 0}
-        cap = caps.get(prime)
+        normalize(g): _strict_int(b, "a power bound")
+        for g, b in dict(power_bounds).items()}
+    rest = _capped_rep(ia_j, degree_cap)
+    violations = []
+    for q in sorted(allowed_set - {LaurentPoly.one()}, key=LaurentPoly.sort_key):
+        mult = multiplicity(q, rest)
+        if not mult or factor(q, degree_cap) != ((q, 1),):
+            continue
+        rest = exact_quotient(rest, q ** mult)
+        cap = caps.get(q)
         if cap is not None and mult > cap:
-            return {"ok": False, "prime": str(prime),
-                    "observed": mult, "allowed": cap}
-    return {"ok": True}
+            violations.append((q, mult, cap))
+    if not rest.is_one:
+        violations.append((*factor(rest, degree_cap)[0], 0))
+    if not violations:
+        return {"ok": True}
+    prime, observed, cap = min(violations, key=lambda v: v[0].sort_key())
+    return {"ok": False, "prime": str(prime), "observed": observed,
+            "allowed": cap}

@@ -759,6 +759,15 @@ def _cyclotomic_at_2(n: int) -> int:
     return value
 
 
+def _capped_rep(p: PolyLike, degree_cap: int) -> LaurentPoly:
+    """The normal form of p, refused above the factorization cap."""
+    rep = normalize(p)
+    if rep.degree > degree_cap:
+        raise DegreeCapExceeded(
+            f"degree {rep.degree} exceeds the factorization cap {degree_cap}")
+    return rep
+
+
 def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Factor into pairwise non-associate irreducibles with multiplicities.
 
@@ -784,10 +793,7 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     ['t - 1', 't + 1', 't^2 - t + 1', 't^2 + t + 1']
     """
     global _ORDERS_BOUND, _CYCLOTOMIC_ORDERS
-    rep = normalize(p)
-    if rep.degree > degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {rep.degree} exceeds the factorization cap {degree_cap}")
+    rep = _capped_rep(p, degree_cap)
     if rep.degree > _ORDERS_BOUND:
         _ORDERS_BOUND, _CYCLOTOMIC_ORDERS = (
             rep.degree, _cyclotomic_orders(rep.degree))

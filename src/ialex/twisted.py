@@ -22,9 +22,10 @@ order polynomial of whatever the pages converge to.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ialex.bounds import E2Table
+from ialex.bounds import E2Table, _strict_int
 from ialex.engine import Perversity, cone_ih
 from ialex.gmodule import (
     FgGammaModule,
@@ -78,11 +79,14 @@ class NotTorsionEntry(ValueError):
 
 
 def _edge_key(raw) -> tuple[int, int]:
+    """An edge key "u-v" of two digit strings, or a pair of integers."""
     if isinstance(raw, str):
+        if not re.fullmatch(r"[0-9]+-[0-9]+", raw):
+            raise ValueError(f"edge key {raw!r} is not of the form \"u-v\"")
         u, _, v = raw.partition("-")
         return int(u), int(v)
     u, v = raw
-    return int(u), int(v)
+    return _strict_int(u, "an edge vertex"), _strict_int(v, "an edge vertex")
 
 
 class TwistedComplex:
@@ -110,7 +114,7 @@ class TwistedComplex:
                  stalk: FgGammaModule = FgGammaModule.free(1)):
         given = []
         for raw in simplices:
-            simplex = tuple(sorted(int(v) for v in raw))
+            simplex = tuple(sorted(_strict_int(v, "a vertex") for v in raw))
             if len(set(simplex)) != len(simplex):
                 raise ValueError(f"repeated vertex in simplex {raw}")
             if simplex and simplex[0] < 0:

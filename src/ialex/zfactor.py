@@ -21,9 +21,10 @@ and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
   Residues mod f sit one per slot of a Python integer, and the Frobenius
   map h -> h^p mod f is a precomputed table of x^(p*j) mod f, so it costs
   one big-integer multiply-add per coefficient;
-- quadratic Hensel lifting down a binary factor tree (ibid., Alg. 15.10
-  and 15.17) until p^k exceeds twice Mignotte's bound on a factor of
-  degree at most n/2, in Knuth's form (TAOCP vol. 2, section 4.6.2), with
+- quadratic Hensel lifting down a binary factor tree, each node split
+  where the degrees of its two sides are closest (ibid., Alg. 15.10 and
+  15.17), until p^k exceeds twice Mignotte's bound on a factor of degree
+  at most n/2, in Knuth's form (TAOCP vol. 2, section 4.6.2), with
   products of residues by Kronecker substitution (ibid., section 8.4) in
   slots sized by the modulus and long division on one packed integer;
 - recombination of lifted factors over subsets of growing size, each read
@@ -622,9 +623,10 @@ def hensel_lift(f: Poly, factors: list, p: int, k: int) -> list[list[int]]:
     """Monic F_i with f = lc(f) * prod F_i mod p^k and F_i = f_i mod p.
 
     ``factors`` are monic, pairwise coprime mod p, and f = lc(f) * prod f_i
-    mod p with p not dividing lc(f).  The list is split in halves, the two
-    products are lifted together with quadratic steps along the exponents
-    1, ..., ceil(k/2), k, and each half is lifted in turn.
+    mod p with p not dividing lc(f).  The list is split in two where the
+    degrees of the parts are closest, since a node's lift costs about its
+    degree; the two products are lifted together with quadratic steps along
+    the exponents 1, ..., ceil(k/2), k, and each part is lifted in turn.
 
     >>> hensel_lift([-2, 0, 1], [[3, 1], [4, 1]], 7, 2)
     [[10, 1], [39, 1]]
@@ -634,7 +636,9 @@ def hensel_lift(f: Poly, factors: list, p: int, k: int) -> list[list[int]]:
     if len(factors) == 1:
         inv = pow(lead, -1, modulus)
         return [_reduce([c * inv for c in f], modulus)]
-    half = len(factors) // 2
+    ends = list(itertools.accumulate(len(q) - 1 for q in factors))
+    half = min(range(1, len(factors)),
+               key=lambda i: abs(2 * ends[i - 1] - ends[-1]))
     g = [lead % p]
     for q in factors[:half]:
         g = _reduce(_mul_residues(g, q, p), p)

@@ -16,8 +16,9 @@ from a transform-tracking Smith form of their own, independent of the
 library's elimination, that divides by `laurent_divmod`, rational long
 division on dense Fraction lists rather than the library's integer
 pseudo-division.  The module-valued Kunneth sum cross-checks
-`gmodule.kunneth_order`'s order arithmetic.  Slow is fine; these only
-ever see small inputs.
+`gmodule.kunneth_order`'s order arithmetic, and `factor_check_result`
+factors the whole polynomial where `bounds.check_result` divides out the
+allowed primes.  Slow is fine; these only ever see small inputs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from math import gcd as int_gcd, isqrt
 
 from ialex.gmodule import FgGammaModule, GammaMatrix, smith_normal_form, tensor, tor
 from ialex.laurent import (
+    DEFAULT_DEGREE_CAP,
     LaurentPoly,
     as_laurent,
     divides,
@@ -414,6 +416,25 @@ def sympy_factor(p) -> tuple:
         for part, mult in parts]
     return tuple(sorted(((q, m) for q, m in found if q.degree > 0),
                         key=lambda kv: kv[0].sort_key()))
+
+
+def factor_check_result(ia_j, allowed, power_bounds=None,
+                        degree_cap: int = DEFAULT_DEGREE_CAP) -> dict:
+    """`bounds.check_result` by factoring ia_j completely and walking its
+    primes in canonical order: the first one not allowed, or over its cap,
+    is the violation."""
+    allowed_set = {normalize(q) for q in allowed}
+    caps = {} if power_bounds is None else {
+        normalize(g): int(b) for g, b in dict(power_bounds).items()}
+    for prime, mult in factor(ia_j, degree_cap):
+        if prime not in allowed_set:
+            return {"ok": False, "prime": str(prime),
+                    "observed": mult, "allowed": 0}
+        cap = caps.get(prime)
+        if cap is not None and mult > cap:
+            return {"ok": False, "prime": str(prime),
+                    "observed": mult, "allowed": cap}
+    return {"ok": True}
 
 
 def sympy_gcd(a, b) -> tuple[int, ...]:

@@ -20,9 +20,17 @@ from ialex.bounds import (
 )
 from ialex.engine import Perversity, ia_product
 from ialex.gmodule import NotPrime, order_polynomial
-from ialex.laurent import LaurentPoly, divides, exact_quotient, normalize
+from ialex.laurent import (
+    DegreeCapExceeded,
+    LaurentPoly,
+    ZeroPolynomial,
+    divides,
+    exact_quotient,
+    normalize,
+)
 
 from conftest import MIXED_POOL, product_inputs, traditional_perversities
+from oracles import factor_check_result
 
 ONE = LaurentPoly.one()
 T1 = normalize("t - 1")
@@ -232,6 +240,24 @@ def test_max_power_cone_window():
     assert max_power_bound("t - 1", 3, 0, alive, 6, ZERO6) == 1
 
 
+@pytest.mark.parametrize("key", [(True, 0, 2), (0, 0.7, 2), (0, 0, "2")])
+def test_e2_table_refuses_non_integer_indices(key):
+    with pytest.raises(TypeError):
+        E2Table({key: "t - 1"})
+
+
+@pytest.mark.parametrize("dim", [3.9, True, "3"])
+def test_stratum_refuses_non_integer_dimension(dim):
+    with pytest.raises(TypeError):
+        Stratum(dim, [])
+
+
+@pytest.mark.parametrize("n", [7.5, "7"])
+def test_stratification_refuses_non_integer_ambient_dimension(n):
+    with pytest.raises(TypeError):
+        StratificationData(n, [])
+
+
 def test_max_power_requires_prime():
     with pytest.raises(NotPrime):
         max_power_bound("t^2 - 1", 2, 0, E2Table({}), 6, ZERO6)
@@ -290,6 +316,99 @@ def test_check_result_reducible_allowed_entry_allows_no_prime():
     first factor is reported, although the entry divides ia_j exactly."""
     out = check_result("t^2 - 1", {normalize("t^2 - 1")})
     assert out == {"ok": False, "prime": "t - 1", "observed": 1, "allowed": 0}
+
+
+# irreducibles: t - 1, cyclotomics, non-monic and non-cyclotomic ones, and
+# t^4 - 10t^2 + 1, which splits mod every prime
+CHECK_POOL = [normalize(q) for q in (
+    "t - 1", "t + 1", "t^2 + 1", "t^2 + t + 1", "t^2 - t + 1", "t^4 + 1",
+    "2*t - 1", "t - 2", "t^2 - t - 1", "t^4 - 10*t^2 + 1")]
+# associates of pool primes, units, and entries coprime to every product
+CHECK_EXTRAS = ["2*t - 2", "1 - t^-1", "-t^2 - 1", "3*t^3 - 3*t^2 + 3*t",
+                "1", "-3", "t^2", "t^2 + 3", "3*t + 1", "t^3 - t - 1"]
+
+
+@st.composite
+def check_inputs(draw):
+    """ia_j a product of 1-4 pool primes, repeats allowed; allowed entries
+    from its primes, the pool, products of one of its primes with a pool
+    prime, and the extras; caps 0-3, mostly on its primes."""
+    primes = draw(st.lists(st.sampled_from(CHECK_POOL), min_size=1, max_size=4))
+    ia = LaurentPoly.one()
+    for q in primes:
+        ia = ia * q
+    pool = st.sampled_from(CHECK_POOL)
+    entry = st.one_of(
+        pool, st.sampled_from(primes),
+        st.tuples(st.sampled_from(primes), pool)
+        .map(lambda pair: pair[0] * pair[1]),
+        st.sampled_from(CHECK_EXTRAS))
+    allowed = draw(st.one_of(st.just(primes), st.lists(
+        st.sampled_from(primes)))) + draw(st.lists(entry, max_size=6))
+    caps = draw(st.dictionaries(entry, st.integers(0, 3), max_size=2))
+    caps.update(draw(st.dictionaries(st.sampled_from(primes),
+                                     st.integers(0, 3), max_size=4)))
+    return ia, allowed, caps
+
+
+@given(check_inputs())
+@settings(max_examples=200, deadline=None)
+def test_check_result_matches_factoring_oracle(case):
+    ia, allowed, caps = case
+    assert check_result(ia, allowed, caps) == factor_check_result(
+        ia, allowed, caps)
+
+
+def power_product(*pairs) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for text, power in pairs:
+        out = out * normalize(text) ** power
+    return out
+
+
+@pytest.mark.parametrize("ia, allowed, caps, expected", [
+    # the cofactor prime t + 1 sorts before the over-cap t^2 + 1
+    ([("t + 1", 1), ("t^2 + 1", 3)], ["t^2 + 1"], {"t^2 + 1": 2},
+     {"ok": False, "prime": "t + 1", "observed": 1, "allowed": 0}),
+    # the cofactor prime t^2 + 1 sorts after the over-cap t - 1
+    ([("t - 1", 3), ("t^2 + 1", 1)], ["t - 1", "t + 1"], {"t - 1": 2},
+     {"ok": False, "prime": "t - 1", "observed": 3, "allowed": 2}),
+    # caps are read on associates; t - 1 holds its cap, t + 1 is the first
+    # over its own, and t^2 + 1 is over its cap later
+    ([("t - 1", 1), ("t + 1", 2), ("t^2 + 1", 2)],
+     ["t^2 + 1", "t + 1", "2*t - 2"], {"2 - 2*t": 1, "t + 1": 1, "t^2 + 1": 0},
+     {"ok": False, "prime": "t + 1", "observed": 2, "allowed": 1}),
+    # a reducible entry allows neither of its primes, though the allowed
+    # entry beside it divides ia_j
+    ([("t - 1", 1), ("t + 1", 1), ("t^2 + 1", 1)], ["t^2 + 1", "t^2 - 1"], {},
+     {"ok": False, "prime": "t - 1", "observed": 1, "allowed": 0}),
+])
+def test_check_result_reports_the_first_violation(ia, allowed, caps,
+                                                  expected):
+    ia = power_product(*ia)
+    assert check_result(ia, allowed, caps) == expected
+    assert factor_check_result(ia, allowed, caps) == expected
+
+
+@pytest.mark.parametrize("ia, allowed, caps, error", [
+    ("t^70 - 1", ["t - 1", "0"], {}, ZeroPolynomial),  # allowed entries first
+    ("t^70 - 1", ["t - 1"], {"0": 1}, ZeroPolynomial),  # then the caps
+    ("t^70 - 1", ["t - 1"], {"t - 1": 1}, DegreeCapExceeded),  # then ia_j
+    ("0", ["t - 1"], {}, ZeroPolynomial),
+])
+def test_check_result_error_order(ia, allowed, caps, error):
+    """Errors come in the factoring route's order, with its messages."""
+    with pytest.raises(error) as new:
+        check_result(ia, allowed, caps)
+    with pytest.raises(error) as old:
+        factor_check_result(ia, allowed, caps)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("cap", [True, 0.5, "1"])
+def test_check_result_refuses_non_integer_caps(cap):
+    with pytest.raises(TypeError):
+        check_result("t - 1", [T1], {"t - 1": cap})
 
 
 @given(product_inputs(realizable=True))

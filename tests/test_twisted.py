@@ -94,6 +94,17 @@ def test_complex_validation_errors():
     TwistedComplex([[0, 1, 2]], {"0-1": "t", "1-2": "t", "0-2": "t^2"})
 
 
+@pytest.mark.parametrize("simplices, monodromy, error", [
+    (CIRCLE, {" 0-1 ": "t"}, ValueError),         # padded key
+    (CIRCLE, {"0-+1": "t"}, ValueError),
+    (CIRCLE, {(True, 0.5): "t"}, TypeError),      # a bool and a float
+    ([[0, 1.5]], {}, TypeError),                  # a float vertex
+])
+def test_complex_refuses_non_integer_vertices(simplices, monodromy, error):
+    with pytest.raises(error):
+        TwistedComplex(simplices, monodromy)
+
+
 def test_json_round_trip():
     tc = TwistedComplex(CIRCLE, {"0-1": "2*t^3"},
                         FgGammaModule.cyclic("t^2 - t + 1"))

@@ -258,6 +258,49 @@ def test_hensel_postcondition(p, f, k):
     assert reduced(product, modulus) == reduced(f, modulus)
 
 
+# Eisenstein at 2 and irreducible mod 7; times (t+1)(t+2)(t+3)(t+4), it is
+# square-free mod 7 with modular factor degrees 1, 1, 1, 1, 17
+SKEWED_G = (6, 6, -6, 0, 6, -2, -6, -6, -4, 4, 2, 0, 6, 4, -2, -2, 6, 1)
+SKEWED_F = tuple(poly_mul(poly_mul((1, 1), (2, 1)),
+                          poly_mul(poly_mul((3, 1), (4, 1)), SKEWED_G)))
+
+
+def test_hensel_splits_by_degree(monkeypatch):
+    """The four linear factors are lifted on one side and the degree-17
+    factor on the other, not split two against three; the lifts still meet
+    test_hensel_postcondition's invariants."""
+    p, k = 7, 6
+    modular = factor_mod_p(SKEWED_F, p)
+    assert [len(q) - 1 for q in modular] == [1, 1, 1, 1, 17]
+    calls = []
+    real = zfactor.hensel_lift
+
+    def record(f, factors, p, k):
+        calls.append(len(factors))
+        return real(f, factors, p, k)
+
+    monkeypatch.setattr(zfactor, "hensel_lift", record)
+    lifted = zfactor.hensel_lift(list(SKEWED_F), modular, p, k)
+    assert calls[:3] == [5, 4, 2] and calls.count(1) == 5
+    modulus = p**k
+    product = [SKEWED_F[-1]]
+    for big, small in zip(lifted, modular):
+        assert big[-1] == 1 and len(big) == len(small)
+        assert all(0 <= c < modulus for c in big)
+        assert reduced(big, p) == small
+        product = naive_mul(product, big)
+    assert reduced(product, modulus) == reduced(SKEWED_F, modulus)
+
+
+def test_skewed_factorization_matches_sympy():
+    assert zfactor._modular_factorization(SKEWED_F)[0] == 7
+    expected = [((1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((4, 1), 1),
+                (SKEWED_G, 1)]
+    assert zfactor.factor_primitive(SKEWED_F) == expected
+    assert [(q._num, m) for q, m in sympy_factor(
+        LaurentPoly(enumerate(SKEWED_F)))] == expected
+
+
 def test_hensel_rejects_factors_sharing_a_root():
     # (t - 1)^2 mod 3 is not a coprime split
     with pytest.raises(RuntimeError):
