@@ -27,6 +27,7 @@ from ialex.laurent import (
     LaurentPoly,
     PolyLike,
     _capped_rep,
+    _strict_int,
     divides,
     exact_quotient,
     factor,
@@ -59,14 +60,6 @@ class MissingOrdinaryData(ValueError):
 
 
 _T_MINUS_ONE = normalize("t - 1")
-
-
-def _strict_int(value, what: str) -> int:
-    """value when it is an int and not a bool, the rule case files follow;
-    floats and strings are refused, not truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _primes_of(poly: PolyLike, degree_cap: int) -> set[LaurentPoly]:

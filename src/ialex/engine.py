@@ -1,12 +1,13 @@
 """Closed-form intersection Alexander polynomials for isolated singularities.
 
 A PL knot that fails to be locally flat along a singular set still carries
-intersection Alexander polynomials, one family per perversity.  For the
-computable singularity shapes (locally flat, a point singularity, a
-product-neighborhood singular manifold) the polynomials have closed forms in
-terms of ordinary Alexander data; this module implements those forms, the
-perversity arithmetic and cone formula they rest on, superduality, and the
-normalization checks the outputs must satisfy.
+intersection Alexander polynomials, one family per perversity.  A locally
+flat knot keeps its ordinary Alexander polynomials.  For the computable
+singular shapes (a point singularity, a product-neighborhood singular
+manifold) the polynomials have closed forms in terms of ordinary Alexander
+data; this module implements those forms, the perversity arithmetic and
+cone formula they rest on, superduality, and the normalization checks the
+outputs must satisfy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
     LaurentPoly,
     PolyLike,
+    _strict_int,
     divides,
     exact_quotient,
     involute,
@@ -35,7 +37,6 @@ __all__ = [
     "ProductSingularityInput",
     "SuperperversityNotAllowed",
     "cone_ih",
-    "ia_locally_flat",
     "ia_point",
     "ia_product",
     "superdual_polynomials",
@@ -66,7 +67,8 @@ class Perversity:
     """A perversity function stored as its value table on codimensions 2..D.
 
     The table must start at 0 or 1 on codimension 2 and grow by steps of 0
-    or 1.  Values beyond the table raise rather than extrapolate.
+    or 1; its values must be ints, not booleans, floats or strings.  Values
+    beyond the table raise rather than extrapolate.
 
     >>> p = Perversity([0, 0, 1, 2])
     >>> p(2), p(5)
@@ -78,7 +80,7 @@ class Perversity:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(_strict_int(v, "a perversity value") for v in values)
         if not vals:
             raise InvalidPerversity("empty value table")
         if vals[0] not in (0, 1):
@@ -159,11 +161,6 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
         else:
             out.append(FgGammaModule.zero())
     return tuple(out)
-
-
-def ia_locally_flat(lams: Sequence[PolyLike]) -> tuple[LaurentPoly, ...]:
-    """Locally flat knots keep their ordinary Alexander polynomials."""
-    return tuple(normalize(p) for p in lams)
 
 
 class DiskKnotData:

@@ -13,9 +13,9 @@ diagonalises, unit pivots being the pivots of least degree, then gcd/lcm
 pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), turns the
 diagonal into the chain, the same step that canonicalises a direct sum of
 cyclic modules.  On top of that normal form sit the order polynomial,
-primary decomposition and the tensor/Tor calculus.  The Kunneth formula
-needs only orders, so `kunneth_order` multiplies them in closed form
-without building the product's module.
+the prime check of primary decomposition and the tensor/Tor calculus.
+The Kunneth formula needs only orders, so `kunneth_order` multiplies them
+in closed form without building the product's module.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ialex.laurent import (
     exact_quotient,
     factor,
     gcd,
-    multiplicity,
     normalize,
 )
 
@@ -44,10 +43,8 @@ __all__ = [
     "GammaMatrix",
     "NotPrime",
     "NotTorsion",
-    "cokernel",
     "kunneth_order",
     "order_polynomial",
-    "primary_component",
     "smith_normal_form",
     "tensor",
     "tor",
@@ -151,14 +148,6 @@ class GammaMatrix:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def __str__(self) -> str:
-        if not self.rows:
-            return f"<empty {self.rows}x{self.cols}>"
-        cells = self.to_json()
-        width = max(len(c) for row in cells for c in row) if self.cols else 0
-        return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
-                         for row in cells)
 
     def __repr__(self) -> str:
         return f"GammaMatrix({self.to_json()!r})"
@@ -402,18 +391,6 @@ class FgGammaModule:
                 f"torsion={[str(t) for t in self.torsion]!r})")
 
 
-def cokernel(m: GammaMatrix) -> FgGammaModule:
-    """The module presented by m: generators = columns, relations = rows.
-
-    >>> cokernel(GammaMatrix([["t - 1", "1"], ["0", "t + 1"]]))
-    FgGammaModule(free=0, torsion=['t^2 - 1'])
-    >>> cokernel(GammaMatrix([], cols=3))
-    FgGammaModule(free=3, torsion=[])
-    """
-    factors, rank = smith_normal_form(m)
-    return FgGammaModule(m.cols - rank, [f for f in factors if not f.is_one])
-
-
 def order_polynomial(m: FgGammaModule) -> LaurentPoly:
     """Product of the torsion coefficients; 1 for the zero module.
 
@@ -434,27 +411,6 @@ def _require_prime(prime: PolyLike,
     if rep.is_one or factor(rep, degree_cap) != ((rep, 1),):
         raise NotPrime(f"{rep} is not irreducible")
     return rep
-
-
-def primary_component(m: FgGammaModule, prime: PolyLike) -> FgGammaModule:
-    """The direct summand supported at one prime.
-
-    Each coefficient is replaced by the exact power of the prime it
-    contains; the splitting is the coefficient-wise coprime factorization.
-
-    >>> big = FgGammaModule(0, ["t^3 - t^2 - t + 1"])
-    >>> primary_component(big, "t - 1")
-    FgGammaModule(free=0, torsion=['t^2 - 2*t + 1'])
-    """
-    if m.free_rank:
-        raise NotTorsion("primary decomposition requires a torsion module")
-    rep = _require_prime(prime)
-    parts = []
-    for c in m.torsion:
-        e = multiplicity(rep, c)
-        if e:
-            parts.append(rep**e)
-    return FgGammaModule.from_summands(0, parts)
 
 
 def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:

@@ -103,6 +103,14 @@ def _fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _strict_int(value, what: str) -> int:
+    """value when it is an int and not a bool, the rule case files follow;
+    floats and strings are refused, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _convolve(a: tuple, b: tuple) -> list:
     """The product of two nonempty integer coefficient sequences."""
     if len(a) < len(b):
@@ -171,8 +179,9 @@ class LaurentPoly:
     ``shift`` is the lowest exponent, ``num`` a dense tuple of integers with
     nonzero first and last entries (empty for zero), and ``den`` a positive
     integer with ``gcd(den, *num) == 1``.  The constructor takes a mapping
-    or iterable of (exponent, coefficient) pairs with integer or rational
-    coefficients; floats are refused.
+    or iterable of (exponent, coefficient) pairs with integer exponents and
+    integer or rational coefficients; floats, booleans and strings are
+    refused as exponents, and floats as coefficients.
 
     >>> p = LaurentPoly({1: 1, 0: -1})
     >>> print(p)
@@ -192,16 +201,16 @@ class LaurentPoly:
             items = terms.items()
         else:
             try:
-                items = [(int(e), c) for e, c in terms]
+                items = [(e, c) for e, c in terms]
             except (TypeError, ValueError):
                 raise TypeError(
                     "terms must be a mapping or iterable of (exponent, coefficient)"
                 ) from None
         data: dict[int, Union[int, Fraction]] = {}
         for exp, coeff in items:
+            e = _strict_int(exp, "an exponent")
             c = coeff if type(coeff) is int else _fraction(coeff)
             if c:
-                e = int(exp)
                 total = data.get(e, 0) + c
                 if total:
                     data[e] = total

@@ -4,13 +4,13 @@ A local system on a finite complex is stored as a unit of the ring on every
 oriented edge, subject to the cocycle condition on triangles, together with
 one coefficient module shared by all vertices.  Chains with coefficients in
 the ring itself form a complex of free modules whose boundary picks up the
-edge unit on the face opposite the leading vertex.  Contracting a spanning
-forest of the 1-skeleton gives H_0 in closed form, from the holonomy of
-each edge outside the forest, and leaves a smaller complex with the same
-homology; the Smith form of each of its boundary matrices above degree 1
-gives the rest from ranks and invariant factors alone.  The stalk enters
-afterwards, by the universal coefficient theorem over a principal ideal
-domain (Hatcher, Algebraic Topology, 3.A):
+edge unit on the face opposite the leading vertex.  One coreduction pass
+over the whole complex pairs each cell it can with a face whose
+coefficient is a unit, and leaves a small complex of critical cells with
+the same homology; the Smith forms of its boundaries give every H_p from
+ranks and invariant factors alone.  The stalk enters afterwards, by the
+universal coefficient theorem over a principal ideal domain (Hatcher,
+Algebraic Topology, 3.A):
 H_p(X; M) = H_p(X; Gamma) (x) M  +  Tor(H_{p-1}(X; Gamma), M).
 
 On top of the homology sit the second-page tables of the neighborhood
@@ -25,7 +25,7 @@ import itertools
 import re
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ialex.bounds import E2Table, _strict_int
+from ialex.bounds import E2Table
 from ialex.engine import Perversity, cone_ih
 from ialex.gmodule import (
     FgGammaModule,
@@ -35,12 +35,7 @@ from ialex.gmodule import (
     tensor,
     tor,
 )
-from ialex.laurent import (
-    LaurentPoly,
-    as_laurent,
-    gcd,
-    normalize,
-)
+from ialex.laurent import LaurentPoly, _ONE, _strict_int, as_laurent
 
 __all__ = [
     "CocycleViolation",
@@ -193,102 +188,105 @@ class TwistedComplex:
                 f"dim {self.dimension}, stalk {self.stalk})")
 
 
-def _boundary_matrix(tc: TwistedComplex, p: int,
-                     index: Mapping[tuple, int]) -> GammaMatrix:
-    """The degree-p boundary on chains with coefficients in the ring; rows
-    are sources, columns targets.  `index` numbers the (p-1)-faces kept as
-    columns: a row holds the signed units of its simplex's faces in
-    `index`, p + 1 of them when every face is kept."""
-    signs = (LaurentPoly.one(), -LaurentPoly.one())
-    rows = []
-    for simplex in tc.simplices_of_dim(p):
-        row = {}
-        for j in range(p + 1):
-            face = index.get(simplex[:j] + simplex[j + 1:])
-            if face is not None:
-                row[face] = (tc.transport(simplex[0], simplex[1]) if j == 0
-                             else signs[j % 2])
-        rows.append(row)
-    return GammaMatrix.from_rows(rows, len(index))
-
-
-def _spanning_forest(tc: TwistedComplex) -> tuple[FgGammaModule, int, dict]:
-    """H_0 with coefficients in the ring, the rank of the reduced degree-1
-    boundary, and the column index of the edges outside a spanning forest.
-
-    A search from the least vertex of each component gives every vertex v
-    its potential phi(v), the transport along the tree path from the root.
-    A tree edge with the vertex it reaches is a reduction pair (its
-    boundary holds that vertex with a unit coefficient), so contracting the
-    forest leaves one generator per root, related by h(e) - 1 for each
-    non-tree edge e = (u, v) with holonomy h(e) = phi(u) T(u, v) / phi(v).
-    A component is Gamma when every h(e) is 1 and Gamma/(g) otherwise, with
-    g the gcd of its h(e) - 1; the gcd stops at a unit.
-    """
-    one = LaurentPoly.one()
-    neighbours: dict[int, list[int]] = {v: [] for (v,) in tc.simplices_of_dim(0)}
-    for u, v in tc.simplices_of_dim(1):
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    potential: dict[int, LaurentPoly] = {}
-    root: dict[int, int] = {}
-    tree: set[tuple[int, int]] = set()
-    for start in neighbours:
-        if start in potential:
-            continue
-        potential[start], root[start] = one, start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in neighbours[u]:
-                if v not in potential:
-                    potential[v] = potential[u] * tc.transport(u, v)
-                    root[v] = start
-                    tree.add((u, v) if u < v else (v, u))
-                    stack.append(v)
-
-    orders: dict[int, LaurentPoly] = {}    # root -> gcd of its h(e) - 1
-    index = {}
-    for edge in tc.simplices_of_dim(1):
-        if edge in tree:
-            continue
-        index[edge] = len(index)
-        u, v = edge
-        g = orders.get(root[u])
-        if g is not None and g.is_one:
-            continue
-        carried = potential[u] * tc.transport(u, v)
-        if carried != potential[v]:
-            loop = carried * potential[v].inverse() - one
-            orders[root[u]] = normalize(loop) if g is None else gcd(g, loop)
-    h0 = FgGammaModule.from_summands(len(potential) - len(tree) - len(orders),
-                                     orders.values())
-    return h0, len(orders), index
-
-
 def _free_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     """Homology with coefficients in the ring, ignoring the stalk.
 
-    Contracting a spanning forest of the 1-skeleton (`_spanning_forest`,
-    after Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998)
-    gives H_0 in closed form and leaves a complex with the same homology:
-    the roots in degree 0, the non-tree edges in degree 1, and every
-    simplex above; the degree-2 boundary just loses its tree-edge columns.
-    With r_p the rank of a reduced boundary and c_p the number of reduced
-    p-cells, H_p has free rank c_p - r_p - r_{p+1}, and its torsion is that
-    of the cokernel of the degree-(p+1) boundary, i.e. that boundary's
-    nonunit invariant factors: chains modulo cycles embed in the free
-    (p-1)-chains, so the cycles split off the chains as a direct summand.
+    One coreduction pass (Mrozek and Batko, Discrete Comput. Geom. 41,
+    2009) takes algebraic reduction pairs out of the whole complex
+    (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998).  A cell
+    is live until it is paired or set aside as critical.  A live cell b
+    with exactly one live face a pairs with it: the coefficient u of a in
+    the boundary of b is still a unit, since the reduction has only added
+    chains of critical cells to that boundary, so a flows to -1/u times the
+    rest of it, a chain of critical cells, and b to zero.  When no cell has
+    exactly one live face, the least live cell becomes critical; its faces
+    come before it, so none is live.  The boundaries of the critical cells,
+    each face replaced by its image, make a complex with the same homology.
+    With r_p the rank of its degree-p boundary and c_p its number of
+    p-cells, H_p has free rank c_p - r_p - r_{p+1}, and its torsion is the
+    nonunit invariant factors of the degree-(p+1) boundary: chains modulo
+    cycles embed in the free (p-1)-chains, so the cycles split off.
     """
+    cells, monodromy = tc.simplices, tc.monodromy
+    face_index = {s: i for i, s in enumerate(cells)}.__getitem__
+    faces: list[tuple[int, ...]] = [()] * len(tc.simplices_of_dim(0))
+    cofaces: list[list[int]] = [[] for _ in cells]
+    for b in range(len(faces), len(cells)):
+        faces.append(tuple(map(face_index, itertools.combinations(
+            cells[b], len(cells[b]) - 1))))
+        for a in faces[b]:
+            cofaces[a].append(b)
+    # live faces per cell, counted down as the cells that leave are popped
+    # (a vertex has none and is never counted); an image is a chain
+    # {critical position: coefficient}, None while the cell is live, and
+    # is never changed once made, so one chain may serve several cells
+    live = list(map(len, cells))
+    image: list[Optional[dict]] = [None] * len(cells)
+    nothing: dict = {}
+
+    def boundary_image(b: int, pivot: Optional[int] = None) -> dict:
+        # face i leaves out vertex top - i, with coefficient the edge unit
+        # for vertex 0 and (-1)^j for vertex j; a pivot face with
+        # coefficient c is left out and the rest multiplied by -1/c
+        fs, unit = faces[b], monodromy.get(cells[b][:2])   # None means 1
+        top = len(fs) - 1
+        factor, parity = None, top
+        if pivot is not None:
+            k = top - fs.index(pivot)
+            factor, parity = ((unit and unit.inverse(), top + 1) if k == 0
+                              else (None, top + k + 1))
+        terms = []
+        for i, f in enumerate(fs):
+            if f != pivot and image[f]:
+                terms.append((unit if i == top else factor, (i + parity) % 2,
+                              image[f]))
+        if not terms:
+            return nothing
+        if len(terms) == 1 and terms[0][0] is None and not terms[0][1]:
+            return terms[0][2]
+        out: dict = {}
+        for scale, negate, chain in terms:
+            for c, e in chain.items():
+                if scale is not None:
+                    e = e * scale
+                if negate:
+                    e = -e
+                if c in out:
+                    e = out[c] + e
+                    if not e:
+                        del out[c]
+                        continue
+                out[c] = e
+        return out
+
     dim = tc.dimension
-    h0, rank_below, index = _spanning_forest(tc)
-    out = [h0]
-    for p in range(2, dim + 2):
-        factors, rank = (smith_normal_form(_boundary_matrix(tc, p, index))
-                         if p <= dim else ((), 0))
-        out.append(FgGammaModule(len(index) - rank_below - rank,
+    critical: list[list[dict]] = [[] for _ in range(dim + 1)]
+    for c in range(len(cells)):
+        if image[c] is not None:
+            continue
+        rows = critical[len(cells[c]) - 1]
+        rows.append(boundary_image(c))
+        image[c] = {len(rows) - 1: _ONE}
+        left = [c]
+        while left:
+            for b in cofaces[left.pop()]:
+                live[b] -= 1
+                if live[b] != 1 or image[b] is not None:
+                    continue
+                for a in faces[b]:
+                    if image[a] is None:
+                        break
+                else:
+                    continue            # its last live face has left too
+                image[a], image[b] = boundary_image(b, a), nothing
+                left += (a, b)
+    out, rank_below = [], 0
+    for p, rows in enumerate(critical):
+        above = critical[p + 1] if p < dim else ()
+        factors, rank = (smith_normal_form(GammaMatrix.from_rows(above, len(rows)))
+                         if any(above) else ((), 0))
+        out.append(FgGammaModule(len(rows) - rank_below - rank,
                                  [f for f in factors if not f.is_one]))
-        index = {s: i for i, s in enumerate(tc.simplices_of_dim(p))}
         rank_below = rank
     return tuple(out)
 
@@ -310,8 +308,8 @@ def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
 
     The chain groups with coefficients in the ring are free and the edge
     units act invertibly, so the homology with coefficients in the ring
-    comes from a spanning-forest contraction and one Smith form per
-    boundary matrix above degree 1, and the stalk enters by the universal
+    comes from one coreduction pass and the Smith forms of the complex of
+    critical cells it leaves, and the stalk enters by the universal
     coefficient theorem.
 
     >>> circle = TwistedComplex([[0, 1], [1, 2], [0, 2]], {"0-1": "t"})

@@ -101,6 +101,15 @@ def diagonal_matrix(values):
                                  len(values))
 
 
+def cokernel(m):
+    """The module m presents, from its Smith form: the columns its rank
+    leaves free and its nonunit invariant factors."""
+    from ialex.gmodule import FgGammaModule, smith_normal_form
+
+    factors, rank = smith_normal_form(m)
+    return FgGammaModule(m.cols - rank, [f for f in factors if not f.is_one])
+
+
 def gamma_matrices(max_rows=3, max_cols=3, max_span=2, max_coeff=3):
     """Small dense matrices, entries of low span."""
     from ialex.gmodule import GammaMatrix

@@ -10,8 +10,9 @@ sympy's `dup_gcd` instead of the integer heuristic GCD, invariant factors
 come from gcds of minors instead of elimination, ranks come from plain
 fraction Gaussian elimination, and twisted homology is cut out of
 stalk-valued chains by kernels and solves instead of universal
-coefficients, or read off the Smith form of every full boundary instead
-of contracting a spanning forest first.  Those kernels and solves come
+coefficients, or read off the Smith form of every full boundary, or of
+the boundaries left after contracting a spanning forest of the
+1-skeleton, instead of one coreduction pass.  Those kernels and solves come
 from a transform-tracking Smith form of their own, independent of the
 library's elimination, that divides by `laurent_divmod`, rational long
 division on dense Fraction lists rather than the library's integer
@@ -35,6 +36,7 @@ from ialex.laurent import (
     as_laurent,
     divides,
     factor,
+    gcd,
     involute,
     normalize,
 )
@@ -861,6 +863,89 @@ def snf_free_homology(tc) -> tuple:
         FgGammaModule(len(tc.simplices_of_dim(p)) - ranks[p] - ranks[p + 1],
                       torsion[p])
         for p in range(dim + 1))
+
+
+def forest_boundary_matrix(tc, p: int, index) -> GammaMatrix:
+    """The degree-p boundary on chains with coefficients in the ring; rows
+    are sources, columns targets.  `index` numbers the (p-1)-faces kept as
+    columns, and a face outside it loses its column."""
+    rows = []
+    for simplex in tc.simplices_of_dim(p):
+        row = {}
+        for j in range(p + 1):
+            face = index.get(simplex[:j] + simplex[j + 1:])
+            if face is not None:
+                unit = (tc.transport(simplex[0], simplex[1]) if j == 0
+                        else LaurentPoly.one())
+                row[face] = -unit if j % 2 else unit
+        rows.append(row)
+    return GammaMatrix.from_rows(rows, len(index))
+
+
+def spanning_forest(tc) -> tuple:
+    """H_0 with coefficients in the ring, the rank of the reduced degree-1
+    boundary, and the column index of the edges outside a spanning forest.
+
+    A search from the least vertex of each component gives every vertex v
+    its potential phi(v), the transport along the tree path from the root.
+    A tree edge with the vertex it reaches is a reduction pair, so
+    contracting the forest leaves one generator per root, related by
+    h(e) - 1 for each non-tree edge e = (u, v) with holonomy
+    h(e) = phi(u) T(u, v) / phi(v): a component is Gamma when every h(e) is
+    1 and Gamma/(g) otherwise, with g the gcd of its h(e) - 1.
+    """
+    one = LaurentPoly.one()
+    neighbours = {v: [] for (v,) in tc.simplices_of_dim(0)}
+    for u, v in tc.simplices_of_dim(1):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    potential, root, tree = {}, {}, set()
+    for start in neighbours:
+        if start in potential:
+            continue
+        potential[start], root[start] = one, start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in neighbours[u]:
+                if v not in potential:
+                    potential[v] = potential[u] * tc.transport(u, v)
+                    root[v] = start
+                    tree.add((u, v) if u < v else (v, u))
+                    stack.append(v)
+    orders = {}                             # root -> gcd of its h(e) - 1
+    index = {}
+    for edge in tc.simplices_of_dim(1):
+        if edge in tree:
+            continue
+        index[edge] = len(index)
+        u, v = edge
+        carried = potential[u] * tc.transport(u, v)
+        if carried != potential[v]:
+            loop = carried * potential[v].inverse() - one
+            g = orders.get(root[u])
+            orders[root[u]] = normalize(loop) if g is None else gcd(g, loop)
+    h0 = FgGammaModule.from_summands(len(potential) - len(tree) - len(orders),
+                                     orders.values())
+    return h0, len(orders), index
+
+
+def forest_free_homology(tc) -> tuple:
+    """Homology with coefficients in the ring by contracting a spanning
+    forest (`spanning_forest`), then the Smith form of every boundary above
+    degree 1, the degree-2 boundary without its tree-edge columns: H_p has
+    free rank c_p - r_p - r_{p+1} over the reduced cells and the nonunit
+    invariant factors of the degree-(p+1) boundary as torsion."""
+    h0, rank_below, index = spanning_forest(tc)
+    out = [h0]
+    for p in range(2, tc.dimension + 2):
+        factors, rank = (smith_normal_form(forest_boundary_matrix(tc, p, index))
+                         if p <= tc.dimension else ((), 0))
+        out.append(FgGammaModule(len(index) - rank_below - rank,
+                                 [f for f in factors if not f.is_one]))
+        index = {s: i for i, s in enumerate(tc.simplices_of_dim(p))}
+        rank_below = rank
+    return tuple(out)
 
 
 def kernel_solve_homology(tc) -> tuple:

@@ -13,7 +13,6 @@ from ialex.engine import (
     ProductSingularityInput,
     SuperperversityNotAllowed,
     cone_ih,
-    ia_locally_flat,
     ia_point,
     ia_product,
     superdual_polynomials,
@@ -48,6 +47,18 @@ def test_perversity_validation():
         Perversity([0, 1, 0])
     with pytest.raises(InvalidPerversity):
         Perversity([])
+
+
+@pytest.mark.parametrize("values", [
+    [False, 0.9, 1.2, "2"],
+    [0, 1.0],
+    [True, 1],
+    [0, "1"],
+])
+def test_perversity_refuses_non_integer_values(values):
+    """A boolean, float or string value is refused, not coerced by int()."""
+    with pytest.raises(TypeError, match="a perversity value must be an integer"):
+        Perversity(values)
 
 
 def test_perversity_lookup():
@@ -131,9 +142,11 @@ def test_cone_piecewise(link, p):
 
 
 def test_locally_flat_identity():
-    lams = ["t - 1", "t^2 - t + 1"]
-    assert [str(q) for q in ia_locally_flat(lams)] == ["t - 1", "t^2 - t + 1"]
-    assert ia_locally_flat([ONE, ONE]) == (ONE, ONE)
+    """Locally flat knots keep their ordinary Alexander polynomials, so
+    their closed form is normalization alone."""
+    lams = ["t - 1", "t^2 - t + 1", "2 - 2*t^-1"]
+    assert [str(normalize(q)) for q in lams] == ["t - 1", "t^2 - t + 1", "t - 1"]
+    assert normalize(ONE) == ONE
 
 
 # -- point singularities ---------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonal_matrix, gamma_matrices, prime_products, small_primes_st
+from conftest import (
+    cokernel,
+    diagonal_matrix,
+    gamma_matrices,
+    prime_products,
+    small_primes_st,
+)
 from ialex.exactseq import (
     MissingSplitting,
     ModuleSequence,
@@ -20,7 +26,6 @@ from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
     NotPrime,
-    cokernel,
     order_polynomial,
 )
 from ialex.laurent import LaurentPoly, normalize, parse

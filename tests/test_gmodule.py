@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cokernel,
     diagonal_matrix,
     fg_modules,
     gamma_matrices,
@@ -17,15 +18,14 @@ from conftest import (
     torsion_modules,
 )
 from ialex import cli
+from ialex.exactseq import ModuleSequence, split_primary
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
     NotPrime,
     NotTorsion,
-    cokernel,
     kunneth_order,
     order_polynomial,
-    primary_component,
     smith_normal_form,
     tensor,
     tor,
@@ -52,6 +52,13 @@ from oracles import (
     support_primes,
     transpose,
 )
+
+
+def primary_component(m: FgGammaModule, prime) -> FgGammaModule:
+    """The summand of a torsion module supported at one prime:
+    `split_primary` on the sequence that holds m alone."""
+    return split_primary(ModuleSequence([m], []), prime).modules[0]
+
 
 # -- sparse storage ------------------------------------------------------------
 
@@ -414,6 +421,9 @@ def test_primary_component_frozen():
     two = FgGammaModule.from_summands(0, ["t - 1", str(parse("t - 1") * parse("t + 1"))])
     assert primary_component(two, "t - 1") == \
         FgGammaModule.from_summands(0, ["t - 1", "t - 1"])
+
+    big = FgGammaModule(0, ["t^3 - t^2 - t + 1"])
+    assert primary_component(big, "t - 1") == FgGammaModule(0, ["t^2 - 2*t + 1"])
 
 
 def test_primary_component_errors():

@@ -122,6 +122,20 @@ def test_floats_are_refused():
     assert LaurentPoly({0: "3/4", 1: True}) == parse("t + 3/4")
 
 
+@pytest.mark.parametrize("terms", [
+    {1.5: 1, True: 2},
+    [(2.7, 1)],
+    {True: 1},
+    [("2", 1)],
+    {0: 1, 1.0: 0},
+])
+def test_exponents_must_be_integers(terms):
+    """Exponents are ints; a float is not truncated, a boolean or a string
+    is not read as a number, and a zero coefficient does not excuse one."""
+    with pytest.raises(TypeError, match="an exponent must be an integer"):
+        LaurentPoly(terms)
+
+
 def test_ring_element_builds_no_fraction(monkeypatch):
     """Parsing, ring arithmetic, normalization and comparison run on the
     integer numerator and denominator alone."""

@@ -24,9 +24,9 @@ from ialex.twisted import (
 )
 
 from oracles import (
+    forest_free_homology,
     kernel_solve_homology,
     snf_free_homology,
-    stalk_boundary_matrix,
     untwisted_betti,
 )
 
@@ -34,6 +34,14 @@ CIRCLE = [[0, 1], [1, 2], [0, 2]]
 SPHERE = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 RP2 = [[0, 1, 2], [0, 1, 3], [0, 2, 4], [0, 3, 5], [0, 4, 5],
        [1, 2, 5], [1, 3, 4], [1, 4, 5], [2, 3, 4], [2, 3, 5]]
+# the edges of RP2 that carry -1 in a cocycle whose class is not a
+# coboundary: the sign of its fundamental group Z/2
+RP2_SIGN_EDGES = {(1, 4), (1, 5), (2, 3), (2, 5), (3, 4)}
+# the 7-vertex torus: the plane lattice triangulation modulo the kernel of
+# (a, b) -> a + 2b mod 7, so the step from u to v is e1, e2 or e1 + e2
+# when v - u is 1, 2 or 3 mod 7
+SEVEN_TORUS = ([[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
+               + [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)])
 
 
 def torus():
@@ -277,36 +285,7 @@ def test_universal_coefficients_match_kernel_solve(tc, stalk):
     assert twisted_homology(tc) == kernel_solve_homology(tc)
 
 
-@given(st.one_of(random_ngons(), random_tori(), gauged_complexes()))
-@settings(max_examples=30, deadline=None)
-def test_boundary_rows_hold_their_faces_only(tc):
-    """Each row of a boundary matrix stores exactly the p + 1 signed units
-    of its simplex's faces, columns ascending, and the matrix equals the
-    dense one the kernel-and-solve oracle builds."""
-    for p in range(1, tc.dimension + 1):
-        faces = tc.simplices_of_dim(p - 1)
-        m = twisted._boundary_matrix(tc, p, {s: i for i, s in enumerate(faces)})
-        for row in m._rows:
-            assert len(row) == p + 1 and list(row) == sorted(row)
-            assert all(e.is_unit for e in row.values())
-        assert m == stalk_boundary_matrix(tc, p, 1)
-
-
-@given(st.one_of(random_ngons(), random_tori(), gauged_complexes()))
-@settings(max_examples=20, deadline=None)
-def test_boundary_rows_keep_only_indexed_faces(tc):
-    """A face outside the index loses its column and nothing else changes:
-    the kept columns of the full boundary, renumbered."""
-    faces = tc.simplices_of_dim(1)
-    kept = faces[::2]
-    m = twisted._boundary_matrix(tc, 2, {s: i for i, s in enumerate(kept)})
-    full = stalk_boundary_matrix(tc, 2, 1)
-    assert m.cols == len(kept)
-    assert m.entries == tuple(tuple(row[faces.index(s)] for s in kept)
-                              for row in full.entries)
-
-
-# -- the spanning-forest reduction against full Smith forms ---------------------------
+# -- the coreduction pass against the spanning forest and full Smith forms ----------
 
 
 _LOOP_UNITS = st.sampled_from(["t", "t^2", "t^3", "-t", "t^-1", "2*t^2",
@@ -355,19 +334,103 @@ def tetrahedra(draw):
                                       for u, v in edges})
 
 
+@st.composite
+def full_simplices(draw):
+    """The full k-simplex for k <= 7, edge units from a random gauge."""
+    k = draw(st.integers(0, 7))
+    phi = draw(st.lists(_UNITS, min_size=k + 1, max_size=k + 1))
+    return TwistedComplex([range(k + 1)], {
+        (u, v): phi[v] * phi[u].inverse()
+        for u, v in itertools.combinations(range(k + 1), 2)})
+
+
+@st.composite
+def twisted_surfaces(draw):
+    """RP2 or the 7-vertex torus with a local system whose class need
+    not be trivial, spread over the edges by a random gauge phi.  On RP2
+    the class is the sign of Z/2 or trivial; on the torus it is the lattice
+    character with units x and y on e1 and e2, so the step from u to v
+    carries x, y or xy when v - u is 1, 2 or 3 mod 7, and its inverse when
+    u - v is."""
+    phi = draw(st.lists(_UNITS, min_size=7, max_size=7))
+    if draw(st.booleans()):
+        simplices = RP2
+        sign = draw(st.sampled_from([1, -1]))
+        base = {e: LaurentPoly.constant(sign) for e in RP2_SIGN_EDGES}
+    else:
+        simplices = SEVEN_TORUS
+        x, y = draw(_UNITS), draw(_UNITS)
+        steps = {1: x, 2: y, 3: x * y}
+        base = {(u, v): steps[(v - u) % 7] if (v - u) % 7 in steps
+                else steps[(u - v) % 7].inverse()
+                for u, v in itertools.combinations(range(7), 2)}
+    edges = TwistedComplex(simplices).simplices_of_dim(1)
+    return TwistedComplex(simplices, {
+        (u, v): base.get((u, v), LaurentPoly.one()) * phi[v] * phi[u].inverse()
+        for u, v in edges})
+
+
 _FOREST_CASES = st.one_of(disjoint_unions(), point_sets(), tetrahedra(),
-                          random_ngons(), random_tori(), gauged_complexes())
+                          random_ngons(), random_tori(), gauged_complexes(),
+                          full_simplices(), twisted_surfaces())
 
 
 @given(_FOREST_CASES)
 @settings(max_examples=60, deadline=None)
 def test_forest_reduction_matches_full_smith_form(tc):
-    assert twisted._free_homology(tc) == snf_free_homology(tc)
+    """The two oracles agree: the spanning-forest route and the Smith
+    form of every full boundary."""
+    assert forest_free_homology(tc) == snf_free_homology(tc)
+
+
+@given(_FOREST_CASES)
+@settings(max_examples=80, deadline=None)
+def test_coreduction_matches_both_oracles(tc):
+    free = twisted._free_homology(tc)
+    assert free == snf_free_homology(tc)
+    assert free == forest_free_homology(tc)
+
+
+def test_twelve_vertex_simplex_is_contractible():
+    """A frozen 12-vertex simplex, 4095 cells under a gauge: Gamma in
+    degree 0 and zero above, with a torsion stalk as with a free one."""
+    phi = [LaurentPoly({v % 5 - 2: Fraction((-1) ** v * 2 ** (v % 3))})
+           for v in range(12)]
+    mono = {(u, v): phi[v] * phi[u].inverse()
+            for u, v in itertools.combinations(range(12), 2)}
+    tc = TwistedComplex([range(12)], mono)
+    assert len(tc.simplices) == 4095
+    assert twisted._free_homology(tc) == (
+        (FgGammaModule.free(1),) + (FgGammaModule.zero(),) * 11)
+    stalk = FgGammaModule.cyclic("t - 1")
+    assert twisted_homology(TwistedComplex([range(12)], mono, stalk)) == (
+        (stalk,) + (FgGammaModule.zero(),) * 11)
+
+
+def test_twisted_surfaces_carry_their_class():
+    """The sign on RP2 and the lattice character on the 7-vertex torus
+    are cocycles that are not coboundaries.  The sign is the orientation
+    system of RP2, so H_0 = Gamma/(2) is zero and H_2 is free of rank 1.
+    On the torus with x = t and y = 1 the holonomies t^7 and t^-2 make
+    H_0 and H_1 Gamma/(t - 1), the gcd of t^7 - 1 and t^-2 - 1."""
+    sign = TwistedComplex(RP2, {e: "-1" for e in RP2_SIGN_EDGES})
+    assert twisted_homology(sign) == (
+        FgGammaModule.zero(), FgGammaModule.zero(), FgGammaModule.free(1))
+    steps = {1: LaurentPoly({1: 1}), 2: LaurentPoly.one(), 3: LaurentPoly({1: 1})}
+    mono = {(u, v): steps[(v - u) % 7] if (v - u) % 7 in steps
+            else steps[(u - v) % 7].inverse()
+            for u, v in itertools.combinations(range(7), 2)}
+    h0, h1, h2 = twisted_homology(TwistedComplex(SEVEN_TORUS, mono))
+    assert h0 == FgGammaModule.cyclic("t - 1")
+    assert h1 == FgGammaModule.cyclic("t - 1") and h2.is_zero
 
 
 @given(st.one_of(disjoint_unions(), point_sets(), tetrahedra()), _STALKS)
 @settings(max_examples=30, deadline=None)
 def test_forest_reduction_matches_kernel_solve(tc, stalk):
+    """On the shapes the spanning-forest route was first checked on,
+    universal coefficients over the coreduction pass match kernels and
+    solves on stalk-valued chains."""
     tc = TwistedComplex(tc.simplices, tc.monodromy, stalk)
     assert twisted_homology(tc) == kernel_solve_homology(tc)
 
