@@ -247,6 +247,8 @@ def _case_factor(payload, opts: RunOptions):
 
 def _case_snf(payload, opts: RunOptions):
     cols = _int_field(payload, "cols", "payload", default=None)
+    if cols is not None and cols < 0:
+        raise SchemaError("payload.cols", "expected a non-negative integer")
     m = _matrix(_list_field(payload, "matrix", "payload"),
                 "payload.matrix", cols)
     factors, rank = gmodule.smith_normal_form(m)
@@ -282,12 +284,11 @@ def _case_seq(payload, opts: RunOptions):
             if int(key) in junctions:
                 raise SchemaError(kpath, f"repeated junction index {int(key)}")
             junctions[int(key)] = _poly(raw[key], kpath)
-        solved = exactseq.solve_missing_third(entries, junctions)
-        splittings = (None if solved.splittings is None
-                      else [str(d) for d in solved.splittings])
+        polys, splittings = exactseq.solve_missing_third(entries, junctions)
         return "pass", {
-            "polys": [str(p) for p in solved.polys],
-            "splittings": splittings,
+            "polys": [str(p) for p in polys],
+            "splittings": (None if splittings is None
+                           else [str(d) for d in splittings]),
         }, []
     if op == "split":
         modules = _module_list(payload, "modules", "payload")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ialex.exactseq import PolySequence
 from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
     LaurentPoly,
@@ -169,9 +168,9 @@ class DiskKnotData:
     The three families factor the polynomials of the singularity's
     Mayer-Vietoris sequence: nu_i = a_i b_i, lambda_i = b_i c_i,
     mu_i = c_i a_{i-1}.  Degrees beyond the stored ranges are 1, as is
-    a_{-1}.  Construction interleaves the derived nu, lambda, mu into the
-    sequence and validates it against its own delta chain, which requires in
-    particular that the top a be 1 (the sequence is zero-bounded).
+    a_{-1}.  Interleaved from the top degree down, nu, lambda, mu factor over
+    the delta chain a, b, c, ..., a_{-1} by construction; the one check left
+    is that the top a be 1 (the sequence is zero-bounded).
 
     >>> data = DiskKnotData(4, a=["1"], b=["t - 1"], c=["1"])
     >>> str(data.lam(0)), str(data.nu(0)), str(data.mu(0))
@@ -190,16 +189,9 @@ class DiskKnotData:
         object.__setattr__(self, "c", tuple(normalize(x) for x in c))
         object.__setattr__(self, "top",
                            max(len(self.a), len(self.b), len(self.c), 1) - 1)
-        polys = []
-        deltas = []
-        for i in range(self.top, -1, -1):
-            polys.extend([self.nu(i), self.lam(i), self.mu(i)])
-            deltas.extend([self.a_at(i), self.b_at(i), self.c_at(i)])
-        deltas.append(_ONE)  # a_{-1}
-        try:
-            PolySequence(polys, deltas)
-        except ValueError as exc:
-            raise ValueError(f"inconsistent subpolynomial data: {exc}") from exc
+        if not self.a_at(self.top).is_one:
+            raise ValueError(
+                "inconsistent subpolynomial data: boundary splittings must be 1")
 
     def __setattr__(self, name, value):
         raise AttributeError("DiskKnotData is immutable")

@@ -36,7 +36,6 @@ __all__ = [
     "ModuleSequence",
     "NonDividingSplitting",
     "NotExactCompatible",
-    "PolySequence",
     "check_alternating_product",
     "solve_missing_third",
     "split_primary",
@@ -54,58 +53,6 @@ class MissingSplitting(ValueError):
 
 class NonDividingSplitting(ValueError):
     """A supplied or derived subpolynomial fails to divide its sequence entry."""
-
-
-class PolySequence:
-    """Order polynomials of a bounded exact sequence, with optional deltas.
-
-    The splittings, when present, interleave the polynomials: entry i of the
-    sequence factors as splittings[i] * splittings[i+1], and both end
-    splittings are 1 (the sequence is zero-bounded).
-
-    >>> PolySequence(["t - 1", "t^2 - 1", "t + 1"], ["1", "t - 1", "t + 1", "1"])
-    PolySequence(['t - 1', 't^2 - 1', 't + 1'], splittings=['1', 't - 1', 't + 1', '1'])
-    """
-
-    __slots__ = ("polys", "splittings")
-
-    def __init__(self, polys: Iterable[PolyLike],
-                 splittings: Optional[Iterable[PolyLike]] = None):
-        ps = tuple(normalize(p) for p in polys)
-        ds = None
-        if splittings is not None:
-            ds = tuple(normalize(d) for d in splittings)
-            if len(ds) != len(ps) + 1:
-                raise ValueError("need exactly one splitting per junction")
-            if not ds[0].is_one or not ds[-1].is_one:
-                raise ValueError("boundary splittings must be 1")
-            for i, p in enumerate(ps):
-                if ds[i] * ds[i + 1] != p:
-                    raise ValueError(
-                        f"entry {i} does not factor as its adjacent splittings")
-        object.__setattr__(self, "polys", ps)
-        object.__setattr__(self, "splittings", ds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySequence is immutable")
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolySequence):
-            return NotImplemented
-        return (self.polys, self.splittings) == (other.polys, other.splittings)
-
-    def __hash__(self) -> int:
-        return hash((self.polys, self.splittings))
-
-    def __repr__(self) -> str:
-        inner = [str(p) for p in self.polys]
-        if self.splittings is None:
-            return f"PolySequence({inner!r})"
-        return (f"PolySequence({inner!r}, "
-                f"splittings={[str(d) for d in self.splittings]!r})")
 
 
 def check_alternating_product(polys: Sequence[PolyLike]) -> bool:
@@ -160,7 +107,7 @@ def subpolynomials(polys: Sequence[PolyLike]) -> tuple[LaurentPoly, ...]:
 def solve_missing_third(
     entries: Sequence[Optional[PolyLike]],
     junctions: Mapping[int, PolyLike] | None = None,
-) -> PolySequence:
+) -> tuple[tuple[LaurentPoly, ...], Optional[tuple[LaurentPoly, ...]]]:
     """Fill unknown entries (every third position) from the junction deltas.
 
     ``entries`` contains polynomials with ``None`` at the unknown slots;
@@ -170,9 +117,14 @@ def solve_missing_third(
     entries (the missing delta next to a known one is the exact quotient),
     after which each unknown entry is the product of its two flanking deltas.
 
-    >>> seq = solve_missing_third(["t^2 - 1", "t^2 + 3*t + 2", None], {0: "t - 1"})
-    >>> [str(p) for p in seq.polys]
-    ['t^2 - 1', 't^2 + 3*t + 2', 't + 2']
+    Returns the filled entries and their deltas, entry i the product of
+    deltas i and i + 1; the deltas are None for a window cut out of a longer
+    sequence, whose boundary deltas are not 1.
+
+    >>> polys, splittings = solve_missing_third(
+    ...     ["t^2 - 1", "t^2 + 3*t + 2", None], {0: "t - 1"})
+    >>> [str(p) for p in polys], splittings
+    (['t^2 - 1', 't^2 + 3*t + 2', 't + 2'], None)
     """
     junctions = dict(junctions or {})
     polys: list[Optional[LaurentPoly]] = [
@@ -235,8 +187,8 @@ def solve_missing_third(
             raise NonDividingSplitting(
                 "completed sequence fails the alternating product test")
         if all(d is not None for d in deltas):
-            return PolySequence(filled, deltas)
-    return PolySequence(filled)
+            return tuple(filled), tuple(deltas)
+    return tuple(filled), None
 
 
 # -- module sequences ----------------------------------------------------------

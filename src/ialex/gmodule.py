@@ -94,6 +94,8 @@ class GammaMatrix:
         return m
 
     def _fill(self, rows: Iterable[Mapping[int, PolyLike]], cols: int):
+        if cols < 0:
+            raise ValueError("a matrix cannot have a negative column count")
         out = []
         for row in rows:
             keys = sorted(row)

@@ -30,7 +30,7 @@ needed.  gcds use the heuristic GCD of Char, Geddes and Gonnet, which reads
 the gcd off the integer gcd of two values; factorization divides out the
 cyclotomic factors exactly and hands only the rest to the modular
 factorizer.  Both live in :mod:`ialex.zfactor`, with the rest of the dense
-integer arithmetic.
+integer arithmetic, and :func:`factor` is one call there.
 """
 
 from __future__ import annotations
@@ -699,75 +699,6 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
     return count
 
 
-def _cyclotomic_orders(bound: int) -> list[tuple[int, int]]:
-    """Every n with Euler phi(n) <= bound, as (n, phi(n)) pairs by n.
-
-    phi is multiplicative and phi(p^k) = p^(k-1)*(p - 1) >= p - 1, so every
-    such n is a product of prime powers p^k with p <= bound + 1; the search
-    multiplies them together in increasing order of p while phi stays within
-    the bound.
-
-    >>> _cyclotomic_orders(2)
-    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2)]
-    """
-    sieve = bytearray([1]) * (bound + 2)
-    primes = []
-    for p in range(2, bound + 2):
-        if sieve[p]:
-            primes.append(p)
-            sieve[p * p::p] = bytes(len(range(p * p, bound + 2, p)))
-    orders = []
-    stack = [(1, 1, 0)]  # (n, phi(n), index of the smallest prime still free)
-    while stack:
-        n, phi, start = stack.pop()
-        orders.append((n, phi))
-        for i in range(start, len(primes)):
-            p = primes[i]
-            power, phi_power = p, phi * (p - 1)
-            if phi_power > bound:
-                break
-            while phi_power <= bound:
-                stack.append((n * power, phi_power, i + 1))
-                power, phi_power = power * p, phi_power * p
-    return sorted(orders)
-
-
-# Phi_n and Phi_n(2) by n: constants of the ring, built on first use
-_CYCLOTOMIC: dict[int, tuple[int, ...]] = {}
-_CYCLOTOMIC_AT_2: dict[int, int] = {}
-# _cyclotomic_orders(_ORDERS_BOUND), rebuilt when a larger degree is factored
-_ORDERS_BOUND, _CYCLOTOMIC_ORDERS = -1, []
-
-
-def _proper_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n // 2 + 1) if n % d == 0]
-
-
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Phi_n: t^n - 1 divided exactly by Phi_d for each proper divisor d."""
-    coeffs = _CYCLOTOMIC.get(n)
-    if coeffs is None:
-        coeffs = (-1,) + (0,) * (n - 1) + (1,)
-        for d in _proper_divisors(n):
-            coeffs = exact_div(coeffs, _cyclotomic(d))
-        _CYCLOTOMIC[n] = coeffs
-    return coeffs
-
-
-def _cyclotomic_at_2(n: int) -> int:
-    """Phi_n(2) = (2^n - 1) / prod of Phi_d(2) over the proper divisors d.
-
-    This is the Moebius product of the (2^d - 1)^mu(n/d), in integers only.
-    """
-    value = _CYCLOTOMIC_AT_2.get(n)
-    if value is None:
-        value = 2**n - 1
-        for d in _proper_divisors(n):
-            value //= _cyclotomic_at_2(d)
-        _CYCLOTOMIC_AT_2[n] = value
-    return value
-
-
 def _capped_rep(p: PolyLike, degree_cap: int) -> LaurentPoly:
     """The normal form of p, refused above the factorization cap."""
     rep = normalize(p)
@@ -782,15 +713,9 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
 
     Returns a tuple of ``(prime, multiplicity)`` pairs in canonical order
     whose product is similar to ``p``; units factor into the empty tuple.
-
-    Cyclotomic factors come out first, by exact division in Z[t]: for every
-    n with phi(n) at most the degree still left, Phi_n is divided out as
-    often as it goes.  A cheap filter runs before each division: Phi_n(2)
-    must divide the integer value at t = 2 of what is left, or Phi_n is not
-    a factor.  Only the cofactor without cyclotomic factors goes to
-    :func:`ialex.zfactor.factor_primitive` (Yun's square-free splitting,
-    Cantor-Zassenhaus factorization mod a small prime, Hensel lifting and
-    subset recombination), and a cofactor 1 is never passed on.
+    The numerator of the normal form is factored in Z[t] by
+    :func:`ialex.zfactor.factor_primitive`, whose order, by degree and then
+    coefficients, is the canonical order on normal forms.
 
     >>> factor("t^2 - 1")
     ((LaurentPoly('t - 1'), 1), (LaurentPoly('t + 1'), 1))
@@ -801,29 +726,8 @@ def factor(p: PolyLike, degree_cap: int = DEFAULT_DEGREE_CAP):
     >>> [str(prime) for prime, _ in factor("t^6 - 1")]
     ['t - 1', 't + 1', 't^2 - t + 1', 't^2 + t + 1']
     """
-    global _ORDERS_BOUND, _CYCLOTOMIC_ORDERS
-    rep = _capped_rep(p, degree_cap)
-    if rep.degree > _ORDERS_BOUND:
-        _ORDERS_BOUND, _CYCLOTOMIC_ORDERS = (
-            rep.degree, _cyclotomic_orders(rep.degree))
-    rest = rep._num
-    at_2 = sum(c << i for i, c in enumerate(rest))
-    found: list[tuple[LaurentPoly, int]] = []
-    for n, phi in _CYCLOTOMIC_ORDERS:
-        if phi >= len(rest):  # which holds for every phi(n) > rep.degree
-            continue
-        phi_at_2 = _cyclotomic_at_2(n)
-        if at_2 % phi_at_2:
-            continue
-        cyclo, mult = _cyclotomic(n), 0
-        while (quotient := exact_div(rest, cyclo)) is not None:
-            rest, at_2, mult = quotient, at_2 // phi_at_2, mult + 1
-        if mult:
-            found.append((_checked_rep(cyclo), mult))
-    if len(rest) > 1:
-        found.extend((_checked_rep(part), mult)
-                     for part, mult in factor_primitive(rest))
-    return tuple(sorted(found, key=lambda pair: pair[0].sort_key()))
+    return tuple((_checked_rep(q), mult) for q, mult
+                 in factor_primitive(_capped_rep(p, degree_cap)._num))
 
 
 def is_alexander_type(p: PolyLike) -> bool:

@@ -2,12 +2,17 @@
 
 Polynomials are sequences of integer coefficients indexed from exponent 0
 upward, the layout of the numerator of a ``laurent.LaurentPoly`` in normal
-form; zero is the empty sequence.  This module is the one home for that arithmetic: exact and
-pseudo-division, gcd, products by Kronecker substitution, and the factorizer
-that ``laurent.factor`` hands its cyclotomic-free cofactor to.
+form; zero is the empty sequence.  This module is the one home for that
+arithmetic: exact and pseudo-division, gcd, products by Kronecker
+substitution, and the factorizer behind ``laurent.factor``.
 
-:func:`factor_primitive` is the classical small-prime route (von zur Gathen
-and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
+:func:`factor_primitive` first divides out the cyclotomic factors exactly:
+for every n with phi(n) at most the degree still left, Phi_n is divided out
+as often as it goes.  A cheap filter runs before each division: Phi_n(2)
+must divide the integer value at t = 2 of what is left, or Phi_n is not a
+factor.  The rest, if not constant, takes the classical small-prime route
+(von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14
+and 15):
 
 - Yun's square-free decomposition, which also gives the multiplicities,
   needed only when f is not square-free mod the first odd prime not
@@ -43,6 +48,7 @@ call, so the same input always does the same work.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -743,27 +749,107 @@ def _recombine(f: tuple, lifted: list, modulus: int) -> list:
     return found
 
 
+def _cyclotomic_orders(bound: int) -> list[tuple[int, int]]:
+    """Every n with Euler phi(n) <= bound, as (n, phi(n)) pairs by n.
+
+    phi is multiplicative and phi(p^k) = p^(k-1)*(p - 1) >= p - 1, so every
+    such n is a product of prime powers p^k with p <= bound + 1; the search
+    multiplies them together in increasing order of p while phi stays within
+    the bound.
+
+    >>> _cyclotomic_orders(2)
+    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2)]
+    """
+    sieve = bytearray([1]) * (bound + 2)
+    primes = []
+    for p in range(2, bound + 2):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 2, p)))
+    orders = []
+    stack = [(1, 1, 0)]  # (n, phi(n), index of the smallest prime still free)
+    while stack:
+        n, phi, start = stack.pop()
+        orders.append((n, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            power, phi_power = p, phi * (p - 1)
+            if phi_power > bound:
+                break
+            while phi_power <= bound:
+                stack.append((n * power, phi_power, i + 1))
+                power, phi_power = power * p, phi_power * p
+    return sorted(orders)
+
+
+# _cyclotomic_orders(_ORDERS_BOUND), rebuilt when a larger degree is factored
+_ORDERS_BOUND, _CYCLOTOMIC_ORDERS = -1, []
+
+
+def _proper_divisors(n: int) -> list[int]:
+    return [d for d in range(1, n // 2 + 1) if n % d == 0]
+
+
+# Phi_n and Phi_n(2) are constants of the ring, built on first use
+@functools.cache
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n: t^n - 1 divided exactly by Phi_d for each proper divisor d."""
+    coeffs = (-1,) + (0,) * (n - 1) + (1,)
+    for d in _proper_divisors(n):
+        coeffs = exact_div(coeffs, _cyclotomic(d))
+    return coeffs
+
+
+@functools.cache
+def _cyclotomic_at_2(n: int) -> int:
+    """Phi_n(2) = (2^n - 1) / prod of Phi_d(2) over the proper divisors d.
+
+    This is the Moebius product of the (2^d - 1)^mu(n/d), in integers only.
+    """
+    value = 2**n - 1
+    for d in _proper_divisors(n):
+        value //= _cyclotomic_at_2(d)
+    return value
+
+
 def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     """The irreducible factors in Z[t], with multiplicities, of a primitive
-    polynomial of positive degree with positive leading coefficient.
+    polynomial with nonzero constant term and positive leading coefficient.
 
-    The factors are primitive with positive leading coefficients; their
-    product with multiplicities is checked to equal f.  A square factor of
-    f would stay one mod every prime p not dividing lc(f), so f square-free
-    mod the first such p is square-free and skips Yun's gcds over Z.  A
-    power of t is split off first, as the factor (0, 1): recombination
-    reads constant terms, and t has none.
+    The factors are primitive with positive leading coefficients, ordered
+    by degree and then coefficients; their product with multiplicities is
+    checked to equal f, and a constant f has none.  Cyclotomic factors are
+    divided out first and only the rest goes to Zassenhaus's algorithm.  A
+    square factor of f would stay one mod every prime p not dividing lc(f),
+    so f square-free mod the first such p is square-free and skips Yun's
+    gcds over Z.  A zero constant term is refused: recombination reads
+    constant terms, and a factor t has none.
 
     >>> factor_primitive((-1, 0, 0, 0, 1))
     [((-1, 1), 1), ((1, 1), 1), ((1, 0, 1), 1)]
     >>> factor_primitive((1, 2, 1))
     [((1, 1), 2)]
-    >>> factor_primitive((0, 0, -1, 0, 1))
-    [((-1, 1), 1), ((0, 1), 2), ((1, 1), 1)]
     """
-    low = next(i for i, c in enumerate(f) if c)
-    rest = tuple(f[low:])
-    found = [((0, 1), low)] if low else []
+    global _ORDERS_BOUND, _CYCLOTOMIC_ORDERS
+    if not f or not f[0]:
+        raise ValueError(f"{tuple(f)} has no nonzero constant term")
+    if len(f) - 1 > _ORDERS_BOUND:
+        _ORDERS_BOUND = len(f) - 1
+        _CYCLOTOMIC_ORDERS = _cyclotomic_orders(_ORDERS_BOUND)
+    rest = tuple(f)
+    at_2 = sum(c << i for i, c in enumerate(rest))
+    found = []
+    for n, phi in _CYCLOTOMIC_ORDERS:
+        if phi >= len(rest):  # which holds for every phi(n) > deg f
+            continue
+        phi_at_2 = _cyclotomic_at_2(n)
+        if at_2 % phi_at_2:
+            continue
+        cyclo, mult = _cyclotomic(n), 0
+        while (quotient := exact_div(rest, cyclo)) is not None:
+            rest, at_2, mult = quotient, at_2 // phi_at_2, mult + 1
+        if mult:
+            found.append((cyclo, mult))
     if len(rest) > 1:
         p = next(p for p in _odd_primes() if rest[-1] % p)
         modular = factor_mod_p(rest, p)

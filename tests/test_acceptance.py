@@ -239,9 +239,9 @@ def test_criterion_02_point_formula():
         for pos, i in enumerate(range(data.top, -1, -1)):
             entries.extend([data.nu(i), data.lam(i), None])
             junctions[3 * pos] = data.a_at(i)
-        solved = solve_missing_third(entries, junctions)
+        polys, _ = solve_missing_third(entries, junctions)
         for pos, i in enumerate(range(data.top, -1, -1)):
-            mu_hat = solved.polys[3 * pos + 2]
+            mu_hat = polys[3 * pos + 2]
             assert mu_hat == data.mu(i)
             if i > cut:
                 assert out[i] == mu_hat

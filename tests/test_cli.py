@@ -301,6 +301,15 @@ def test_snf_empty_matrix_needs_cols(tmp_path):
     assert values["cokernel"] == {"free": 3, "torsion": []}
 
 
+def test_snf_negative_cols_is_schema_error(tmp_path):
+    case = {"kind": "snf", "payload": {"matrix": [], "cols": -2}}
+    result = invoke(tmp_path, case, "snf")
+    assert result.exit_code == 1
+    assert report_of(result)["error"] == {
+        "code": "schema", "path": "payload.cols",
+        "message": "expected a non-negative integer"}
+
+
 def test_seq_check_pass_and_fail(tmp_path):
     good = {"kind": "seq", "payload": {
         "op": "check", "polys": ["t - 1", "t^2 - 1", "t + 1"]}}
@@ -373,6 +382,18 @@ def test_ia_point_validation_error(tmp_path):
     result = invoke(tmp_path, case, "ia", "point")
     assert result.exit_code == 1
     assert report_of(result)["error"]["code"] == "validation"
+
+
+def test_ia_point_nonunit_top_a_is_validation_error(tmp_path):
+    case = copy.deepcopy(POINT_CASE)
+    case["payload"]["a"] = ["1", "t - 2"]
+    case["payload"]["b"] = ["t - 1", "t + 1"]
+    case["payload"]["c"] = ["1", "1"]
+    result = invoke(tmp_path, case, "ia", "point")
+    assert result.exit_code == 1
+    assert report_of(result)["error"] == {
+        "code": "validation",
+        "message": "inconsistent subpolynomial data: boundary splittings must be 1"}
 
 
 def test_ia_product(tmp_path):

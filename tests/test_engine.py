@@ -154,8 +154,10 @@ def test_locally_flat_identity():
 
 def test_disk_knot_data_validation():
     # a nonunit at the top of the a-chain breaks zero-boundedness
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         DiskKnotData(5, a=["1", "t - 2"], b=["t - 1", "t + 1"], c=["1", "1"])
+    assert str(info.value) == (
+        "inconsistent subpolynomial data: boundary splittings must be 1")
     data = DiskKnotData(5, a=["1", "t - 2", "1"], b=["t - 1", "t + 1", "1"],
                         c=["1", "t^2 - t + 1", "1"])
     assert data.mu(2) == normalize("t - 2")
@@ -219,9 +221,9 @@ def test_point_sequence_solvable_from_junctions(data):
     for pos, i in enumerate(range(data.top, -1, -1)):
         entries.extend([data.nu(i), data.lam(i), None])
         junctions[3 * pos] = data.a_at(i)
-    solved = solve_missing_third(entries, junctions)
+    polys, _ = solve_missing_third(entries, junctions)
     for pos, i in enumerate(range(data.top, -1, -1)):
-        assert solved.polys[3 * pos + 2] == data.mu(i)
+        assert polys[3 * pos + 2] == data.mu(i)
 
 
 # -- product singularities ----------------------------------------------------------

@@ -16,7 +16,6 @@ from ialex.exactseq import (
     ModuleSequence,
     NonDividingSplitting,
     NotExactCompatible,
-    PolySequence,
     check_alternating_product,
     solve_missing_third,
     split_primary,
@@ -80,8 +79,6 @@ def test_extraction_recovers_deltas(interior):
     polys = _chain_to_polys(deltas)
     assert subpolynomials(polys) == tuple(deltas)
     assert check_alternating_product(polys)
-    # and the pair is accepted as a valid annotated sequence
-    PolySequence(polys, deltas)
 
 
 @given(st.lists(prime_products(max_factors=2), min_size=1, max_size=4),
@@ -99,15 +96,6 @@ def test_perturbed_sequence_detected(interior, pos, extra):
         subpolynomials(polys)
 
 
-def test_poly_sequence_validation():
-    with pytest.raises(ValueError):
-        PolySequence([A], [A, LaurentPoly.one()])  # boundary not 1
-    with pytest.raises(ValueError):
-        PolySequence([A, B], [LaurentPoly.one(), A, LaurentPoly.one()])
-    with pytest.raises(ValueError):
-        PolySequence([A], [LaurentPoly.one()])  # wrong length
-
-
 # -- missing third ---------------------------------------------------------------
 
 
@@ -118,25 +106,25 @@ def test_solve_missing_third_point_pattern():
     mu1 = C * A2                                       # c_1 = t^2-t+1, a_0 = t-2
     nu0, lam0 = A2 * A, A                              # b_0 = t-1, c_0 = 1
     mu0 = LaurentPoly.one()
-    got = solve_missing_third(
+    polys, splittings = solve_missing_third(
         [nu1, lam1, None, nu0, lam0, None],
         {0: LaurentPoly.one(), 3: A2, 6: LaurentPoly.one()})
-    assert got.polys == (nu1, lam1, mu1, nu0, lam0, mu0)
-    assert got.splittings == (
+    assert polys == (nu1, lam1, mu1, nu0, lam0, mu0)
+    assert splittings == (
         LaurentPoly.one(), B, C, A2, A, LaurentPoly.one(), LaurentPoly.one())
 
 
 def test_solve_missing_third_all_ones():
-    got = solve_missing_third([LaurentPoly.one(), LaurentPoly.one(), None])
-    assert got.polys == (LaurentPoly.one(),) * 3
+    polys, _ = solve_missing_third([LaurentPoly.one(), LaurentPoly.one(), None])
+    assert polys == (LaurentPoly.one(),) * 3
 
 
 def test_solve_missing_third_window():
     # [nu, lambda, ?] with a non-unit junction on the left boundary
     nu, lam = A * B, B * C
-    got = solve_missing_third([nu, lam, None], {0: A})
-    assert got.polys == (nu, lam, C)
-    assert got.splittings is None  # window: not a zero-bounded sequence
+    polys, splittings = solve_missing_third([nu, lam, None], {0: A})
+    assert polys == (nu, lam, C)
+    assert splittings is None  # window: not a zero-bounded sequence
 
 
 def test_solve_missing_third_errors():
@@ -170,8 +158,7 @@ def test_missing_third_round_trip(blocks):
     polys = _chain_to_polys(deltas)
     blanked = [None if i % 3 == 2 else p for i, p in enumerate(polys)]
     junctions = {i: deltas[i] for i in range(0, len(deltas), 3)}
-    got = solve_missing_third(blanked, junctions)
-    assert got.polys == tuple(polys)
+    assert solve_missing_third(blanked, junctions) == (tuple(polys), tuple(deltas))
 
 
 # -- module sequences and primary splitting -------------------------------------------

@@ -85,6 +85,13 @@ def test_from_rows_rejects_a_column_outside_the_matrix():
             GammaMatrix.from_rows([{column: "t"}], 2)
 
 
+def test_a_negative_column_count_is_refused():
+    for make in (lambda: GammaMatrix([], cols=-2),
+                 lambda: GammaMatrix.from_rows([{}], -1)):
+        with pytest.raises(ValueError, match="negative column count"):
+            make()
+
+
 # -- Smith normal form ---------------------------------------------------------
 
 

@@ -39,7 +39,7 @@ from ialex.laurent import (
     parse,
     similar,
 )
-from ialex.laurent import _cyclotomic, _cyclotomic_orders
+from ialex.zfactor import _cyclotomic_orders
 from oracles import (
     DictLaurent,
     dense_coeffs,
@@ -586,30 +586,6 @@ def test_factor_primes_pairwise_nonassociate(p):
 
 
 # -- cyclotomic pre-pass ----------------------------------------------------------
-
-
-def totients(limit):
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
-def test_cyclotomic_orders_match_brute_force():
-    # phi(n) >= sqrt(n/2), so phi(n) <= d forces n <= 2*d^2
-    phi = totients(2 * 100**2 + 2)
-    for d in [*range(1, 65), 100]:
-        expected = [(n, phi[n]) for n in range(1, 2 * d * d + 3)
-                    if phi[n] <= d]
-        assert _cyclotomic_orders(d) == expected, d
-
-
-def test_cyclotomic_polynomials_match_sympy():
-    for n, phi in _cyclotomic_orders(64):
-        assert _cyclotomic(n) == sympy_cyclotomic(n)._num, n
-        assert len(_cyclotomic(n)) == phi + 1
 
 
 def test_factor_raised_cap():

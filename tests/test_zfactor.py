@@ -1,16 +1,17 @@
-"""Components of the Z[t] factorizer: packing, modular arithmetic, lifting."""
+"""Components of the Z[t] factorizer: packing, modular arithmetic, lifting,
+cyclotomic division."""
 
 import math
 import random
 from itertools import zip_longest
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 
-from conftest import seeded_eisenstein
+from conftest import eisenstein_coeffs, seeded_eisenstein
 from ialex import zfactor
 from ialex.laurent import LaurentPoly
 from ialex.zfactor import (
@@ -22,8 +23,8 @@ from ialex.zfactor import (
     poly_mul,
     pseudo_divmod,
 )
-from ialex.zfactor import _divmod, _gf_divmod
-from oracles import sympy_factor, sympy_gcd
+from ialex.zfactor import _cyclotomic, _cyclotomic_orders, _divmod, _gf_divmod
+from oracles import sympy_cyclotomic, sympy_factor, sympy_gcd
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
@@ -355,19 +356,20 @@ def test_recombination_reads_the_complement(monkeypatch, lead):
 
 
 @pytest.mark.parametrize("power", [1, 2])
-def test_power_of_t_splits_off(power):
-    """Recombination reads constant terms, which a factor t lacks: without
-    splitting t^power off first, t*h1*h2 came back as h2 and the reducible
-    t*h1 = (0, 1, 0, -10, 0, 1)."""
+def test_zero_constant_term_is_refused(power):
+    """Recombination reads constant terms, which a factor t lacks: fed
+    t*h1*h2 with no check, it came back as h2 and the reducible t*h1 =
+    (0, 1, 0, -10, 0, 1).  A normal form has a nonzero constant term, and
+    anything else is refused."""
     h1, h2 = (1, 0, -10, 0, 1), (1, 0, -4, 0, 1)
     f = (0,) * power + tuple(poly_mul(h1, h2))
-    assert zfactor.factor_primitive(f) == [((0, 1), power), (h1, 1), (h2, 1)]
-
+    with pytest.raises(ValueError, match="constant term"):
+        zfactor.factor_primitive(f)
 
 
 @pytest.mark.parametrize("f", [
     (-3, 0, 1),                                   # t^2 - 3 is t^2 mod 3
-    tuple(poly_mul((-3, 0, 1), (1, 1, 1))),       # t^2 + t + 1 = (t - 1)^2 mod 3
+    tuple(poly_mul((-3, 0, 1), (4, 1, 1))),       # t^2 + t + 4 = (t - 1)^2 mod 3
     tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 1))),  # Yun splits
     (-5, 0, 0, 0, 0, 0, 0, 0, 3),                 # lc 3: the first prime is 5
 ])
@@ -386,3 +388,63 @@ def test_no_prime_is_tried_twice(monkeypatch, f):
     zfactor.factor_primitive(f)
     assert real(*calls[0]) is None
     assert len(calls) == len(set(calls))
+
+
+# -- cyclotomic factors ---------------------------------------------------------
+
+
+def totients(limit):
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def test_cyclotomic_orders_match_brute_force():
+    # phi(n) >= sqrt(n/2), so phi(n) <= d forces n <= 2*d^2
+    phi = totients(2 * 100**2 + 2)
+    for d in [*range(1, 65), 100]:
+        expected = [(n, phi[n]) for n in range(1, 2 * d * d + 3)
+                    if phi[n] <= d]
+        assert _cyclotomic_orders(d) == expected, d
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for n, phi in _cyclotomic_orders(64):
+        assert _cyclotomic(n) == sympy_cyclotomic(n)._num, n
+        assert len(_cyclotomic(n)) == phi + 1
+
+
+@st.composite
+def cyclotomic_eisenstein_products(draw):
+    """{factor: multiplicity} of Phi_n with phi(n) <= 8 and Eisenstein
+    polynomials at 2, multiplicities 1-3, total degree <= 36."""
+    eisenstein = st.builds(
+        eisenstein_coeffs, st.sampled_from([-5, -3, -1, 1, 3, 5]),
+        st.lists(st.integers(-3, 3), max_size=3), st.sampled_from([1, 3]))
+    prime = st.one_of(
+        st.sampled_from([n for n, _ in _cyclotomic_orders(8)]).map(_cyclotomic),
+        eisenstein.map(lambda q: q._num))
+    planted = {}
+    for q, mult in draw(st.lists(st.tuples(prime, st.integers(1, 3)),
+                                 max_size=6)):
+        degree = sum((len(r) - 1) * m for r, m in planted.items())
+        if q not in planted and degree + (len(q) - 1) * mult <= 36:
+            planted[q] = mult
+    return planted
+
+
+@given(cyclotomic_eisenstein_products())
+@example({(-1, 1): 3, (1, 1): 1, (1, -1, 1): 2, (2, 2, 1): 3, (6, 0, 2, 1): 1})
+@settings(max_examples=60, deadline=None)
+def test_factor_primitive_splits_cyclotomic_and_other_factors(planted):
+    f = [1]
+    for q, mult in planted.items():
+        for _ in range(mult):
+            f = poly_mul(f, q)
+    expected = sorted(planted.items(), key=lambda pair: (len(pair[0]), pair[0]))
+    assert zfactor.factor_primitive(f) == expected
+    assert [(q._num, m) for q, m in sympy_factor(
+        LaurentPoly(enumerate(f)))] == expected
