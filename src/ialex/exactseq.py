@@ -186,8 +186,7 @@ def solve_missing_third(
         if not check_alternating_product(filled):
             raise NonDividingSplitting(
                 "completed sequence fails the alternating product test")
-        if all(d is not None for d in deltas):
-            return tuple(filled), tuple(deltas)
+        return tuple(filled), tuple(deltas)
     return tuple(filled), None
 
 

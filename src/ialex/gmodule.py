@@ -250,12 +250,24 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
     Euclidean elimination (`_diagonalise`) splits off the diagonal, unit
     pivots first, so boundary matrices of simplicial complexes reduce
     without a dense pass; each unit is a factor 1, and the gcd/lcm chain of
-    the other entries gives the remaining factors.
+    the other entries gives the remaining factors.  A matrix with one row
+    or one column skips the elimination: its one factor is the gcd of its
+    entries, which stops at the first unit.
 
     >>> factors, rank = smith_normal_form(GammaMatrix([["t - 1", "1"], ["0", "t + 1"]]))
     >>> [str(f) for f in factors], rank
     (['1', 't^2 - 1'], 2)
     """
+    if m.rows == 1 or m.cols == 1:    # one factor: the gcd of the entries
+        entries = [e for row in m._rows for e in row.values()]
+        if not entries:
+            return (), 0
+        g = entries[0]
+        for e in entries[1:]:
+            if g.is_unit:
+                break
+            g = gcd(g, e)
+        return (normalize(g),), 1
     diagonal = _diagonalise(m)
     nonunits = [normalize(d) for d in diagonal if not d.is_unit]
     ones = (LaurentPoly.one(),) * (len(diagonal) - len(nonunits))

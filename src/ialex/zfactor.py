@@ -26,16 +26,33 @@ and 15):
   Residues mod f sit one per slot of a Python integer, and the Frobenius
   map h -> h^p mod f is a precomputed table of x^(p*j) mod f, so it costs
   one big-integer multiply-add per coefficient;
+- Euclid's algorithm over GF(p), for these gcds and the Bezout cofactors
+  of the lifting, on packed integers with lazy reduction.  A remainder is
+  one integer whose slots are 64 bits wide, or as wide as p^4 needs when
+  that is more.  A division row reads its leading slot and adds a
+  multiple of the divisor to the dividend in one multiply-add; slots are
+  never negative and are not reduced mod p after a row.  Each value keeps
+  a bound on its slots, and it is reduced (unpacked, taken mod p and
+  packed again) only when the next row could take a slot past the width;
+  p^4 leaves room for at least one row after both sides are reduced.
+  Only the cofactor of the first input is carried; the second follows
+  from one exact division;
 - quadratic Hensel lifting down a binary factor tree, each node split
   where the degrees of its two sides are closest (ibid., Alg. 15.10 and
   15.17), until p^k exceeds twice Mignotte's bound on a factor of degree
   at most n/2, in Knuth's form (TAOCP vol. 2, section 4.6.2), with
   products of residues by Kronecker substitution (ibid., section 8.4) in
-  slots sized by the modulus and long division on one packed integer;
+  slots sized by the modulus and long division on one packed integer.  A
+  lifting step packs its operands once and forms each correction as one
+  packed sum of two products;
 - recombination of lifted factors over subsets of growing size, each read
   on its side of degree at most n/2, the side that bound makes exact,
   filtered by the constant-term test and accepted only when it divides
   exactly.
+
+The factors found, with their multiplicities, are checked to multiply back
+to f by one evaluation at a power of two in slots wider than twice the
+product of their 1-norms.
 
 :func:`poly_gcd` is the heuristic GCD of Char, Geddes and Gonnet (1989),
 which reads the gcd off the integer gcd of two values, with primitive
@@ -281,6 +298,11 @@ def _pack(coeffs: Poly, bits: int) -> int:
     return int.from_bytes(slots.tobytes(), "little")
 
 
+def _unpack_all(value: int, bits: int) -> list[int]:
+    """The slots of a nonnegative value up to its highest nonzero one."""
+    return _unpack(value, bits, -(-value.bit_length() // bits))
+
+
 def _unpack(value: int, bits: int, n: int) -> list[int]:
     """The n slots of a value in [0, 2^(bits*n))."""
     width = bits // 8
@@ -352,29 +374,38 @@ def _mul_residues(a: Poly, b: Poly, m: int) -> list[int]:
 
 def _divmod(a: Poly, h: Poly, m: int) -> tuple[list, list]:
     """Quotient and remainder of a by h over Z/m, for a reduced mod m and
-    the leading coefficient of h a unit mod m.
-
-    The long division runs on one packed integer: a row adds m - c times
-    the packed lower part of h, shifted, so each slot stays nonnegative and
-    gains less than m^2.  The slots are wide enough for every row, so only
-    the coefficient that leads a row is reduced, when it is read.
-    """
+    the leading coefficient of h a unit mod m: ``_divide`` on a packed in
+    slots wide enough for every row."""
     n, dh = len(a), len(h) - 1
     if n <= dh:
         return [], list(a)
     bits = _slot_bits(m + (n - dh) * (m - 1) ** 2)
-    mask = (1 << bits) - 1
-    rem, head = _pack(a, bits), _pack(h[:-1], bits)
-    inv = pow(h[-1], -1, m)
-    quot = [0] * (n - dh)
-    for i in range(n - 1, dh - 1, -1):
+    quot, rem = _divide(_pack(a, bits), _pack(h[:-1], bits), dh,
+                        pow(h[-1], -1, m), m, bits)
+    return (_unpack(quot, bits, n - dh),
+            _reduce(_unpack(rem, bits, dh), m))
+
+
+def _divide(rem: int, head: int, dh: int, inv: int, m: int,
+            bits: int) -> tuple[int, int]:
+    """The packed quotient and remainder over Z/m of a packed value by h of
+    degree dh, given as its packed lower part ``head`` and the inverse of
+    its leading coefficient.
+
+    The long division runs on the packed value: a row adds m - c times
+    head, shifted, so each slot stays nonnegative and gains less than m^2.
+    The slots must be wide enough for every row, so only the coefficient
+    that leads a row is reduced, when it is read; the remainder's dh slots
+    are not reduced.
+    """
+    mask, quot = (1 << bits) - 1, 0
+    for i in range(-(-rem.bit_length() // bits) - 1, dh - 1, -1):
         c = ((rem >> (bits * i)) & mask) * inv % m
         if c:
-            k = i - dh
-            quot[k] = c
-            rem += (m - c) * head << (bits * k)
-    low = _unpack(rem & ((1 << (bits * dh)) - 1), bits, dh)
-    return quot, _reduce(low, m)
+            k = bits * (i - dh)
+            quot |= c << k
+            rem += (m - c) * head << k
+    return quot, rem & ((1 << (bits * dh)) - 1)
 
 
 # -- GF(p)[x] ---------------------------------------------------------------
@@ -385,54 +416,90 @@ def _gf_monic(a: Poly, p: int) -> list:
     return [c * inv % p for c in a]
 
 
-def _gf_divmod(a: Poly, b: Poly, p: int) -> tuple[list, list]:
-    """``_divmod`` over GF(p), in one pass when the quotient is linear, as
-    in nearly every step of Euclid's algorithm."""
-    if len(a) != len(b) + 1 or len(b) == 1:
-        return _divmod(a, b, p)
-    inv = pow(b[-1], -1, p)
-    lead = a[-1] * inv % p
-    low = (a[-2] - lead * b[-2]) * inv % p
-    return [low, lead], _trim([(x - low * y - lead * z) % p
-                               for x, y, z in zip(a, b[:-1], [0, *b])])
+def _gf_gcd(a: Poly, b: Poly, p: int, cofactor: bool = False) -> tuple[list, list]:
+    """The monic gcd g over GF(p) of reduced a and b, not both zero, and,
+    when ``cofactor`` is set, the s with g = s*a mod b that Euclid's
+    algorithm gives, trimmed ([] when it is not set).
 
+    Every remainder, and s, is one packed integer (see the module notes).
+    A division row reads the slot that leads it by a shift, a mask and
+    ``% p`` and then adds p - c times the packed divisor below its leading
+    slot, shifted, to the dividend; the same multiple of the divisor's
+    cofactor goes into the dividend's.  Slots are never negative, and each
+    value keeps a bound on its slots; a value is reduced only when a row
+    would take a slot past the slot width.  Slots read as zero mod p on top
+    of a remainder are dropped.
+    """
+    bits = _slot_bits(max(p ** 4, 1 << 63))
+    mask, bound = (1 << bits) - 1, p - 1
 
-def _gf_gcd(a: Poly, b: Poly, p: int) -> list:
-    """The monic gcd over GF(p) of reduced polynomials, not both zero."""
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
+    def reduced(value: int) -> int:
+        return _pack([c % p for c in _unpack_all(value, bits)], bits)
+
+    r0, n0, b0 = _pack(a, bits), len(a), bound
+    r1, n1, b1 = _pack(b, bits), len(b), bound
+    s0, s1, c0, c1 = 1, 0, 1, 0  # the cofactors of a and their slot bounds
+    while n1:
+        d = n1 - 1
+        inv = pow((r1 >> bits * d) % p, -1, p)
+        head = r1 & ((1 << bits * d) - 1)
+        for i in range(n0 - 1, d - 1, -1):
+            c = ((r0 >> bits * i) & mask) * inv % p
+            if not c:
+                continue
+            if b0 + bound * b1 > mask:
+                r0, b0 = reduced(r0), bound
+                if b0 + bound * b1 > mask:
+                    r1, b1 = reduced(r1), bound
+                    head = r1 & ((1 << bits * d) - 1)
+            r0 += (p - c) * head << bits * (i - d)
+            b0 += bound * b1
+            if cofactor:
+                if c0 + bound * c1 > mask:
+                    s0, c0 = reduced(s0), bound
+                    if c0 + bound * c1 > mask:
+                        s1, c1 = reduced(s1), bound
+                s0 += (p - c) * s1 << bits * (i - d)
+                c0 += bound * c1
+        n0 = min(n0, d)
+        while n0 and not ((r0 >> bits * (n0 - 1)) & mask) % p:
+            n0 -= 1
+        r0 &= (1 << bits * n0) - 1
+        r0, n0, b0, r1, n1, b1 = r1, n1, b1, r0, n0, b0
+        s0, c0, s1, c1 = s1, c1, s0, c0
+    g = _unpack(r0, bits, n0)
+    inv = pow(g[-1], -1, p)
+    s = _trim([c * inv % p for c in _unpack_all(s0, bits)]) if cofactor else []
+    return [c * inv % p for c in g], s
 
 
 def _gf_gcdex(a: Poly, b: Poly, p: int) -> tuple[list, list]:
-    """s and t with s*a + t*b = 1 over GF(p), for coprime a and b."""
-    r0, r1 = list(a), list(b)
-    s0, s1, t0, t1 = [1], [], [], [1]
-    while r1:
-        q, r = _gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _add_mod(s0, _mul_residues(q, s1, p), p, -1)
-        t0, t1 = t1, _add_mod(t0, _mul_residues(q, t1, p), p, -1)
-    if len(r0) != 1:
+    """s and t with s*a + t*b = 1 over GF(p), for coprime a and b: s from
+    ``_gf_gcd``, t as the exact quotient (1 - s*a) / b."""
+    g, s = _gf_gcd(a, b, p, cofactor=True)
+    if g != [1]:
         raise RuntimeError("Hensel lifting needs factors coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+    t, r = _divmod(_add_mod([1], _mul_residues(s, a, p), p, -1), b, p)
+    if r:
+        raise RuntimeError(f"{b} does not divide 1 - s*a mod {p}")
+    return s, t
 
 
 class _QuotientRing:
     """GF(p)[x]/(f) for a monic f of degree n >= 2, on packed integers.
 
     An element is a list of at most n residues.  Products are Kronecker
-    products; the slots above n fold back through the packed rows
-    x^(n+i) mod f, and the Frobenius map goes through the packed rows
-    x^(p*j) mod f, each a scalar multiply-add per coefficient.  No slot
-    ever holds more than n*p^2, which sets the slot width.
+    products; only their slots above n are reduced mod p, to fold back
+    through the packed rows x^(n+i) mod f onto the unreduced slots below.
+    The Frobenius map goes through the packed rows x^(p*j) mod f, each a
+    scalar multiply-add per coefficient.  No slot ever holds more than
+    2*n*p^2, which sets the slot width.
     """
 
     def __init__(self, f: Poly, p: int):
         n = len(f) - 1
         self.p, self.n = p, n
-        self.bits = bits = _slot_bits(n * p * p)
+        self.bits = bits = _slot_bits(2 * n * p * p)
         top = [-c % p for c in f[:-1]]  # x^n mod f
         row, fold = top, []
         for _ in range(n - 1):
@@ -461,10 +528,15 @@ class _QuotientRing:
     def mul(self, a: list, b: list) -> list:
         if not a or not b:
             return []
-        p, bits = self.p, self.bits
-        prod = _unpack(_pack(a, bits) * _pack(b, bits), bits,
-                       len(a) + len(b) - 1)
-        return self._mod_f([c % p for c in prod])
+        p, bits, n = self.p, self.bits, self.n
+        prod = _pack(a, bits) * _pack(b, bits)
+        if len(a) + len(b) - 1 <= n:
+            return [c % p for c in _unpack(prod, bits, len(a) + len(b) - 1)]
+        high = [c % p for c in _unpack(prod >> bits * n, bits,
+                                       len(a) + len(b) - 1 - n)]
+        acc = (prod & ((1 << bits * n) - 1)) + sum(
+            c * row for c, row in zip(high, self.fold) if c)
+        return [c % p for c in _unpack(acc, bits, n)]
 
     def pow(self, a: list, e: int) -> list:
         result = [1]
@@ -501,12 +573,12 @@ def _distinct_degree(f: list, ring: _QuotientRing) -> list[tuple[list, int]]:
             u[1] = (u[1] - 1) % p
             block.append((d, u))
             product = ring.mul(product, u)
-        found = _gf_gcd(rest, _trim(product), p)
+        found = _gf_gcd(rest, _trim(product), p)[0]
         if len(found) == 1:
             continue
         rest = _divmod(rest, found, p)[0]
         for degree, u in block:
-            g = _gf_gcd(found, _divmod(_trim(u), found, p)[1], p)
+            g = _gf_gcd(_trim(u), found, p)[0]
             if len(g) > 1:
                 parts.append((g, degree))
                 found = _divmod(found, g, p)[0]
@@ -535,9 +607,9 @@ def _equal_degree(g: list, d: int, ring: _QuotientRing,
         for _ in range(d - 1):
             conj = ring.frobenius(conj)
             norm = ring.mul(norm, conj)
-        w = _divmod(_trim(ring.pow(norm, (p - 1) // 2)), g, p)[1]
+        w = _trim(ring.pow(norm, (p - 1) // 2))
         w = _trim([(w[0] - 1) % p] + w[1:]) if w else [p - 1]
-        h = _gf_gcd(g, w, p)
+        h = _gf_gcd(w, g, p)[0]
         if 1 < len(h) < len(g):
             return (_equal_degree(h, d, ring, rng)
                     + _equal_degree(_divmod(g, h, p)[0], d, ring, rng))
@@ -554,7 +626,7 @@ def factor_mod_p(f: Poly, p: int) -> Optional[list[list[int]]]:
     True
     """
     f = _reduce(f, p)
-    if len(_gf_gcd(f, _reduce(_derivative(f), p), p)) > 1:
+    if len(_gf_gcd(f, _reduce(_derivative(f), p), p)[0]) > 1:
         return None
     f = _gf_monic(f, p)
     if len(f) <= 2:
@@ -605,23 +677,36 @@ def _hensel_step(f, g, h, s, t, m0: int, m1: int, inverses: bool):
     Both errors f - g*h and s*g + t*h - 1 are divisible by m0, so each
     correction is m0 times one computed mod m1 from the error over m0; g
     and h keep their residues mod m1.  The Bezout cofactors s and t are
-    lifted only when ``inverses`` is set.
+    lifted only when ``inverses`` is set.  s, t and g mod m1 and the error
+    are packed once; each sum of two products is one packed sum, unpacked
+    once and reduced only where it is added on, since m0*y mod m0*m1 needs
+    only y mod m1.
     """
     m = m0 * m1
     e = _trim([(x - y) % m // m0 for x, y in itertools.zip_longest(
         f, _mul_residues(g, h, m0), fillvalue=0)])
-    s1, t1, g1, h1 = (a if m1 == m0 else _reduce(a, m1) for a in (s, t, g, h))
-    q, r = _divmod(_reduce(_mul_residues(s1, e, m1), m1), h1, m1)
-    dg = _add_mod(_mul_residues(t1, e, m1), _mul_residues(q, g1, m1), m1)
+    bits = _slot_bits(2 * (m1 - 1) ** 2 * len(f))
+    # s, t, g and h below its leading 1, all mod m1, packed
+    s1, t1, g1, h1 = (_pack(a if m1 == m0 else _reduce(a, m1), bits)
+                      for a in (s, t, g, h[:-1]))
+    dh = len(h) - 1
+
+    def correct(err: list) -> tuple[list, list]:
+        """The corrections over m0 of the pair (h or s, g or t): the
+        remainder of s1*err by h, and t1*err + q*g1 for its quotient q."""
+        err = _pack(err, bits)
+        q, r = _divide(s1 * err, h1, dh, 1, m1, bits)
+        return _unpack(r, bits, dh), _unpack_all(t1 * err + q * g1, bits)
+
+    r, dg = correct(e)
     g, h = _add_mod(g, dg, m, m0), _add_mod(h, r, m, m0)
     if inverses:
-        b = _mul_residues(s, g, m)
+        wide = _slot_bits(2 * (m - 1) ** 2 * len(f))
+        b = _unpack_all(_pack(s, wide) * _pack(g, wide)
+                        + _pack(t, wide) * _pack(h, wide), wide)
         b[0] -= 1
-        b = _trim([(x + y) % m // m0 for x, y in itertools.zip_longest(
-            b, _mul_residues(t, h, m), fillvalue=0)])
-        c, d = _divmod(_reduce(_mul_residues(s1, b, m1), m1), h1, m1)
-        dt = _add_mod(_mul_residues(t1, b, m1), _mul_residues(c, g1, m1), m1)
-        s, t = _add_mod(s, d, m, -m0), _add_mod(t, dt, m, -m0)
+        ds, dt = correct(_trim([x % m // m0 for x in b]))
+        s, t = _add_mod(s, ds, m, -m0), _add_mod(t, dt, m, -m0)
     return g, h, s, t
 
 
@@ -857,10 +942,11 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
         found += [(q, mult) for part, mult in parts
                   for q in _zassenhaus(part, (p, modular) if part == rest else None)]
     found.sort(key=lambda pair: (len(pair[0]), pair[0]))
-    product = [1]
-    for q, mult in found:
-        for _ in range(mult):
-            product = poly_mul(product, q)
-    if product != list(f):
+    # no coefficient of the product passes prod |q|_1^m, so one evaluation
+    # at 2^bits in signed slots of that width tells it apart from f
+    bound = math.prod(sum(map(abs, q)) ** mult for q, mult in found)
+    bits = _slot_bits(2 * bound + 1)
+    if (max(map(abs, f)) > bound or kron_pack(f, bits)
+            != math.prod(kron_pack(q, bits) ** mult for q, mult in found)):
         raise RuntimeError(f"factors of {tuple(f)} do not multiply back")
     return found

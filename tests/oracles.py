@@ -6,7 +6,8 @@ one denominator, factorization is done by Kronecker interpolation and trial
 division instead of the modular factorizer, or by sympy's
 `Poly.factor_list` on the whole polynomial instead of the cyclotomic
 pre-pass and `ialex.zfactor` on the cofactor, gcds by rational Euclid or by
-sympy's `dup_gcd` instead of the integer heuristic GCD, invariant factors
+sympy's `dup_gcd` instead of the integer heuristic GCD, Euclid over GF(p)
+runs on lists of residues instead of packed integers, invariant factors
 come from gcds of minors instead of elimination, ranks come from plain
 fraction Gaussian elimination, and twisted homology is cut out of
 stalk-valued chains by kernels and solves instead of universal
@@ -448,6 +449,70 @@ def sympy_gcd(a, b) -> tuple[int, ...]:
 
     g = dup_gcd([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ)
     return tuple(int(c) for c in reversed(g))
+
+
+# -- list Euclid over GF(p) -------------------------------------------------
+#
+# The Euclid `zfactor._gf_gcd` replaced: one Python pass per coefficient per
+# operation on lists of residues, where the library works on packed integers.
+
+
+def _gf_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of reduced a by reduced nonzero b over GF(p):
+    one pass when the quotient is linear, as in nearly every step of
+    Euclid's algorithm, else schoolbook long division."""
+    inv = pow(b[-1], -1, p)
+    if len(a) == len(b) + 1 and len(b) > 1:
+        lead = a[-1] * inv % p
+        low = (a[-2] - lead * b[-2]) * inv % p
+        return [low, lead], _gf_trim([(x - low * y - lead * z) % p
+                                      for x, y, z in zip(a, b[:-1], [0, *b])])
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv % p
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = (rem[k + j] - c * y) % p
+    return quot, _gf_trim(rem[:len(b) - 1] if quot else rem)
+
+
+def _gf_sub_product(a: list, q: list, b: list, p: int) -> list:
+    """a - q*b over GF(p)."""
+    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            out[i + j] -= x * y
+    return _gf_trim([c % p for c in out])
+
+
+def gf_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over GF(p) of reduced polynomials, not both zero."""
+    while b:
+        a, b = b, gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def gf_gcdex(a: list, b: list, p: int) -> tuple[list, list]:
+    """s and t with s*a + t*b = 1 over GF(p), for coprime a and b, both
+    tracked through the list Euclid."""
+    r0, r1 = list(a), list(b)
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf_sub_product(s0, q, s1, p)
+        t0, t1 = t1, _gf_sub_product(t0, q, t1, p)
+    if len(r0) != 1:
+        raise RuntimeError("not coprime mod p")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 @functools.cache

@@ -127,6 +127,32 @@ def test_solve_missing_third_window():
     assert splittings is None  # window: not a zero-bounded sequence
 
 
+@st.composite
+def zero_bounded_fills(draw):
+    """Entries d_i * d_(i+1) of planted deltas with d_0 = d_n = 1, unknown
+    entries at some positions congruent to r mod 3, and the junction delta
+    given at every index congruent to r, which fixes every other delta."""
+    n = draw(st.integers(1, 8))
+    deltas = [LaurentPoly.one(),
+              *(draw(prime_products()) for _ in range(n - 1)),
+              LaurentPoly.one()]
+    r = draw(st.integers(0, 2))
+    entries = [None if i % 3 == r and draw(st.booleans())
+               else deltas[i] * deltas[i + 1] for i in range(n)]
+    junctions = {i: deltas[i] for i in range(1, n)
+                 if i % 3 == r or draw(st.booleans())}
+    return entries, junctions, deltas
+
+
+@given(zero_bounded_fills())
+@settings(max_examples=80, deadline=None)
+def test_zero_bounded_fill_returns_every_delta(case):
+    entries, junctions, deltas = case
+    polys, splittings = solve_missing_third(entries, junctions)
+    assert splittings == tuple(deltas)
+    assert polys == tuple(a * b for a, b in zip(deltas, deltas[1:]))
+
+
 def test_solve_missing_third_errors():
     with pytest.raises(ValueError):
         solve_missing_third([A, None, None, A])  # unknowns at 1 and 2 mod 3

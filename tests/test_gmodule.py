@@ -24,6 +24,7 @@ from ialex.gmodule import (
     GammaMatrix,
     NotPrime,
     NotTorsion,
+    _diagonalise,
     kunneth_order,
     order_polynomial,
     smith_normal_form,
@@ -282,6 +283,22 @@ def planted_highdeg(draw):
 def test_snf_recovers_planted_highdeg_chain(case):
     m, expected = case
     assert smith_normal_form(m) == (expected, len(expected))
+
+
+_LINE_ENTRY = st.one_of(st.just(LaurentPoly.zero()), _UNIT, _NONUNIT,
+                       nonzero_polys(max_span=3, max_coeff=4))
+
+
+@given(st.lists(_LINE_ENTRY, max_size=6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_snf_of_one_row_or_column_matches_elimination(entries, as_row):
+    """A matrix with one row or one column has one invariant factor, the
+    gcd of its entries, or none when they are all zero."""
+    m = (GammaMatrix([entries], cols=len(entries)) if as_row
+         else GammaMatrix([[e] for e in entries], cols=1))
+    diagonal = _diagonalise(m)
+    assert smith_normal_form(m) == (tuple(map(normalize, diagonal)),
+                                    len(diagonal))
 
 
 @given(gamma_matrices(max_rows=3, max_cols=3))

@@ -23,8 +23,21 @@ from ialex.zfactor import (
     poly_mul,
     pseudo_divmod,
 )
-from ialex.zfactor import _cyclotomic, _cyclotomic_orders, _divmod, _gf_divmod
-from oracles import sympy_cyclotomic, sympy_factor, sympy_gcd
+from ialex.zfactor import (
+    _cyclotomic,
+    _cyclotomic_orders,
+    _divmod,
+    _gf_gcd,
+    _gf_gcdex,
+)
+from oracles import (
+    gf_divmod,
+    gf_gcd,
+    gf_gcdex,
+    sympy_cyclotomic,
+    sympy_factor,
+    sympy_gcd,
+)
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
@@ -202,7 +215,97 @@ def short_quotient_pairs(draw):
 @settings(max_examples=200, deadline=None)
 def test_gf_divmod_matches_long_division(case):
     p, a, b = case
-    assert _gf_divmod(a, b, p) == _divmod(a, b, p)
+    assert gf_divmod(a, b, p) == _divmod(a, b, p)
+
+
+# -- Euclid over GF(p) on packed integers ---------------------------------------
+
+GF_PRIMES = (3, 5, 13, 97, 65537, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def gf_pairs(draw):
+    """(p, a, b) reduced mod p, not both zero, of degree at most 64:
+    random pairs, a zero side, equal sides, one side dividing the other,
+    and pairs with a planted common factor."""
+    p = draw(st.sampled_from(GF_PRIMES))
+
+    def poly(max_degree):
+        return reduced(draw(st.lists(st.integers(0, p - 1),
+                                     max_size=max_degree + 1)), p)
+
+    kind = draw(st.sampled_from(["random", "zero", "equal", "dividing",
+                                 "common"]))
+    if kind == "random":
+        a, b = poly(64), poly(64)
+    elif kind == "zero":
+        a, b = poly(64), []
+    elif kind == "equal":
+        a = b = poly(64)
+    elif kind == "dividing":
+        b = poly(32)
+        a = reduced(naive_mul(b, poly(32) or [1]), p)
+    else:
+        common = poly(21) or [1]
+        a = reduced(naive_mul(common, poly(21) or [1]), p)
+        b = reduced(naive_mul(common, poly(21) or [1]), p)
+    if draw(st.booleans()):
+        a, b = b, a
+    return p, a, b if a or b else [1]
+
+
+def gf_sum_of_products(pairs, p):
+    out = []
+    for x, y in pairs:
+        product = naive_mul(x, y) if x and y else []
+        out = [u + v for u, v in zip_longest(out, product, fillvalue=0)]
+    return reduced(out, p)
+
+
+@given(gf_pairs())
+@example((3, [1] * 65, [2, 1] * 32 + [1]))
+@example((2**61 - 1, [5], []))
+@example((97, [], [0, 0, 4]))
+@settings(max_examples=300, deadline=None)
+def test_packed_euclid_matches_list_euclid(case):
+    p, a, b = case
+    g, s = _gf_gcd(a, b, p, cofactor=True)
+    assert g == gf_gcd(a, b, p) == _gf_gcd(a, b, p)[0]
+    assert _gf_gcd(a, b, p)[1] == []
+    assert s == reduced(s, p) and len(s) <= max(len(b) - 1, 1)
+    # g = s*a mod b
+    error = gf_sum_of_products([(s, a), ([p - 1], g)], p)
+    assert (gf_divmod(error, b, p)[1] if b else error) == []
+    if b and len(g) == 1:
+        s2, t = _gf_gcdex(a, b, p)
+        assert (s2, t) == gf_gcdex(a, b, p) and s2 == s
+        assert gf_sum_of_products([(s, a), (t, b)], p) == [1]
+    elif b:
+        with pytest.raises(RuntimeError):
+            _gf_gcdex(a, b, p)
+
+
+@pytest.mark.parametrize("p", [3, 97, 65537, 2**61 - 1])
+def test_packed_euclid_reduces_lazily_on_long_runs(monkeypatch, p):
+    """A coprime pair of degree 64 takes a run of Euclid steps long enough
+    for the slot bounds to pass the slot width several times; each pass
+    reduces a value through ``_unpack_all``, and the answers still match
+    the list Euclid."""
+    rng = random.Random(p)
+    a = [rng.randrange(p) for _ in range(64)] + [1]
+    b = [rng.randrange(p) for _ in range(64)] + [1]
+    assert gf_gcd(a, b, p) == [1]
+    calls = []
+    real = zfactor._unpack_all
+
+    def record(value, bits):
+        calls.append(bits)
+        return real(value, bits)
+
+    monkeypatch.setattr(zfactor, "_unpack_all", record)
+    assert _gf_gcd(a, b, p) == ([1], [])
+    assert len(calls) >= 2
+    assert _gf_gcdex(a, b, p) == gf_gcdex(a, b, p)
 
 
 # -- GF(p) factorization -------------------------------------------------------
@@ -222,6 +325,21 @@ def test_factor_mod_p_matches_sympy(p, coeffs):
     _, expected = gf_factor_sqf(high_first, p, ZZ)
     assert factors == sorted(([int(c) for c in reversed(q)] for q in expected),
                              key=lambda q: (len(q), q))
+
+
+def test_factor_mod_p_matches_sympy_past_2_to_the_40():
+    p = 2**40 + 15                     # the least prime above 2^40
+    rng = random.Random(40)
+    for degree in (2, 5, 9, 16):
+        f = [rng.randrange(p) for _ in range(degree)] + [1]
+        high_first = [ZZ(c) for c in reversed(f)]
+        assert gf_sqf_p(high_first, p, ZZ)
+        _, expected = gf_factor_sqf(high_first, p, ZZ)
+        assert factor_mod_p(f, p) == sorted(
+            ([int(c) for c in reversed(q)] for q in expected),
+            key=lambda q: (len(q), q))
+    # (t - 1)^2 (t + 2) is not square-free mod p
+    assert factor_mod_p([2, p - 3, 0, 1], p) is None
 
 
 def test_factor_mod_p_of_many_factors():
@@ -306,6 +424,25 @@ def test_hensel_rejects_factors_sharing_a_root():
     # (t - 1)^2 mod 3 is not a coprime split
     with pytest.raises(RuntimeError):
         hensel_lift([1, -2, 1], [[2, 1], [2, 1]], 3, 4)
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda found: found[:-1], id="factor-dropped"),
+    pytest.param(lambda found: [(-found[0][0],) + found[0][1:], *found[1:]],
+                 id="sign-flipped"),
+    pytest.param(lambda found: found + [(1, 1)], id="factor-added"),
+    # Phi_3 and t + 1 bound every coefficient of their product by 3 * 2,
+    # and f has a 12
+    pytest.param(lambda found: [(1, 1)], id="coefficient-past-the-bound"),
+])
+def test_corrupted_factors_do_not_multiply_back(monkeypatch, corrupt):
+    # Phi_3 * (2t + 1)(t + 3): the cyclotomic factor and Zassenhaus's
+    f = poly_mul((1, 1, 1), (3, 7, 2))
+    real = zfactor._zassenhaus
+    monkeypatch.setattr(zfactor, "_zassenhaus",
+                        lambda part, known=None: corrupt(real(part, known)))
+    with pytest.raises(RuntimeError, match="do not multiply back"):
+        zfactor.factor_primitive(f)
 
 
 def test_lifting_stops_at_the_first_power_past_twice_the_bound(monkeypatch):
