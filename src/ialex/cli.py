@@ -26,6 +26,7 @@ unknown or missing command) print usage on stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -177,11 +178,14 @@ def _perversity_field(obj, key, path) -> engine.Perversity:
 def _complex(value, path: str) -> twisted.TwistedComplex:
     _require(value, path, dict, "a complex literal")
     simplices = _list_field(value, "simplices", path)
-    for i, simplex in enumerate(simplices):
-        _require(simplex, f"{path}.simplices[{i}]", list,
-                 "an array of vertex indices")
-        for j, v in enumerate(simplex):
-            _require(v, f"{path}.simplices[{i}][{j}]", int, "an integer")
+    # one type test for all vertices; if it fails, the walk finds the first
+    if not (all(type(s) is list for s in simplices) and all(
+            type(v) is int for v in itertools.chain.from_iterable(simplices))):
+        for i, simplex in enumerate(simplices):
+            _require(simplex, f"{path}.simplices[{i}]", list,
+                     "an array of vertex indices")
+            for j, v in enumerate(simplex):
+                _require(v, f"{path}.simplices[{i}][{j}]", int, "an integer")
     monodromy = _dict_field(value, "monodromy", path, default={})
     for key, unit in monodromy.items():
         if not re.fullmatch(r"[0-9]+-[0-9]+", key):

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 64
-# the largest max_exp - min_exp of an element built from terms
+# the largest degree of an element built from terms
 MAX_SPAN = 2**16
 # products of more coefficient pairs than this use Kronecker substitution
 # (zfactor.poly_mul); on CPython 3.11 schoolbook multiplication was faster
@@ -251,14 +251,8 @@ class LaurentPoly:
         return self._shift
 
     @property
-    def max_exp(self) -> int:
-        if not self._num:
-            raise ZeroPolynomial("zero polynomial has no exponents")
-        return self._shift + len(self._num) - 1
-
-    @property
     def degree(self) -> int:
-        """max_exp - min_exp, the degree of the normal form; -1 for zero."""
+        """Highest minus lowest exponent, the normal form's degree; -1 for 0."""
         return len(self._num) - 1
 
     @property
@@ -266,12 +260,6 @@ class LaurentPoly:
         """True iff the element is 1; a normal form is 1 iff its class is
         the units."""
         return self._num == (1,) and not self._shift and self._den == 1
-
-    def coeff(self, exp: int) -> Fraction:
-        i = exp - self._shift
-        if 0 <= i < len(self._num):
-            return Fraction(self._num[i], self._den)
-        return Fraction(0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         shift, den = self._shift, self._den
@@ -340,12 +328,6 @@ class LaurentPoly:
         if not p or not self._num:
             return _ZERO
         return _canonical(self._shift, [c * p for c in self._num], self._den * q)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by the unit t^k."""
-        if not self._num:
-            return self
-        return _make(self._shift + k, self._num, self._den)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

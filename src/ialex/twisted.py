@@ -93,7 +93,7 @@ class TwistedComplex:
     monodromy map assigns a unit q*t^k to each oriented edge, keyed "u-v"
     or (u, v); the reverse orientation is the inverse and absent edges
     carry 1.  Triangles must satisfy the cocycle condition, checked at
-    construction.
+    construction on each triangle that carries a twisted edge.
 
     >>> circle = TwistedComplex([[0, 1], [1, 2], [0, 2]], {"0-1": "t"})
     >>> circle.dimension
@@ -107,14 +107,18 @@ class TwistedComplex:
     def __init__(self, simplices: Iterable[Iterable[int]],
                  monodromy: Optional[Mapping] = None,
                  stalk: FgGammaModule = FgGammaModule.free(1)):
-        given = []
-        for raw in simplices:
-            simplex = tuple(sorted(_strict_int(v, "a vertex") for v in raw))
+        given = [tuple(raw) for raw in simplices]
+        # one type test for all vertices; if it fails, _strict_int names one
+        strict = not all(type(v) is int
+                         for v in itertools.chain.from_iterable(given))
+        for i, cell in enumerate(given):
+            simplex = tuple(sorted(
+                [_strict_int(v, "a vertex") for v in cell] if strict else cell))
             if len(set(simplex)) != len(simplex):
-                raise ValueError(f"repeated vertex in simplex {raw}")
+                raise ValueError(f"repeated vertex in simplex {list(cell)}")
             if simplex and simplex[0] < 0:
                 raise ValueError("vertices must be non-negative integers")
-            given.append(simplex)
+            given[i] = simplex
         bound = sum(2 ** len(s) - 1 for s in given)
         if bound > MAX_FACES:
             raise ComplexTooLarge(
@@ -153,9 +157,12 @@ class TwistedComplex:
             raise TypeError("stalk must be an FgGammaModule")
         object.__setattr__(self, "stalk", stalk)
 
-        for tri in self.simplices_of_dim(2):
+        # None is 1: a triangle with no twisted edge holds as 1 * 1 = 1
+        twist = table.get
+        for tri in self.simplices_of_dim(2) if table else ():
             u, v, w = tri
-            if self.transport(u, v) * self.transport(v, w) != self.transport(u, w):
+            uv, vw, uw = twist((u, v)), twist((v, w)), twist((u, w))
+            if (uv or vw or uw) and (uv or _ONE) * (vw or _ONE) != (uw or _ONE):
                 raise CocycleViolation(
                     f"edge units around triangle {tri} do not compose")
 

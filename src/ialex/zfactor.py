@@ -8,11 +8,13 @@ substitution, and the factorizer behind ``laurent.factor``.
 
 :func:`factor_primitive` first divides out the cyclotomic factors exactly:
 for every n with phi(n) at most the degree still left, Phi_n is divided out
-as often as it goes.  A cheap filter runs before each division: Phi_n(2)
-must divide the integer value at t = 2 of what is left, or Phi_n is not a
-factor.  The rest, if not constant, takes the classical small-prime route
-(von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14
-and 15):
+as often as it goes.  A cheap filter runs before each division, a repeated
+one included: t - 1 divides what is left exactly when its value at 1 is 0,
+and another Phi_n only if Phi_n(b) divides its value at b, the least b >= 2
+with f(b) nonzero (Phi_1(2) = 1 filters nothing, and f(b) = 0 would pass
+every Phi_n).  The rest, if not constant, takes the classical small-prime
+route (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.,
+chapters 14 and 15):
 
 - Yun's square-free decomposition, which also gives the multiplicities,
   needed only when f is not square-free mod the first odd prime not
@@ -875,7 +877,7 @@ def _proper_divisors(n: int) -> list[int]:
     return [d for d in range(1, n // 2 + 1) if n % d == 0]
 
 
-# Phi_n and Phi_n(2) are constants of the ring, built on first use
+# Phi_n and Phi_n(b) are constants of the ring, built on first use
 @functools.cache
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Phi_n: t^n - 1 divided exactly by Phi_d for each proper divisor d."""
@@ -886,14 +888,14 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _cyclotomic_at_2(n: int) -> int:
-    """Phi_n(2) = (2^n - 1) / prod of Phi_d(2) over the proper divisors d.
+def _cyclotomic_at(n: int, b: int) -> int:
+    """Phi_n(b) = (b^n - 1) / prod of Phi_d(b) over the proper divisors d.
 
-    This is the Moebius product of the (2^d - 1)^mu(n/d), in integers only.
+    This is the Moebius product of the (b^d - 1)^mu(n/d), in integers only.
     """
-    value = 2**n - 1
+    value = b**n - 1
     for d in _proper_divisors(n):
-        value //= _cyclotomic_at_2(d)
+        value //= _cyclotomic_at(d, b)
     return value
 
 
@@ -921,20 +923,19 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     if len(f) - 1 > _ORDERS_BOUND:
         _ORDERS_BOUND = len(f) - 1
         _CYCLOTOMIC_ORDERS = _cyclotomic_orders(_ORDERS_BOUND)
-    rest = tuple(f)
-    at_2 = sum(c << i for i, c in enumerate(rest))
+    rest, b = tuple(f), 2
+    while not (at_b := _evaluate(rest, b)):   # f(b) = 0 passes any filter
+        b += 1
     found = []
     for n, phi in _CYCLOTOMIC_ORDERS:
         if phi >= len(rest):  # which holds for every phi(n) > deg f
             continue
-        phi_at_2 = _cyclotomic_at_2(n)
-        if at_2 % phi_at_2:
-            continue
-        cyclo, mult = _cyclotomic(n), 0
-        while (quotient := exact_div(rest, cyclo)) is not None:
-            rest, at_2, mult = quotient, at_2 // phi_at_2, mult + 1
+        phi_at_b, mult = _cyclotomic_at(n, b), 0
+        while (at_b % phi_at_b == 0 if n > 1 else not sum(rest)) and (
+                quotient := exact_div(rest, _cyclotomic(n))) is not None:
+            rest, at_b, mult = quotient, at_b // phi_at_b, mult + 1
         if mult:
-            found.append((cyclo, mult))
+            found.append((_cyclotomic(n), mult))
     if len(rest) > 1:
         p = next(p for p in _odd_primes() if rest[-1] % p)
         modular = factor_mod_p(rest, p)

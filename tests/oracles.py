@@ -209,7 +209,10 @@ def dense_coeffs(p) -> list[Fraction]:
     q = as_laurent(p)
     if q.is_zero:
         return []
-    return [q.coeff(e) for e in range(q.min_exp, q.max_exp + 1)]
+    coeffs = [Fraction(0)] * (q.degree + 1)
+    for e, c in q.items():
+        coeffs[e - q.min_exp] = c
+    return coeffs
 
 
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -220,8 +223,9 @@ def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Laurent
     if a.is_zero:
         return LaurentPoly.zero(), LaurentPoly.zero()
     q, r = dense_divmod(dense_coeffs(a), dense_coeffs(b))
-    return (LaurentPoly(enumerate(q)).shift(a.min_exp - b.min_exp),
-            LaurentPoly(enumerate(r)).shift(a.min_exp))
+    t_q = LaurentPoly({a.min_exp - b.min_exp: 1})
+    t_r = LaurentPoly({a.min_exp: 1})
+    return LaurentPoly(enumerate(q)) * t_q, LaurentPoly(enumerate(r)) * t_r
 
 
 def rational_euclid_gcd(p, q) -> LaurentPoly:
@@ -620,6 +624,22 @@ def simplex_closure(simplices):
         for mask in range(1, 1 << len(simplex)):
             closure.add(tuple(v for j, v in enumerate(simplex) if mask >> j & 1))
     return sorted(closure, key=lambda s: (len(s), s))
+
+
+def first_cocycle_violation(simplices, monodromy):
+    """The first triangle, in the order of `simplex_closure`, whose edge
+    units do not compose, or None; monodromy maps (u, v) with u < v to a
+    unit and absent edges carry 1.  This checks every triangle, as
+    `TwistedComplex` did before it skipped those with no twisted edge."""
+    def transport(u, v):
+        return monodromy.get((u, v), LaurentPoly.one())
+
+    for tri in simplex_closure(simplices):
+        if len(tri) == 3:
+            u, v, w = tri
+            if transport(u, v) * transport(v, w) != transport(u, w):
+                return tri
+    return None
 
 
 def untwisted_betti(simplices):

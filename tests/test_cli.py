@@ -569,6 +569,53 @@ def test_malformed_literal_is_schema_error_at_its_path(case, path, message):
         assert report["error"]["message"] == message
 
 
+_NO_KEY = 'expected an edge key "u-v" of two vertex indices'
+
+
+@pytest.mark.parametrize("simplices,monodromy,code,path,message", [
+    ([[0, 1], [1, True]], {}, "schema", "payload.simplices[1][1]",
+     "expected an integer, got a boolean"),
+    ([[0, 1], [1.0, 2]], {}, "schema", "payload.simplices[1][0]",
+     "expected an integer"),
+    ([[0, "1"]], {}, "schema", "payload.simplices[0][1]",
+     "expected an integer"),
+    ([[0, 1], [-1, 2]], {}, "validation", None,
+     "vertices must be non-negative integers"),
+    ([[0, 1], [2, 0, 2]], {}, "validation", None,
+     "repeated vertex in simplex [2, 0, 2]"),
+    ([[0, 1], 2], {}, "schema", "payload.simplices[1]",
+     "expected an array of vertex indices"),
+    ([[0, 1], "12"], {}, "schema", "payload.simplices[1]",
+     "expected an array of vertex indices"),
+    # the first misfit in input order is the one reported
+    ([[0, False], 3], {}, "schema", "payload.simplices[0][1]",
+     "expected an integer, got a boolean"),
+    # a mistyped vertex is reported before a bad monodromy key, and a bad
+    # key before a vertex that only the library refuses
+    ([[0, 1], [1, 2.5]], {"0_1": "t"}, "schema", "payload.simplices[1][1]",
+     "expected an integer"),
+    ([[0, 1], [-1, 2]], {"0_1": "t"}, "schema", "payload.monodromy.0_1",
+     _NO_KEY),
+    ([[0, 1], [1, 1]], {"0_1": "t"}, "schema", "payload.monodromy.0_1",
+     _NO_KEY),
+], ids=["bool", "float", "string", "negative", "repeated", "simplex-int",
+        "simplex-string", "first-misfit-wins", "vertex-before-key",
+        "key-before-negative", "key-before-repeated"])
+def test_homology_vertex_errors_are_pinned(tmp_path, simplices, monodromy,
+                                           code, path, message):
+    """Each malformed vertex input gives exactly this report and exit 1."""
+    case = {"kind": "homology",
+            "payload": {"simplices": simplices, "monodromy": monodromy}}
+    result = invoke(tmp_path, case, "run")
+    assert result.exit_code == 1
+    error = {"code": code, "message": message}
+    if path is not None:
+        error["path"] = path
+    assert report_of(result) == {"kind": "homology", "status": "error",
+                                 "values": {}, "certificates": [],
+                                 "error": error}
+
+
 def test_bounds_exclude(tmp_path):
     payload = {"op": "exclude", "i": 2, "k": 4, "perversity": [0] * 5,
                "lambda": "t - 2", "xi": ["t - 1", "t^2 - t + 1"]}

@@ -99,7 +99,8 @@ def test_span_cap_checked_before_allocation():
     with pytest.raises(SpanCapExceeded):
         LaurentPoly({10**9: 1, 0: 1})
     far = parse("t^1000000000")  # a unit: one slot
-    assert far.degree == 0 and far.shift(-10**9) == LaurentPoly.one()
+    assert far.degree == 0
+    assert far * LaurentPoly({-10**9: 1}) == LaurentPoly.one()
     with pytest.raises(SpanCapExceeded):
         far + LaurentPoly.one()
     with pytest.raises(SpanCapExceeded):
@@ -202,13 +203,10 @@ def _assert_agrees(p: LaurentPoly, d: DictLaurent):
     assert list(p.items()) == d.items()
     assert str(p) == str(d)
     assert p.is_zero == d.is_zero and bool(p) == (not d.is_zero)
-    for e in range(-12, 13):
-        assert p.coeff(e) == d.coeff(e)
     if d.is_zero:
         assert p == LaurentPoly.zero()
         return
-    assert (p.min_exp, p.max_exp, p.degree, p.is_unit) == (
-        d.min_exp, d.max_exp, d.span, d.is_unit)
+    assert (p.min_exp, p.degree, p.is_unit) == (d.min_exp, d.span, d.is_unit)
     assert normalize(p)._num == d.normalize()
     assert parse(str(p)) == p
 
@@ -226,7 +224,7 @@ def test_ring_element_matches_dict_oracle(pair, c, k, n):
     _assert_agrees(p * q, dp * dq)
     _assert_agrees(p.scale(c), dp.scale(c))
     _assert_agrees(p * c, dp.scale(c))
-    _assert_agrees(p.shift(k), dp.shift(k))
+    _assert_agrees(p * LaurentPoly({k: 1}), dp.shift(k))
     _assert_agrees(p.involute(), dp.involute())
     _assert_agrees(p ** n, dp ** n)
     if dp.is_unit:
@@ -314,7 +312,7 @@ def test_normal_form(p):
 @given(nonzero_polys(), st.integers(-4, 4),
        st.fractions(min_value=Fraction(-5), max_value=Fraction(5)).filter(bool))
 def test_normalize_ignores_units(p, k, q):
-    scaled = p.shift(k).scale(q)
+    scaled = (p * LaurentPoly({k: 1})).scale(q)
     assert normalize(scaled) == normalize(p)
     assert similar(p, scaled)
 
@@ -650,7 +648,7 @@ def test_factor_matches_sympy_oracle(planted, scale, shift):
     product = LaurentPoly.one()
     for q, mult in planted.items():
         product = product * q**mult
-    p = product.scale(scale).shift(shift)
+    p = product.scale(scale) * LaurentPoly({shift: 1})
     expected = tuple(sorted(planted.items(), key=lambda kv: kv[0].sort_key()))
     assert factor(p) == sympy_factor(p) == expected
 

@@ -24,6 +24,7 @@ from ialex.twisted import (
 )
 
 from oracles import (
+    first_cocycle_violation,
     forest_free_homology,
     kernel_solve_homology,
     snf_free_homology,
@@ -74,6 +75,8 @@ def test_complex_closure_and_orders():
     assert len(tc.simplices) == 4 + 6 + 4
     assert tc.dimension == 2
     assert tc.simplices_of_dim(0) == ((0,), (1,), (2,), (3,))
+    # simplices given as one-shot iterators are each read once
+    assert TwistedComplex(iter(s) for s in SPHERE) == tc
 
 
 def test_monodromy_normalization():
@@ -283,6 +286,71 @@ _STALKS = st.one_of(
 def test_universal_coefficients_match_kernel_solve(tc, stalk):
     tc = TwistedComplex(tc.simplices, tc.monodromy, stalk)
     assert twisted_homology(tc) == kernel_solve_homology(tc)
+
+
+# -- the cocycle check against the all-triangle oracle ------------------------------
+
+
+_GAUGES = st.sampled_from(["1", "t", "-t^-1"]).map(parse)
+
+
+@st.composite
+def unit_assignments(draw):
+    """Triangles and edges on at most six vertices with the edge units
+    phi(v)/phi(u) of a potential phi, so that every triangle composes; in
+    half the draws one edge's unit is then multiplied by a unit other than
+    1, which breaks the triangles on that edge.  Returns the simplices, the
+    units keyed (u, v) with u < v, and the same units keyed in a random
+    orientation, reversed keys carrying the inverse."""
+    n = draw(st.integers(3, 6))
+    faces = [st.sampled_from(list(itertools.combinations(range(n), k)))
+             for k in (2, 3)]
+    simplices = [list(s) for s in draw(st.lists(faces[1], min_size=1,
+                                                max_size=6))
+                 + draw(st.lists(faces[0], max_size=3))]
+    edges = sorted({e for s in simplices for e in itertools.combinations(s, 2)})
+    phi = draw(st.lists(_GAUGES, min_size=n, max_size=n))
+    mono = {(u, v): phi[v] * phi[u].inverse() for u, v in edges}
+    if draw(st.booleans()):
+        edge = draw(st.sampled_from(edges))
+        mono[edge] = mono[edge] * draw(_UNITS.filter(lambda q: not q.is_one))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    keyed = dict(((v, u), q.inverse()) if flip else ((u, v), q)
+                 for ((u, v), q), flip in zip(mono.items(), flips))
+    return simplices, mono, keyed
+
+
+@given(unit_assignments())
+@settings(max_examples=200, deadline=None)
+def test_cocycle_check_matches_all_triangle_oracle(case):
+    """Checking only triangles with a twisted edge finds the same first bad
+    triangle as checking all of them, and accepts exactly the cocycles."""
+    simplices, mono, keyed = case
+    bad = first_cocycle_violation(simplices, mono)
+    if bad is None:
+        tc = TwistedComplex(simplices, keyed)
+        assert tc.monodromy == {e: q for e, q in mono.items() if not q.is_one}
+    else:
+        with pytest.raises(CocycleViolation) as info:
+            TwistedComplex(simplices, keyed)
+        assert str(info.value) == (
+            f"edge units around triangle {bad} do not compose")
+
+
+def test_only_triangles_with_a_twisted_edge_are_multiplied(monkeypatch):
+    """The untwisted torus takes no ring product to build; with the gauge t
+    at vertex 0, only its six triangles at vertex 0 take one each."""
+    products = []
+    real = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__",
+                        lambda a, b: products.append(a) or real(a, b))
+    TwistedComplex(TORUS)
+    assert products == []
+    star = {f"0-{v}": "t^-1" for v in range(1, 9)
+            if any(0 in s and v in s for s in TORUS)}
+    TwistedComplex(TORUS, star)
+    assert len(products) == 6
 
 
 # -- the coreduction pass against the spanning forest and full Smith forms ----------

@@ -585,3 +585,35 @@ def test_factor_primitive_splits_cyclotomic_and_other_factors(planted):
     assert zfactor.factor_primitive(f) == expected
     assert [(q._num, m) for q, m in sympy_factor(
         LaurentPoly(enumerate(f)))] == expected
+
+
+@pytest.mark.parametrize("parts, tried", [
+    # t - 1 is not tried, since f(1) != 0, nor each factor a second time,
+    # since what is left no longer passes the filter at 2
+    ([_cyclotomic(17), _cyclotomic(23)], [17, 23]),
+    # f(2) = 0 would pass every filter there, so the filter reads f(3)
+    ([(-2, 1), _cyclotomic(5), (1, 1, 0, 1)], [5]),
+    # f(2) = (-1)(-1) = 1 rules out every Phi_n but t - 1, and f(1) = 35
+    ([(-7, 1, 1), (-7, -1, 0, 1)], []),
+], ids=["phi17-phi23", "root-at-2", "no-cyclotomic-factor"])
+def test_cyclotomic_prepass_divides_only_past_its_filter(monkeypatch, parts,
+                                                         tried):
+    f = [1]
+    for q in parts:
+        f = poly_mul(f, q)
+    orders = {_cyclotomic(n): n for n, _ in _cyclotomic_orders(len(f) - 1)}
+    calls = []
+    real = zfactor.exact_div
+
+    def record(a, b):
+        if tuple(b) in orders:
+            calls.append(orders[tuple(b)])
+        return real(a, b)
+
+    monkeypatch.setattr(zfactor, "exact_div", record)
+    expected = sorted(((tuple(q), 1) for q in parts),
+                      key=lambda pair: (len(pair[0]), pair[0]))
+    assert zfactor.factor_primitive(f) == expected
+    assert calls == tried
+    assert [(q._num, m) for q, m in sympy_factor(
+        LaurentPoly(enumerate(f)))] == expected
