@@ -31,6 +31,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -326,11 +327,8 @@ def _case_ia_point(payload, opts: RunOptions):
     for i, q in enumerate(ia):
         branch = "lambda" if i < cut else ("c" if i == cut else "mu")
         table.append({"degree": i, "branch": branch, "value": str(q)})
-    return "pass", {
-        "cut": cut,
-        "ia": [str(q) for q in ia],
-        "table": table,
-    }, []
+    return "pass", {"cut": cut, "ia": [row["value"] for row in table],
+                    "table": table}, []
 
 
 def _case_ia_product(payload, opts: RunOptions):
@@ -345,8 +343,8 @@ def _case_ia_product(payload, opts: RunOptions):
         _polys_field(payload, "c", "payload"),
         a_high,
         a)
-    ia, report = engine.ia_product(inp)
-    return "pass", {"ia": [str(q) for q in ia], "report": report}, []
+    _, report = engine.ia_product(inp)
+    return "pass", {"ia": [row["value"] for row in report], "report": report}, []
 
 
 def _case_ia_dual(payload, opts: RunOptions):
@@ -609,10 +607,34 @@ def _render_value(lines: list[str], key: str, value):
         lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
 
 
+def _json(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) nested at indent pad.  With
+    indent set the stdlib runs its pure-Python encoder, so lists and dicts
+    of str keys are written here and the rest is left to json.dumps."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+                 for k in sorted(value)]
+        ends = "{}"
+    elif isinstance(value, dict):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    else:
+        return json.dumps(value)
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
 def render_report(report: dict, fmt: str) -> str:
     """Render a report as canonical JSON or as aligned text."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report, "") + "\n"
     lines = [f"kind: {report['kind']}", f"status: {report['status']}"]
     if "error" in report:
         error = report["error"]

@@ -153,13 +153,9 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
     if len(link) > n:
         raise ValueError(f"link of a {n}-cone is graded over 0..{n - 1}")
     cutoff = n - 1 - p(n)
-    out = []
-    for i in range(n):
-        if i == 0 or i < cutoff:
-            out.append(link[i] if i < len(link) else FgGammaModule.zero())
-        else:
-            out.append(FgGammaModule.zero())
-    return tuple(out)
+    zero = FgGammaModule.zero()
+    return tuple(link[i] if i < len(link) and (i == 0 or i < cutoff) else zero
+                 for i in range(n))
 
 
 class DiskKnotData:
@@ -197,19 +193,13 @@ class DiskKnotData:
         raise AttributeError("DiskKnotData is immutable")
 
     def a_at(self, i: int) -> LaurentPoly:
-        if i < 0 or i >= len(self.a):
-            return _ONE
-        return self.a[i]
+        return self.a[i] if 0 <= i < len(self.a) else _ONE
 
     def b_at(self, i: int) -> LaurentPoly:
-        if i < 0 or i >= len(self.b):
-            return _ONE
-        return self.b[i]
+        return self.b[i] if 0 <= i < len(self.b) else _ONE
 
     def c_at(self, i: int) -> LaurentPoly:
-        if i < 0 or i >= len(self.c):
-            return _ONE
-        return self.c[i]
+        return self.c[i] if 0 <= i < len(self.c) else _ONE
 
     def lam(self, i: int) -> LaurentPoly:
         return self.b_at(i) * self.c_at(i)
@@ -331,10 +321,12 @@ def ia_product(inp: ProductSingularityInput,
     """Intersection Alexander polynomials for a product-neighborhood stratum.
 
     Degree by degree: the full Mayer-Vietoris polynomial nu_i is the Kunneth
-    order of Sigma against the link complement; its part with link degree at
-    or above the cut k - p(k+1) (at least 1, as a traditional perversity has
-    p(k+1) <= k - 1) splits as a_high * b_high, the rest of
-    b = nu/a is b_low, and the output is a_high_{i-1} * b_low_i * c_i.
+    order of Sigma against the link complement, split as low * high at the
+    cut k - p(k+1) on the link degree (at least 1, as a traditional
+    perversity has p(k+1) <= k - 1).  The high part splits as
+    a_high * b_high, b = nu/a splits as b_high * b_low, and so
+    b_low = low / (a / a_high): a divides nu and b_high divides b exactly
+    when a / a_high divides low.  The output is a_high_{i-1} * b_low_i * c_i.
     The report carries (nu, b_high, b_low) per degree.
     """
     p = inp.perversity
@@ -342,25 +334,26 @@ def ia_product(inp: ProductSingularityInput,
     out: list[LaurentPoly] = []
     report: list[dict] = []
     for i in range(inp.n - 1):
-        nu = kunneth_order(inp.sigma_homology, inp.link_modules, i)
-        high = kunneth_order(inp.sigma_homology, inp.link_modules, i, s_min)
+        low, high = kunneth_order(inp.sigma_homology, inp.link_modules, i, s_min)
         a_high, a_full = inp.a_high_at(i), inp.a_at(i)
-        if not divides(a_high, a_full):
+        a_rest = _quotient(a_full, a_high)
+        if a_rest is None:
             raise DivisibilityViolation(
                 f"degree {i}: a_high = {a_high} does not divide a = {a_full}")
-        if not divides(a_high, high):
+        b_high = _quotient(high, a_high)
+        if b_high is None:
             raise DivisibilityViolation(
                 f"degree {i}: a_high = {a_high} does not divide the high "
                 f"Kunneth polynomial {high}")
-        if not divides(a_full, nu):
+        nu = low * high
+        b_low = _quotient(low, a_rest)
+        if b_low is None:
+            if not divides(a_full, nu):
+                raise DivisibilityViolation(
+                    f"degree {i}: a = {a_full} does not divide nu = {nu}")
             raise DivisibilityViolation(
-                f"degree {i}: a = {a_full} does not divide nu = {nu}")
-        b = exact_quotient(nu, a_full)
-        b_high = exact_quotient(high, a_high)
-        if not divides(b_high, b):
-            raise DivisibilityViolation(
-                f"degree {i}: b_high = {b_high} does not divide b = {b}")
-        b_low = exact_quotient(b, b_high)
+                f"degree {i}: b_high = {b_high} does not divide "
+                f"b = {exact_quotient(nu, a_full)}")
         value = inp.a_high_at(i - 1) * b_low * inp.c_at(i)
         out.append(value)
         report.append({
@@ -371,6 +364,14 @@ def ia_product(inp: ProductSingularityInput,
             "value": str(value),
         })
     return tuple(out), report
+
+
+def _quotient(p: LaurentPoly, d: LaurentPoly) -> Optional[LaurentPoly]:
+    """p / d for nonzero normal forms, or None when d does not divide p."""
+    try:
+        return exact_quotient(p, d)
+    except ValueError:
+        return None
 
 
 def superdual_polynomials(ia: Sequence[PolyLike], n: int,

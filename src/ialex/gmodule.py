@@ -15,18 +15,21 @@ diagonal into the chain, the same step that canonicalises a direct sum of
 cyclic modules.  On top of that normal form sit the order polynomial,
 the prime check of primary decomposition and the tensor/Tor calculus.
 The Kunneth formula needs only orders, so `kunneth_order` multiplies them
-in closed form without building the product's module.
+in closed form without building the product's module, in one pass that
+splits the order at a right-hand degree into its low and high parts.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Mapping, Sequence
 
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
+    _ONE,
     _ZERO,
     _poly_divmod,
     _unit_quotient,
@@ -462,23 +465,24 @@ def tor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
 
 
 def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
-                  i: int, s_min: int = 0) -> LaurentPoly:
-    """Order of the degree-i homology of a product, from the graded factors.
+                  i: int, split: int = 0) -> tuple[LaurentPoly, LaurentPoly]:
+    """Order of the degree-i homology of a product, split at a right degree.
 
-    Only the Kunneth terms whose right-hand degree s is at least s_min count:
-    the tensor terms on the degree-i antidiagonal and the Tor terms on the
-    degree-(i-1) one.  Order is multiplicative over direct sums, both
-    Gamma/(x) (x) Gamma/(y) and Tor(Gamma/(x), Gamma/(y)) have order
+    Returns (low, high): the orders of the Kunneth terms whose right-hand
+    degree s is below `split` and at or above it, the tensor terms on the
+    degree-i antidiagonal and the Tor terms on the degree-(i-1) one.  The
+    whole order is low * high.  Order is multiplicative over direct sums,
+    both Gamma/(x) (x) Gamma/(y) and Tor(Gamma/(x), Gamma/(y)) have order
     gcd(x, y), and a free summand tensored with a torsion module keeps that
-    module's order.  A free (x) free term raises NotTorsion.
+    module's order.  A free (x) free term on either side raises NotTorsion.
 
     >>> seq = [FgGammaModule.cyclic("t - 1")]
     >>> kunneth_order(seq, seq, 1)
-    LaurentPoly('t - 1')
+    (LaurentPoly('1'), LaurentPoly('t - 1'))
     """
-    out = LaurentPoly.one()
-    for s in range(max(s_min, 0), len(right)):
-        b = right[s]
+    parts = ([], [])
+    for s, b in enumerate(right):
+        factors = parts[s >= split]
         for r in (i - s, i - 1 - s):
             if not 0 <= r < len(left):
                 continue
@@ -486,11 +490,8 @@ def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
             if r == i - s:                    # tensor: free parts distribute
                 if a.free_rank and b.free_rank:
                     raise NotTorsion("order polynomial requires a torsion module")
-                for x in a.torsion:
-                    out = out * x ** b.free_rank
-                for y in b.torsion:
-                    out = out * y ** a.free_rank
-            for x in a.torsion:
-                for y in b.torsion:
-                    out = out * gcd(x, y)
-    return out
+                factors.extend(x ** b.free_rank for x in a.torsion if b.free_rank)
+                factors.extend(y ** a.free_rank for y in b.torsion if a.free_rank)
+            gcds = (x if x == y else gcd(x, y) for x in a.torsion for y in b.torsion)
+            factors.extend(g for g in gcds if not g.is_one)
+    return math.prod(parts[0], start=_ONE), math.prod(parts[1], start=_ONE)

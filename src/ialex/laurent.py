@@ -332,13 +332,13 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers are defined only for units")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return LaurentPoly.one()
+        result = self
+        for bit in bin(n)[3:]:            # left to right after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def involute(self) -> "LaurentPoly":

@@ -369,7 +369,8 @@ def e2_link_page(base, link_modules: Sequence[FgGammaModule],
             if h.free_rank * module.free_rank:
                 raise NotTorsionEntry(f"page entry (p={p}, q={q}) has free "
                                       f"rank {h.free_rank * module.free_rank}")
-            entries[(stratum_dim, p, q)] = kunneth_order(free[key], [module], p)
+            low, high = kunneth_order(free[key], [module], p)
+            entries[(stratum_dim, p, q)] = low * high
     return E2Table(entries)
 
 

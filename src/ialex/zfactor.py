@@ -511,11 +511,15 @@ class _QuotientRing:
             if lead:
                 row = [(r + lead * c) % p for r, c in zip(row, top)]
         self.fold = fold
+        # x^(p*j) mod f: a monomial below x^n, a fold row up to x^(2n-2),
+        # then x^p times the row before
+        table = [1 << bits * e if e < n else fold[e - n]
+                 for e in range(0, min(p * n, 2 * n - 1), p)]
+        row = _unpack(table[-1], bits, n)
         x_p = self.pow([0, 1], p) if p >= n else None
-        row, table = [1], []
-        for _ in range(n):
-            table.append(_pack(row, bits))
+        while len(table) < n:
             row = self.mul(row, x_p) if x_p else self._mod_f([0] * p + row)
+            table.append(_pack(row, bits))
         self.table = table
 
     def _mod_f(self, coeffs: list) -> list:

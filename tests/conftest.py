@@ -208,7 +208,7 @@ def product_inputs(draw, realizable=False):
     """
     from ialex.engine import ProductSingularityInput
     from ialex.gmodule import FgGammaModule, kunneth_order
-    from ialex.laurent import exact_quotient, multiplicity
+    from ialex.laurent import multiplicity
 
     t1 = normalize("t - 1")
     link_pool = ALEX_POOL if realizable else MIXED_POOL
@@ -233,9 +233,7 @@ def product_inputs(draw, realizable=False):
     s_min = k - p(k + 1)
     a_high, a_full = [], []
     for i in range(n - 1):
-        nu = kunneth_order(sigma, links, i)
-        high = kunneth_order(sigma, links, i, s_min)
-        low = exact_quotient(nu, high)
+        low, high = kunneth_order(sigma, links, i, s_min)
         ah = _draw_divisor(draw, high)
         al = _draw_divisor(draw, low)
         if realizable:

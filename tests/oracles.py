@@ -18,7 +18,9 @@ from a transform-tracking Smith form of their own, independent of the
 library's elimination, that divides by `laurent_divmod`, rational long
 division on dense Fraction lists rather than the library's integer
 pseudo-division.  The module-valued Kunneth sum cross-checks
-`gmodule.kunneth_order`'s order arithmetic, and `factor_check_result`
+`gmodule.kunneth_order`'s order arithmetic, the windowed order, one product
+per factor, and the two-pass `ia_product` with a `divides` test before each
+quotient cross-check its one-pass split, and `factor_check_result`
 factors the whole polynomial where `bounds.check_result` divides out the
 allowed primes.  Slow is fine; these only ever see small inputs.
 """
@@ -30,12 +32,21 @@ import itertools
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
-from ialex.gmodule import FgGammaModule, GammaMatrix, smith_normal_form, tensor, tor
+from ialex.engine import DivisibilityViolation
+from ialex.gmodule import (
+    FgGammaModule,
+    GammaMatrix,
+    NotTorsion,
+    smith_normal_form,
+    tensor,
+    tor,
+)
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     as_laurent,
     divides,
+    exact_quotient,
     factor,
     gcd,
     involute,
@@ -568,7 +579,7 @@ def determinantal_invariant_factors(rows: list[list[LaurentPoly]]) -> list[Laure
     (d_0 = 1); the k-th invariant factor is d_k / d_{k-1}.  The list stops
     at the largest k with a nonzero minor.
     """
-    from ialex.laurent import exact_quotient, gcd as poly_gcd
+    from ialex.laurent import gcd as poly_gcd
 
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -846,6 +857,70 @@ def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
             elif r + s == i - 1:
                 total = total.direct_sum(tor(lmod, rmod))
     return total
+
+
+def windowed_kunneth_order(left, right, i: int, s_min: int = 0) -> LaurentPoly:
+    """The order of the degree-i Kunneth terms with right-hand degree
+    s >= s_min, multiplied up term by term, one product per factor.
+
+    The route `gmodule.kunneth_order` took before it returned the (low,
+    high) split of one pass; terms below s_min are skipped outright, so a
+    free (x) free term there raises nothing.
+    """
+    out = LaurentPoly.one()
+    for s in range(max(s_min, 0), len(right)):
+        b = right[s]
+        for r in (i - s, i - 1 - s):
+            if not 0 <= r < len(left):
+                continue
+            a = left[r]
+            if r == i - s:
+                if a.free_rank and b.free_rank:
+                    raise NotTorsion("order polynomial requires a torsion module")
+                for x in a.torsion:
+                    out = out * x ** b.free_rank
+                for y in b.torsion:
+                    out = out * y ** a.free_rank
+            for x in a.torsion:
+                for y in b.torsion:
+                    out = out * gcd(x, y)
+    return out
+
+
+def two_pass_ia_product(inp) -> tuple[tuple[LaurentPoly, ...], list[dict]]:
+    """`engine.ia_product` by the route it took before one Kunneth pass:
+    the whole and the windowed Kunneth order per degree, each divisibility
+    tested with `divides` before its quotient is taken, and b_low as
+    (nu / a) / b_high."""
+    p = inp.perversity
+    s_min = inp.k - p(inp.k + 1)
+    out, report = [], []
+    for i in range(inp.n - 1):
+        nu = windowed_kunneth_order(inp.sigma_homology, inp.link_modules, i)
+        high = windowed_kunneth_order(inp.sigma_homology, inp.link_modules, i,
+                                      s_min)
+        a_high, a_full = inp.a_high_at(i), inp.a_at(i)
+        if not divides(a_high, a_full):
+            raise DivisibilityViolation(
+                f"degree {i}: a_high = {a_high} does not divide a = {a_full}")
+        if not divides(a_high, high):
+            raise DivisibilityViolation(
+                f"degree {i}: a_high = {a_high} does not divide the high "
+                f"Kunneth polynomial {high}")
+        if not divides(a_full, nu):
+            raise DivisibilityViolation(
+                f"degree {i}: a = {a_full} does not divide nu = {nu}")
+        b = exact_quotient(nu, a_full)
+        b_high = exact_quotient(high, a_high)
+        if not divides(b_high, b):
+            raise DivisibilityViolation(
+                f"degree {i}: b_high = {b_high} does not divide b = {b}")
+        b_low = exact_quotient(b, b_high)
+        value = inp.a_high_at(i - 1) * b_low * inp.c_at(i)
+        out.append(value)
+        report.append({"degree": i, "nu": str(nu), "b_high": str(b_high),
+                       "b_low": str(b_low), "value": str(value)})
+    return tuple(out), report
 
 
 # -- module operations no library route needs ------------------------------

@@ -152,9 +152,7 @@ def rand_product_input(rng, realizable=False, alexander=False):
     s_min = k - p(k + 1)
     a_high, a_full = [], []
     for i in range(n - 1):
-        nu = kunneth_order(sigma, links, i)
-        high = kunneth_order(sigma, links, i, s_min)
-        low = exact_quotient(nu, high)
+        low, high = kunneth_order(sigma, links, i, s_min)
         ah = rand_divisor(rng, high)
         al = rand_divisor(rng, low)
         if realizable or alexander:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import subprocess
@@ -719,6 +720,40 @@ def test_text_mode_is_byte_stable(tmp_path):
     assert first.output == second.output
 
 
+# -- JSON rendering ------------------------------------------------------------------
+
+# strings with quotes, backslashes, control characters, a non-ASCII minus
+# and an astral character, each escaped differently by the encoder
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2212",
+                                     "\U0001d54b", "a", " ", "/"]), max_size=6)
+JSON_LEAVES = (JSON_TEXT | st.booleans() | st.none() | st.floats()
+               | st.integers(-(10 ** 30), 10 ** 30))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+@example({})
+@example({"values": {"ia": [], "report": {}, "n": [None, True, 10 ** 40]}})
+@settings(max_examples=200, deadline=None)
+def test_json_report_matches_json_dumps(report):
+    """The report writer gives json.dumps's bytes at indent 2, keys sorted."""
+    assert cli.render_report(report, "json") == \
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_hands_other_keys_to_json_dumps():
+    """A dict with a key that is not a string is written by json.dumps,
+    nested at its depth."""
+    report = {"a": [{1: "x", 2: [True]}], "b": {None: 0}}
+    assert cli.render_report(report, "json") == \
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 # -- corpus --------------------------------------------------------------------------
 
 
@@ -790,6 +825,21 @@ CORPUS = [json.loads(path.read_text(encoding="utf-8"))
           for path in sorted(CORPUS_DIR.glob("*.json"))]
 FUZZ_POOL = [None, True, 0, -1, 2, 7, 1.5, "", "t", "t - 1", "2*", [], [True],
              [5], {}, {"dim": 3, "components": [5]}]
+
+
+# sha256 of every shipped case's JSON then text report, cases in name order
+CORPUS_DIGEST = "856ea7adcc18b463130db76ab7eae9db0f7f4362ce70b02db83a3bbbf547058d"
+
+
+def test_corpus_report_bytes_are_pinned():
+    """The shipped corpus renders to the same bytes, both formats."""
+    digest = hashlib.sha256()
+    for case in CORPUS:
+        report, _ = cli.run_case(case, cli.RunOptions())
+        for fmt in ("json", "text"):
+            digest.update(cli.render_report(report, fmt).encode("utf-8"))
+    assert len(CORPUS) == 21
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 @st.composite

@@ -19,8 +19,15 @@ from ialex.engine import (
     validate_normalization,
 )
 from ialex.exactseq import solve_missing_third
-from ialex.gmodule import FgGammaModule, NotTorsion
-from ialex.laurent import LaurentPoly, exact_quotient, normalize, similar
+from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
+from ialex.laurent import (
+    LaurentPoly,
+    exact_quotient,
+    factor,
+    multiplicity,
+    normalize,
+    similar,
+)
 
 from conftest import (
     MIXED_POOL as POOL,
@@ -28,6 +35,7 @@ from conftest import (
     product_inputs,
     traditional_perversities,
 )
+from oracles import two_pass_ia_product
 
 ONE = LaurentPoly.one()
 T1 = normalize("t - 1")
@@ -339,6 +347,92 @@ def test_product_point_sigma_matches_ia_point(data, p):
         c=[data.c_at(i) for i in range(n - 1)], a_high=a_high, a=a_full)
     got, _ = ia_product(inp)
     assert got == expected
+
+
+# the four divisibility checks and the free Kunneth term, as each is reported
+PLANTS = {
+    "a_high-a": "does not divide a =",
+    "a_high-high": "does not divide the high Kunneth polynomial",
+    "a-nu": "does not divide nu =",
+    "b_high-b": "does not divide b =",
+    "free": "order polynomial requires a torsion module",
+}
+FOREIGN = normalize("t^2 + 1")   # divides no Kunneth order drawn from POOL
+
+
+@st.composite
+def planted_product_inputs(draw):
+    """(plant, input): a valid product input, with a omitted or explicit,
+    or one that breaks the check `plant` names at a drawn degree and
+    nowhere before it."""
+    inp = draw(product_inputs())
+    plant = draw(st.sampled_from([None, *PLANTS]))
+    perversity, a_high, a = inp.perversity, list(inp.a_high), list(inp.a)
+
+    def split(p):
+        return [kunneth_order(inp.sigma_homology, inp.link_modules, j,
+                              inp.k - p(inp.k + 1)) for j in range(inp.n - 1)]
+
+    parts, degrees = split(perversity), range(inp.n - 1)
+    if plant == "b_high-b":
+        wide = [j for j in degrees if parts[j][1] != a_high[j]]
+        if not wide:
+            # the top perversity cuts at link degree 1, and unit kernels
+            # leave b_high = high
+            perversity = Perversity.top(inp.n)
+            parts = split(perversity)
+            a_high, a = [ONE] * (inp.n - 1), [ONE] * (inp.n - 1)
+            wide = [j for j in degrees if not parts[j][1].is_one]
+        degrees = wide or degrees
+    i = draw(st.sampled_from(degrees))
+    low, high = parts[i]
+    if plant == "a_high-a":
+        a_high[i] = a_high[i] * FOREIGN
+    elif plant == "a_high-high":
+        a_high[i], a[i] = a_high[i] * FOREIGN, a[i] * FOREIGN
+    elif plant == "a-nu":
+        a[i] = a[i] * FOREIGN
+    elif plant == "b_high-b":
+        # a prime of b_high moved into a once more than b_low can take
+        primes = factor(exact_quotient(high, a_high[i]))
+        if not primes:
+            plant = None
+        else:
+            q = primes[draw(st.integers(0, len(primes) - 1))][0]
+            b_low = exact_quotient(low, exact_quotient(a[i], a_high[i]))
+            a[i] = a[i] * q ** (multiplicity(q, b_low) + 1)
+    if plant is None and draw(st.booleans()):
+        a = None
+    out = ProductSingularityInput(inp.n, inp.k, perversity,
+                                  inp.sigma_homology, inp.link_modules,
+                                  inp.c, a_high, a)
+    if plant == "free":
+        # the constructor refuses free link modules, so plant past it
+        sigma0 = inp.sigma_homology[0]
+        object.__setattr__(out, "sigma_homology", (
+            FgGammaModule(sigma0.free_rank + 1, sigma0.torsion),
+            *inp.sigma_homology[1:]))
+        object.__setattr__(out, "link_modules",
+                           (FgGammaModule.free(1), *inp.link_modules[1:]))
+    return plant, out
+
+
+@given(planted_product_inputs())
+@settings(max_examples=120, deadline=None)
+def test_product_matches_two_pass_route(planted):
+    """One Kunneth pass and three quotients give the two-pass route's
+    polynomials and report rows, or its exception and message."""
+    plant, inp = planted
+    try:
+        expected = two_pass_ia_product(inp)
+    except (DivisibilityViolation, NotTorsion) as exc:
+        assert plant is not None and PLANTS[plant] in str(exc)
+        with pytest.raises(type(exc)) as info:
+            ia_product(inp)
+        assert str(info.value) == str(exc)
+    else:
+        assert plant is None
+        assert ia_product(inp) == expected
 
 
 # -- superduality and normalization ------------------------------------------------

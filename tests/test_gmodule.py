@@ -52,6 +52,7 @@ from oracles import (
     stack,
     support_primes,
     transpose,
+    windowed_kunneth_order,
 )
 
 
@@ -528,28 +529,31 @@ def test_tensor_tor_additive(a, b, c):
 
 def test_kunneth_frozen():
     point = [FgGammaModule.cyclic("t - 1")]
-    assert kunneth_order(point, point, 0) == normalize("t - 1")
-    assert kunneth_order(point, point, 1) == normalize("t - 1")
-    assert kunneth_order(point, point, 2).is_one
+    one, t1 = LaurentPoly.one(), normalize("t - 1")
+    assert kunneth_order(point, point, 0) == (one, t1)
+    assert kunneth_order(point, point, 1) == (one, t1)
+    assert kunneth_order(point, point, 2) == (one, one)
 
     sphere = [FgGammaModule.free(1), FgGammaModule.zero(), FgGammaModule.free(1)]
-    assert kunneth_order(sphere, point, 2) == normalize("t - 1")
+    assert kunneth_order(sphere, point, 2) == (one, t1)
 
-    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 0).is_one
-    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 1).is_one
+    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 0) == (one, one)
+    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 1) == (one, one)
 
-    # the window drops every term with right-hand degree below s_min
+    # the split sorts each term by its right-hand degree
     two = [FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t^2 - 1")]
-    assert kunneth_order(two, two, 1) == normalize("t^3 - 3*t^2 + 3*t - 1")
-    assert kunneth_order(two, two, 1, 1) == normalize("t - 1")
-    assert kunneth_order(two, two, 1, 2).is_one
+    cube = normalize("t^3 - 3*t^2 + 3*t - 1")
+    assert kunneth_order(two, two, 1) == (one, cube)
+    assert kunneth_order(two, two, 1, 1) == (normalize("t^2 - 2*t + 1"), t1)
+    assert kunneth_order(two, two, 1, 2) == (cube, one)
 
-    # free (x) free has no order, but outside the window it does not count
+    # free (x) free has no order, on either side of the split
     circle = [FgGammaModule.free(1), FgGammaModule.free(1)]
-    with pytest.raises(NotTorsion):
+    with pytest.raises(NotTorsion, match="requires a torsion module"):
         kunneth_order(circle, circle, 2)
-    assert kunneth_order(circle, [FgGammaModule.free(1)], 1, 1).is_one
-    with pytest.raises(NotTorsion):
+    with pytest.raises(NotTorsion, match="requires a torsion module"):
+        kunneth_order(circle, [FgGammaModule.free(1)], 1, 1)
+    with pytest.raises(NotTorsion, match="requires a torsion module"):
         kunneth_order(circle, [FgGammaModule.zero(), FgGammaModule.free(1)], 1, 1)
 
 
@@ -557,15 +561,22 @@ def test_kunneth_frozen():
        st.lists(fg_modules(max_free=1, max_summands=2), min_size=1, max_size=3),
        st.integers(0, 4), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-def test_kunneth_order_matches_module_valued_kunneth(left, right, i, s_min):
-    for window in (0, s_min):
-        try:
-            expected = order_polynomial(kunneth(left, right, i, window))
-        except NotTorsion:
-            with pytest.raises(NotTorsion):
-                kunneth_order(left, right, i, window)
-        else:
-            assert kunneth_order(left, right, i, window) == expected
+def test_kunneth_order_matches_module_valued_kunneth(left, right, i, split):
+    """high is the order of the terms at or above the split and low * high
+    the whole order, both by the module-valued sum and by the windowed
+    product; NotTorsion comes exactly when the whole sum has free rank."""
+    try:
+        whole = order_polynomial(kunneth(left, right, i))
+    except NotTorsion:
+        with pytest.raises(NotTorsion):
+            windowed_kunneth_order(left, right, i)
+        with pytest.raises(NotTorsion):
+            kunneth_order(left, right, i, split)
+        return
+    low, high = kunneth_order(left, right, i, split)
+    assert low * high == whole == windowed_kunneth_order(left, right, i)
+    assert high == order_polynomial(kunneth(left, right, i, split)) \
+        == windowed_kunneth_order(left, right, i, split)
 
 
 # -- subquotient support --------------------------------------------------------------

@@ -237,6 +237,26 @@ def test_ring_element_matches_dict_oracle(pair, c, k, n):
         assert hash(p) == hash(q)
 
 
+@pytest.mark.parametrize("text", ["t + 2", "1/2*t^-1 - 3*t^2"])
+def test_power_takes_the_binary_method_products(monkeypatch, text):
+    """x ** n squares floor(log2 n) times and multiplies popcount(n) - 1
+    times; x ** 0 and x ** 1 make no product."""
+    x = parse(text)
+    calls = []
+    convolve = laurent._convolve
+    monkeypatch.setattr(laurent, "_convolve",
+                        lambda a, b: calls.append(1) or convolve(a, b))
+    for n in range(10):
+        calls.clear()
+        got = x ** n
+        assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") - 1
+                              if n else 0), n
+        repeated = LaurentPoly.one()
+        for _ in range(n):
+            repeated = repeated * x
+        assert got == repeated
+
+
 def _assert_canonical(p: LaurentPoly):
     """(shift, num, den) with nonzero ends and gcd(den, *num) == 1, den > 0."""
     num, den = p._num, p._den

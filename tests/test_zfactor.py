@@ -218,6 +218,28 @@ def test_gf_divmod_matches_long_division(case):
     assert gf_divmod(a, b, p) == _divmod(a, b, p)
 
 
+@pytest.mark.parametrize("n, p", [(2, 2), (5, 2), (8, 3), (24, 7), (40, 3),
+                                  (64, 3), (48, 5), (7, 7), (3, 5), (4, 11)])
+def test_quotient_ring_rows_are_powers_of_x(n, p):
+    """Each fold row is x^(n+i) mod f and each Frobenius row x^(p*j) mod f,
+    by long division over GF(p), for p below and at or above deg f."""
+    rng = random.Random(1000 * n + p)
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    ring = zfactor._QuotientRing(f, p)
+
+    def residues(row):
+        out = zfactor._unpack(row, ring.bits, n)
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    assert len(ring.fold) == n - 1 and len(ring.table) == n
+    for i, row in enumerate(ring.fold):
+        assert residues(row) == gf_divmod([0] * (n + i) + [1], f, p)[1]
+    for j, row in enumerate(ring.table):
+        assert residues(row) == gf_divmod([0] * (p * j) + [1], f, p)[1]
+
+
 # -- Euclid over GF(p) on packed integers ---------------------------------------
 
 GF_PRIMES = (3, 5, 13, 97, 65537, 2**31 - 1, 2**61 - 1)
