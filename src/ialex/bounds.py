@@ -253,7 +253,7 @@ def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
     polynomial of a single-stratum knot.
 
     The certificate holds when gamma misses lambda_i and every link degree s
-    where gamma appears satisfies s < k - p(k+1); the degree i only labels
+    where gamma appears satisfies s < p.cutoff(k+1); the degree i only labels
     which polynomial the certificate is about.
 
     >>> exclusion_single("t^2 + 1", 2, 4, Perversity.zero(6), "t - 2",
@@ -266,7 +266,7 @@ def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
     rep = _require_prime(gamma, degree_cap)
     if divides(rep, lambda_i):
         return False
-    cut = k - p(k + 1)
+    cut = p.cutoff(k + 1)
     for s, poly in enumerate(xi):
         if s >= cut and divides(rep, poly):
             return False
@@ -318,7 +318,7 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
     Alexander polynomial lambda_j.  Each table entry (i, p', q) contributes
     its gamma-multiplicity once if p' + q = j - 1, and once more if
     p' + q = j and the cone formula keeps degree q alive over a
-    dimension-i stratum (q = 0 or q < n - i - 1 - p(n - i)).
+    dimension-i stratum (q = 0 or q < p.cutoff(n - i)).
 
     >>> table = E2Table({(0, 2, 0): "t - 1"})
     >>> max_power_bound("t - 1", 2, 3, table, 6, Perversity.zero(6))
@@ -336,7 +336,7 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
             continue
         if pp + q == j - 1:
             total += mult
-        if pp + q == j and (q == 0 or q < n - i - 1 - p(n - i)):
+        if pp + q == j and (q == 0 or q < p.cutoff(n - i)):
             total += mult
     return total
 

@@ -322,7 +322,7 @@ def _case_ia_point(payload, opts: RunOptions):
         _polys_field(payload, "c", "payload"))
     perv = _perversity_field(payload, "perversity", "payload")
     ia = engine.ia_point(data, perv)
-    cut = n - 1 - perv(n)
+    cut = perv.cutoff(n)
     table = []
     for i, q in enumerate(ia):
         branch = "lambda" if i < cut else ("c" if i == cut else "mu")

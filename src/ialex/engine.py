@@ -18,6 +18,7 @@ from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
     LaurentPoly,
     PolyLike,
+    _quotient,
     _strict_int,
     divides,
     exact_quotient,
@@ -126,6 +127,16 @@ class Perversity:
         """
         return Perversity([k - 1 - self(k) for k in range(2, self.max_codim + 1)])
 
+    def cutoff(self, codim: int) -> int:
+        """m - 1 - p(m): the cone formula keeps a codimension-m link's
+        homology below this degree.  With the superdual's, it sums to m - 1.
+
+        >>> p = Perversity([0, 1, 1, 2])
+        >>> p.cutoff(4), [p.cutoff(m) + p.superdual().cutoff(m) for m in range(2, 6)]
+        (2, [1, 2, 3, 4])
+        """
+        return codim - 1 - self(codim)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Perversity):
             return NotImplemented
@@ -142,7 +153,7 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
             ) -> tuple[FgGammaModule, ...]:
     """Intersection homology of the open cone on an (n-1)-dimensional link.
 
-    Low degrees copy the link, high degrees are cut off at n-1-p(n); only a
+    Low degrees copy the link, high degrees are cut off at p.cutoff(n); only a
     maximal superperversity lets the degree-0 module survive past the cutoff
     (and it always does survive, both clauses giving the link's degree 0).
 
@@ -152,7 +163,7 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
     """
     if len(link) > n:
         raise ValueError(f"link of a {n}-cone is graded over 0..{n - 1}")
-    cutoff = n - 1 - p(n)
+    cutoff = p.cutoff(n)
     zero = FgGammaModule.zero()
     return tuple(link[i] if i < len(link) and (i == 0 or i < cutoff) else zero
                  for i in range(n))
@@ -225,7 +236,7 @@ def _require_traditional(p: Perversity):
 def ia_point(data: DiskKnotData, p: Perversity) -> tuple[LaurentPoly, ...]:
     """Intersection Alexander polynomials of a knot with one point singularity.
 
-    Below the perversity cutoff m = n-1-p(n) the answer is the ordinary
+    Below the perversity cutoff m = p.cutoff(n) the answer is the ordinary
     lambda_i; at the cutoff only the shared factor c_i survives; above it the
     answer switches to mu_i.
 
@@ -235,7 +246,7 @@ def ia_point(data: DiskKnotData, p: Perversity) -> tuple[LaurentPoly, ...]:
     ['t - 1', 't^2 - t + 1', 't - 2', '1']
     """
     _require_traditional(p)
-    cut = data.n - 1 - p(data.n)
+    cut = p.cutoff(data.n)
     out = []
     for i in range(max(data.top + 1, data.n - 1)):
         if i < cut:
@@ -322,7 +333,7 @@ def ia_product(inp: ProductSingularityInput,
 
     Degree by degree: the full Mayer-Vietoris polynomial nu_i is the Kunneth
     order of Sigma against the link complement, split as low * high at the
-    cut k - p(k+1) on the link degree (at least 1, as a traditional
+    cut p.cutoff(k+1) on the link degree (at least 1, as a traditional
     perversity has p(k+1) <= k - 1).  The high part splits as
     a_high * b_high, b = nu/a splits as b_high * b_low, and so
     b_low = low / (a / a_high): a divides nu and b_high divides b exactly
@@ -330,7 +341,7 @@ def ia_product(inp: ProductSingularityInput,
     The report carries (nu, b_high, b_low) per degree.
     """
     p = inp.perversity
-    s_min = inp.k - p(inp.k + 1)
+    s_min = p.cutoff(inp.k + 1)
     out: list[LaurentPoly] = []
     report: list[dict] = []
     for i in range(inp.n - 1):
@@ -366,33 +377,24 @@ def ia_product(inp: ProductSingularityInput,
     return tuple(out), report
 
 
-def _quotient(p: LaurentPoly, d: LaurentPoly) -> Optional[LaurentPoly]:
-    """p / d for nonzero normal forms, or None when d does not divide p."""
-    try:
-        return exact_quotient(p, d)
-    except ValueError:
-        return None
-
-
 def superdual_polynomials(ia: Sequence[PolyLike], n: int,
                           ) -> tuple[LaurentPoly, ...]:
     """Transport polynomials across superduality: degree i from degree n-1-i.
 
     The dual-perversity polynomial in degree i is the involution of the
-    original in degree n-1-i; degrees outside the input grading contribute 1.
+    original in degree n-1-i; degrees outside the input grading contribute 1,
+    and a nonunit in a degree >= n, which has no dual, raises ValueError.
 
     >>> [str(q) for q in superdual_polynomials(["t - 1", "2*t - 1"], 3)]
     ['1', 't - 2', 't - 1']
     """
     reps = [normalize(q) for q in ia]
-    out = []
-    for i in range(n):
-        j = n - 1 - i
-        if 0 <= j < len(reps):
-            out.append(normalize(involute(reps[j])))
-        else:
-            out.append(_ONE)
-    return tuple(out)
+    for j, rep in enumerate(reps):
+        if j >= n and not rep.is_one:
+            raise ValueError(f"degree {j} holds {rep}, but degrees >= {n} "
+                             "have no superdual degree")
+    return tuple(normalize(involute(reps[j])) if j < len(reps) else _ONE
+                 for j in reversed(range(n)))
 
 
 def validate_normalization(ia: Sequence[PolyLike], n: int,

@@ -25,8 +25,8 @@ from ialex.laurent import (
     LaurentPoly,
     PolyLike,
     _poly_divmod,
+    _quotient,
     divides,
-    exact_quotient,
     multiplicity,
     normalize,
 )
@@ -93,11 +93,11 @@ def subpolynomials(polys: Sequence[PolyLike]) -> tuple[LaurentPoly, ...]:
     """
     deltas = [LaurentPoly.one()]
     for i, p in enumerate(polys):
-        rep = normalize(p)
-        if not divides(deltas[-1], rep):
+        delta = _quotient(normalize(p), deltas[-1])
+        if delta is None:
             raise NotExactCompatible(
                 f"entry {i} is not divisible by its left delta")
-        deltas.append(exact_quotient(rep, deltas[-1]))
+        deltas.append(delta)
     if not deltas[-1].is_one:
         raise NotExactCompatible(
             f"sequence does not close: final delta is {deltas[-1]}")
@@ -145,10 +145,11 @@ def solve_missing_third(
         deltas[idx] = normalize(value)
 
     def quotient(entry: LaurentPoly, delta: LaurentPoly, where: int) -> LaurentPoly:
-        if not divides(delta, entry):
+        q = _quotient(entry, delta)
+        if q is None:
             raise NonDividingSplitting(
                 f"delta {delta} does not divide entry {where} ({entry})")
-        return exact_quotient(entry, delta)
+        return q
 
     changed = True
     while changed:
@@ -238,9 +239,6 @@ class ModuleSequence:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleSequence is immutable")
-
-    def __len__(self) -> int:
-        return len(self.modules)
 
     def order_polynomials(self) -> tuple[LaurentPoly, ...]:
         return tuple(order_polynomial(m) for m in self.modules)

@@ -12,11 +12,10 @@ complete invariant.  It runs in two steps: one sparse Euclidean elimination
 diagonalises, unit pivots being the pivots of least degree, then gcd/lcm
 pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), turns the
 diagonal into the chain, the same step that canonicalises a direct sum of
-cyclic modules.  On top of that normal form sit the order polynomial,
-the prime check of primary decomposition and the tensor/Tor calculus.
-The Kunneth formula needs only orders, so `kunneth_order` multiplies them
-in closed form without building the product's module, in one pass that
-splits the order at a right-hand degree into its low and high parts.
+cyclic modules.  On top of that normal form sit the order polynomial, the
+prime check of primary decomposition and the one closed form of the Kunneth
+sum, `kunneth_summands`: the free rank and cyclic orders of one degree of a
+product, split at a right-hand degree, without building a module.
 """
 
 from __future__ import annotations
@@ -47,10 +46,9 @@ __all__ = [
     "NotPrime",
     "NotTorsion",
     "kunneth_order",
+    "kunneth_summands",
     "order_polynomial",
     "smith_normal_form",
-    "tensor",
-    "tor",
 ]
 
 
@@ -430,68 +428,46 @@ def _require_prime(prime: PolyLike,
     return rep
 
 
-def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
-    """Tensor product over the ring.
+def kunneth_summands(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
+                     i: int, split: int = 0) -> tuple[int, list, list]:
+    """(free, low, high) of the degree-i homology of a product, the tensor
+    terms on the degree-i antidiagonal plus the Tor terms on the degree-(i-1)
+    one: its free rank and the nonunit orders of its cyclic summands, split
+    by right-hand degree below `split` and at or above it.  Gamma/(x) (x)
+    Gamma/(y) and Tor(Gamma/(x), Gamma/(y)) are both Gamma/(gcd(x, y)), and
+    a free summand tensored with Gamma/(x) is a copy of it.
 
-    Free factors distribute; on cyclic pieces the result is cyclic on the
-    gcd of the orders (zero when they are coprime).
-
-    >>> tensor(FgGammaModule.cyclic("t^2 - 1"), FgGammaModule.cyclic("t^3 - 3*t^2 + 3*t - 1"))
-    FgGammaModule(free=0, torsion=['t - 1'])
+    >>> seq = [FgGammaModule.free(1), FgGammaModule.cyclic("t - 1")]
+    >>> kunneth_summands(seq, seq, 1, split=1)
+    (0, [LaurentPoly('t - 1')], [LaurentPoly('t - 1')])
     """
-    if a == FgGammaModule.free(1):
-        return b
-    if b == FgGammaModule.free(1):
-        return a
-    orders: list[LaurentPoly] = []
-    orders.extend(t for t in b.torsion for _ in range(a.free_rank))
-    orders.extend(t for t in a.torsion for _ in range(b.free_rank))
-    for x in a.torsion:
-        for y in b.torsion:
-            orders.append(gcd(x, y))
-    return FgGammaModule.from_summands(a.free_rank * b.free_rank, orders)
-
-
-def tor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
-    """The torsion product; vanishes when either argument is free.
-
-    >>> tor(FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t - 1"))
-    FgGammaModule(free=0, torsion=['t - 1'])
-    >>> tor(FgGammaModule.free(2), FgGammaModule.cyclic("t - 1")).is_zero
-    True
-    """
-    orders = [gcd(x, y) for x in a.torsion for y in b.torsion]
-    return FgGammaModule.from_summands(0, orders)
-
-
-def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
-                  i: int, split: int = 0) -> tuple[LaurentPoly, LaurentPoly]:
-    """Order of the degree-i homology of a product, split at a right degree.
-
-    Returns (low, high): the orders of the Kunneth terms whose right-hand
-    degree s is below `split` and at or above it, the tensor terms on the
-    degree-i antidiagonal and the Tor terms on the degree-(i-1) one.  The
-    whole order is low * high.  Order is multiplicative over direct sums,
-    both Gamma/(x) (x) Gamma/(y) and Tor(Gamma/(x), Gamma/(y)) have order
-    gcd(x, y), and a free summand tensored with a torsion module keeps that
-    module's order.  A free (x) free term on either side raises NotTorsion.
-
-    >>> seq = [FgGammaModule.cyclic("t - 1")]
-    >>> kunneth_order(seq, seq, 1)
-    (LaurentPoly('1'), LaurentPoly('t - 1'))
-    """
-    parts = ([], [])
+    free, parts = 0, ([], [])
     for s, b in enumerate(right):
-        factors = parts[s >= split]
+        orders = parts[s >= split]
         for r in (i - s, i - 1 - s):
             if not 0 <= r < len(left):
                 continue
             a = left[r]
             if r == i - s:                    # tensor: free parts distribute
-                if a.free_rank and b.free_rank:
-                    raise NotTorsion("order polynomial requires a torsion module")
-                factors.extend(x ** b.free_rank for x in a.torsion if b.free_rank)
-                factors.extend(y ** a.free_rank for y in b.torsion if a.free_rank)
+                free += a.free_rank * b.free_rank
+                orders.extend(x for x in a.torsion for _ in range(b.free_rank))
+                orders.extend(y for y in b.torsion for _ in range(a.free_rank))
             gcds = (x if x == y else gcd(x, y) for x in a.torsion for y in b.torsion)
-            factors.extend(g for g in gcds if not g.is_one)
-    return math.prod(parts[0], start=_ONE), math.prod(parts[1], start=_ONE)
+            orders.extend(g for g in gcds if not g.is_one)
+    return free, parts[0], parts[1]
+
+
+def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
+                  i: int, split: int = 0) -> tuple[LaurentPoly, LaurentPoly]:
+    """(low, high): the products of `kunneth_summands`' two order lists,
+    whose product is the order of the degree-i homology of a product.  A
+    positive free rank raises NotTorsion.
+
+    >>> seq = [FgGammaModule.cyclic("t - 1")]
+    >>> kunneth_order(seq, seq, 1)
+    (LaurentPoly('1'), LaurentPoly('t - 1'))
+    """
+    free, low, high = kunneth_summands(left, right, i, split)
+    if free:
+        raise NotTorsion("order polynomial requires a torsion module")
+    return math.prod(low, start=_ONE), math.prod(high, start=_ONE)

@@ -657,10 +657,16 @@ def exact_quotient(p: PolyLike, d: PolyLike) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if pp is None:
         raise ZeroPolynomial("quotient of zero has no representative")
-    q = exact_div(pp._num, dd._num)
+    q = _quotient(pp, dd)
     if q is None:
         raise ValueError(f"{as_laurent(d)} does not divide {as_laurent(p)}")
-    return _checked_rep(q)
+    return q
+
+
+def _quotient(p: LaurentPoly, d: LaurentPoly) -> Optional[LaurentPoly]:
+    """p / d for nonzero normal forms, or None when d does not divide p."""
+    q = exact_div(p._num, d._num)
+    return None if q is None else _checked_rep(q)
 
 
 def multiplicity(prime: PolyLike, p: PolyLike) -> int:

@@ -11,7 +11,8 @@ the same homology; the Smith forms of its boundaries give every H_p from
 ranks and invariant factors alone.  The stalk enters afterwards, by the
 universal coefficient theorem over a principal ideal domain (Hatcher,
 Algebraic Topology, 3.A):
-H_p(X; M) = H_p(X; Gamma) (x) M  +  Tor(H_{p-1}(X; Gamma), M).
+H_p(X; M) = H_p(X; Gamma) (x) M  +  Tor(H_{p-1}(X; Gamma), M),
+the Kunneth sum (`kunneth_summands`) with M as its one right-hand term.
 
 On top of the homology sit the second-page tables of the neighborhood
 spectral sequence: one row per coefficient degree of a link, with the cone
@@ -22,6 +23,7 @@ order polynomial of whatever the pages converge to.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -30,10 +32,8 @@ from ialex.engine import Perversity, cone_ih
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
-    kunneth_order,
+    kunneth_summands,
     smith_normal_form,
-    tensor,
-    tor,
 )
 from ialex.laurent import LaurentPoly, _ONE, _strict_int, as_laurent
 
@@ -298,18 +298,6 @@ def _free_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     return tuple(out)
 
 
-def _universal_coefficients(free: Sequence[FgGammaModule],
-                            stalk: FgGammaModule) -> tuple[FgGammaModule, ...]:
-    """H_p (x) M  +  Tor(H_{p-1}, M), degree by degree, from the homology
-    H_* with coefficients in the ring and the stalk M."""
-    below = FgGammaModule.zero()
-    out = []
-    for h in free:
-        out.append(tensor(h, stalk).direct_sum(tor(below, stalk)))
-        below = h
-    return tuple(out)
-
-
 def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     """Homology of the stalk-valued chain complex, degree by degree.
 
@@ -325,7 +313,10 @@ def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     >>> twisted_homology(TwistedComplex([[0, 1], [1, 2], [0, 2]]))
     (FgGammaModule(free=1, torsion=[]), FgGammaModule(free=1, torsion=[]))
     """
-    return _universal_coefficients(_free_homology(tc), tc.stalk)
+    free = _free_homology(tc)
+    sums = (kunneth_summands(free, [tc.stalk], p) for p in range(len(free)))
+    return tuple(FgGammaModule.from_summands(rank, orders)
+                 for rank, _, orders in sums)
 
 
 def _family(base, length: int) -> list[TwistedComplex]:
@@ -365,12 +356,12 @@ def e2_link_page(base, link_modules: Sequence[FgGammaModule],
         key = tuple(sorted(family[q].monodromy.items()))
         if key not in free:
             free[key] = _free_homology(family[q])
-        for p, h in enumerate(free[key]):
-            if h.free_rank * module.free_rank:
+        for p in range(len(free[key])):
+            rank, _, orders = kunneth_summands(free[key], [module], p)
+            if rank:
                 raise NotTorsionEntry(f"page entry (p={p}, q={q}) has free "
-                                      f"rank {h.free_rank * module.free_rank}")
-            low, high = kunneth_order(free[key], [module], p)
-            entries[(stratum_dim, p, q)] = low * high
+                                      f"rank {rank}")
+            entries[(stratum_dim, p, q)] = math.prod(orders, start=_ONE)
     return E2Table(entries)
 
 

@@ -516,20 +516,11 @@ class _QuotientRing:
         table = [1 << bits * e if e < n else fold[e - n]
                  for e in range(0, min(p * n, 2 * n - 1), p)]
         row = _unpack(table[-1], bits, n)
-        x_p = self.pow([0, 1], p) if p >= n else None
+        x_p = self.pow([0, 1], p)
         while len(table) < n:
-            row = self.mul(row, x_p) if x_p else self._mod_f([0] * p + row)
+            row = self.mul(row, x_p)
             table.append(_pack(row, bits))
         self.table = table
-
-    def _mod_f(self, coeffs: list) -> list:
-        """Residues mod p of length up to 2n - 1, reduced mod f."""
-        n, p = self.n, self.p
-        if len(coeffs) <= n:
-            return coeffs
-        acc = _pack(coeffs[:n], self.bits) + sum(
-            c * row for c, row in zip(coeffs[n:], self.fold) if c)
-        return [c % p for c in _unpack(acc, self.bits, n)]
 
     def mul(self, a: list, b: list) -> list:
         if not a or not b:

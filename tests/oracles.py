@@ -17,12 +17,15 @@ the boundaries left after contracting a spanning forest of the
 from a transform-tracking Smith form of their own, independent of the
 library's elimination, that divides by `laurent_divmod`, rational long
 division on dense Fraction lists rather than the library's integer
-pseudo-division.  The module-valued Kunneth sum cross-checks
-`gmodule.kunneth_order`'s order arithmetic, the windowed order, one product
-per factor, and the two-pass `ia_product` with a `divides` test before each
-quotient cross-check its one-pass split, and `factor_check_result`
-factors the whole polynomial where `bounds.check_result` divides out the
-allowed primes.  Slow is fine; these only ever see small inputs.
+pseudo-division.  The module-valued Kunneth sum, built from the canonical
+modules of `tensor` and `tor` by `direct_sum`, cross-checks the free ranks
+and cyclic orders of `gmodule.kunneth_summands`, from which the library
+also takes universal coefficients.  The windowed order, one product per
+factor, and the two-pass `ia_product` with a `divides` test before each
+quotient cross-check `kunneth_order` and its one-pass split, and
+`factor_check_result` factors the whole polynomial where
+`bounds.check_result` divides out the allowed primes.  Slow is fine; these
+only ever see small inputs.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from ialex.gmodule import (
     GammaMatrix,
     NotTorsion,
     smith_normal_form,
-    tensor,
-    tor,
 )
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
@@ -840,12 +841,47 @@ def solve_left(m: GammaMatrix, b: GammaMatrix) -> GammaMatrix:
 # -- module-valued Kunneth formula ---------------------------------------------
 
 
+def tensor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
+    """Tensor product over the ring.
+
+    Free factors distribute; on cyclic pieces the result is cyclic on the
+    gcd of the orders (zero when they are coprime).
+
+    >>> tensor(FgGammaModule.cyclic("t^2 - 1"), FgGammaModule.cyclic("t^3 - 3*t^2 + 3*t - 1"))
+    FgGammaModule(free=0, torsion=['t - 1'])
+    """
+    if a == FgGammaModule.free(1):
+        return b
+    if b == FgGammaModule.free(1):
+        return a
+    orders: list[LaurentPoly] = []
+    orders.extend(t for t in b.torsion for _ in range(a.free_rank))
+    orders.extend(t for t in a.torsion for _ in range(b.free_rank))
+    for x in a.torsion:
+        for y in b.torsion:
+            orders.append(gcd(x, y))
+    return FgGammaModule.from_summands(a.free_rank * b.free_rank, orders)
+
+
+def tor(a: FgGammaModule, b: FgGammaModule) -> FgGammaModule:
+    """The torsion product; vanishes when either argument is free.
+
+    >>> tor(FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t - 1"))
+    FgGammaModule(free=0, torsion=['t - 1'])
+    >>> tor(FgGammaModule.free(2), FgGammaModule.cyclic("t - 1")).is_zero
+    True
+    """
+    orders = [gcd(x, y) for x in a.torsion for y in b.torsion]
+    return FgGammaModule.from_summands(0, orders)
+
+
 def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
     """The degree-i Kunneth terms with right-hand degree s >= s_min, summed
     as a canonical module through `tensor`, `tor` and `direct_sum`.
 
-    `order_polynomial` of the result is what `gmodule.kunneth_order`
-    computes by order arithmetic alone.
+    Its free rank and torsion are what `gmodule.kunneth_summands` lists
+    without building a module, and its `order_polynomial` is what
+    `gmodule.kunneth_order` computes by order arithmetic alone.
     """
     total = FgGammaModule.zero()
     for r, lmod in enumerate(left):

@@ -432,6 +432,17 @@ def test_ia_dual(tmp_path):
     assert report_of(result)["values"]["dual"] == ["1", "t - 2", "t - 1"]
 
 
+def test_ia_dual_refuses_degrees_without_a_dual(tmp_path):
+    case = {"kind": "ia-dual", "payload": {
+        "ia": ["t-1", "t+1", "t^2+1", "t-2"], "n": 2}}
+    result = invoke(tmp_path, case, "ia", "dual")
+    assert result.exit_code == 1
+    report = report_of(result)
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "validation"
+    assert "degree 2 holds t^2 + 1" in report["error"]["message"]
+
+
 def test_verify_aggregate(tmp_path):
     case = {"kind": "verify", "payload": {"instances": [
         {"ia": ["t - 1", "t^2 - t + 1", "t - 2", "1"], "n": 5},

@@ -443,6 +443,15 @@ def test_superdual_polynomials_frozen():
     assert [str(q) for q in out] == ["1", "1", "t^2 - t + 1", "t - 1"]
 
 
+def test_superdual_polynomials_refuse_nonunits_without_a_dual_degree():
+    """Degrees at or above n have no dual degree: units there drop out,
+    a nonunit there is an error rather than a silent loss."""
+    out = superdual_polynomials(["t - 1", "t + 1", "1", "-3*t^2"], 2)
+    assert [str(q) for q in out] == ["t + 1", "t - 1"]
+    with pytest.raises(ValueError, match=r"degree 2 holds t\^2 \+ 1,"):
+        superdual_polynomials(["t - 1", "t + 1", "t^2 + 1", "t - 2"], 2)
+
+
 @given(st.lists(st.sampled_from(POOL + [ONE]), min_size=1, max_size=5),
        st.integers(5, 8))
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,6 @@
-"""Smith reduction, canonical modules and the tensor/Tor calculus."""
+"""Smith reduction, canonical modules and the Kunneth sum."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,10 +27,9 @@ from ialex.gmodule import (
     NotTorsion,
     _diagonalise,
     kunneth_order,
+    kunneth_summands,
     order_polynomial,
     smith_normal_form,
-    tensor,
-    tor,
 )
 from ialex.laurent import (
     LaurentPoly,
@@ -51,6 +51,8 @@ from oracles import (
     solve_left,
     stack,
     support_primes,
+    tensor,
+    tor,
     transpose,
     windowed_kunneth_order,
 )
@@ -492,7 +494,7 @@ def test_conjugate_order(m):
                    involute(order_polynomial(m)))
 
 
-# -- tensor, Tor, Kunneth ------------------------------------------------------------
+# -- tensor, Tor (oracle copies), Kunneth -------------------------------------------
 
 
 def test_tensor_frozen():
@@ -549,6 +551,10 @@ def test_kunneth_frozen():
 
     # free (x) free has no order, on either side of the split
     circle = [FgGammaModule.free(1), FgGammaModule.free(1)]
+    assert kunneth_summands(circle, circle, 1, 1) == (2, [], [])
+    # a free summand of rank r tensors a cyclic one into r copies
+    plane = [FgGammaModule.free(2)]
+    assert kunneth_summands(plane, two, 0, 1) == (0, [t1, t1], [])
     with pytest.raises(NotTorsion, match="requires a torsion module"):
         kunneth_order(circle, circle, 2)
     with pytest.raises(NotTorsion, match="requires a torsion module"):
@@ -562,19 +568,24 @@ def test_kunneth_frozen():
        st.integers(0, 4), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_kunneth_order_matches_module_valued_kunneth(left, right, i, split):
-    """high is the order of the terms at or above the split and low * high
-    the whole order, both by the module-valued sum and by the windowed
-    product; NotTorsion comes exactly when the whole sum has free rank."""
-    try:
-        whole = order_polynomial(kunneth(left, right, i))
-    except NotTorsion:
+    """The summands' free rank and orders make up the module-valued sum,
+    free (x) free terms included.  When that sum is torsion, high is the
+    order of the terms at or above the split and low * high the whole
+    order, both by the module-valued sum and by the windowed product;
+    NotTorsion comes exactly when the whole sum has free rank."""
+    free, low_orders, high_orders = kunneth_summands(left, right, i, split)
+    whole = kunneth(left, right, i)
+    assert FgGammaModule.from_summands(free, low_orders + high_orders) == whole
+    if free:
         with pytest.raises(NotTorsion):
             windowed_kunneth_order(left, right, i)
         with pytest.raises(NotTorsion):
             kunneth_order(left, right, i, split)
         return
     low, high = kunneth_order(left, right, i, split)
-    assert low * high == whole == windowed_kunneth_order(left, right, i)
+    assert math.prod(high_orders, start=LaurentPoly.one()) == high
+    assert low * high == order_polynomial(whole) \
+        == windowed_kunneth_order(left, right, i)
     assert high == order_polynomial(kunneth(left, right, i, split)) \
         == windowed_kunneth_order(left, right, i, split)
 
