@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ialex.engine import Perversity
+from ialex.engine import _T_MINUS_ONE, Perversity
 from ialex.gmodule import _require_prime
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
@@ -57,9 +57,6 @@ class DegreeOutOfRange(ValueError):
 class MissingOrdinaryData(ValueError):
     """The ordinary-polynomial variant was requested but a link component
     carries no ordinary polynomials."""
-
-
-_T_MINUS_ONE = normalize("t - 1")
 
 
 def _primes_of(poly: PolyLike, degree_cap: int) -> set[LaurentPoly]:

@@ -16,8 +16,10 @@ from typing import Iterable, Optional, Sequence
 
 from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
 from ialex.laurent import (
+    MAX_SPAN,
     LaurentPoly,
     PolyLike,
+    SpanCapExceeded,
     _quotient,
     _strict_int,
     divides,
@@ -25,7 +27,6 @@ from ialex.laurent import (
     involute,
     is_alexander_type,
     normalize,
-    similar,
 )
 
 __all__ = [
@@ -61,6 +62,16 @@ class DivisibilityViolation(ValueError):
 
 
 _ONE = LaurentPoly.one()
+# the normal form of t - 1, and Gamma/(t - 1), the degree-0 link module
+_T_MINUS_ONE = normalize("t - 1")
+_GAMMA_MOD_T_MINUS_ONE = FgGammaModule.cyclic(_T_MINUS_ONE)
+
+
+def _cap_n(n: int) -> None:
+    """ia_product and superdual_polynomials give one entry per degree below
+    n - 1 or n, so n is capped as an exponent span is, before any is built."""
+    if n > MAX_SPAN:
+        raise SpanCapExceeded(f"n = {n} is over the cap {MAX_SPAN}")
 
 
 class Perversity:
@@ -280,6 +291,7 @@ class ProductSingularityInput:
                  c: Sequence[PolyLike],
                  a_high: Sequence[PolyLike],
                  a: Optional[Sequence[PolyLike]] = None):
+        _cap_n(n)
         if not 2 <= k <= n - 1:
             raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
         perversity(k + 1)  # raises PerversityOutOfRange if table too short
@@ -301,7 +313,7 @@ class ProductSingularityInput:
             if s >= k - 1 and not mod.is_zero:
                 raise ValueError(
                     f"link modules must vanish in degrees >= {k - 1}")
-        if not links or links[0] != FgGammaModule.cyclic("t - 1"):
+        if not links or links[0] != _GAMMA_MOD_T_MINUS_ONE:
             raise ValueError("link module in degree 0 must be Gamma/(t - 1)")
 
         object.__setattr__(self, "n", n)
@@ -388,6 +400,7 @@ def superdual_polynomials(ia: Sequence[PolyLike], n: int,
     >>> [str(q) for q in superdual_polynomials(["t - 1", "2*t - 1"], 3)]
     ['1', 't - 2', 't - 1']
     """
+    _cap_n(n)
     reps = [normalize(q) for q in ia]
     for j, rep in enumerate(reps):
         if j >= n and not rep.is_one:
@@ -415,12 +428,12 @@ def validate_normalization(ia: Sequence[PolyLike], n: int,
             if i == 0 or i > n - 1:
                 requirement, ok = "similar to 1", rep.is_one
             elif i == n - 1:
-                requirement, ok = "similar to t - 1", similar(rep, "t - 1")
+                requirement, ok = "similar to t - 1", rep == _T_MINUS_ONE
             else:
                 requirement, ok = "Alexander type", is_alexander_type(rep)
         else:
             if i == 0:
-                requirement, ok = "similar to t - 1", similar(rep, "t - 1")
+                requirement, ok = "similar to t - 1", rep == _T_MINUS_ONE
             elif i >= n - 1:
                 requirement, ok = "similar to 1", rep.is_one
             else:

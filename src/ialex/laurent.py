@@ -21,7 +21,9 @@ tuples without building a rational per coefficient.  A product of normal
 forms is a normal form (Gauss's lemma).  Dense storage needs a bound: an
 element built from terms, by :func:`parse`, the mapping constructor or
 ``+``, may span at most :data:`MAX_SPAN` exponents, checked before the tuple
-is allocated.
+is allocated.  :func:`parse` reads text in the form ``str()`` writes by one
+split at its spaces; other text goes to a regex scan, the one definition of
+the grammar and the one source of parse errors.
 
 gcd and division run on the integer numerators of the normal forms: by
 Gauss's lemma, gcds and divisibility in Q[t, t^-1] are those of Z[t] on
@@ -413,6 +415,11 @@ def parse(text: str) -> LaurentPoly:
     integer.  The ``*`` may be left out, and stands only before ``t``.
     Whitespace is ignored.
 
+    Text in the form ``str()`` writes (terms with falling exponents, joined
+    by single-spaced ``+`` and ``-``) is read by a split; any other text,
+    and every text that is rejected, goes to the grammar's scanner
+    ``_scan``, so every error message comes from the scanner.
+
     >>> print(parse("3/2*t^-1 - 3/2"))
     -3/2 + 3/2*t^-1
     >>> parse("t^2-t+1") == LaurentPoly({2: 1, 1: -1, 0: 1})
@@ -428,6 +435,57 @@ def parse(text: str) -> LaurentPoly:
     of the sum is checked against :data:`MAX_SPAN` before the dense tuple
     is built.
     """
+    p = _read_str_form(text)
+    return _scan(text) if p is None else p
+
+
+def _read_str_form(text: str) -> Optional[LaurentPoly]:
+    """The element of text in the form ``str()`` writes: terms with strictly
+    falling exponents joined by `` + `` and `` - ``, the first with an
+    optional ``-``.  None for any other text, and for text the scan rejects
+    (a span over MAX_SPAN, a zero denominator, int's digit limit)."""
+    neg = text[:1] == "-"
+    words = (text[1:] if neg else text).split(" ")
+    if not len(words) % 2:
+        return None
+    terms: list[tuple[int, int, int]] = []  # (exponent, numerator, denominator)
+    den = 1
+    try:
+        for sign, word in zip(["-" if neg else "+", *words[1::2]], words[::2]):
+            coef, star, power = word.partition("*")
+            if not star and coef[:1] == "t":
+                coef, power = "1", coef
+            exp = power[2:]
+            if power == "t":
+                e = 1
+            elif power[:2] == "t^" and (exp[1:] if exp[:1] == "-" else exp).isdecimal():
+                e = int(exp)
+            elif power or star:
+                return None
+            else:
+                e = 0
+            c_text, slash, d_text = coef.partition("/")
+            d = (int(d_text) if d_text.isdecimal() else 0) if slash else 1
+            if (sign != "+" and sign != "-" or not d or not c_text.isdecimal()
+                    or terms and e >= terms[-1][0]):
+                return None
+            den = math.lcm(den, d)
+            c = int(c_text)
+            terms.append((e, -c if sign == "-" else c, d))
+    except ValueError:              # int's digit limit
+        return None
+    hi, lo = terms[0][0], terms[-1][0]
+    if hi - lo > MAX_SPAN:
+        return None
+    coeffs = [0] * (hi - lo + 1)
+    for e, c, d in terms:
+        coeffs[e - lo] = c * (den // d)
+    return _canonical(lo, coeffs, den)
+
+
+def _scan(text: str) -> LaurentPoly:
+    """:func:`parse` for the whole grammar, by one regex scan of the text
+    with its whitespace removed; the one source of parse errors."""
     compact = "".join(text.split()).replace("−", "-")
     if not compact:
         raise ValueError("empty polynomial text")

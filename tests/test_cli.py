@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import ialex
 from ialex import cli
-from ialex.laurent import normalize
+from ialex.laurent import MAX_SPAN, normalize
 
 from conftest import MIXED_POOL
 
@@ -441,6 +442,32 @@ def test_ia_dual_refuses_degrees_without_a_dual(tmp_path):
     assert report["status"] == "error"
     assert report["error"]["code"] == "validation"
     assert "degree 2 holds t^2 + 1" in report["error"]["message"]
+
+
+def _n_case(kind, n):
+    if kind == "ia-dual":
+        return {"kind": kind, "payload": {"ia": ["t - 1"], "n": n}}
+    return {"kind": kind, "payload": {
+        "n": n, "k": 5, "perversity": [0, 0, 1, 1, 2], "sigma": [{"free": 1}],
+        "links": [{"torsion": ["t - 1"]}], "c": [], "a_high": []}}
+
+
+@pytest.mark.parametrize("kind", ["ia-dual", "ia-product"])
+def test_output_length_n_is_capped(tmp_path, kind):
+    """Both kinds write one entry per degree below n (ia-product: below
+    n - 1); an n over MAX_SPAN is refused before any entry is built."""
+    for n in (MAX_SPAN + 1, 2**70):
+        start = time.perf_counter()
+        result = invoke(tmp_path, _n_case(kind, n), "run")
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert report_of(result)["error"] == {
+            "code": "degree-cap",
+            "message": f"n = {n} is over the cap {MAX_SPAN}"}
+    result = invoke(tmp_path, _n_case(kind, MAX_SPAN), "run")
+    assert result.exit_code == 0
+    key, length = ("dual", MAX_SPAN) if kind == "ia-dual" else ("ia", MAX_SPAN - 1)
+    assert len(report_of(result)["values"][key]) == length
 
 
 def test_verify_aggregate(tmp_path):

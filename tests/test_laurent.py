@@ -2,9 +2,11 @@
 
 import math
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -20,6 +22,7 @@ from conftest import (
     small_primes_st,
 )
 import ialex.laurent as laurent
+from ialex import cli
 from ialex.gmodule import GammaMatrix, smith_normal_form
 from ialex.laurent import (
     MAX_SPAN,
@@ -301,6 +304,90 @@ def test_parse_matches_dict_oracle(terms):
     expected = DictLaurent([(e, Fraction(c, d)) for e, c, d in terms])
     _assert_agrees(parse(text), expected)
     assert parse(text) == _lift(expected)
+
+
+# -- the str() reader against the scan ---------------------------------------
+
+# edits, with a Unicode minus sign, Arabic-Indic digit three and superscript two
+_EDITS = " -+*^t/0\u2212\u0663\u00b2\t~"
+
+
+def _outcome(read, text):
+    """The element read, or the type and message of what reading raised."""
+    try:
+        return read(text)
+    except Exception as exc:  # any exception: compared with the scan's
+        return type(exc), str(exc)
+
+
+@st.composite
+def str_texts(draw):
+    """str(p), with its spaces removed or not, then 0-3 random edits."""
+    text = str(draw(laurent_polys()))
+    if draw(st.booleans()):
+        text = text.replace(" ", "")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(_EDITS))
+        text = draw(st.sampled_from(
+            [text[:i] + ch + text[i:], text[:i] + ch + text[i + 1:],
+             text[:i] + text[i + 1:]]))
+    return text
+
+
+@settings(max_examples=500)
+@given(str_texts())
+def test_parse_matches_scan(text):
+    assert _outcome(parse, text) == _outcome(laurent._scan, text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", {}), ("-0", {}), ("t^-0", {0: 1}), ("01", {0: 1}), ("1*t", {1: 1}),
+    ("4/2*t", {1: 2}), ("t - 1 ", {1: 1, 0: -1}), ("t  - 1", {1: 1, 0: -1}),
+    ("-3/2 + 3/2*t^-1", {0: Fraction(-3, 2), -1: Fraction(3, 2)}),
+    ("1/0*t", ValueError("zero denominator in '1/0'")),
+    ("t^70000 + 1",
+     SpanCapExceeded(f"exponents 0..70000 span 70000, over the cap {MAX_SPAN}")),
+])
+def test_parse_matches_scan_frozen(text, value):
+    expected = (type(value), str(value)) if isinstance(value, Exception) \
+        else LaurentPoly(value)
+    assert _outcome(parse, text) == _outcome(laurent._scan, text) == expected
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int has no digit limit")
+def test_parse_digit_limit_is_worded_by_scan():
+    text = "7" * 5000 + "*t + 1"
+    outcome = _outcome(parse, text)
+    assert outcome[0] is ValueError
+    assert outcome == _outcome(laurent._scan, text)
+
+
+def _count_routes(monkeypatch):
+    """The texts parse hands to the reader and to the scan."""
+    read, scanned = [], []
+    real_read, real_scan = laurent._read_str_form, laurent._scan
+    monkeypatch.setattr(laurent, "_read_str_form",
+                        lambda text: read.append(text) or real_read(text))
+    monkeypatch.setattr(laurent, "_scan",
+                        lambda text: scanned.append(text) or real_scan(text))
+    return read, scanned
+
+
+@given(laurent_polys(max_span=40, max_terms=12, max_coeff=10**30))
+def test_str_form_skips_the_scan(p):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        read, scanned = _count_routes(monkeypatch)
+        assert parse(str(p)) == p
+    assert read == [str(p)] and scanned == []
+
+
+def test_corpus_polynomials_skip_the_scan(monkeypatch, capsys):
+    read, scanned = _count_routes(monkeypatch)
+    corpus = Path(__file__).resolve().parents[1] / "fixtures" / "corpus"
+    assert cli.main(["corpus", str(corpus)]) == 0
+    assert read and scanned == []
 
 
 # -- normalization and similarity -------------------------------------------
