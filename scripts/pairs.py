@@ -14,6 +14,12 @@ gives; a positive gain is better.
 A run that does not finish or reports a failed case is shown and stops the
 script with exit code 1.
 
+Before the timed pairs, each checkout runs one untimed pass of the
+workload's cases at the given seed, in its own process so that its own
+`src/` is imported, and one line gives the sha256 of each side's rendered
+reports and whether they match.  The line is for reading only: the pairs
+are timed either way.
+
 Runs write no bytecode, and the script refuses to start when one checkout
 holds `__pycache__` directories under `src/` or `perfbench/` and the other
 does not: compiled modules cut the side that has them short in `setup_s`.
@@ -49,6 +55,32 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"run in {checkout} failed {result['failed']} of "
                            f"{result['attempted']} cases")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+# one untimed pass of a workload's cases; prints the sha256 of the reports
+REPORTS = """\
+import hashlib, sys
+sys.path.insert(0, "perfbench")
+import run
+cli = run.load_library()
+import gen
+cases = run.pass_cases(gen, sys.argv[1], int(sys.argv[2]))
+loop = run.run_loop(cli, gen, cases, passes=1)
+print(hashlib.sha256("\\n".join(loop.reports).encode()).hexdigest())
+"""
+
+
+def report_hash(checkout: Path, workload: str, seed: int) -> str:
+    """The sha256 of one pass's rendered reports in the given checkout, or
+    why there is none."""
+    done = subprocess.run(
+        [sys.executable, "-c", REPORTS, workload, str(seed)],
+        cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    lines = done.stdout.split()
+    if done.returncode != 0 or not lines:
+        return f"none (exit {done.returncode})"
+    return lines[-1]
 
 
 def has_bytecode(checkout: Path) -> bool:
@@ -100,6 +132,13 @@ def main(argv=None) -> int:
         print(f"only the {cached[0]} checkout holds __pycache__ directories; "
               "remove them so that both sides compile alike", file=sys.stderr)
         return 2
+    hashes = {side: report_hash(path, args.workload, args.seed)
+              for side, path in sides.items()}
+    same = hashes["parent"] == hashes["change"] and \
+        not hashes["parent"].startswith("none")
+    print(f"report sha256: parent {hashes['parent']}, change "
+          f"{hashes['change']}, {'identical' if same else 'DIFFERENT'}",
+          flush=True)
     runs: dict[str, list] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

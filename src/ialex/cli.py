@@ -196,7 +196,15 @@ def _complex(value, path: str) -> twisted.TwistedComplex:
     stalk = gmodule.FgGammaModule.free(1)
     if "stalk" in value:
         stalk = _module(value["stalk"], f"{path}.stalk")
-    return twisted.TwistedComplex(simplices, monodromy, stalk)
+    # integer pairs, which the library does not read again; keys naming one
+    # edge twice ("1-2", "01-2") or past int's digit limit go as given
+    try:
+        pairs = {tuple(map(int, key.split("-"))): unit
+                 for key, unit in monodromy.items()}
+    except ValueError:
+        pairs = {}
+    return twisted.TwistedComplex(
+        simplices, pairs if len(pairs) == len(monodromy) else monodromy, stalk)
 
 
 def _e2table(value: Mapping, path: str) -> bounds.E2Table:

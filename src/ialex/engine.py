@@ -12,9 +12,10 @@ outputs must satisfy.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
-from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
+from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_summands
 from ialex.laurent import (
     MAX_SPAN,
     LaurentPoly,
@@ -346,18 +347,24 @@ def ia_product(inp: ProductSingularityInput,
     Degree by degree: the full Mayer-Vietoris polynomial nu_i is the Kunneth
     order of Sigma against the link complement, split as low * high at the
     cut p.cutoff(k+1) on the link degree (at least 1, as a traditional
-    perversity has p(k+1) <= k - 1).  The high part splits as
-    a_high * b_high, b = nu/a splits as b_high * b_low, and so
-    b_low = low / (a / a_high): a divides nu and b_high divides b exactly
-    when a / a_high divides low.  The output is a_high_{i-1} * b_low_i * c_i.
-    The report carries (nu, b_high, b_low) per degree.
+    perversity has p(k+1) <= k - 1); one Kunneth pass gives the orders of
+    every degree, and a positive free rank raises NotTorsion.  The high
+    part splits as a_high * b_high, b = nu/a splits as b_high * b_low, and
+    so b_low = low / (a / a_high): a divides nu and b_high divides b
+    exactly when a / a_high divides low.  The output is
+    a_high_{i-1} * b_low_i * c_i.  The report carries (nu, b_high, b_low)
+    per degree.
     """
     p = inp.perversity
     s_min = p.cutoff(inp.k + 1)
     out: list[LaurentPoly] = []
     report: list[dict] = []
+    table = kunneth_summands(inp.sigma_homology, inp.link_modules, s_min)
     for i in range(inp.n - 1):
-        low, high = kunneth_order(inp.sigma_homology, inp.link_modules, i, s_min)
+        free, low, high = table[i] if i < len(table) else (0, (), ())
+        if free:
+            raise NotTorsion("order polynomial requires a torsion module")
+        low, high = math.prod(low, start=_ONE), math.prod(high, start=_ONE)
         a_high, a_full = inp.a_high_at(i), inp.a_at(i)
         a_rest = _quotient(a_full, a_high)
         if a_rest is None:

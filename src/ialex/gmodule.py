@@ -14,21 +14,20 @@ pairing, Gamma/(a) + Gamma/(b) = Gamma/(gcd) + Gamma/(lcm), turns the
 diagonal into the chain, the same step that canonicalises a direct sum of
 cyclic modules.  On top of that normal form sit the order polynomial, the
 prime check of primary decomposition and the one closed form of the Kunneth
-sum, `kunneth_summands`: the free rank and cyclic orders of one degree of a
-product, split at a right-hand degree, without building a module.
+sum, `kunneth_summands`: the free rank and cyclic orders of every degree of
+a product, split at a right-hand degree, from one pass over the pairs of
+degrees and without building a module.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Iterable, Mapping, Sequence
 
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
-    _ONE,
     _ZERO,
     _poly_divmod,
     _unit_quotient,
@@ -45,7 +44,6 @@ __all__ = [
     "GammaMatrix",
     "NotPrime",
     "NotTorsion",
-    "kunneth_order",
     "kunneth_summands",
     "order_polynomial",
     "smith_normal_form",
@@ -429,45 +427,32 @@ def _require_prime(prime: PolyLike,
 
 
 def kunneth_summands(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
-                     i: int, split: int = 0) -> tuple[int, list, list]:
-    """(free, low, high) of the degree-i homology of a product, the tensor
-    terms on the degree-i antidiagonal plus the Tor terms on the degree-(i-1)
-    one: its free rank and the nonunit orders of its cyclic summands, split
-    by right-hand degree below `split` and at or above it.  Gamma/(x) (x)
-    Gamma/(y) and Tor(Gamma/(x), Gamma/(y)) are both Gamma/(gcd(x, y)), and
-    a free summand tensored with Gamma/(x) is a copy of it.
+                     split: int = 0) -> list[tuple[int, list, list]]:
+    """The homology of a product: for each degree 0 .. len(left) +
+    len(right) - 1, (free, low, high), its free rank and the nonunit orders
+    of its cyclic summands split by right-hand degree below `split` and at
+    or above it.  Gamma/(x) (x) Gamma/(y) and its Tor are both
+    Gamma/(gcd(x, y)), so each pair of degrees (r, s) takes its gcds once,
+    for degree r + s and for r + s + 1; a free summand tensored with
+    Gamma/(x) is a copy of it.  r falls, so tensor terms come before Tor.
 
     >>> seq = [FgGammaModule.free(1), FgGammaModule.cyclic("t - 1")]
-    >>> kunneth_summands(seq, seq, 1, split=1)
+    >>> kunneth_summands(seq, seq, split=1)[1]
     (0, [LaurentPoly('t - 1')], [LaurentPoly('t - 1')])
     """
-    free, parts = 0, ([], [])
+    size = len(left) + len(right)
+    free = [0] * size
+    parts = [([], []) for _ in range(size)]     # (low, high) per degree
     for s, b in enumerate(right):
-        orders = parts[s >= split]
-        for r in (i - s, i - 1 - s):
-            if not 0 <= r < len(left):
-                continue
+        side = s >= split
+        for r in reversed(range(len(left))):
             a = left[r]
-            if r == i - s:                    # tensor: free parts distribute
-                free += a.free_rank * b.free_rank
-                orders.extend(x for x in a.torsion for _ in range(b.free_rank))
-                orders.extend(y for y in b.torsion for _ in range(a.free_rank))
-            gcds = (x if x == y else gcd(x, y) for x in a.torsion for y in b.torsion)
-            orders.extend(g for g in gcds if not g.is_one)
-    return free, parts[0], parts[1]
-
-
-def kunneth_order(left: Sequence[FgGammaModule], right: Sequence[FgGammaModule],
-                  i: int, split: int = 0) -> tuple[LaurentPoly, LaurentPoly]:
-    """(low, high): the products of `kunneth_summands`' two order lists,
-    whose product is the order of the degree-i homology of a product.  A
-    positive free rank raises NotTorsion.
-
-    >>> seq = [FgGammaModule.cyclic("t - 1")]
-    >>> kunneth_order(seq, seq, 1)
-    (LaurentPoly('1'), LaurentPoly('t - 1'))
-    """
-    free, low, high = kunneth_summands(left, right, i, split)
-    if free:
-        raise NotTorsion("order polynomial requires a torsion module")
-    return math.prod(low, start=_ONE), math.prod(high, start=_ONE)
+            orders = parts[r + s][side]
+            free[r + s] += a.free_rank * b.free_rank
+            orders.extend(x for x in a.torsion for _ in range(b.free_rank))
+            orders.extend(y for y in b.torsion for _ in range(a.free_rank))
+            gcds = [g for x in a.torsion for y in b.torsion
+                    if not (g := x if x == y else gcd(x, y)).is_one]
+            orders.extend(gcds)
+            parts[r + s + 1][side].extend(gcds)
+    return [(f, low, high) for f, (low, high) in zip(free, parts)]

@@ -311,6 +311,10 @@ class LaurentPoly:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
+        if self._num == (1,) and self._den == 1 and not self._shift:
+            return other
+        if other._num == (1,) and other._den == 1 and not other._shift:
+            return self
         # a product of nonzero polynomials keeps nonzero end coefficients
         num = _convolve(self._num, other._num)
         den = self._den * other._den
@@ -723,6 +727,8 @@ def exact_quotient(p: PolyLike, d: PolyLike) -> LaurentPoly:
 
 def _quotient(p: LaurentPoly, d: LaurentPoly) -> Optional[LaurentPoly]:
     """p / d for nonzero normal forms, or None when d does not divide p."""
+    if d._num == (1,):
+        return p
     q = exact_div(p._num, d._num)
     return None if q is None else _checked_rep(q)
 

@@ -12,7 +12,8 @@ ranks and invariant factors alone.  The stalk enters afterwards, by the
 universal coefficient theorem over a principal ideal domain (Hatcher,
 Algebraic Topology, 3.A):
 H_p(X; M) = H_p(X; Gamma) (x) M  +  Tor(H_{p-1}(X; Gamma), M),
-the Kunneth sum (`kunneth_summands`) with M as its one right-hand term.
+the Kunneth sum (`kunneth_summands`) with M as its one right-hand term,
+read for every p from one table cut at the dimension of X.
 
 On top of the homology sit the second-page tables of the neighborhood
 spectral sequence: one row per coefficient degree of a link, with the cone
@@ -137,9 +138,13 @@ class TwistedComplex:
 
         edges = faces[1] if len(faces) > 1 else set()
         table: dict[tuple[int, int], LaurentPoly] = {}
+        parsed: dict[str, LaurentPoly] = {}      # each unit string read once
         for raw_key, value in dict(monodromy or {}).items():
             u, v = _edge_key(raw_key)
-            unit = as_laurent(value)
+            if type(value) is not str:
+                unit = as_laurent(value)
+            elif (unit := parsed.get(value)) is None:
+                unit = parsed[value] = as_laurent(value)
             if not unit.is_unit:
                 raise ValueError(f"monodromy on edge ({u}, {v}) is not a unit")
             if u == v:
@@ -150,7 +155,7 @@ class TwistedComplex:
                 raise ValueError(f"({u}, {v}) is not an edge of the complex")
             if (u, v) in table and table[(u, v)] != unit:
                 raise ValueError(f"inconsistent monodromy on edge ({u}, {v})")
-            if unit != LaurentPoly.one():
+            if unit != _ONE:
                 table[(u, v)] = unit
         object.__setattr__(self, "monodromy", table)
         if not isinstance(stalk, FgGammaModule):
@@ -314,9 +319,8 @@ def twisted_homology(tc: TwistedComplex) -> tuple[FgGammaModule, ...]:
     (FgGammaModule(free=1, torsion=[]), FgGammaModule(free=1, torsion=[]))
     """
     free = _free_homology(tc)
-    sums = (kunneth_summands(free, [tc.stalk], p) for p in range(len(free)))
-    return tuple(FgGammaModule.from_summands(rank, orders)
-                 for rank, _, orders in sums)
+    return tuple(FgGammaModule.from_summands(rank, orders) for rank, _, orders
+                 in kunneth_summands(free, [tc.stalk])[:len(free)])
 
 
 def _family(base, length: int) -> list[TwistedComplex]:
@@ -356,8 +360,8 @@ def e2_link_page(base, link_modules: Sequence[FgGammaModule],
         key = tuple(sorted(family[q].monodromy.items()))
         if key not in free:
             free[key] = _free_homology(family[q])
-        for p in range(len(free[key])):
-            rank, _, orders = kunneth_summands(free[key], [module], p)
+        sums = kunneth_summands(free[key], [module])[:len(free[key])]
+        for p, (rank, _, orders) in enumerate(sums):
             if rank:
                 raise NotTorsionEntry(f"page entry (p={p}, q={q}) has free "
                                       f"rank {rank}")

@@ -9,12 +9,14 @@ substitution, and the factorizer behind ``laurent.factor``.
 :func:`factor_primitive` first divides out the cyclotomic factors exactly:
 for every n with phi(n) at most the degree still left, Phi_n is divided out
 as often as it goes.  A cheap filter runs before each division, a repeated
-one included: t - 1 divides what is left exactly when its value at 1 is 0,
-and another Phi_n only if Phi_n(b) divides its value at b, the least b >= 2
-with f(b) nonzero (Phi_1(2) = 1 filters nothing, and f(b) = 0 would pass
-every Phi_n).  The rest, if not constant, takes the classical small-prime
-route (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.,
-chapters 14 and 15):
+one included: Phi_n is tried only if Phi_n(b) divides the value at b, the
+least b >= 2 with f(b) nonzero (f(b) = 0 would pass every Phi_n).  For the
+five n with phi(n) <= 2 a test past the filter is exact: Phi_n divides
+what is left exactly when that vanishes at a primitive n-th root of unity,
+which sums of coefficients by residue class of the exponent tell.  The
+rest, if not constant, takes the classical small-prime route (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and
+15):
 
 - Yun's square-free decomposition, which also gives the multiplicities,
   needed only when f is not square-free mod the first odd prime not
@@ -894,6 +896,20 @@ def _cyclotomic_at(n: int, b: int) -> int:
     return value
 
 
+def _vanishes_at_root(f: Poly, n: int) -> bool:
+    """Whether f vanishes at a primitive n-th root of unity, phi(n) <= 2,
+    read from the sums s[k] of coefficients over exponents k mod n: f(1),
+    f(-1), f(i), and f(w) = s[0] + s[1]*w + s[2]*w^2 at a cube root of
+    unity w, zero exactly when the three sums agree; n = 6 is n = 3 on f(-t).
+    """
+    if n == 6:
+        f, n = [-c if k % 2 else c for k, c in enumerate(f)], 3
+    s = [sum(f[k::n]) for k in range(n)]
+    if n == 4:
+        return s[0] == s[2] and s[1] == s[3]
+    return not s[0] if n == 1 else s[0] == s[1] == s[-1]
+
+
 def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     """The irreducible factors in Z[t], with multiplicities, of a primitive
     polynomial with nonzero constant term and positive leading coefficient.
@@ -926,7 +942,8 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
         if phi >= len(rest):  # which holds for every phi(n) > deg f
             continue
         phi_at_b, mult = _cyclotomic_at(n, b), 0
-        while (at_b % phi_at_b == 0 if n > 1 else not sum(rest)) and (
+        while at_b % phi_at_b == 0 and (
+                phi > 2 or _vanishes_at_root(rest, n)) and (
                 quotient := exact_div(rest, _cyclotomic(n))) is not None:
             rest, at_b, mult = quotient, at_b // phi_at_b, mult + 1
         if mult:

@@ -207,7 +207,8 @@ def product_inputs(draw, realizable=False):
     as geometric instances do.
     """
     from ialex.engine import ProductSingularityInput
-    from ialex.gmodule import FgGammaModule, kunneth_order
+    from ialex.gmodule import FgGammaModule
+    from oracles import kunneth_order
     from ialex.laurent import multiplicity
 
     t1 = normalize("t - 1")

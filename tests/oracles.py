@@ -18,11 +18,14 @@ from a transform-tracking Smith form of their own, independent of the
 library's elimination, that divides by `laurent_divmod`, rational long
 division on dense Fraction lists rather than the library's integer
 pseudo-division.  The module-valued Kunneth sum, built from the canonical
-modules of `tensor` and `tor` by `direct_sum`, cross-checks the free ranks
-and cyclic orders of `gmodule.kunneth_summands`, from which the library
-also takes universal coefficients.  The windowed order, one product per
-factor, and the two-pass `ia_product` with a `divides` test before each
-quotient cross-check `kunneth_order` and its one-pass split, and
+modules of `tensor` and `tor` by `direct_sum`, and the per-degree
+enumerator `per_degree_kunneth_summands`, which takes each gcd once for its
+tensor and once more for its Tor term, cross-check the one-pass table of
+free ranks and cyclic orders of `gmodule.kunneth_summands`, from which the
+library also takes universal coefficients.  The windowed order, one product
+per factor, `kunneth_order` on the per-degree enumerator, and the two-pass
+`ia_product` with a `divides` test before each quotient cross-check the
+orders `engine.ia_product` multiplies from that table, and
 `factor_check_result` factors the whole polynomial where
 `bounds.check_result` divides out the allowed primes.  Slow is fine; these
 only ever see small inputs.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, prod
 
 from ialex.engine import DivisibilityViolation
 from ialex.gmodule import (
@@ -879,9 +882,10 @@ def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
     """The degree-i Kunneth terms with right-hand degree s >= s_min, summed
     as a canonical module through `tensor`, `tor` and `direct_sum`.
 
-    Its free rank and torsion are what `gmodule.kunneth_summands` lists
-    without building a module, and its `order_polynomial` is what
-    `gmodule.kunneth_order` computes by order arithmetic alone.
+    Its free rank and torsion are what degree i of the table
+    `gmodule.kunneth_summands` lists without building a module, and its
+    `order_polynomial` is what `kunneth_order` computes by order arithmetic
+    alone.
     """
     total = FgGammaModule.zero()
     for r, lmod in enumerate(left):
@@ -895,12 +899,53 @@ def kunneth(left, right, i: int, s_min: int = 0) -> FgGammaModule:
     return total
 
 
+def per_degree_kunneth_summands(left, right, i: int, split: int = 0):
+    """(free, low, high) of the degree-i homology of a product, one degree
+    at a time: the tensor terms on the degree-i antidiagonal plus the Tor
+    terms on the degree-(i-1) one, split by right-hand degree below `split`
+    and at or above it.
+
+    The route `gmodule.kunneth_summands` took before it returned every
+    degree from one pass; each gcd is taken here once per degree it
+    reaches, for its tensor term and again for its Tor term.
+    """
+    free, parts = 0, ([], [])
+    for s, b in enumerate(right):
+        orders = parts[s >= split]
+        for r in (i - s, i - 1 - s):
+            if not 0 <= r < len(left):
+                continue
+            a = left[r]
+            if r == i - s:                    # tensor: free parts distribute
+                free += a.free_rank * b.free_rank
+                orders.extend(x for x in a.torsion for _ in range(b.free_rank))
+                orders.extend(y for y in b.torsion for _ in range(a.free_rank))
+            gcds = (x if x == y else gcd(x, y) for x in a.torsion for y in b.torsion)
+            orders.extend(g for g in gcds if not g.is_one)
+    return free, parts[0], parts[1]
+
+
+def kunneth_order(left, right, i: int, split: int = 0):
+    """(low, high): the products of `per_degree_kunneth_summands`' two
+    order lists, whose product is the order of the degree-i homology of a
+    product.  A positive free rank raises NotTorsion.
+
+    >>> seq = [FgGammaModule.cyclic("t - 1")]
+    >>> kunneth_order(seq, seq, 1)
+    (LaurentPoly('1'), LaurentPoly('t - 1'))
+    """
+    free, low, high = per_degree_kunneth_summands(left, right, i, split)
+    if free:
+        raise NotTorsion("order polynomial requires a torsion module")
+    return prod(low, start=LaurentPoly.one()), prod(high, start=LaurentPoly.one())
+
+
 def windowed_kunneth_order(left, right, i: int, s_min: int = 0) -> LaurentPoly:
     """The order of the degree-i Kunneth terms with right-hand degree
     s >= s_min, multiplied up term by term, one product per factor.
 
-    The route `gmodule.kunneth_order` took before it returned the (low,
-    high) split of one pass; terms below s_min are skipped outright, so a
+    The route `kunneth_order` took before it returned the (low, high)
+    split of one pass; terms below s_min are skipped outright, so a
     free (x) free term there raises nothing.
     """
     out = LaurentPoly.one()

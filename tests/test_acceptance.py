@@ -41,7 +41,6 @@ from ialex.exactseq import (
 from ialex.gmodule import (
     FgGammaModule,
     GammaMatrix,
-    kunneth_order,
     order_polynomial,
     smith_normal_form,
 )
@@ -63,6 +62,7 @@ from conftest import ALEX_POOL, MIXED_POOL, seeded_eisenstein
 from oracles import (
     determinantal_invariant_factors,
     kronecker_factor,
+    kunneth_order,
     sympy_cyclotomic,
     sympy_swinnerton_dyer,
 )

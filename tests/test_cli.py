@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ialex
-from ialex import cli
+from ialex import cli, twisted
 from ialex.laurent import MAX_SPAN, normalize
 
 from conftest import MIXED_POOL
@@ -426,6 +426,46 @@ def test_ia_product(tmp_path):
     assert report_of(eased)["values"] == values
 
 
+def test_ia_product_with_a_wider_than_a_high(tmp_path):
+    """a beyond a_high takes b_low = low / (a / a_high); when that quotient
+    fails, the report names a against nu if a does not divide it, and
+    b_high against b if it does."""
+    payload = {
+        "n": 6, "k": 5, "perversity": [0, 0, 1, 1, 2],
+        "sigma": [{"free": 1}],
+        "links": [{"torsion": ["t - 1"]}, {"torsion": ["t^2 - t + 1"]},
+                  {"torsion": ["2*t - 1"]}],
+        "c": ["1", "t^2 - t + 1", "1", "1", "1"],
+        "a_high": [], "a": ["t - 1", "1", "2*t - 1"],
+    }
+    result = invoke(tmp_path, {"kind": "ia-product", "payload": payload},
+                    "ia", "product")
+    assert result.exit_code == 0
+    values = report_of(result)["values"]
+    assert values["ia"] == ["1", "t^4 - 2*t^3 + 3*t^2 - 2*t + 1", "1", "1",
+                            "1"]
+    assert values["report"][0] == {"degree": 0, "nu": "t - 1", "b_high": "1",
+                                   "b_low": "1", "value": "1"}
+
+    foreign = dict(payload, a=["t + 1"])
+    result = invoke(tmp_path, {"kind": "ia-product", "payload": foreign},
+                    "ia", "product")
+    assert result.exit_code == 1
+    assert report_of(result)["error"] == {
+        "code": "validation",
+        "message": "degree 0: a = t + 1 does not divide nu = t - 1"}
+
+    # the top perversity cuts at link degree 1, so degree 1 is all high:
+    # a = nu leaves b = 1, which b_high = nu does not divide
+    high = dict(payload, perversity=[0, 1, 2, 3, 4], a=["1", "t^2 - t + 1"])
+    result = invoke(tmp_path, {"kind": "ia-product", "payload": high},
+                    "ia", "product")
+    assert result.exit_code == 1
+    assert report_of(result)["error"] == {
+        "code": "validation",
+        "message": "degree 1: b_high = t^2 - t + 1 does not divide b = 1"}
+
+
 def test_ia_dual(tmp_path):
     case = {"kind": "ia-dual", "payload": {"ia": ["t - 1", "2*t - 1"],
                                            "n": 3}}
@@ -653,6 +693,38 @@ def test_homology_vertex_errors_are_pinned(tmp_path, simplices, monodromy,
     assert report_of(result) == {"kind": "homology", "status": "error",
                                  "values": {}, "certificates": [],
                                  "error": error}
+
+
+@pytest.mark.parametrize("monodromy", [
+    {"0-1": "t", "1-2": "t^-1", "0-2": "1"},
+    {"0-1": "t", "1-0": "t^-1"},
+    {"0-1": "t", "00-1": "t"},
+    {"0-1": "t", "00-1": "t^2"},
+    {"1-0": "t", "0-1": "t"},
+    {"0-3": "t"},
+    {"1-1": "t"},
+    {"0-1": "2*t - 1"},
+    {"0-1": "t", "1-2": "t", "0-2": "t"},
+    {"0-" + "1" * 5000: "t"},
+], ids=["twisted", "both-orientations", "same-edge-twice",
+        "same-edge-clash", "inverse-clash", "not-an-edge", "vertex",
+        "not-a-unit", "cocycle", "past-digit-limit"])
+def test_monodromy_keys_read_as_the_library_reads_strings(monodromy):
+    """The command line hands the library integer pairs; every key set
+    builds the complex, or gives the error, that the library gives on the
+    string keys, keys that name one edge twice and keys past int's digit
+    limit included."""
+    simplices = [[0, 1], [1, 2], [0, 2]]
+    payload = {"simplices": simplices, "monodromy": monodromy}
+    try:
+        expected = twisted.TwistedComplex(simplices, monodromy)
+    except ValueError as exc:
+        report, code = cli.run_case({"kind": "homology", "payload": payload},
+                                    cli.RunOptions())
+        assert (code, report["error"]) == (
+            1, {"code": "validation", "message": str(exc)})
+    else:
+        assert cli._complex(payload, "payload") == expected
 
 
 def test_bounds_exclude(tmp_path):

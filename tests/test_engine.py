@@ -19,7 +19,7 @@ from ialex.engine import (
     validate_normalization,
 )
 from ialex.exactseq import solve_missing_third
-from ialex.gmodule import FgGammaModule, NotTorsion, kunneth_order
+from ialex.gmodule import FgGammaModule, NotTorsion
 from ialex.laurent import (
     LaurentPoly,
     exact_quotient,
@@ -35,7 +35,7 @@ from conftest import (
     product_inputs,
     traditional_perversities,
 )
-from oracles import two_pass_ia_product
+from oracles import kunneth_order, two_pass_ia_product
 
 ONE = LaurentPoly.one()
 T1 = normalize("t - 1")

@@ -26,7 +26,6 @@ from ialex.gmodule import (
     NotPrime,
     NotTorsion,
     _diagonalise,
-    kunneth_order,
     kunneth_summands,
     order_polynomial,
     smith_normal_form,
@@ -45,7 +44,9 @@ from oracles import (
     determinantal_invariant_factors,
     kernel_basis,
     kunneth,
+    kunneth_order,
     leading_columns,
+    per_degree_kunneth_summands,
     simplex_closure,
     snf_transforms,
     solve_left,
@@ -531,36 +532,63 @@ def test_tensor_tor_additive(a, b, c):
 
 def test_kunneth_frozen():
     point = [FgGammaModule.cyclic("t - 1")]
-    one, t1 = LaurentPoly.one(), normalize("t - 1")
-    assert kunneth_order(point, point, 0) == (one, t1)
-    assert kunneth_order(point, point, 1) == (one, t1)
-    assert kunneth_order(point, point, 2) == (one, one)
+    t1 = normalize("t - 1")
+    # degree 0 is the tensor term, degree 1 the Tor term, and no degree
+    # past len(left) + len(right) - 1 has a summand
+    assert kunneth_summands(point, point) == [(0, [], [t1]), (0, [], [t1])]
 
     sphere = [FgGammaModule.free(1), FgGammaModule.zero(), FgGammaModule.free(1)]
-    assert kunneth_order(sphere, point, 2) == (one, t1)
+    assert kunneth_summands(sphere, point) == [
+        (0, [], [t1]), (0, [], []), (0, [], [t1]), (0, [], [])]
 
-    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 0) == (one, one)
-    assert kunneth_order([FgGammaModule.cyclic("t + 1")], point, 1) == (one, one)
+    assert kunneth_summands([FgGammaModule.cyclic("t + 1")], point) == [
+        (0, [], []), (0, [], [])]
 
     # the split sorts each term by its right-hand degree
     two = [FgGammaModule.cyclic("t - 1"), FgGammaModule.cyclic("t^2 - 1")]
-    cube = normalize("t^3 - 3*t^2 + 3*t - 1")
-    assert kunneth_order(two, two, 1) == (one, cube)
-    assert kunneth_order(two, two, 1, 1) == (normalize("t^2 - 2*t + 1"), t1)
-    assert kunneth_order(two, two, 1, 2) == (cube, one)
+    t2 = normalize("t^2 - 1")
+    assert kunneth_summands(two, two) == [
+        (0, [], [t1]), (0, [], [t1, t1, t1]), (0, [], [t1, t2, t1]),
+        (0, [], [t2])]
+    assert kunneth_summands(two, two, 1)[1] == (0, [t1, t1], [t1])
+    assert kunneth_summands(two, two, 2)[1] == (0, [t1, t1, t1], [])
 
     # free (x) free has no order, on either side of the split
     circle = [FgGammaModule.free(1), FgGammaModule.free(1)]
-    assert kunneth_summands(circle, circle, 1, 1) == (2, [], [])
+    assert kunneth_summands(circle, circle, 1) == [
+        (1, [], []), (2, [], []), (1, [], []), (0, [], [])]
     # a free summand of rank r tensors a cyclic one into r copies
     plane = [FgGammaModule.free(2)]
-    assert kunneth_summands(plane, two, 0, 1) == (0, [t1, t1], [])
-    with pytest.raises(NotTorsion, match="requires a torsion module"):
-        kunneth_order(circle, circle, 2)
-    with pytest.raises(NotTorsion, match="requires a torsion module"):
-        kunneth_order(circle, [FgGammaModule.free(1)], 1, 1)
-    with pytest.raises(NotTorsion, match="requires a torsion module"):
-        kunneth_order(circle, [FgGammaModule.zero(), FgGammaModule.free(1)], 1, 1)
+    assert kunneth_summands(plane, two, 1) == [
+        (0, [t1, t1], []), (0, [], [t2, t2]), (0, [], [])]
+    assert kunneth_summands([], two) == [(0, [], [])] * 2
+    assert kunneth_summands([], []) == []
+
+
+def _table_degree(table, i):
+    return table[i] if i < len(table) else (0, [], [])
+
+
+@given(st.lists(fg_modules(max_free=2, max_summands=2), max_size=3),
+       st.lists(fg_modules(max_free=2, max_summands=2), max_size=3),
+       st.booleans(), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_kunneth_table_matches_per_degree_enumerator(left, right, same, split):
+    """Every degree of the one-pass table, at every split, lists what the
+    per-degree enumerator lists, in the same order: free (x) free ranks,
+    rank-2 free summands tensored into copies, equal orders (right drawn
+    as left), empty sequences and splits past the last right-hand degree
+    included; no degree past the table has a summand."""
+    if same:
+        right = left
+    for cut in range(len(right) + 2):
+        table = kunneth_summands(left, right, cut)
+        assert len(table) == len(left) + len(right)
+        for i in range(len(table) + 2):
+            assert _table_degree(table, i) == \
+                per_degree_kunneth_summands(left, right, i, cut)
+    assert kunneth_summands(left, right, split) == \
+        kunneth_summands(left, right, min(split, len(right)))
 
 
 @given(st.lists(fg_modules(max_free=1, max_summands=2), min_size=1, max_size=3),
@@ -568,12 +596,14 @@ def test_kunneth_frozen():
        st.integers(0, 4), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_kunneth_order_matches_module_valued_kunneth(left, right, i, split):
-    """The summands' free rank and orders make up the module-valued sum,
-    free (x) free terms included.  When that sum is torsion, high is the
-    order of the terms at or above the split and low * high the whole
-    order, both by the module-valued sum and by the windowed product;
-    NotTorsion comes exactly when the whole sum has free rank."""
-    free, low_orders, high_orders = kunneth_summands(left, right, i, split)
+    """The table's free rank and orders in degree i make up the
+    module-valued sum, free (x) free terms included.  When that sum is
+    torsion, high is the order of the terms at or above the split and
+    low * high the whole order, both by the module-valued sum and by the
+    windowed product; NotTorsion comes exactly when the whole sum has free
+    rank."""
+    free, low_orders, high_orders = _table_degree(
+        kunneth_summands(left, right, split), i)
     whole = kunneth(left, right, i)
     assert FgGammaModule.from_summands(free, low_orders + high_orders) == whole
     if free:
@@ -583,6 +613,7 @@ def test_kunneth_order_matches_module_valued_kunneth(left, right, i, split):
             kunneth_order(left, right, i, split)
         return
     low, high = kunneth_order(left, right, i, split)
+    assert math.prod(low_orders, start=LaurentPoly.one()) == low
     assert math.prod(high_orders, start=LaurentPoly.one()) == high
     assert low * high == order_polynomial(whole) \
         == windowed_kunneth_order(left, right, i)

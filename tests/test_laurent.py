@@ -285,6 +285,32 @@ def test_signed_monomial_product_matches_dict_oracle(dp, sign, k, c):
             _assert_canonical(product)
 
 
+@given(dict_laurents())
+@settings(max_examples=200)
+def test_unit_operands_skip_ring_arithmetic(dp):
+    """x * 1 and 1 * x are x itself, and _quotient(x, 1) is x; the
+    operands 2, t, t^-1 and 1/2, which are not 1, take the general route,
+    and every product agrees with the oracle."""
+    x = _lift(dp)
+    for one in (LaurentPoly.one(), parse("1")):
+        for product in (x * one, one * x):
+            # 0 * 1 is the ring's zero, and 1 * 1 may be either operand
+            assert product == x
+            assert product is x or dp.is_zero or x == one
+    for text in ("1", "2", "t", "t^-1", "1/2"):
+        u = parse(text)
+        for product in (x * u, u * x):
+            _assert_agrees(product, dp * DictLaurent(u.items()))
+            _assert_canonical(product)
+    if dp.is_zero:
+        return
+    rep = normalize(x)
+    assert laurent._quotient(rep, LaurentPoly.one()) is rep
+    assert rep == laurent._checked_rep(laurent.exact_div(rep._num, (1,)))
+    for text in ("1", "2", "t", "t^-1", "1/2"):
+        assert exact_quotient(x, text) == rep
+
+
 def _term_text(exp: int, num: int, den: int) -> str:
     coef = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
     if exp == 0:

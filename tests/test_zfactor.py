@@ -29,6 +29,7 @@ from ialex.zfactor import (
     _divmod,
     _gf_gcd,
     _gf_gcdex,
+    _vanishes_at_root,
 )
 from oracles import (
     gf_divmod,
@@ -576,6 +577,21 @@ def test_cyclotomic_polynomials_match_sympy():
         assert len(_cyclotomic(n)) == phi + 1
 
 
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=12).filter(
+           lambda f: f[-1]),
+       st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3),
+       st.sampled_from([1, 2, 3, 4, 6]))
+@settings(max_examples=200, deadline=None)
+def test_root_test_is_exact_for_small_totients(f, planted, n):
+    """For the n with phi(n) <= 2, the residue-class sums say that f
+    vanishes at a primitive n-th root of unity exactly when Phi_n
+    divides f."""
+    for m in planted:
+        f = poly_mul(f, _cyclotomic(m))
+    assert _vanishes_at_root(f, n) == (
+        zfactor.exact_div(f, _cyclotomic(n)) is not None)
+
+
 @st.composite
 def cyclotomic_eisenstein_products(draw):
     """{factor: multiplicity} of Phi_n with phi(n) <= 8 and Eisenstein
@@ -617,7 +633,10 @@ def test_factor_primitive_splits_cyclotomic_and_other_factors(planted):
     ([(-2, 1), _cyclotomic(5), (1, 1, 0, 1)], [5]),
     # f(2) = (-1)(-1) = 1 rules out every Phi_n but t - 1, and f(1) = 35
     ([(-7, 1, 1), (-7, -1, 0, 1)], []),
-], ids=["phi17-phi23", "root-at-2", "no-cyclotomic-factor"])
+    # f(2) = 6 passes Phi_2(2) = Phi_6(2) = 3, but Phi_n with phi(n) <= 2 is
+    # tested exactly: f(-1) = 3, and f at a sixth root of unity is not 0
+    ([(2, 0, 1)], []),
+], ids=["phi17-phi23", "root-at-2", "no-cyclotomic-factor", "exact-small-n"])
 def test_cyclotomic_prepass_divides_only_past_its_filter(monkeypatch, parts,
                                                          tried):
     f = [1]
