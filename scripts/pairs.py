@@ -14,11 +14,14 @@ gives; a positive gain is better.
 A run that does not finish or reports a failed case is shown and stops the
 script with exit code 1.
 
-Before the timed pairs, each checkout runs one untimed pass of the
-workload's cases at the given seed, in its own process so that its own
-`src/` is imported, and one line gives the sha256 of each side's rendered
-reports and whether they match.  The line is for reading only: the pairs
-are timed either way.
+Before the timed pairs, each checkout runs five passes of the workload's
+cases at the given seed, in its own process so that its own `src/` is
+imported, and one line gives the sha256 of each side's rendered reports
+(from the first pass), whether they match, and each side's least pass
+time: the least over the five passes of the sum of the case times, in
+seconds, not scaled.  A fixed number of passes reads the same on runs
+whose time-boxed medians fall in different modes.  The line is for reading
+only: the pairs are timed either way.
 
 Runs write no bytecode, and the script refuses to start when one checkout
 holds `__pycache__` directories under `src/` or `perfbench/` and the other
@@ -57,7 +60,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-# one untimed pass of a workload's cases; prints the sha256 of the reports
+# five passes of a workload's cases; prints the sha256 of the first pass's
+# reports and the least sum of case times over the passes
 REPORTS = """\
 import hashlib, sys
 sys.path.insert(0, "perfbench")
@@ -65,22 +69,23 @@ import run
 cli = run.load_library()
 import gen
 cases = run.pass_cases(gen, sys.argv[1], int(sys.argv[2]))
-loop = run.run_loop(cli, gen, cases, passes=1)
-print(hashlib.sha256("\\n".join(loop.reports).encode()).hexdigest())
+loop = run.run_loop(cli, gen, cases, passes=5)
+print(hashlib.sha256("\\n".join(loop.reports).encode()).hexdigest(),
+      min(map(sum, zip(*loop.times))))
 """
 
 
 def report_hash(checkout: Path, workload: str, seed: int) -> str:
-    """The sha256 of one pass's rendered reports in the given checkout, or
-    why there is none."""
+    """The sha256 of the rendered reports in the given checkout and its
+    least pass time, or why there are none."""
     done = subprocess.run(
         [sys.executable, "-c", REPORTS, workload, str(seed)],
         cwd=checkout, capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    lines = done.stdout.split()
-    if done.returncode != 0 or not lines:
+    words = done.stdout.split()
+    if done.returncode != 0 or len(words) < 2:
         return f"none (exit {done.returncode})"
-    return lines[-1]
+    return f"{words[-2]} (least pass {float(words[-1]):.4f} s)"
 
 
 def has_bytecode(checkout: Path) -> bool:
@@ -134,7 +139,8 @@ def main(argv=None) -> int:
         return 2
     hashes = {side: report_hash(path, args.workload, args.seed)
               for side, path in sides.items()}
-    same = hashes["parent"] == hashes["change"] and \
+    digests = {side: text.split()[0] for side, text in hashes.items()}
+    same = digests["parent"] == digests["change"] and \
         not hashes["parent"].startswith("none")
     print(f"report sha256: parent {hashes['parent']}, change "
           f"{hashes['change']}, {'identical' if same else 'DIFFERENT'}",

@@ -13,14 +13,17 @@ one included: Phi_n is tried only if Phi_n(b) divides the value at b, the
 least b >= 2 with f(b) nonzero (f(b) = 0 would pass every Phi_n).  For the
 five n with phi(n) <= 2 a test past the filter is exact: Phi_n divides
 what is left exactly when that vanishes at a primitive n-th root of unity,
-which sums of coefficients by residue class of the exponent tell.  The
-rest, if not constant, takes the classical small-prime route (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and
-15):
+which sums of coefficients by residue class of the exponent tell.  A rest
+of degree 1 is irreducible, and one of degree 2, a*t^2 + b*t + c, splits
+exactly when its discriminant D = b^2 - 4ac is a square, into the
+primitive parts of 2a*t + b -/+ sqrt(D) (one factor twice when D = 0).  A
+larger rest takes the classical small-prime route (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
 
 - Yun's square-free decomposition, which also gives the multiplicities,
   needed only when f is not square-free mod the first odd prime not
-  dividing its leading coefficient;
+  dividing its leading coefficient; a part of degree 1 or 2 is factored
+  in the closed form above, and only larger parts go on;
 - an odd prime p not dividing the leading coefficient with f square-free
   mod p, taken, as sympy does, as the first with fewer than 15 modular
   factors or else the best of five;
@@ -69,6 +72,7 @@ call, so the same input always does the same work.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -513,16 +517,24 @@ class _QuotientRing:
             if lead:
                 row = [(r + lead * c) % p for r, c in zip(row, top)]
         self.fold = fold
-        # x^(p*j) mod f: a monomial below x^n, a fold row up to x^(2n-2),
-        # then x^p times the row before
-        table = [1 << bits * e if e < n else fold[e - n]
-                 for e in range(0, min(p * n, 2 * n - 1), p)]
+        # x^(p*j) mod f: read off directly up to x^(2n-2), then x^p times
+        # the row before
+        table = [self.power_of_x(e) for e in range(0, 2 * n - 1, p)]
         row = _unpack(table[-1], bits, n)
-        x_p = self.pow([0, 1], p)
+        x_p = _trim(_unpack(self.power_of_x(p), bits, n))
         while len(table) < n:
             row = self.mul(row, x_p)
             table.append(_pack(row, bits))
         self.table = table
+
+    def power_of_x(self, e: int) -> int:
+        """x^e mod f, packed: a monomial below x^n, a fold row up to
+        x^(2n-2), and only past that a power."""
+        if e < self.n:
+            return 1 << self.bits * e
+        if e <= 2 * self.n - 2:
+            return self.fold[e - self.n]
+        return _pack(self.pow([0, 1], e), self.bits)
 
     def mul(self, a: list, b: list) -> list:
         if not a or not b:
@@ -619,11 +631,18 @@ def factor_mod_p(f: Poly, p: int) -> Optional[list[list[int]]]:
     """The monic irreducible factors, sorted, of a polynomial that is
     nonzero mod the odd prime p, or None when it is not square-free mod p.
 
+    p below 3 or even is refused.  That p is prime is not checked: for a
+    composite p the result means nothing.  The generator of the splitting
+    step, seeded with p, is built only for a distinct-degree part that
+    holds more than one factor.
+
     >>> factor_mod_p([1, 0, 1], 5)
     [[2, 1], [3, 1]]
     >>> factor_mod_p([1, 2, 1], 5) is None
     True
     """
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"{p} is not an odd prime")
     f = _reduce(f, p)
     if len(_gf_gcd(f, _reduce(_derivative(f), p), p)[0]) > 1:
         return None
@@ -631,9 +650,10 @@ def factor_mod_p(f: Poly, p: int) -> Optional[list[list[int]]]:
     if len(f) <= 2:
         return [f] if len(f) == 2 else []
     ring = _QuotientRing(f, p)
-    rng = random.Random(p)
-    factors = []
+    factors, rng = [], None
     for g, d in _distinct_degree(f, ring):
+        if len(g) - 1 > d and rng is None:
+            rng = random.Random(p)
         factors.extend(_equal_degree(g, d, ring, rng))
     return sorted(factors, key=lambda q: (len(q), q))
 
@@ -773,13 +793,35 @@ def _squarefree_parts(f: Poly) -> list[tuple[tuple, int]]:
     return parts
 
 
+def _closed_form(f: tuple) -> list[tuple]:
+    """The irreducible factors of a primitive f of degree 1 or 2 with
+    positive leading coefficient, each as often as it divides f.
+
+    a*t^2 + b*t + c splits exactly when D = b^2 - 4ac is a square, into the
+    primitive parts of 2a*t + b - sqrt(D) and 2a*t + b + sqrt(D), whose
+    product is f by Gauss's lemma; D = 0 gives one factor twice.
+
+    >>> _closed_form((2, -5, 2)), _closed_form((1, 2, 1))
+    ([(-2, 1), (-1, 2)], [(1, 1), (1, 1)])
+    """
+    if len(f) == 2:
+        return [f]
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    root = math.isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return [f]
+    return [tuple(_primitive([b - root, 2 * a])),
+            tuple(_primitive([b + root, 2 * a]))]
+
+
 def _zassenhaus(f: tuple, known: Optional[tuple] = None) -> list[tuple]:
     """The irreducible factors of a square-free primitive f of positive
     degree with positive leading coefficient; ``known`` as for
     ``_modular_factorization``."""
     n = len(f) - 1
-    if n == 1:
-        return [f]
+    if n <= 2:
+        return _closed_form(f)
     p, modular = _modular_factorization(f, known)
     if len(modular) == 1:
         return [f]
@@ -917,20 +959,27 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     The factors are primitive with positive leading coefficients, ordered
     by degree and then coefficients; their product with multiplicities is
     checked to equal f, and a constant f has none.  Cyclotomic factors are
-    divided out first and only the rest goes to Zassenhaus's algorithm.  A
-    square factor of f would stay one mod every prime p not dividing lc(f),
-    so f square-free mod the first such p is square-free and skips Yun's
-    gcds over Z.  A zero constant term is refused: recombination reads
-    constant terms, and a factor t has none.
+    divided out first, a rest of degree 1 or 2 is factored in closed form,
+    and only a larger rest goes to Zassenhaus's algorithm.  A square factor
+    of f would stay one mod every prime p not dividing lc(f), so f
+    square-free mod the first such p is square-free and skips Yun's gcds
+    over Z.  A zero constant term is refused, as recombination reads
+    constant terms and a factor t has none, and so are a content other
+    than 1 and a leading coefficient that is not positive.
 
     >>> factor_primitive((-1, 0, 0, 0, 1))
     [((-1, 1), 1), ((1, 1), 1), ((1, 0, 1), 1)]
     >>> factor_primitive((1, 2, 1))
     [((1, 1), 2)]
+    >>> factor_primitive((2, -5, 2)) == [((-2, 1), 1), ((-1, 2), 1)]
+    True
     """
     global _ORDERS_BOUND, _CYCLOTOMIC_ORDERS
     if not f or not f[0]:
         raise ValueError(f"{tuple(f)} has no nonzero constant term")
+    if f[-1] <= 0 or math.gcd(*f) != 1:
+        raise ValueError(f"{tuple(f)} is not primitive with positive "
+                         "leading coefficient")
     if len(f) - 1 > _ORDERS_BOUND:
         _ORDERS_BOUND = len(f) - 1
         _CYCLOTOMIC_ORDERS = _cyclotomic_orders(_ORDERS_BOUND)
@@ -948,7 +997,9 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
             rest, at_b, mult = quotient, at_b // phi_at_b, mult + 1
         if mult:
             found.append((_cyclotomic(n), mult))
-    if len(rest) > 1:
+    if 1 < len(rest) <= 3:
+        found += collections.Counter(_closed_form(rest)).items()
+    elif len(rest) > 3:
         p = next(p for p in _odd_primes() if rest[-1] % p)
         modular = factor_mod_p(rest, p)
         parts = _squarefree_parts(rest) if modular is None else [(rest, 1)]

@@ -1,6 +1,7 @@
 """Components of the Z[t] factorizer: packing, modular arithmetic, lifting,
 cyclotomic division."""
 
+import collections
 import math
 import random
 from itertools import zip_longest
@@ -35,6 +36,7 @@ from oracles import (
     gf_divmod,
     gf_gcd,
     gf_gcdex,
+    kronecker_factor,
     sympy_cyclotomic,
     sympy_factor,
     sympy_gcd,
@@ -241,6 +243,25 @@ def test_quotient_ring_rows_are_powers_of_x(n, p):
         assert residues(row) == gf_divmod([0] * (p * j) + [1], f, p)[1]
 
 
+@pytest.mark.parametrize("n, p", [(8, 3), (5, 3), (3, 3), (4, 5), (3, 5),
+                                  (2, 5), (4, 13)],
+                         ids=["monomial", "monomial-last", "fold-first",
+                              "fold", "fold-last", "power", "power-far"])
+def test_x_to_the_p_row_is_a_power_of_x(monkeypatch, n, p):
+    """x^p mod f is read as a monomial for p < n and as a fold row for
+    n <= p <= 2n - 2, with no power taken while the ring is built; only
+    past that is it a power."""
+    rng = random.Random(100 * n + p)
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    powers = []
+    real = zfactor._QuotientRing.pow
+    monkeypatch.setattr(zfactor._QuotientRing, "pow",
+                        lambda ring, a, e: powers.append(e) or real(ring, a, e))
+    ring = zfactor._QuotientRing(f, p)
+    assert powers == ([] if p <= 2 * n - 2 else [p])
+    assert ring.power_of_x(p) == zfactor._pack(ring.pow([0, 1], p), ring.bits)
+
+
 # -- Euclid over GF(p) on packed integers ---------------------------------------
 
 GF_PRIMES = (3, 5, 13, 97, 65537, 2**31 - 1, 2**61 - 1)
@@ -377,6 +398,35 @@ def test_factor_mod_p_of_many_factors():
     assert len(factors) == len(set(map(tuple, factors))) == 13
 
 
+@pytest.mark.parametrize("p", [2, 1, 0, -3, 4])
+def test_factor_mod_p_refuses_moduli_below_3_or_even(p):
+    """In characteristic 2, (p - 1)/2 = 0 and no split is ever found."""
+    with pytest.raises(ValueError, match="odd prime"):
+        factor_mod_p([1, 1, 1, 1, 1, 1, 1], p)
+
+
+@pytest.mark.parametrize("f, p, built", [
+    ([1, 0, 1], 3, 0),                    # t^2 + 1 is irreducible mod 3
+    ([1, 1, 1, 1], 3, 0),                 # (t + 1)(t^2 + 1): degrees 1 and 2
+    ([2, 3, 1], 5, 1),                    # (t + 1)(t + 2): two of degree 1
+    ([-1] + [0] * 39 + [1], 3, 1),        # t^40 - 1, split in several parts
+])
+def test_factor_mod_p_seeds_a_generator_only_to_split(monkeypatch, f, p,
+                                                      built):
+    """A generator is built only when a distinct-degree part holds more than
+    one factor, and at most once per call."""
+    seeds = []
+    real = zfactor.random.Random
+    monkeypatch.setattr(zfactor.random, "Random",
+                        lambda seed: seeds.append(seed) or real(seed))
+    factors = factor_mod_p(f, p)
+    assert seeds == [p] * built
+    product = [1]
+    for q in factors:
+        product = reduced(naive_mul(product, q), p)
+    assert product == reduced(f, p)
+
+
 # -- Hensel lifting -------------------------------------------------------------
 
 
@@ -449,21 +499,37 @@ def test_hensel_rejects_factors_sharing_a_root():
         hensel_lift([1, -2, 1], [[2, 1], [2, 1]], 3, 4)
 
 
-@pytest.mark.parametrize("corrupt", [
+CORRUPTIONS = [
     pytest.param(lambda found: found[:-1], id="factor-dropped"),
     pytest.param(lambda found: [(-found[0][0],) + found[0][1:], *found[1:]],
                  id="sign-flipped"),
     pytest.param(lambda found: found + [(1, 1)], id="factor-added"),
     # Phi_3 and t + 1 bound every coefficient of their product by 3 * 2,
-    # and f has a 12
+    # and each f below has a coefficient past that
     pytest.param(lambda found: [(1, 1)], id="coefficient-past-the-bound"),
-])
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_corrupted_factors_do_not_multiply_back(monkeypatch, corrupt):
-    # Phi_3 * (2t + 1)(t + 3): the cyclotomic factor and Zassenhaus's
-    f = poly_mul((1, 1, 1), (3, 7, 2))
+    # Phi_3 * (2t + 1)(t + 3)(t - 2): the cyclotomic factor and Zassenhaus's;
+    # f has a coefficient -17
+    f = poly_mul(poly_mul((1, 1, 1), (3, 7, 2)), (-2, 1))
     real = zfactor._zassenhaus
     monkeypatch.setattr(zfactor, "_zassenhaus",
                         lambda part, known=None: corrupt(real(part, known)))
+    with pytest.raises(RuntimeError, match="do not multiply back"):
+        zfactor.factor_primitive(f)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_corrupted_closed_form_does_not_multiply_back(monkeypatch, corrupt):
+    # Phi_3 * (2t + 1)(t + 3): the cyclotomic factor and the closed form's;
+    # f has a coefficient 12
+    f = poly_mul((1, 1, 1), (3, 7, 2))
+    real = zfactor._closed_form
+    monkeypatch.setattr(zfactor, "_closed_form",
+                        lambda part: corrupt(real(part)))
     with pytest.raises(RuntimeError, match="do not multiply back"):
         zfactor.factor_primitive(f)
 
@@ -528,7 +594,7 @@ def test_zero_constant_term_is_refused(power):
 
 
 @pytest.mark.parametrize("f", [
-    (-3, 0, 1),                                   # t^2 - 3 is t^2 mod 3
+    (-3, 0, 0, 1),                                # t^3 - 3 is t^3 mod 3
     tuple(poly_mul((-3, 0, 1), (4, 1, 1))),       # t^2 + t + 4 = (t - 1)^2 mod 3
     tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 1))),  # Yun splits
     (-5, 0, 0, 0, 0, 0, 0, 0, 3),                 # lc 3: the first prime is 5
@@ -548,6 +614,88 @@ def test_no_prime_is_tried_twice(monkeypatch, f):
     zfactor.factor_primitive(f)
     assert real(*calls[0]) is None
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("f", [(2, 4), (1, -1), (5,)],
+                         ids=["content-2", "negative-lead", "constant-5"])
+def test_input_outside_the_contract_is_refused(f):
+    with pytest.raises(ValueError, match="not primitive"):
+        zfactor.factor_primitive(f)
+
+
+# -- closed forms of degree 1 and 2 -------------------------------------------
+
+
+@st.composite
+def quadratics(draw):
+    """Primitive polynomials of degree 1 or 2 with positive leading
+    coefficient and nonzero constant term, coefficients up to 10^30:
+    arbitrary ones, whose discriminant is seldom a square, products of two
+    linear forms, and squares of one."""
+    size = draw(st.sampled_from([12, 10**15, 10**30]))
+    kind = draw(st.sampled_from(["any", "product", "square"]))
+    if kind == "any":
+        f = [draw(st.integers(-size, size)) for _ in range(3)]
+    else:
+        half = math.isqrt(size)
+        linear = st.tuples(st.integers(-half, half), st.integers(-half, half))
+        q = draw(linear)
+        f = poly_mul(q, q if kind == "square" else draw(linear))
+    while f and not f[-1]:
+        f.pop()
+    assume(len(f) >= 2 and f[0])
+    return tuple(zfactor._primitive(f))
+
+
+@given(quadratics())
+@example((2, -5, 2))            # (2t - 1)(t - 2): D = 9
+@example((-3, 0, 1))            # t^2 - 3: D = 12, not a square
+@example((1, -4, 4))            # (2t - 1)^2: D = 0
+@example((9, 12, 4))            # (2t + 3)^2, not monic
+@example((15, 8, 1))            # (t + 3)(t + 5), monic
+@example((3, 7, 2))             # (2t + 1)(t + 3)
+@example((1, 1, 1))             # Phi_3: D = -3
+@example((-1, 1))               # degree 1
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_sympy(f):
+    found = zfactor.factor_primitive(f)
+    assert found == sorted(collections.Counter(zfactor._closed_form(f)).items(),
+                           key=lambda pair: (len(pair[0]), pair[0]))
+    p = LaurentPoly(enumerate(f))
+    assert [(q._num, m) for q, m in sympy_factor(p)] == found
+    if max(map(abs, f)) <= 10**4:
+        assert [(q._num, m) for q, m in kronecker_factor(p)] == found
+
+
+@pytest.mark.parametrize("f, expected, reached", [
+    ((2, -5, 2), [((-2, 1), 1), ((-1, 2), 1)], set()),
+    (tuple(poly_mul((1, 1, 1), (3, 7, 2))),
+     [((1, 2), 1), ((3, 1), 1), ((1, 1, 1), 1)], set()),
+    ((-3, 0, 1), [((-3, 0, 1), 1)], set()),
+    (tuple(poly_mul(_cyclotomic(12), (1, -4, 4))),
+     [((-1, 2), 2), ((1, 0, -1, 0, 1), 1)], set()),
+    # the rest of degree 5 is not square-free mod 3, and Yun splits it into
+    # 2t + 5 and (t^2 - 3)^2
+    (tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 2))),
+     [((5, 2), 1), ((-3, 0, 1), 2)], {5}),
+    # ... or into t^3 - 3, which goes on, and (t^2 - 3)^2
+    (tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (-3, 0, 0, 1))),
+     [((-3, 0, 1), 2), ((-3, 0, 0, 1), 1)], {7, 3}),
+], ids=["rest", "rest-after-phi3", "rest-irreducible", "rest-square",
+        "parts", "parts-and-cubic"])
+def test_small_pieces_skip_the_modular_route(monkeypatch, f, expected,
+                                             reached):
+    """No rest or square-free part of degree 1 or 2 reaches factor_mod_p,
+    a quotient ring, the prime search or lifting and recombination;
+    ``reached`` is the set of degrees that do."""
+    degrees = set()
+    for name in ("factor_mod_p", "_QuotientRing", "_modular_factorization",
+                 "_recombine"):
+        real = getattr(zfactor, name)
+        monkeypatch.setattr(zfactor, name, lambda g, *rest, real=real: (
+            degrees.add(len(g) - 1) or real(g, *rest)))
+    assert zfactor.factor_primitive(f) == expected
+    assert degrees == reached
 
 
 # -- cyclotomic factors ---------------------------------------------------------
