@@ -27,6 +27,10 @@ Runs write no bytecode, and the script refuses to start when one checkout
 holds `__pycache__` directories under `src/` or `perfbench/` and the other
 does not: compiled modules cut the side that has them short in `setup_s`.
 Remove them from both checkouts (or leave them in both) and start again.
+It also refuses to start, naming the first file that differs, when the two
+checkouts do not hold the same `BENCHMARK.json` and the same files under
+`perfbench/` (outside `__pycache__`): a gain counts only against an
+unchanged benchmark.
 
 Only the standard library is used.
 """
@@ -93,6 +97,23 @@ def has_bytecode(checkout: Path) -> bool:
                for d in ("src", "perfbench"))
 
 
+def benchmark_files(checkout: Path) -> dict:
+    """The bytes of `BENCHMARK.json` and of every file under `perfbench/`
+    outside `__pycache__`, by path relative to the checkout."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {path.relative_to(checkout).as_posix(): path.read_bytes()
+            for path in paths if path.is_file()
+            and "__pycache__" not in path.relative_to(checkout).parts}
+
+
+def first_benchmark_difference(parent: Path, change: Path):
+    """The first benchmark file, by path, that the two checkouts do not
+    hold alike, or None when they hold the same benchmark."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return next((name for name in sorted(a.keys() | b.keys())
+                 if a.get(name) != b.get(name)), None)
+
+
 def quartiles(values: list) -> tuple:
     if len(values) < 2:
         return values[0], values[0]
@@ -136,6 +157,11 @@ def main(argv=None) -> int:
     if len(cached) == 1:
         print(f"only the {cached[0]} checkout holds __pycache__ directories; "
               "remove them so that both sides compile alike", file=sys.stderr)
+        return 2
+    differs = first_benchmark_difference(args.parent, args.change)
+    if differs is not None:
+        print(f"the checkouts differ in the benchmark file {differs}; a gain "
+              "counts only against an unchanged benchmark", file=sys.stderr)
         return 2
     hashes = {side: report_hash(path, args.workload, args.seed)
               for side, path in sides.items()}

@@ -200,7 +200,7 @@ class DiskKnotData:
 
     def __init__(self, n: int, a: Sequence[PolyLike], b: Sequence[PolyLike],
                  c: Sequence[PolyLike]):
-        if n < 3:
+        if _strict_int(n, "the ambient dimension") < 3:
             raise ValueError("ambient sphere dimension must be at least 3")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", tuple(normalize(x) for x in a))
@@ -292,8 +292,8 @@ class ProductSingularityInput:
                  c: Sequence[PolyLike],
                  a_high: Sequence[PolyLike],
                  a: Optional[Sequence[PolyLike]] = None):
-        _cap_n(n)
-        if not 2 <= k <= n - 1:
+        _cap_n(_strict_int(n, "the ambient dimension"))
+        if not 2 <= _strict_int(k, "the link dimension") <= n - 1:
             raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
         perversity(k + 1)  # raises PerversityOutOfRange if table too short
         _require_traditional(perversity)

@@ -30,6 +30,7 @@ from ialex.laurent import (
     PolyLike,
     _ZERO,
     _poly_divmod,
+    _strict_int,
     _unit_quotient,
     as_laurent,
     divides,
@@ -82,7 +83,7 @@ class GammaMatrix:
             raise ValueError("ragged rows in matrix")
         if grid and cols not in (None, len(grid[0])):
             raise ValueError("cols does not match the entry grid")
-        width = len(grid[0]) if grid else cols or 0
+        width = cols if cols is not None else len(grid[0]) if grid else 0
         self._fill([dict(enumerate(row)) for row in grid], width)
 
     @classmethod
@@ -93,7 +94,7 @@ class GammaMatrix:
         return m
 
     def _fill(self, rows: Iterable[Mapping[int, PolyLike]], cols: int):
-        if cols < 0:
+        if _strict_int(cols, "a column count") < 0:
             raise ValueError("a matrix cannot have a negative column count")
         out = []
         for row in rows:
@@ -319,7 +320,7 @@ class FgGammaModule:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Iterable[PolyLike] = ()):
-        if free_rank < 0:
+        if _strict_int(free_rank, "a free rank") < 0:
             raise ValueError("free rank must be non-negative")
         chain = tuple(normalize(t) for t in torsion)
         for t in chain:

@@ -6,27 +6,26 @@ form; zero is the empty sequence.  This module is the one home for that
 arithmetic: exact and pseudo-division, gcd, products by Kronecker
 substitution, and the factorizer behind ``laurent.factor``.
 
-:func:`factor_primitive` first divides out the cyclotomic factors exactly:
-for every n with phi(n) at most the degree still left, Phi_n is divided out
-as often as it goes.  A cheap filter runs before each division, a repeated
-one included: Phi_n is tried only if Phi_n(b) divides the value at b, the
-least b >= 2 with f(b) nonzero (f(b) = 0 would pass every Phi_n).  For the
-five n with phi(n) <= 2 a test past the filter is exact: Phi_n divides
-what is left exactly when that vanishes at a primitive n-th root of unity,
-which sums of coefficients by residue class of the exponent tell.  A rest
+:func:`factor_primitive` takes one route.  It first divides out the
+cyclotomic factors exactly: for every n with phi(n) at most the degree
+still left, in order of phi(n), Phi_n is divided out as often as it goes.
+A cheap filter runs before each division, a repeated one included: Phi_n
+is tried only if Phi_n(b) divides the value at b, the least b >= 2 with
+f(b) nonzero (f(b) = 0 would pass every Phi_n).  For the five n with
+phi(n) <= 2 a test past the filter is exact: Phi_n divides what is left
+exactly when that vanishes at a primitive n-th root of unity, which sums
+of coefficients by residue class of the exponent tell.  A nonconstant rest
+is split by Yun's square-free decomposition, which also gives the
+multiplicities, and each square-free part is factored on its own.  A part
 of degree 1 is irreducible, and one of degree 2, a*t^2 + b*t + c, splits
 exactly when its discriminant D = b^2 - 4ac is a square, into the
-primitive parts of 2a*t + b -/+ sqrt(D) (one factor twice when D = 0).  A
-larger rest takes the classical small-prime route (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, 3rd ed., chapters 14 and 15):
+primitive parts of 2a*t + b -/+ sqrt(D).  A larger part takes the
+classical small-prime route (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, 3rd ed., chapters 14 and 15):
 
-- Yun's square-free decomposition, which also gives the multiplicities,
-  needed only when f is not square-free mod the first odd prime not
-  dividing its leading coefficient; a part of degree 1 or 2 is factored
-  in the closed form above, and only larger parts go on;
-- an odd prime p not dividing the leading coefficient with f square-free
-  mod p, taken, as sympy does, as the first with fewer than 15 modular
-  factors or else the best of five;
+- an odd prime p not dividing the leading coefficient with the part
+  square-free mod p, taken, as sympy does, as the first with fewer than 15
+  modular factors or else the best of five;
 - factorization over GF(p) by distinct-degree factorization and the
   equal-degree splitting of Cantor and Zassenhaus ("A new algorithm for
   factoring polynomials over finite fields", *Math. Comp.* 36, 1981).
@@ -72,7 +71,6 @@ call, so the same input always does the same work.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -666,16 +664,14 @@ def _odd_primes():
             yield n
 
 
-def _modular_factorization(f: Poly, known: Optional[tuple] = None) -> tuple:
-    """A prime p and the monic factors of f mod p (see the module notes);
-    ``known``, when given, is a prime q and ``factor_mod_p(f, q)``, which is
-    read rather than recomputed, so a q where f is not square-free is not
-    tried twice."""
+def _modular_factorization(f: Poly) -> tuple:
+    """A prime p and the monic factors mod p of a square-free f (see the
+    module notes); each odd prime not dividing lc(f) is tried once."""
     best, tried = None, 0
     for p in _odd_primes():
         if f[-1] % p == 0:
             continue
-        factors = known[1] if known and known[0] == p else factor_mod_p(f, p)
+        factors = factor_mod_p(f, p)
         if factors is None:
             continue
         tried += 1
@@ -815,14 +811,15 @@ def _closed_form(f: tuple) -> list[tuple]:
             tuple(_primitive([b + root, 2 * a]))]
 
 
-def _zassenhaus(f: tuple, known: Optional[tuple] = None) -> list[tuple]:
+def _zassenhaus(f: tuple) -> list[tuple]:
     """The irreducible factors of a square-free primitive f of positive
-    degree with positive leading coefficient; ``known`` as for
-    ``_modular_factorization``."""
+    degree with positive leading coefficient: the closed form for degree 1
+    or 2, else the modular route on the prime ``_modular_factorization``
+    picks."""
     n = len(f) - 1
     if n <= 2:
         return _closed_form(f)
-    p, modular = _modular_factorization(f, known)
+    p, modular = _modular_factorization(f)
     if len(modular) == 1:
         return [f]
     # f = g*h with deg g <= n/2 gives |coeff_j(lc(h)*g)| <= C(deg g, j) *
@@ -876,15 +873,16 @@ def _recombine(f: tuple, lifted: list, modulus: int) -> list:
 
 
 def _cyclotomic_orders(bound: int) -> list[tuple[int, int]]:
-    """Every n with Euler phi(n) <= bound, as (n, phi(n)) pairs by n.
+    """Every n with Euler phi(n) <= bound, as (n, phi(n)) pairs by phi(n)
+    and then n.
 
     phi is multiplicative and phi(p^k) = p^(k-1)*(p - 1) >= p - 1, so every
     such n is a product of prime powers p^k with p <= bound + 1; the search
     multiplies them together in increasing order of p while phi stays within
     the bound.
 
-    >>> _cyclotomic_orders(2)
-    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2)]
+    >>> _cyclotomic_orders(4)
+    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (5, 4), (8, 4), (10, 4), (12, 4)]
     """
     sieve = bytearray([1]) * (bound + 2)
     primes = []
@@ -905,7 +903,7 @@ def _cyclotomic_orders(bound: int) -> list[tuple[int, int]]:
             while phi_power <= bound:
                 stack.append((n * power, phi_power, i + 1))
                 power, phi_power = power * p, phi_power * p
-    return sorted(orders)
+    return sorted(orders, key=lambda pair: (pair[1], pair[0]))
 
 
 # _cyclotomic_orders(_ORDERS_BOUND), rebuilt when a larger degree is factored
@@ -959,13 +957,12 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
     The factors are primitive with positive leading coefficients, ordered
     by degree and then coefficients; their product with multiplicities is
     checked to equal f, and a constant f has none.  Cyclotomic factors are
-    divided out first, a rest of degree 1 or 2 is factored in closed form,
-    and only a larger rest goes to Zassenhaus's algorithm.  A square factor
-    of f would stay one mod every prime p not dividing lc(f), so f
-    square-free mod the first such p is square-free and skips Yun's gcds
-    over Z.  A zero constant term is refused, as recombination reads
-    constant terms and a factor t has none, and so are a content other
-    than 1 and a leading coefficient that is not positive.
+    divided out first, Yun's decomposition splits the rest into square-free
+    parts, and ``_zassenhaus`` factors each part, in closed form up to
+    degree 2 and by the modular route past that.  A zero constant term is
+    refused, as recombination reads constant terms and a factor t has none,
+    and so are a content other than 1 and a leading coefficient that is
+    not positive.
 
     >>> factor_primitive((-1, 0, 0, 0, 1))
     [((-1, 1), 1), ((1, 1), 1), ((1, 0, 1), 1)]
@@ -988,8 +985,8 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
         b += 1
     found = []
     for n, phi in _CYCLOTOMIC_ORDERS:
-        if phi >= len(rest):  # which holds for every phi(n) > deg f
-            continue
+        if phi >= len(rest):  # and for every order after it
+            break
         phi_at_b, mult = _cyclotomic_at(n, b), 0
         while at_b % phi_at_b == 0 and (
                 phi > 2 or _vanishes_at_root(rest, n)) and (
@@ -997,14 +994,9 @@ def factor_primitive(f: Poly) -> list[tuple[tuple[int, ...], int]]:
             rest, at_b, mult = quotient, at_b // phi_at_b, mult + 1
         if mult:
             found.append((_cyclotomic(n), mult))
-    if 1 < len(rest) <= 3:
-        found += collections.Counter(_closed_form(rest)).items()
-    elif len(rest) > 3:
-        p = next(p for p in _odd_primes() if rest[-1] % p)
-        modular = factor_mod_p(rest, p)
-        parts = _squarefree_parts(rest) if modular is None else [(rest, 1)]
-        found += [(q, mult) for part, mult in parts
-                  for q in _zassenhaus(part, (p, modular) if part == rest else None)]
+    if len(rest) > 1:
+        found += [(q, mult) for part, mult in _squarefree_parts(rest)
+                  for q in _zassenhaus(part)]
     found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     # no coefficient of the product passes prod |q|_1^m, so one evaluation
     # at 2^bits in signed slots of that width tells it apart from f

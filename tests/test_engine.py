@@ -19,7 +19,7 @@ from ialex.engine import (
     validate_normalization,
 )
 from ialex.exactseq import solve_missing_third
-from ialex.gmodule import FgGammaModule, NotTorsion
+from ialex.gmodule import FgGammaModule, GammaMatrix, NotTorsion
 from ialex.laurent import (
     LaurentPoly,
     exact_quotient,
@@ -67,6 +67,32 @@ def test_perversity_refuses_non_integer_values(values):
     """A boolean, float or string value is refused, not coerced by int()."""
     with pytest.raises(TypeError, match="a perversity value must be an integer"):
         Perversity(values)
+
+
+def product_input(n, k):
+    return ProductSingularityInput(
+        n, k, Perversity([0, 0, 0, 0, 0]), [FgGammaModule(1)],
+        [FgGammaModule(0, ["t - 1"])], c=[], a_high=[])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FgGammaModule(1.5),
+    lambda: FgGammaModule(True),
+    lambda: GammaMatrix([], cols=2.5),
+    lambda: GammaMatrix([["1"]], cols=True),
+    lambda: GammaMatrix.from_rows([], "2"),
+    lambda: DiskKnotData(4.0, ["1"], ["t - 1"], ["1"]),
+    lambda: product_input(6.0, 3),
+    lambda: product_input(6, 3.0),
+    lambda: product_input(6, True),
+], ids=["free-rank-float", "free-rank-bool", "cols-float", "cols-bool",
+        "cols-str", "disk-knot-n-float", "product-n-float", "product-k-float",
+        "product-k-bool"])
+def test_constructors_refuse_non_integer_fields(build):
+    """Integer fields of the library constructors refuse booleans, floats
+    and strings, as LaurentPoly exponents and Perversity values do."""
+    with pytest.raises(TypeError, match="must be an integer"):
+        build()
 
 
 def test_perversity_lookup():

@@ -517,7 +517,7 @@ def test_corrupted_factors_do_not_multiply_back(monkeypatch, corrupt):
     f = poly_mul(poly_mul((1, 1, 1), (3, 7, 2)), (-2, 1))
     real = zfactor._zassenhaus
     monkeypatch.setattr(zfactor, "_zassenhaus",
-                        lambda part, known=None: corrupt(real(part, known)))
+                        lambda part: corrupt(real(part)))
     with pytest.raises(RuntimeError, match="do not multiply back"):
         zfactor.factor_primitive(f)
 
@@ -596,13 +596,14 @@ def test_zero_constant_term_is_refused(power):
 @pytest.mark.parametrize("f", [
     (-3, 0, 0, 1),                                # t^3 - 3 is t^3 mod 3
     tuple(poly_mul((-3, 0, 1), (4, 1, 1))),       # t^2 + t + 4 = (t - 1)^2 mod 3
-    tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 1))),  # Yun splits
+    # Yun splits f into closed forms, so nothing reaches factor_mod_p
+    tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 1))),
     (-5, 0, 0, 0, 0, 0, 0, 0, 3),                 # lc 3: the first prime is 5
 ])
 def test_no_prime_is_tried_twice(monkeypatch, f):
-    """f is not square-free mod the first prime, whether or not Yun's
-    decomposition splits it; no (part, prime) pair reaches factor_mod_p
-    twice.  factor_primitive itself checks that the factors multiply back."""
+    """Only square-free parts reach factor_mod_p, each with a given prime
+    at most once, whether or not they are square-free mod the first prime.
+    factor_primitive itself checks that the factors multiply back."""
     calls = []
     real = zfactor.factor_mod_p
 
@@ -612,7 +613,8 @@ def test_no_prime_is_tried_twice(monkeypatch, f):
 
     monkeypatch.setattr(zfactor, "factor_mod_p", record)
     zfactor.factor_primitive(f)
-    assert real(*calls[0]) is None
+    for g, _ in calls:
+        assert all(m == 1 for _, m in sympy_factor(LaurentPoly(enumerate(g))))
     assert len(calls) == len(set(calls))
 
 
@@ -674,19 +676,21 @@ def test_closed_form_matches_sympy(f):
     ((-3, 0, 1), [((-3, 0, 1), 1)], set()),
     (tuple(poly_mul(_cyclotomic(12), (1, -4, 4))),
      [((-1, 2), 2), ((1, 0, -1, 0, 1), 1)], set()),
-    # the rest of degree 5 is not square-free mod 3, and Yun splits it into
-    # 2t + 5 and (t^2 - 3)^2
+    # Yun splits the rest of degree 5 into 2t + 5 and (t^2 - 3)^2
     (tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (5, 2))),
-     [((5, 2), 1), ((-3, 0, 1), 2)], {5}),
+     [((5, 2), 1), ((-3, 0, 1), 2)], set()),
     # ... or into t^3 - 3, which goes on, and (t^2 - 3)^2
     (tuple(poly_mul(poly_mul((-3, 0, 1), (-3, 0, 1)), (-3, 0, 0, 1))),
-     [((-3, 0, 1), 2), ((-3, 0, 0, 1), 1)], {7, 3}),
+     [((-3, 0, 1), 2), ((-3, 0, 0, 1), 1)], {3}),
+    # the rest t^3 - 3 is square-free over Z but not mod 3, and goes on whole
+    (tuple(poly_mul((1, 1, 1), (-3, 0, 0, 1))),
+     [((1, 1, 1), 1), ((-3, 0, 0, 1), 1)], {3}),
 ], ids=["rest", "rest-after-phi3", "rest-irreducible", "rest-square",
-        "parts", "parts-and-cubic"])
+        "parts", "parts-and-cubic", "cubic-after-phi3"])
 def test_small_pieces_skip_the_modular_route(monkeypatch, f, expected,
                                              reached):
-    """No rest or square-free part of degree 1 or 2 reaches factor_mod_p,
-    a quotient ring, the prime search or lifting and recombination;
+    """No square-free part of degree 1 or 2 reaches factor_mod_p, a
+    quotient ring, the prime search or lifting and recombination;
     ``reached`` is the set of degrees that do."""
     degrees = set()
     for name in ("factor_mod_p", "_QuotientRing", "_modular_factorization",
@@ -714,9 +718,37 @@ def test_cyclotomic_orders_match_brute_force():
     # phi(n) >= sqrt(n/2), so phi(n) <= d forces n <= 2*d^2
     phi = totients(2 * 100**2 + 2)
     for d in [*range(1, 65), 100]:
-        expected = [(n, phi[n]) for n in range(1, 2 * d * d + 3)
-                    if phi[n] <= d]
-        assert _cyclotomic_orders(d) == expected, d
+        expected = sorted((phi[n], n) for n in range(1, 2 * d * d + 3)
+                          if phi[n] <= d)
+        assert _cyclotomic_orders(d) == [(n, t) for t, n in expected], d
+
+
+class Drawn:
+    """An iterable over items that counts how many were drawn."""
+
+    def __init__(self, items):
+        self.items, self.drawn = items, 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.drawn += 1
+            yield item
+
+
+def test_cyclotomic_prepass_stops_past_the_degree_left(monkeypatch):
+    """After a degree-64 input the order table covers phi(n) <= 64, 127
+    orders; a degree-2 input reads only the five with phi(n) <= 2 and the
+    one after them."""
+    monkeypatch.setattr(zfactor, "_ORDERS_BOUND", -1)
+    monkeypatch.setattr(zfactor, "_CYCLOTOMIC_ORDERS", [])
+    assert zfactor.factor_primitive((1,) + (0,) * 63 + (1,)) == [
+        ((1,) + (0,) * 63 + (1,), 1)]                      # Phi_128
+    assert zfactor._ORDERS_BOUND == 64
+    assert len(zfactor._CYCLOTOMIC_ORDERS) == 127
+    orders = Drawn(zfactor._CYCLOTOMIC_ORDERS)
+    monkeypatch.setattr(zfactor, "_CYCLOTOMIC_ORDERS", orders)
+    assert zfactor.factor_primitive((2, -5, 2)) == [((-2, 1), 1), ((-1, 2), 1)]
+    assert orders.drawn <= 6
 
 
 def test_cyclotomic_polynomials_match_sympy():
