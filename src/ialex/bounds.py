@@ -79,8 +79,12 @@ class StratumComponent:
 
     def __init__(self, xi: Iterable[PolyLike],
                  zeta: Optional[Iterable[PolyLike]] = None):
-        self.xi = tuple(normalize(q) for q in xi)
-        self.zeta = None if zeta is None else tuple(normalize(q) for q in zeta)
+        object.__setattr__(self, "xi", tuple(normalize(q) for q in xi))
+        object.__setattr__(self, "zeta", None if zeta is None
+                           else tuple(normalize(q) for q in zeta))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StratumComponent is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StratumComponent):
@@ -104,10 +108,13 @@ class Stratum:
     __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components: Iterable[StratumComponent]):
-        self.dim = _strict_int(dim, "a stratum dimension")
-        self.components = tuple(components)
+        object.__setattr__(self, "dim", _strict_int(dim, "a stratum dimension"))
+        object.__setattr__(self, "components", tuple(components))
         if not all(isinstance(c, StratumComponent) for c in self.components):
             raise TypeError("components must be StratumComponent values")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Stratum is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Stratum):
@@ -138,10 +145,11 @@ class StratificationData:
     __slots__ = ("n", "strata")
 
     def __init__(self, n: int, strata: Iterable[Stratum]):
-        self.n = _strict_int(n, "the ambient dimension")
+        object.__setattr__(self, "n", _strict_int(n, "the ambient dimension"))
         if self.n < 3:
             raise ValueError("ambient dimension must be at least 3")
-        self.strata = tuple(sorted(strata, key=lambda s: s.dim))
+        object.__setattr__(self, "strata",
+                           tuple(sorted(strata, key=lambda s: s.dim)))
         dims = [s.dim for s in self.strata]
         if len(set(dims)) != len(dims):
             raise ValueError("stratum dimensions must be distinct")
@@ -157,6 +165,9 @@ class StratificationData:
                         raise ValueError(
                             f"link polynomials of a {stratum.dim}-stratum in "
                             f"S^{self.n} are graded below {limit}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StratificationData is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StratificationData):
@@ -193,7 +204,10 @@ class E2Table:
             rep = normalize(poly)
             if not rep.is_one:
                 table[(i, p, q)] = rep
-        self._entries = table
+        object.__setattr__(self, "_entries", table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("E2Table is immutable")
 
     def entry(self, i: int, p: int, q: int) -> LaurentPoly:
         return self._entries.get((i, p, q), LaurentPoly.one())
@@ -233,6 +247,8 @@ def allowed_primes_single(i: int, n: int, k: int, c_i: PolyLike,
     >>> sorted(str(q) for q in allowed)
     ['t - 2', 't^2 - t + 1']
     """
+    for name, value in (("i", i), ("n", n), ("k", k)):
+        _strict_int(value, name)
     if not 0 < i < n - 1:
         raise DegreeOutOfRange(
             f"the divisor window covers degrees 0 < i < {n - 1}, got {i}")
@@ -260,6 +276,8 @@ def exclusion_single(gamma: PolyLike, i: int, k: int, p: Perversity,
     ...                  ["t - 1", "1", "t^2 - t + 1"])
     False
     """
+    for name, value in (("i", i), ("k", k)):
+        _strict_int(value, name)
     rep = _require_prime(gamma, degree_cap)
     if divides(rep, lambda_i):
         return False
@@ -288,6 +306,7 @@ def allowed_primes_general(j: int, lambda_j: PolyLike, data: StratificationData,
     >>> sorted(str(q) for q in allowed_primes_general(2, "1", data))
     ['t + 1']
     """
+    _strict_int(j, "j")
     out = _primes_of(lambda_j, degree_cap)
     for stratum in data.strata:
         i = stratum.dim
@@ -321,6 +340,8 @@ def max_power_bound(gamma: PolyLike, j: int, gamma_j: int, table: E2Table,
     >>> max_power_bound("t - 1", 2, 3, table, 6, Perversity.zero(6))
     4
     """
+    for name, value in (("j", j), ("n", n)):
+        _strict_int(value, name)
     rep = _require_prime(gamma, degree_cap)
     total = _strict_int(gamma_j, "gamma_j")
     if total < 0:

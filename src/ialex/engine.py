@@ -173,7 +173,7 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
     >>> [str(m) for m in cone_ih(circle, 2, Perversity.zero(2))]
     ['(t - 1)', '0']
     """
-    if len(link) > n:
+    if len(link) > _strict_int(n, "n"):
         raise ValueError(f"link of a {n}-cone is graded over 0..{n - 1}")
     cutoff = p.cutoff(n)
     zero = FgGammaModule.zero()
@@ -407,7 +407,7 @@ def superdual_polynomials(ia: Sequence[PolyLike], n: int,
     >>> [str(q) for q in superdual_polynomials(["t - 1", "2*t - 1"], 3)]
     ['1', 't - 2', 't - 1']
     """
-    _cap_n(n)
+    _cap_n(_strict_int(n, "n"))
     reps = [normalize(q) for q in ia]
     for j, rep in enumerate(reps):
         if j >= n and not rep.is_one:
@@ -428,6 +428,7 @@ def validate_normalization(ia: Sequence[PolyLike], n: int,
 
     Returns one record per degree with the requirement and its outcome.
     """
+    _strict_int(n, "n")
     reps = [normalize(q) for q in ia]
     report = []
     for i, rep in enumerate(reps):

@@ -118,6 +118,8 @@ class GammaMatrix:
                      for row in self._rows)
 
     def entry(self, i: int, j: int) -> LaurentPoly:
+        if not 0 <= i < self.rows:
+            raise IndexError("row index out of range")
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
         return self._rows[i].get(j, _ZERO)

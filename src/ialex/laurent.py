@@ -21,9 +21,8 @@ tuples without building a rational per coefficient.  A product of normal
 forms is a normal form (Gauss's lemma).  Dense storage needs a bound: an
 element built from terms, by :func:`parse`, the mapping constructor or
 ``+``, may span at most :data:`MAX_SPAN` exponents, checked before the tuple
-is allocated.  :func:`parse` reads text in the form ``str()`` writes by one
-split at its spaces; other text goes to a regex scan, the one definition of
-the grammar and the one source of parse errors.
+is allocated.  :func:`parse` reads text by one regex scan, the one
+definition of the grammar and the one source of parse errors.
 
 gcd and division run on the integer numerators of the normal forms: by
 Gauss's lemma, gcds and divisibility in Q[t, t^-1] are those of Z[t] on
@@ -399,15 +398,19 @@ PolyLike = Union["LaurentPoly", int, str]
 
 # -- text form ---------------------------------------------------------
 
-_TERM_RE = re.compile(
+# a term, or else the rest of the text from the first place no term starts,
+# so that the matches of findall cover the text one after another; a term
+# after the first needs its sign
+_TOKEN_RE = re.compile(
     r"""
-    (?P<sign>[+-]?)
+    (?P<sign>[+-]|^)
     (?:
         (?P<coef>\d+(?:/\d+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?\d+))?))?
       | (?P<tv>t(?:\^(?P<expv>-?\d+))?)
     )
+    | (?P<rest>.+)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -419,10 +422,8 @@ def parse(text: str) -> LaurentPoly:
     integer.  The ``*`` may be left out, and stands only before ``t``.
     Whitespace is ignored.
 
-    Text in the form ``str()`` writes (terms with falling exponents, joined
-    by single-spaced ``+`` and ``-``) is read by a split; any other text,
-    and every text that is rejected, goes to the grammar's scanner
-    ``_scan``, so every error message comes from the scanner.
+    One regex scan reads the text with its whitespace removed, term by
+    term, and raises each parse error at the first term that has one.
 
     >>> print(parse("3/2*t^-1 - 3/2"))
     -3/2 + 3/2*t^-1
@@ -435,74 +436,24 @@ def parse(text: str) -> LaurentPoly:
         ...
     ValueError: zero denominator in '1/0'
 
-    The terms are summed over the lcm of their denominators, and the span
-    of the sum is checked against :data:`MAX_SPAN` before the dense tuple
-    is built.
+    The nonzero terms are added over the lcm of their denominators into a
+    dense list over their exponents.  When they span more than
+    :data:`MAX_SPAN` exponents they are summed by exponent first, so terms
+    that cancel do not count, and the span of the sum is checked before
+    the dense tuple is built.
     """
-    p = _read_str_form(text)
-    return _scan(text) if p is None else p
-
-
-def _read_str_form(text: str) -> Optional[LaurentPoly]:
-    """The element of text in the form ``str()`` writes: terms with strictly
-    falling exponents joined by `` + `` and `` - ``, the first with an
-    optional ``-``.  None for any other text, and for text the scan rejects
-    (a span over MAX_SPAN, a zero denominator, int's digit limit)."""
-    neg = text[:1] == "-"
-    words = (text[1:] if neg else text).split(" ")
-    if not len(words) % 2:
-        return None
-    terms: list[tuple[int, int, int]] = []  # (exponent, numerator, denominator)
-    den = 1
-    try:
-        for sign, word in zip(["-" if neg else "+", *words[1::2]], words[::2]):
-            coef, star, power = word.partition("*")
-            if not star and coef[:1] == "t":
-                coef, power = "1", coef
-            exp = power[2:]
-            if power == "t":
-                e = 1
-            elif power[:2] == "t^" and (exp[1:] if exp[:1] == "-" else exp).isdecimal():
-                e = int(exp)
-            elif power or star:
-                return None
-            else:
-                e = 0
-            c_text, slash, d_text = coef.partition("/")
-            d = (int(d_text) if d_text.isdecimal() else 0) if slash else 1
-            if (sign != "+" and sign != "-" or not d or not c_text.isdecimal()
-                    or terms and e >= terms[-1][0]):
-                return None
-            den = math.lcm(den, d)
-            c = int(c_text)
-            terms.append((e, -c if sign == "-" else c, d))
-    except ValueError:              # int's digit limit
-        return None
-    hi, lo = terms[0][0], terms[-1][0]
-    if hi - lo > MAX_SPAN:
-        return None
-    coeffs = [0] * (hi - lo + 1)
-    for e, c, d in terms:
-        coeffs[e - lo] = c * (den // d)
-    return _canonical(lo, coeffs, den)
-
-
-def _scan(text: str) -> LaurentPoly:
-    """:func:`parse` for the whole grammar, by one regex scan of the text
-    with its whitespace removed; the one source of parse errors."""
     compact = "".join(text.split()).replace("−", "-")
     if not compact:
         raise ValueError("empty polynomial text")
-    parsed: list[tuple[int, int, int]] = []  # (exponent, numerator, denominator)
-    pos, den = 0, 1
-    # the leftmost match from pos starts at pos exactly when a term does
-    for m in _TERM_RE.finditer(compact):
-        if m.start() != pos:
-            break
-        sign, coef, tc, expc, tv, expv = m.groups()
-        if pos and not sign:
-            raise ValueError(f"missing operator before {compact[pos:]!r}")
-        if coef is None:
+    terms: list[tuple[int, int, int]] = []  # nonzero (exponent, numerator, denominator)
+    den = 1
+    for sign, coef, tc, expc, tv, expv, rest in _TOKEN_RE.findall(compact):
+        if rest:
+            # a term starts here but has no sign (isdecimal is \d's test)
+            if rest[0] == "t" or rest[0].isdecimal():
+                raise ValueError(f"missing operator before {rest!r}")
+            raise ValueError(f"cannot parse polynomial at {rest!r}")
+        if not coef:
             c, d = 1, 1
         elif "/" in coef:
             c_text, _, d_text = coef.partition("/")
@@ -514,19 +465,20 @@ def _scan(text: str) -> LaurentPoly:
             c, d = int(coef), 1
         exp = expc or expv
         e = int(exp) if exp else (1 if tc or tv else 0)
-        parsed.append((e, -c if sign == "-" else c, d))
-        pos = m.end()
-    if pos < len(compact):
-        raise ValueError(f"cannot parse polynomial at {compact[pos:]!r}")
-    terms: dict[int, int] = {}
-    for e, c, d in parsed:
         if c:
-            total = terms.get(e, 0) + c * (den // d)
-            if total:
-                terms[e] = total
-            else:
-                del terms[e]
-    return _from_terms(terms, den)
+            terms.append((e, -c if sign == "-" else c, d))
+    if not terms:
+        return _ZERO
+    lo, hi = min(terms)[0], max(terms)[0]
+    if hi - lo > MAX_SPAN:
+        sums: dict[int, int] = {}
+        for e, c, d in terms:
+            sums[e] = sums.get(e, 0) + c * (den // d)
+        return _from_terms({e: c for e, c in sums.items() if c}, den)
+    coeffs = [0] * (hi - lo + 1)
+    for e, c, d in terms:
+        coeffs[e - lo] += c * (den // d)
+    return _canonical(lo, coeffs, den)
 
 
 def _format_terms(shift: int, num: tuple, den: int) -> str:

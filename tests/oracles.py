@@ -5,7 +5,9 @@ element is a sparse map to Fractions instead of an integer numerator over
 one denominator, factorization is done by Kronecker interpolation and trial
 division instead of the modular factorizer, or by sympy's
 `Poly.factor_list` on the whole polynomial instead of the cyclotomic
-pre-pass and `ialex.zfactor` on the cofactor, gcds by rational Euclid or by
+pre-pass and `ialex.zfactor` on the cofactor, text is read by a `finditer`
+scan that sums terms in a dict instead of the dense build of
+`laurent.parse`, gcds by rational Euclid or by
 sympy's `dup_gcd` instead of the integer heuristic GCD, Euclid over GF(p)
 runs on lists of residues instead of packed integers, invariant factors
 come from gcds of minors instead of elimination, ranks come from plain
@@ -35,6 +37,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import re
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, prod
 
@@ -48,6 +52,7 @@ from ialex.gmodule import (
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
+    _from_terms,
     as_laurent,
     divides,
     exact_quotient,
@@ -186,6 +191,63 @@ class DictLaurent:
             else:
                 parts.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(parts)
+
+
+# -- the reference parser ----------------------------------------------------
+
+_TERM_RE = re.compile(
+    r"""
+    (?P<sign>[+-]?)
+    (?:
+        (?P<coef>\d+(?:/\d+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?\d+))?))?
+      | (?P<tv>t(?:\^(?P<expv>-?\d+))?)
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+def scan_parse(text: str) -> LaurentPoly:
+    """`laurent.parse` as it read text before it built the dense tuple
+    itself: one `finditer` scan collects every term, and a dict of integer
+    sums over the lcm of the denominators goes to `_from_terms`."""
+    compact = "".join(text.split()).replace("−", "-")
+    if not compact:
+        raise ValueError("empty polynomial text")
+    parsed: list[tuple[int, int, int]] = []  # (exponent, numerator, denominator)
+    pos, den = 0, 1
+    # the leftmost match from pos starts at pos exactly when a term does
+    for m in _TERM_RE.finditer(compact):
+        if m.start() != pos:
+            break
+        sign, coef, tc, expc, tv, expv = m.groups()
+        if pos and not sign:
+            raise ValueError(f"missing operator before {compact[pos:]!r}")
+        if coef is None:
+            c, d = 1, 1
+        elif "/" in coef:
+            c_text, _, d_text = coef.partition("/")
+            c, d = int(c_text), int(d_text)
+            if not d:
+                raise ValueError(f"zero denominator in {coef!r}")
+            den = math.lcm(den, d)
+        else:
+            c, d = int(coef), 1
+        exp = expc or expv
+        e = int(exp) if exp else (1 if tc or tv else 0)
+        parsed.append((e, -c if sign == "-" else c, d))
+        pos = m.end()
+    if pos < len(compact):
+        raise ValueError(f"cannot parse polynomial at {compact[pos:]!r}")
+    terms: dict[int, int] = {}
+    for e, c, d in parsed:
+        if c:
+            total = terms.get(e, 0) + c * (den // d)
+            if total:
+                terms[e] = total
+            else:
+                del terms[e]
+    return _from_terms(terms, den)
 
 
 # -- dense polynomial helpers (coefficients indexed by exponent) ----------

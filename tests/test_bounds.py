@@ -37,6 +37,29 @@ T1 = normalize("t - 1")
 ZERO6 = Perversity.zero(6)
 
 
+_TABLE = E2Table({(0, 2, 0): "t - 1"})
+_DATA = StratificationData(7, [Stratum(3, [StratumComponent(["t - 1", "t + 1"])])])
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("i", lambda v: allowed_primes_single(v, 7, 4, "t - 2", [])),
+    ("n", lambda v: allowed_primes_single(2, v, 4, "t - 2", [])),
+    ("k", lambda v: allowed_primes_single(2, 7, v, "t - 2", [])),
+    ("i", lambda v: exclusion_single("t^2 + 1", v, 4, ZERO6, "t - 2", [])),
+    ("k", lambda v: exclusion_single("t^2 + 1", 2, v, ZERO6, "t - 2", [])),
+    ("j", lambda v: allowed_primes_general(v, "1", _DATA)),
+    ("j", lambda v: max_power_bound("t - 1", v, 3, _TABLE, 6, ZERO6)),
+    ("n", lambda v: max_power_bound("t - 1", 2, 3, _TABLE, v, ZERO6)),
+], ids=["single-i", "single-n", "single-k", "exclusion-i", "exclusion-k",
+        "general-j", "power-j", "power-n"])
+def test_functions_refuse_non_integer_arguments(name, call, bad):
+    """Integer arguments are refused as the constructors' integer fields
+    are, not truncated or compared."""
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call(bad)
+
+
 # -- single-stratum window ------------------------------------------------------
 
 

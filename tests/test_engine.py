@@ -95,6 +95,19 @@ def test_constructors_refuse_non_integer_fields(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [3.0, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("call", [
+    lambda n: cone_ih([], n, Perversity([0])),
+    lambda n: superdual_polynomials(["t - 1"], n),
+    lambda n: validate_normalization(["t - 1", "1"], n),
+], ids=["cone-ih-n", "superdual-n", "validate-n"])
+def test_functions_refuse_non_integer_arguments(call, bad):
+    """Integer arguments of the library functions are refused as the
+    constructors' integer fields are, not truncated or compared."""
+    with pytest.raises(TypeError, match="n must be an integer"):
+        call(bad)
+
+
 def test_perversity_lookup():
     p = Perversity([0, 0, 1])
     assert p(2) == 0 and p(4) == 1

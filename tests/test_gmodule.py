@@ -97,6 +97,15 @@ def test_a_negative_column_count_is_refused():
             make()
 
 
+def test_entry_refuses_an_index_outside_the_matrix():
+    """Neither index wraps around as a Python sequence index would."""
+    m = GammaMatrix([["1", "t"], ["2", "t^2"]])
+    assert (m.entry(0, 0), m.entry(1, 1)) == (parse("1"), parse("t^2"))
+    for i, j in ((-1, 1), (2, 1), (1, -1), (1, 2)):
+        with pytest.raises(IndexError, match="row" if j == 1 else "column"):
+            m.entry(i, j)
+
+
 # -- Smith normal form ---------------------------------------------------------
 
 

@@ -6,7 +6,6 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -22,7 +21,6 @@ from conftest import (
     small_primes_st,
 )
 import ialex.laurent as laurent
-from ialex import cli
 from ialex.gmodule import GammaMatrix, smith_normal_form
 from ialex.laurent import (
     MAX_SPAN,
@@ -50,6 +48,7 @@ from oracles import (
     kronecker_factor,
     laurent_divmod,
     rational_euclid_gcd,
+    scan_parse,
     sympy_cyclotomic,
     sympy_factor,
     sympy_swinnerton_dyer,
@@ -332,7 +331,7 @@ def test_parse_matches_dict_oracle(terms):
     assert parse(text) == _lift(expected)
 
 
-# -- the str() reader against the scan ---------------------------------------
+# -- parse against the reference scan ----------------------------------------
 
 # edits, with a Unicode minus sign, Arabic-Indic digit three and superscript two
 _EDITS = " -+*^t/0\u2212\u0663\u00b2\t~"
@@ -342,7 +341,7 @@ def _outcome(read, text):
     """The element read, or the type and message of what reading raised."""
     try:
         return read(text)
-    except Exception as exc:  # any exception: compared with the scan's
+    except Exception as exc:  # any exception: compared with the oracle's
         return type(exc), str(exc)
 
 
@@ -364,7 +363,7 @@ def str_texts(draw):
 @settings(max_examples=500)
 @given(str_texts())
 def test_parse_matches_scan(text):
-    assert _outcome(parse, text) == _outcome(laurent._scan, text)
+    assert _outcome(parse, text) == _outcome(scan_parse, text)
 
 
 @pytest.mark.parametrize("text, value", [
@@ -374,46 +373,34 @@ def test_parse_matches_scan(text):
     ("1/0*t", ValueError("zero denominator in '1/0'")),
     ("t^70000 + 1",
      SpanCapExceeded(f"exponents 0..70000 span 70000, over the cap {MAX_SPAN}")),
+    # terms that cancel, or are zero, do not count towards the span
+    ("t^100000 - t^100000 + 1", {0: 1}), ("0*t^100000 + 1", {0: 1}),
+    # the zero denominator comes first in the text, so it is the error
+    ("1/0*t + x", ValueError("zero denominator in '1/0'")),
+    ("2t3", ValueError("missing operator before '3'")),
+    # a Unicode minus reads as "-", and \d takes Arabic-Indic digits
+    ("\u2212t \u2212 1", {1: -1, 0: -1}),
+    ("\u0663\u0664*t^\u0661 - \u0663/\u0664", {1: 34, 0: Fraction(-3, 4)}),
 ])
 def test_parse_matches_scan_frozen(text, value):
     expected = (type(value), str(value)) if isinstance(value, Exception) \
         else LaurentPoly(value)
-    assert _outcome(parse, text) == _outcome(laurent._scan, text) == expected
+    assert _outcome(parse, text) == _outcome(scan_parse, text) == expected
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int has no digit limit")
 def test_parse_digit_limit_is_worded_by_scan():
-    text = "7" * 5000 + "*t + 1"
-    outcome = _outcome(parse, text)
-    assert outcome[0] is ValueError
-    assert outcome == _outcome(laurent._scan, text)
-
-
-def _count_routes(monkeypatch):
-    """The texts parse hands to the reader and to the scan."""
-    read, scanned = [], []
-    real_read, real_scan = laurent._read_str_form, laurent._scan
-    monkeypatch.setattr(laurent, "_read_str_form",
-                        lambda text: read.append(text) or real_read(text))
-    monkeypatch.setattr(laurent, "_scan",
-                        lambda text: scanned.append(text) or real_scan(text))
-    return read, scanned
+    # the exponent of a zero term is read before the term is dropped
+    for text in ("7" * 5000 + "*t + 1", "0*t^" + "9" * 5000):
+        outcome = _outcome(parse, text)
+        assert outcome[0] is ValueError
+        assert outcome == _outcome(scan_parse, text)
 
 
 @given(laurent_polys(max_span=40, max_terms=12, max_coeff=10**30))
-def test_str_form_skips_the_scan(p):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        read, scanned = _count_routes(monkeypatch)
-        assert parse(str(p)) == p
-    assert read == [str(p)] and scanned == []
-
-
-def test_corpus_polynomials_skip_the_scan(monkeypatch, capsys):
-    read, scanned = _count_routes(monkeypatch)
-    corpus = Path(__file__).resolve().parents[1] / "fixtures" / "corpus"
-    assert cli.main(["corpus", str(corpus)]) == 0
-    assert read and scanned == []
+def test_parse_str_round_trip_wide(p):
+    assert parse(str(p)) == p
 
 
 # -- normalization and similarity -------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ialex
+from ialex import bounds, engine, exactseq, gmodule, twisted
 from ialex.cli import KINDS
 
 MODULES = ["ialex"] + [f"ialex.{info.name}"
@@ -27,6 +28,34 @@ def test_every_all_entry_resolves(name):
     missing = [entry for entry in getattr(module, "__all__", ())
                if not hasattr(module, entry)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+# one small value of every value class; each is compared, and most are
+# hashed, so a field reassigned in place would strand it in a set or dict
+VALUES = {
+    "Perversity": lambda: engine.Perversity([0, 0]),
+    "DiskKnotData": lambda: engine.DiskKnotData(4, ["1"], ["t - 1"], ["1"]),
+    "ProductSingularityInput": lambda: engine.ProductSingularityInput(
+        6, 3, engine.Perversity([0, 0, 0]), [gmodule.FgGammaModule(1)],
+        [gmodule.FgGammaModule(0, ["t - 1"])], c=[], a_high=[]),
+    "GammaMatrix": lambda: gmodule.GammaMatrix([["t - 1"]]),
+    "FgGammaModule": lambda: gmodule.FgGammaModule.cyclic("t - 1"),
+    "ModuleSequence": lambda: exactseq.ModuleSequence(
+        [gmodule.FgGammaModule.cyclic("t - 1")], []),
+    "TwistedComplex": lambda: twisted.TwistedComplex([[0, 1]], {"0-1": "t"}),
+    "StratumComponent": lambda: bounds.StratumComponent(["t - 1"]),
+    "Stratum": lambda: bounds.Stratum(0, [bounds.StratumComponent(["t - 1"])]),
+    "StratificationData": lambda: bounds.StratificationData(3, []),
+    "E2Table": lambda: bounds.E2Table({(0, 2, 0): "t - 1"}),
+}
+
+
+@pytest.mark.parametrize("build", VALUES.values(), ids=VALUES.keys())
+def test_value_classes_are_immutable(build):
+    value = build()
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
 
 
 REPO = Path(__file__).resolve().parent.parent
