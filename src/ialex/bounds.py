@@ -26,6 +26,8 @@ from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
+    _ONE,
+    _Record,
     _capped_rep,
     _strict_int,
     divides,
@@ -67,7 +69,7 @@ def _link_primes(poly: PolyLike, degree_cap: int) -> set[LaurentPoly]:
     return _primes_of(poly, degree_cap) - {_T_MINUS_ONE}
 
 
-class StratumComponent:
+class StratumComponent(_Record):
     """One connected piece of a singular stratum.
 
     Carries the graded intersection Alexander polynomials of the component's
@@ -83,16 +85,8 @@ class StratumComponent:
         object.__setattr__(self, "zeta", None if zeta is None
                            else tuple(normalize(q) for q in zeta))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StratumComponent is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StratumComponent):
-            return NotImplemented
-        return (self.xi, self.zeta) == (other.xi, other.zeta)
-
-    def __hash__(self) -> int:
-        return hash((self.xi, self.zeta))
+    def _key(self) -> tuple:
+        return (self.xi, self.zeta)
 
     def __repr__(self) -> str:
         xi = [str(q) for q in self.xi]
@@ -101,7 +95,7 @@ class StratumComponent:
         return f"StratumComponent({xi!r}, zeta={[str(q) for q in self.zeta]!r})"
 
 
-class Stratum:
+class Stratum(_Record):
     """A pure stratum of the singular set: its dimension and its connected
     components' link data."""
 
@@ -113,22 +107,14 @@ class Stratum:
         if not all(isinstance(c, StratumComponent) for c in self.components):
             raise TypeError("components must be StratumComponent values")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Stratum is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Stratum):
-            return NotImplemented
-        return (self.dim, self.components) == (other.dim, other.components)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.components))
+    def _key(self) -> tuple:
+        return (self.dim, self.components)
 
     def __repr__(self) -> str:
         return f"Stratum({self.dim}, {list(self.components)!r})"
 
 
-class StratificationData:
+class StratificationData(_Record):
     """The singular set of a knotted sphere pair, stratum by stratum.
 
     `n` is the ambient sphere dimension.  A stratum of dimension i has link
@@ -166,19 +152,14 @@ class StratificationData:
                             f"link polynomials of a {stratum.dim}-stratum in "
                             f"S^{self.n} are graded below {limit}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StratificationData is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StratificationData):
-            return NotImplemented
-        return (self.n, self.strata) == (other.n, other.strata)
+    def _key(self) -> tuple:
+        return (self.n, self.strata)
 
     def __repr__(self) -> str:
         return f"StratificationData({self.n}, {list(self.strata)!r})"
 
 
-class E2Table:
+class E2Table(_Record):
     """Polynomials of the stratum homology with cone-link coefficients.
 
     Entry (i, p, q) is the order polynomial of the degree-p homology of the
@@ -206,11 +187,9 @@ class E2Table:
                 table[(i, p, q)] = rep
         object.__setattr__(self, "_entries", table)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("E2Table is immutable")
-
     def entry(self, i: int, p: int, q: int) -> LaurentPoly:
-        return self._entries.get((i, p, q), LaurentPoly.one())
+        key = tuple(_strict_int(v, "a table index") for v in (i, p, q))
+        return self._entries.get(key, _ONE)
 
     def items(self) -> tuple:
         return tuple(sorted(self._entries.items()))
@@ -220,10 +199,8 @@ class E2Table:
             {"i": i, "p": p, "q": q, "poly": str(poly)}
             for (i, p, q), poly in self.items()]}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, E2Table):
-            return NotImplemented
-        return self._entries == other._entries
+    def _key(self) -> dict:
+        return self._entries
 
     def __repr__(self) -> str:
         inner = {key: str(poly) for key, poly in self.items()}

@@ -21,6 +21,8 @@ from ialex.laurent import (
     LaurentPoly,
     PolyLike,
     SpanCapExceeded,
+    _ONE,
+    _Record,
     _quotient,
     _strict_int,
     divides,
@@ -62,7 +64,6 @@ class DivisibilityViolation(ValueError):
     """Input data contradicts a divisibility the theory guarantees."""
 
 
-_ONE = LaurentPoly.one()
 # the normal form of t - 1, and Gamma/(t - 1), the degree-0 link module
 _T_MINUS_ONE = normalize("t - 1")
 _GAMMA_MOD_T_MINUS_ONE = FgGammaModule.cyclic(_T_MINUS_ONE)
@@ -75,7 +76,7 @@ def _cap_n(n: int) -> None:
         raise SpanCapExceeded(f"n = {n} is over the cap {MAX_SPAN}")
 
 
-class Perversity:
+class Perversity(_Record):
     """A perversity function stored as its value table on codimensions 2..D.
 
     The table must start at 0 or 1 on codimension 2 and grow by steps of 0
@@ -102,9 +103,6 @@ class Perversity:
                 raise InvalidPerversity(
                     f"growth axiom fails between codimensions {m} and {m + 1}")
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perversity is immutable")
 
     @classmethod
     def zero(cls, max_codim: int) -> "Perversity":
@@ -149,13 +147,8 @@ class Perversity:
         """
         return codim - 1 - self(codim)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perversity):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
+    def _key(self) -> tuple:
+        return self.values
 
     def __repr__(self) -> str:
         return f"Perversity({list(self.values)!r})"
@@ -181,7 +174,7 @@ def cone_ih(link: Sequence[FgGammaModule], n: int, p: Perversity,
                  for i in range(n))
 
 
-class DiskKnotData:
+class DiskKnotData(_Record):
     """Alexander subpolynomial data (a_i, b_i, c_i) of a point singularity.
 
     The three families factor the polynomials of the singularity's
@@ -212,8 +205,8 @@ class DiskKnotData:
             raise ValueError(
                 "inconsistent subpolynomial data: boundary splittings must be 1")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiskKnotData is immutable")
+    def _key(self) -> tuple:
+        return (self.n, self.a, self.b, self.c)
 
     def a_at(self, i: int) -> LaurentPoly:
         return self.a[i] if 0 <= i < len(self.a) else _ONE
@@ -270,7 +263,7 @@ def ia_point(data: DiskKnotData, p: Perversity) -> tuple[LaurentPoly, ...]:
     return tuple(out)
 
 
-class ProductSingularityInput:
+class ProductSingularityInput(_Record):
     """Data for a singular manifold with a product regular neighborhood.
 
     The singular set Sigma (dimension n-k-1) sits in the n-sphere with a
@@ -327,8 +320,9 @@ class ProductSingularityInput:
         full = tuple(normalize(x) for x in a) if a is not None else self.a_high
         object.__setattr__(self, "a", full)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductSingularityInput is immutable")
+    def _key(self) -> tuple:
+        return (self.n, self.k, self.perversity, self.sigma_homology,
+                self.link_modules, self.c, self.a_high, self.a)
 
     def c_at(self, i: int) -> LaurentPoly:
         return self.c[i] if 0 <= i < len(self.c) else _ONE

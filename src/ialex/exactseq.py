@@ -11,6 +11,7 @@ splitting a sequence of actual modules into its p-primary restrictions.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ialex.gmodule import (
@@ -24,6 +25,8 @@ from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
+    _ONE,
+    _Record,
     _poly_divmod,
     _quotient,
     divides,
@@ -69,13 +72,8 @@ def check_alternating_product(polys: Sequence[PolyLike]) -> bool:
     """
     if not polys:
         raise ValueError("empty sequence")
-    even = odd = LaurentPoly.one()
-    for i, p in enumerate(polys):
-        if i % 2 == 0:
-            even = even * normalize(p)
-        else:
-            odd = odd * normalize(p)
-    return even == odd
+    reps = [normalize(p) for p in polys]
+    return math.prod(reps[::2], start=_ONE) == math.prod(reps[1::2], start=_ONE)
 
 
 def subpolynomials(polys: Sequence[PolyLike]) -> tuple[LaurentPoly, ...]:
@@ -194,7 +192,7 @@ def solve_missing_third(
 # -- module sequences ----------------------------------------------------------
 
 
-class ModuleSequence:
+class ModuleSequence(_Record):
     """A zero-bounded sequence of torsion modules with presented maps.
 
     Map i sends module i to module i+1; its matrix has one row per generator
@@ -237,8 +235,8 @@ class ModuleSequence:
         object.__setattr__(self, "modules", mods)
         object.__setattr__(self, "maps", mats)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleSequence is immutable")
+    def _key(self) -> tuple:
+        return (self.modules, self.maps)
 
     def order_polynomials(self) -> tuple[LaurentPoly, ...]:
         return tuple(order_polynomial(m) for m in self.modules)

@@ -22,13 +22,16 @@ degrees and without building a module.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Mapping, Sequence
 
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
     PolyLike,
+    _ONE,
     _ZERO,
+    _Record,
     _poly_divmod,
     _strict_int,
     _unit_quotient,
@@ -59,7 +62,7 @@ class NotPrime(ValueError):
     """The polynomial passed as a prime is a unit or reducible."""
 
 
-class GammaMatrix:
+class GammaMatrix(_Record):
     """A sparse matrix over Q[t, t^-1]; rows are relations, columns generators.
 
     Only nonzero entries are stored, one {column: entry} dict per row with
@@ -109,9 +112,6 @@ class GammaMatrix:
         object.__setattr__(self, "rows", len(out))
         object.__setattr__(self, "cols", cols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GammaMatrix is immutable")
-
     @property
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols))
@@ -144,14 +144,6 @@ class GammaMatrix:
 
     def _key(self) -> tuple:
         return (self.rows, self.cols, tuple(tuple(row.items()) for row in self._rows))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"GammaMatrix({self.to_json()!r})"
@@ -304,7 +296,7 @@ def _invariant_chain(reps: list[LaurentPoly]) -> list[LaurentPoly]:
 # -- canonical modules --------------------------------------------------------
 
 
-class FgGammaModule:
+class FgGammaModule(_Record):
     """A finitely generated module in canonical form.
 
     The canonical form is a free rank together with the invariant-factor
@@ -333,9 +325,6 @@ class FgGammaModule:
                 raise ValueError("torsion coefficients must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", chain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FgGammaModule is immutable")
 
     @classmethod
     def zero(cls) -> "FgGammaModule":
@@ -387,13 +376,8 @@ class FgGammaModule:
     def to_json(self) -> dict:
         return {"free": self.free_rank, "torsion": [str(t) for t in self.torsion]}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FgGammaModule):
-            return NotImplemented
-        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.torsion))
+    def _key(self) -> tuple:
+        return (self.free_rank, self.torsion)
 
     def __str__(self) -> str:
         parts = []
@@ -415,10 +399,7 @@ def order_polynomial(m: FgGammaModule) -> LaurentPoly:
     """
     if m.free_rank:
         raise NotTorsion("order polynomial requires a torsion module")
-    out = LaurentPoly.one()
-    for t in m.torsion:
-        out = out * t
-    return out
+    return math.prod(m.torsion, start=_ONE)
 
 
 def _require_prime(prime: PolyLike,

@@ -112,6 +112,25 @@ def _strict_int(value, what: str) -> int:
     return value
 
 
+class _Record:
+    """An immutable value: its fields are set once, in ``__init__`` by
+    ``object.__setattr__``, and ``_key()`` is what it compares and hashes
+    by; a record equals only records of its own class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 def _convolve(a: tuple, b: tuple) -> list:
     """The product of two nonempty integer coefficient sequences."""
     if len(a) < len(b):
@@ -405,8 +424,8 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<sign>[+-]|^)
     (?:
-        (?P<coef>\d+(?:/\d+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?\d+))?))?
-      | (?P<tv>t(?:\^(?P<expv>-?\d+))?)
+        (?P<coef>[0-9]+(?:/[0-9]+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?[0-9]+))?))?
+      | (?P<tv>t(?:\^(?P<expv>-?[0-9]+))?)
     )
     | (?P<rest>.+)
     """,
@@ -419,8 +438,8 @@ def parse(text: str) -> LaurentPoly:
 
     Terms are ``c*t^e``, ``c``, ``t^e`` or ``t``, joined by ``+`` and ``-``;
     ``c`` is an integer or ``p/q`` rational and ``e`` a possibly negative
-    integer.  The ``*`` may be left out, and stands only before ``t``.
-    Whitespace is ignored.
+    integer, all written in ASCII digits.  The ``*`` may be left out, and
+    stands only before ``t``.  Whitespace is ignored.
 
     One regex scan reads the text with its whitespace removed, term by
     term, and raises each parse error at the first term that has one.
@@ -449,8 +468,8 @@ def parse(text: str) -> LaurentPoly:
     den = 1
     for sign, coef, tc, expc, tv, expv, rest in _TOKEN_RE.findall(compact):
         if rest:
-            # a term starts here but has no sign (isdecimal is \d's test)
-            if rest[0] == "t" or rest[0].isdecimal():
+            # a term starts here but has no sign
+            if rest[0] in "t0123456789":
                 raise ValueError(f"missing operator before {rest!r}")
             raise ValueError(f"cannot parse polynomial at {rest!r}")
         if not coef:

@@ -36,7 +36,7 @@ from ialex.gmodule import (
     kunneth_summands,
     smith_normal_form,
 )
-from ialex.laurent import LaurentPoly, _ONE, _strict_int, as_laurent
+from ialex.laurent import LaurentPoly, _ONE, _Record, _strict_int, as_laurent
 
 __all__ = [
     "CocycleViolation",
@@ -85,7 +85,7 @@ def _edge_key(raw) -> tuple[int, int]:
     return _strict_int(u, "an edge vertex"), _strict_int(v, "an edge vertex")
 
 
-class TwistedComplex:
+class TwistedComplex(_Record):
     """A finite simplicial complex with edge units and a coefficient module.
 
     Simplices are sorted tuples of non-negative integer vertices; the input
@@ -171,9 +171,6 @@ class TwistedComplex:
                 raise CocycleViolation(
                     f"edge units around triangle {tri} do not compose")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedComplex is immutable")
-
     @property
     def dimension(self) -> int:
         return len(self.simplices[-1]) - 1
@@ -189,11 +186,8 @@ class TwistedComplex:
         unit = self.monodromy.get(key, LaurentPoly.one())
         return unit if u < v else unit.inverse()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwistedComplex):
-            return NotImplemented
-        return (self.simplices, self.monodromy, self.stalk) == (
-            other.simplices, other.monodromy, other.stalk)
+    def _key(self) -> tuple:
+        return (self.simplices, self.monodromy, self.stalk)
 
     def __repr__(self) -> str:
         return (f"TwistedComplex({len(self.simplices)} simplices, "
@@ -401,8 +395,6 @@ def abutment_divisor_bound(table: E2Table, j: int) -> LaurentPoly:
     >>> abutment_divisor_bound(page, 5)
     LaurentPoly('1')
     """
-    out = LaurentPoly.one()
-    for (_, p, q), poly in table.items():
-        if p + q == j:
-            out = out * poly
-    return out
+    j = _strict_int(j, "a total degree")
+    return math.prod((poly for (_, p, q), poly in table.items() if p + q == j),
+                     start=_ONE)

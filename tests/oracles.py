@@ -199,8 +199,8 @@ _TERM_RE = re.compile(
     r"""
     (?P<sign>[+-]?)
     (?:
-        (?P<coef>\d+(?:/\d+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?\d+))?))?
-      | (?P<tv>t(?:\^(?P<expv>-?\d+))?)
+        (?P<coef>[0-9]+(?:/[0-9]+)?)(?:\*?(?P<tc>t(?:\^(?P<expc>-?[0-9]+))?))?
+      | (?P<tv>t(?:\^(?P<expv>-?[0-9]+))?)
     )
     """,
     re.VERBOSE,

@@ -269,6 +269,17 @@ def test_e2_table_refuses_non_integer_indices(key):
         E2Table({key: "t - 1"})
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_e2_table_entry_refuses_non_integer_indices(at, bad):
+    """entry(0.0, 2, 0) and entry(False, 2, 0) would find the (0, 2, 0)
+    entry: a float or bool hashes and compares as the int it stands for."""
+    index = [0, 2, 0]
+    index[at] = bad
+    with pytest.raises(TypeError, match="^a table index must be an integer"):
+        _TABLE.entry(*index)
+
+
 @pytest.mark.parametrize("dim", [3.9, True, "3"])
 def test_stratum_refuses_non_integer_dimension(dim):
     with pytest.raises(TypeError):

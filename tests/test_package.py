@@ -15,6 +15,7 @@ import pytest
 import ialex
 from ialex import bounds, engine, exactseq, gmodule, twisted
 from ialex.cli import KINDS
+from ialex.laurent import _Record
 
 MODULES = ["ialex"] + [f"ialex.{info.name}"
                        for info in pkgutil.iter_modules(ialex.__path__)]
@@ -56,6 +57,29 @@ def test_value_classes_are_immutable(build):
     for name in (*type(value).__slots__, "extra"):
         with pytest.raises(AttributeError, match="is immutable"):
             setattr(value, name, None)
+
+
+# records that keep a dict field compare by it but cannot be hashed
+UNHASHABLE = {"E2Table", "TwistedComplex"}
+
+
+def test_values_name_every_record_class():
+    """A new record class joins VALUES, and so the tests above and below."""
+    assert sorted(cls.__name__ for cls in _Record.__subclasses__()) == sorted(VALUES)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_compare_by_value(name):
+    value, twin = VALUES[name](), VALUES[name]()
+    assert value is not twin
+    assert value == twin and not value != twin
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    assert value != value._key()
+    assert all(value != build() for other, build in VALUES.items() if other != name)
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -730,6 +730,13 @@ def test_abutment_bound_frozen():
     assert abutment_divisor_bound(table, 2) == expected
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_abutment_bound_refuses_non_integer_degree(bad):
+    table = E2Table({(0, 1, 1): "t - 1"})
+    with pytest.raises(TypeError, match="^a total degree must be an integer"):
+        abutment_divisor_bound(table, bad)
+
+
 def test_abutment_bound_dominates_collapsed_tables():
     # entries of any later page divide those of the second, so the bound
     # computed there divides this one
