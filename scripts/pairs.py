@@ -21,7 +21,8 @@ imported, and one line gives the sha256 of each side's rendered reports
 time: the least over the five passes of the sum of the case times, in
 seconds, not scaled.  A fixed number of passes reads the same on runs
 whose time-boxed medians fall in different modes.  The line is for reading
-only: the pairs are timed either way.
+only: the pairs are timed either way, and `--pairs 0` compares the hashes
+alone.
 
 Runs write no bytecode, and the script refuses to start when one checkout
 holds `__pycache__` directories under `src/` or `perfbench/` and the other
@@ -123,9 +124,9 @@ def quartiles(values: list) -> tuple:
 
 def summary(parent: list, change: list, better: dict) -> list:
     """One line per metric: medians, parent IQR, both sides' quartiles
-    and pairs won."""
+    and pairs won; no line when no pair ran."""
     lines = []
-    for name in parent[0]:
+    for name in parent[0] if parent else ():
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
         sign = 1 if better.get(name, "lower") == "higher" else -1
@@ -150,6 +151,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
+    if args.pairs < 0:
+        parser.error("--pairs must not be negative")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
@@ -187,7 +190,8 @@ def main(argv=None) -> int:
                 flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s runs")
-    print("\n".join(summary(runs["parent"], runs["change"], better)))
+    for line in summary(runs["parent"], runs["change"], better):
+        print(line)
     return 0
 
 

@@ -8,7 +8,8 @@ complexes as vertex-index simplex lists with an edge-to-unit monodromy map
 keyed `"u-v"`, stratifications as
 `{"n", "strata": [{"dim", "components": [{"xi", "zeta"?}]}]}` and
 second-page tables as `{"entries": [{"i", "p", "q", "poly"}]}`).  This module
-is the only reader of that format.  Every command validates the payload
+is the only reader of that format, but for the `"u-v"` edge keys, which it
+checks and `twisted` reads.  Every command validates the payload
 against its schema before computing anything, field by field: integer fields
 refuse booleans, floats and strings, a table may not repeat an (i, p, q), a
 junction key is one index in digits, and an invalid field is reported at its
@@ -30,10 +31,9 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ialex import __version__, bounds, engine, exactseq, gmodule, laurent, twisted
 
@@ -61,8 +61,7 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(NamedTuple):
     """Flags threaded from the command line into the handlers."""
 
     degree_cap: int = laurent.DEFAULT_DEGREE_CAP
@@ -196,15 +195,7 @@ def _complex(value, path: str) -> twisted.TwistedComplex:
     stalk = gmodule.FgGammaModule.free(1)
     if "stalk" in value:
         stalk = _module(value["stalk"], f"{path}.stalk")
-    # integer pairs, which the library does not read again; keys naming one
-    # edge twice ("1-2", "01-2") or past int's digit limit go as given
-    try:
-        pairs = {tuple(map(int, key.split("-"))): unit
-                 for key, unit in monodromy.items()}
-    except ValueError:
-        pairs = {}
-    return twisted.TwistedComplex(
-        simplices, pairs if len(pairs) == len(monodromy) else monodromy, stalk)
+    return twisted.TwistedComplex(simplices, monodromy, stalk)
 
 
 def _e2table(value: Mapping, path: str) -> bounds.E2Table:

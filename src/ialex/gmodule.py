@@ -21,7 +21,6 @@ degrees and without building a module.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -156,9 +155,10 @@ def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
     """Diagonalise by sparse Euclidean pivoting; returns the nonzero diagonal.
 
     It works on copies of the matrix's sparse rows.  Each round pivots on an
-    entry of least degree, from the row with the least (degree, length,
-    index) and then the sparsest column, which keeps fill-in low; units are
-    the pivots of degree 0 (Dumas, Saunders and Villard, JSC 2001).  Row
+    entry of least degree, found by one scan of the rows left: the row with
+    the least (degree, length, index), then in it the column held by the
+    fewest rows, which keeps fill-in low; units are the pivots of degree 0
+    (Dumas, Saunders and Villard, JSC 2001).  Row
     operations clear the pivot column through the inverse of a unit, or else
     by Euclidean division once the pivot row is scaled to make the pivot
     primitive, which keeps coefficients tame.  A column left holding only
@@ -169,69 +169,45 @@ def _diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
     `_invariant_chain` turns the diagonal into a divisibility chain.
     """
     rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
-    holders: dict[int, set[int]] = {}       # column -> rows with an entry
-    for i, row in rows.items():
-        for j in row:
-            holders.setdefault(j, set()).add(i)
-    queue: list[tuple[int, int, int]] = []
-
-    def push(k: int):
-        row = rows[k]
-        heapq.heappush(queue, (min([e.degree for e in row.values()]), len(row), k))
-
-    for i in rows:
-        push(i)
     diagonal = []
-    while queue:
-        degree, size, i = heapq.heappop(queue)
-        pivot_row = rows.get(i)
-        if pivot_row is None or len(pivot_row) != size:
-            continue                          # stale: removed or changed
-        col = min(pivot_row, key=lambda j: (pivot_row[j].degree, len(holders[j]), j))
-        if pivot_row[col].degree != degree:
-            continue
+    while rows:
+        i = min(rows, key=lambda k: (min([e.degree for e in rows[k].values()]),
+                                     len(rows[k]), k))
+        pivot_row = rows[i]
+        col = min(pivot_row, key=lambda j: (
+            pivot_row[j].degree, sum(j in row for row in rows.values()), j))
         pivot = pivot_row.pop(col)
         scale, unit = _unit_quotient(pivot), pivot.is_unit
         if not unit:                          # a unit's row splits off at once
             pivot = scale * pivot
             rows[i] = pivot_row = {j: scale * e for j, e in pivot_row.items()}
-        column = holders[col]
-        changed = [k for k in column if k != i]
-        for k in changed:
-            row = rows[k]
+        alone = True                          # the column holds only the pivot
+        for k, row in [(k, row) for k, row in rows.items() if col in row]:
             entry = row.pop(col)
             q, r = (entry * scale, _ZERO) if unit else _poly_divmod(entry, pivot)
-            if r.is_zero:
-                column.discard(k)
-            else:
+            if not r.is_zero:
                 row[col] = r
+                alone = False
             for j, e in pivot_row.items():
                 value = row[j] - q * e if j in row else -(q * e)
                 if value.is_zero:
                     del row[j]
-                    holders[j].discard(k)
                 else:
                     row[j] = value
-                    holders[j].add(k)
             if not row:
                 del rows[k]
-        if len(column) == 1:                  # the column holds only the pivot
+        if alone:
             for j, e in list(pivot_row.items()):
                 r = _ZERO if unit else _poly_divmod(e, pivot)[1]
                 if r.is_zero:
                     del pivot_row[j]
-                    holders[j].discard(i)
                 else:
                     pivot_row[j] = r
-        if len(column) == 1 and not pivot_row:
-            diagonal.append(pivot)
-            del rows[i], holders[col]
-        else:
-            pivot_row[col] = pivot
-            changed.append(i)
-        for k in changed:
-            if k in rows:
-                push(k)
+            if not pivot_row:
+                diagonal.append(pivot)
+                del rows[i]
+                continue
+        pivot_row[col] = pivot
     return diagonal
 
 
@@ -242,9 +218,8 @@ def smith_normal_form(m: GammaMatrix) -> tuple[tuple[LaurentPoly, ...], int]:
     value (the matrix rank, equal to the number of factors) is what the
     column count loses when passing to the cokernel's free rank.  One sparse
     Euclidean elimination (`_diagonalise`) splits off the diagonal, unit
-    pivots first, so boundary matrices of simplicial complexes reduce
-    without a dense pass; each unit is a factor 1, and the gcd/lcm chain of
-    the other entries gives the remaining factors.  A matrix with one row
+    pivots first; each unit is a factor 1, and the gcd/lcm chain of the
+    other entries gives the remaining factors.  A matrix with one row
     or one column skips the elimination: its one factor is the gcd of its
     entries, which stops at the first unit.
 

@@ -23,9 +23,8 @@ primitive parts of 2a*t + b -/+ sqrt(D).  A larger part takes the
 classical small-prime route (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, 3rd ed., chapters 14 and 15):
 
-- an odd prime p not dividing the leading coefficient with the part
-  square-free mod p, taken, as sympy does, as the first with fewer than 15
-  modular factors or else the best of five;
+- the first odd prime p not dividing the leading coefficient with the
+  part square-free mod p;
 - factorization over GF(p) by distinct-degree factorization and the
   equal-degree splitting of Cantor and Zassenhaus ("A new algorithm for
   factoring polynomials over finite fields", *Math. Comp.* 36, 1981).
@@ -93,9 +92,6 @@ __all__ = [
 
 Poly = Sequence[int]
 
-# fewer modular factors than this ends the prime search; else best of five
-FEW_MODULAR_FACTORS = 15
-PRIMES_TRIED = 5
 # degrees per gcd in distinct-degree factorization
 DDF_BLOCK = 4
 # each equal-degree splitting try succeeds with probability at least 4/9
@@ -665,20 +661,13 @@ def _odd_primes():
 
 
 def _modular_factorization(f: Poly) -> tuple:
-    """A prime p and the monic factors mod p of a square-free f (see the
-    module notes); each odd prime not dividing lc(f) is tried once."""
-    best, tried = None, 0
+    """For a square-free f: the first odd prime p not dividing lc(f) with
+    f square-free mod p, and the monic factors of f mod p."""
     for p in _odd_primes():
-        if f[-1] % p == 0:
-            continue
-        factors = factor_mod_p(f, p)
-        if factors is None:
-            continue
-        tried += 1
-        if best is None or len(factors) < len(best[1]):
-            best = (p, factors)
-        if len(factors) < FEW_MODULAR_FACTORS or tried == PRIMES_TRIED:
-            return best
+        if f[-1] % p:
+            factors = factor_mod_p(f, p)
+            if factors is not None:
+                return p, factors
 
 
 # -- Hensel lifting ------------------------------------------------------------

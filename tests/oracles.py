@@ -29,13 +29,16 @@ per factor, `kunneth_order` on the per-degree enumerator, and the two-pass
 `ia_product` with a `divides` test before each quotient cross-check the
 orders `engine.ia_product` multiplies from that table, and
 `factor_check_result` factors the whole polynomial where
-`bounds.check_result` divides out the allowed primes.  Slow is fine; these
-only ever see small inputs.
+`bounds.check_result` divides out the allowed primes.  `heap_diagonalise`,
+the heap-ordered elimination with a column index that the library's pivot
+scan replaced, pins the pivots of that scan.  Slow is fine; these only ever
+see small inputs.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import re
@@ -52,7 +55,10 @@ from ialex.gmodule import (
 from ialex.laurent import (
     DEFAULT_DEGREE_CAP,
     LaurentPoly,
+    _ZERO,
     _from_terms,
+    _poly_divmod,
+    _unit_quotient,
     as_laurent,
     divides,
     exact_quotient,
@@ -901,6 +907,89 @@ def solve_left(m: GammaMatrix, b: GammaMatrix) -> GammaMatrix:
                 raise ValueError("target is not in the row space")
         ys.append(yrow)
     return GammaMatrix(ys, cols=m.rows) * u
+
+
+# -- the heap-ordered sparse elimination -------------------------------------
+
+
+def heap_diagonalise(m: GammaMatrix) -> list[LaurentPoly]:
+    """The nonzero diagonal of `gmodule._diagonalise`, with the pivot rows
+    taken from a heap instead of a scan.
+
+    A frozen copy of the elimination the library ran on whole boundary
+    matrices: rows wait in a heap keyed by (least entry degree, length,
+    index), an entry whose row was removed or changed since it was pushed is
+    skipped when popped, and an index from each column to the rows holding
+    it is kept up to date, so each round costs the rows it touches and not
+    a pass over the matrix.  The pivot row, the pivot column (least degree,
+    then fewest holders, then index) and the row and column operations are
+    the library's, so both return the same list in the same order.
+    """
+    rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
+    holders: dict[int, set[int]] = {}       # column -> rows with an entry
+    for i, row in rows.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    queue: list[tuple[int, int, int]] = []
+
+    def push(k: int):
+        row = rows[k]
+        heapq.heappush(queue, (min([e.degree for e in row.values()]), len(row), k))
+
+    for i in rows:
+        push(i)
+    diagonal = []
+    while queue:
+        degree, size, i = heapq.heappop(queue)
+        pivot_row = rows.get(i)
+        if pivot_row is None or len(pivot_row) != size:
+            continue                          # stale: removed or changed
+        col = min(pivot_row, key=lambda j: (pivot_row[j].degree, len(holders[j]), j))
+        if pivot_row[col].degree != degree:
+            continue
+        pivot = pivot_row.pop(col)
+        scale, unit = _unit_quotient(pivot), pivot.is_unit
+        if not unit:                          # a unit's row splits off at once
+            pivot = scale * pivot
+            rows[i] = pivot_row = {j: scale * e for j, e in pivot_row.items()}
+        column = holders[col]
+        changed = [k for k in column if k != i]
+        for k in changed:
+            row = rows[k]
+            entry = row.pop(col)
+            q, r = (entry * scale, _ZERO) if unit else _poly_divmod(entry, pivot)
+            if r.is_zero:
+                column.discard(k)
+            else:
+                row[col] = r
+            for j, e in pivot_row.items():
+                value = row[j] - q * e if j in row else -(q * e)
+                if value.is_zero:
+                    del row[j]
+                    holders[j].discard(k)
+                else:
+                    row[j] = value
+                    holders[j].add(k)
+            if not row:
+                del rows[k]
+        if len(column) == 1:                  # the column holds only the pivot
+            for j, e in list(pivot_row.items()):
+                r = _ZERO if unit else _poly_divmod(e, pivot)[1]
+                if r.is_zero:
+                    del pivot_row[j]
+                    holders[j].discard(i)
+                else:
+                    pivot_row[j] = r
+        if len(column) == 1 and not pivot_row:
+            diagonal.append(pivot)
+            del rows[i], holders[col]
+        else:
+            pivot_row[col] = pivot
+            changed.append(i)
+        for k in changed:
+            if k in rows:
+                push(k)
+    return diagonal
 
 
 # -- module-valued Kunneth formula ---------------------------------------------

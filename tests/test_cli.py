@@ -631,11 +631,26 @@ def _solve(junctions):
     (_solve({"\u0660": "t - 1"}), "payload.junctions.\u0660", None),
     (_solve({"0": "t - 1", "00": "t + 1"}), "payload.junctions.00",
      "repeated junction index 0"),
+    ({"kind": "homology", "payload": {
+        "simplices": [[0]], "stalk": {"free": -1}}},
+     "payload.stalk", "free rank must be non-negative"),
+    ({"kind": "seq", "payload": {"op": "merge"}}, "payload.op",
+     "unknown seq operation 'merge'"),
+    ({"kind": "bounds", "payload": {"op": "merge"}}, "payload.op",
+     "unknown bounds operation 'merge'"),
+    ({"kind": "e2", "payload": {"links": []}}, "payload.base",
+     "required field is missing"),
+    ({"kind": "e2", "payload": {"base": [], "links": []}}, "payload.base",
+     "needs at least one complex"),
+    ({"kind": "snf", "payload": {"matrix": [["1", "t"], ["1"]]}},
+     "payload.matrix", "ragged rows in matrix"),
 ], ids=["dim-bool", "dim-float", "dim-string", "n-float", "n-missing",
         "dim-range", "xi-string", "zeta-zero", "i-float", "p-string",
         "q-bool", "poly-missing", "repeated-entry", "negative-index",
         "key-three-parts", "key-negative", "junction-space", "junction-plus",
-        "junction-underscore", "junction-arabic-digit", "junction-repeated"])
+        "junction-underscore", "junction-arabic-digit", "junction-repeated",
+        "free-negative", "seq-op-unknown", "bounds-op-unknown",
+        "e2-base-missing", "e2-base-empty", "snf-ragged"])
 def test_malformed_literal_is_schema_error_at_its_path(case, path, message):
     """Strict field reading: a literal that is not exactly the schema is a
     schema error at the offending field; the library's own domain checks
@@ -646,6 +661,16 @@ def test_malformed_literal_is_schema_error_at_its_path(case, path, message):
     assert report["error"]["path"] == path
     if message is not None:
         assert report["error"]["message"] == message
+
+
+def test_zero_bounded_solve_reports_its_splittings():
+    """Without junctions both boundary splittings are 1, so the sequence
+    is zero-bounded and its splittings come back with the missing third."""
+    report, code = cli.run_case({"kind": "seq", "payload": {
+        "op": "solve", "polys": ["t - 1", "t^2 - 1", None]}}, cli.RunOptions())
+    assert code == 0
+    assert report["values"] == {"polys": ["t - 1", "t^2 - 1", "t + 1"],
+                                "splittings": ["1", "t - 1", "t + 1", "1"]}
 
 
 _NO_KEY = 'expected an edge key "u-v" of two vertex indices'
@@ -710,10 +735,10 @@ def test_homology_vertex_errors_are_pinned(tmp_path, simplices, monodromy,
         "same-edge-clash", "inverse-clash", "not-an-edge", "vertex",
         "not-a-unit", "cocycle", "past-digit-limit"])
 def test_monodromy_keys_read_as_the_library_reads_strings(monodromy):
-    """The command line hands the library integer pairs; every key set
-    builds the complex, or gives the error, that the library gives on the
-    string keys, keys that name one edge twice and keys past int's digit
-    limit included."""
+    """The command line hands the library the edge keys as written; every
+    key set builds the complex, or gives the error, that the library gives
+    on the string keys, keys that name one edge twice and keys past int's
+    digit limit included."""
     simplices = [[0, 1], [1, 2], [0, 2]]
     payload = {"simplices": simplices, "monodromy": monodromy}
     try:

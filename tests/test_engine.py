@@ -509,6 +509,18 @@ def test_validate_normalization_frozen():
     report = validate_normalization(["t - 1", "3*t - 1"], 4)
     assert report[0]["ok"] and not report[1]["ok"]
 
+    # degree n - 1 is the first that must be a unit, though t - 2 is of
+    # Alexander type
+    report = validate_normalization(["t - 1", "t^2 - t + 1", "t - 2"], 3)
+    assert report[2] == {"degree": 2, "requirement": "similar to 1",
+                         "value": "t - 2", "ok": False}
+
+
+def test_disk_knots_start_in_dimension_three():
+    assert DiskKnotData(3, ["1"], ["t - 1"], ["1"]).n == 3
+    with pytest.raises(ValueError, match="at least 3"):
+        DiskKnotData(2, ["1"], ["t - 1"], ["1"])
+
 
 @given(disk_knot_data(), traditional_perversities())
 @settings(max_examples=40, deadline=None)

@@ -42,6 +42,7 @@ from ialex.laurent import (
 from oracles import (
     conjugate,
     determinantal_invariant_factors,
+    heap_diagonalise,
     kernel_basis,
     kunneth,
     kunneth_order,
@@ -312,6 +313,25 @@ def test_snf_of_one_row_or_column_matches_elimination(entries, as_row):
     diagonal = _diagonalise(m)
     assert smith_normal_form(m) == (tuple(map(normalize, diagonal)),
                                     len(diagonal))
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=6, max_cols=6):
+    """Matrices up to 6 x 6 whose cells are mostly zero, with units,
+    small nonunits and low-span entries among the rest."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    cell = st.one_of(st.just(LaurentPoly.zero()), _LINE_ENTRY)
+    grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return GammaMatrix(grid, cols=cols)
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_pivot_scan_matches_heap_elimination(m):
+    """The pivot scan takes the pivots the heap-ordered elimination took:
+    the same diagonal, in the same order."""
+    assert _diagonalise(m) == heap_diagonalise(m)
 
 
 @given(gamma_matrices(max_rows=3, max_cols=3))

@@ -113,6 +113,16 @@ def test_span_cap_checked_before_allocation():
     # terms that cancel do not count
     assert parse("t^1000000000 - t^1000000000 + 1") == LaurentPoly.one()
     assert LaurentPoly({10**9: 0, 0: 1}) == LaurentPoly.one()
+    # the cap bounds hi - lo, whatever the sum of the exponents, and a span
+    # of exactly MAX_SPAN is within it when read, built from a mapping or
+    # made by a sum
+    with pytest.raises(SpanCapExceeded):
+        LaurentPoly({-40000: 1, 40000: 1})
+    with pytest.raises(SpanCapExceeded):
+        parse("t^-40000") + parse("t^40000")
+    widest = [parse(f"t^{MAX_SPAN} + 1"), LaurentPoly({0: 1, MAX_SPAN: 1}),
+              parse(f"t^{MAX_SPAN}") + LaurentPoly.one()]
+    assert all(q == widest[0] and q.degree == MAX_SPAN for q in widest)
 
 
 def test_floats_are_refused():

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -49,3 +51,28 @@ def test_a_file_on_one_side_only_is_refused(tmp_path):
     change = _checkout(tmp_path / "change", b"\x00")
     (parent / "perfbench" / "extra.py").write_text("")
     assert pairs.first_benchmark_difference(parent, change) == "perfbench/extra.py"
+
+
+def test_zero_pairs_compare_report_hashes_alone(tmp_path, capsys):
+    """With no pair to time, the hash line is printed and the summary has
+    no line, where it used to index the first parent run."""
+    pairs = _load_pairs()
+    parent = _checkout(tmp_path / "parent", b"\x00")
+    change = _checkout(tmp_path / "change", b"\x00")
+    assert pairs.summary([], [], {}) == []
+    assert pairs.main(["--parent", str(parent), "--change", str(change),
+                       "--workload", "case-mix", "--pairs", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("report sha256: ")
+    assert "0 pairs" in out and "median" not in out
+
+
+def test_negative_pairs_are_a_usage_error(tmp_path, capsys):
+    pairs = _load_pairs()
+    parent = _checkout(tmp_path / "parent", b"\x00")
+    change = _checkout(tmp_path / "change", b"\x00")
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", str(parent), "--change", str(change),
+                    "--workload", "case-mix", "--pairs", "-1"])
+    assert exit_info.value.code == 2
+    assert "--pairs must not be negative" in capsys.readouterr().err

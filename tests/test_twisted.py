@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ialex import cli, twisted
 from ialex.bounds import E2Table
 from ialex.engine import Perversity
-from ialex.gmodule import FgGammaModule, order_polynomial
+from ialex.gmodule import FgGammaModule, _diagonalise, order_polynomial
 from ialex.laurent import LaurentPoly, divides, normalize, parse
 from ialex.twisted import (
     CocycleViolation,
@@ -26,8 +26,10 @@ from ialex.twisted import (
 from oracles import (
     first_cocycle_violation,
     forest_free_homology,
+    heap_diagonalise,
     kernel_solve_homology,
     snf_free_homology,
+    stalk_boundary_matrix,
     untwisted_betti,
 )
 
@@ -457,6 +459,17 @@ def test_coreduction_matches_both_oracles(tc):
     free = twisted._free_homology(tc)
     assert free == snf_free_homology(tc)
     assert free == forest_free_homology(tc)
+
+
+@given(st.one_of(full_simplices(), twisted_surfaces()))
+@settings(max_examples=30, deadline=None)
+def test_boundary_pivot_scan_matches_heap_elimination(tc):
+    """On every full boundary of a full simplex, RP2 or the 7-vertex
+    torus, the pivot scan and the heap-ordered elimination return the
+    same diagonal in the same order."""
+    for p in range(1, tc.dimension + 1):
+        m = stalk_boundary_matrix(tc, p, 1)
+        assert _diagonalise(m) == heap_diagonalise(m)
 
 
 def test_twelve_vertex_simplex_is_contractible():

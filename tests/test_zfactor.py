@@ -352,6 +352,22 @@ def test_packed_euclid_reduces_lazily_on_long_runs(monkeypatch, p):
     assert _gf_gcdex(a, b, p) == gf_gcdex(a, b, p)
 
 
+@pytest.mark.parametrize("p", [65537, 2**31 - 1])
+def test_packed_euclid_finds_a_planted_gcd_on_long_runs(p):
+    """Pairs of degree 64 and 60 sharing a planted factor of degree 20 run
+    long enough that the divisor is reduced inside the row loop, after
+    which its slots below the leading one are read again; the gcd still
+    matches the list Euclid."""
+    rng = random.Random(p)
+    for _ in range(5):
+        common = [rng.randrange(p) for _ in range(20)] + [1]
+        a = reduced(naive_mul(common, [rng.randrange(p) for _ in range(44)] + [1]), p)
+        b = reduced(naive_mul(common, [rng.randrange(p) for _ in range(40)] + [1]), p)
+        g = gf_gcd(a, b, p)
+        assert len(g) >= 21
+        assert _gf_gcd(a, b, p)[0] == g
+
+
 # -- GF(p) factorization -------------------------------------------------------
 
 
