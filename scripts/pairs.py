@@ -19,10 +19,11 @@ cases at the given seed, in its own process so that its own `src/` is
 imported, and one line gives the sha256 of each side's rendered reports
 (from the first pass), whether they match, and each side's least pass
 time: the least over the five passes of the sum of the case times, in
-seconds, not scaled.  A fixed number of passes reads the same on runs
-whose time-boxed medians fall in different modes.  The line is for reading
-only: the pairs are timed either way, and `--pairs 0` compares the hashes
-alone.
+seconds, not scaled.  The least pass time is for reading only and cannot
+compare two trees: processes fall into fast and slow modes, and on
+case-mix one tree's least pass read 0.2017 s in one run and 0.1241 s in
+the next.  The pairs are timed either way, and `--pairs 0` compares the
+hashes alone.
 
 Runs write no bytecode, and the script refuses to start when one checkout
 holds `__pycache__` directories under `src/` or `perfbench/` and the other

@@ -85,9 +85,6 @@ class StratumComponent(_Record):
         object.__setattr__(self, "zeta", None if zeta is None
                            else tuple(normalize(q) for q in zeta))
 
-    def _key(self) -> tuple:
-        return (self.xi, self.zeta)
-
     def __repr__(self) -> str:
         xi = [str(q) for q in self.xi]
         if self.zeta is None:
@@ -106,9 +103,6 @@ class Stratum(_Record):
         object.__setattr__(self, "components", tuple(components))
         if not all(isinstance(c, StratumComponent) for c in self.components):
             raise TypeError("components must be StratumComponent values")
-
-    def _key(self) -> tuple:
-        return (self.dim, self.components)
 
     def __repr__(self) -> str:
         return f"Stratum({self.dim}, {list(self.components)!r})"
@@ -151,9 +145,6 @@ class StratificationData(_Record):
                         raise ValueError(
                             f"link polynomials of a {stratum.dim}-stratum in "
                             f"S^{self.n} are graded below {limit}")
-
-    def _key(self) -> tuple:
-        return (self.n, self.strata)
 
     def __repr__(self) -> str:
         return f"StratificationData({self.n}, {list(self.strata)!r})"
@@ -198,9 +189,6 @@ class E2Table(_Record):
         return {"entries": [
             {"i": i, "p": p, "q": q, "poly": str(poly)}
             for (i, p, q), poly in self.items()]}
-
-    def _key(self) -> dict:
-        return self._entries
 
     def __repr__(self) -> str:
         inner = {key: str(poly) for key, poly in self.items()}

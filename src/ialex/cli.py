@@ -540,13 +540,13 @@ def _load_case(path: str, display: Optional[str] = None,
     """Read and parse a case file; returns (case, None) or (None, report)."""
     name = display or path
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8")), None
     except OSError as exc:
         return None, _error_report("unknown", "io", f"cannot read {name}: "
                                    f"{exc.strerror or exc}")
-    try:
-        return json.loads(text), None
-    except json.JSONDecodeError as exc:
+    # not UTF-8, not JSON, nested past the recursion limit, or an integer
+    # literal past int's digit limit
+    except (ValueError, RecursionError) as exc:
         return None, _error_report("unknown", "schema",
                                    f"invalid JSON in {name}: {exc}")
 

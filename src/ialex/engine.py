@@ -147,9 +147,6 @@ class Perversity(_Record):
         """
         return codim - 1 - self(codim)
 
-    def _key(self) -> tuple:
-        return self.values
-
     def __repr__(self) -> str:
         return f"Perversity({list(self.values)!r})"
 
@@ -204,9 +201,6 @@ class DiskKnotData(_Record):
         if not self.a_at(self.top).is_one:
             raise ValueError(
                 "inconsistent subpolynomial data: boundary splittings must be 1")
-
-    def _key(self) -> tuple:
-        return (self.n, self.a, self.b, self.c)
 
     def a_at(self, i: int) -> LaurentPoly:
         return self.a[i] if 0 <= i < len(self.a) else _ONE
@@ -319,10 +313,6 @@ class ProductSingularityInput(_Record):
         object.__setattr__(self, "a_high", tuple(normalize(x) for x in a_high))
         full = tuple(normalize(x) for x in a) if a is not None else self.a_high
         object.__setattr__(self, "a", full)
-
-    def _key(self) -> tuple:
-        return (self.n, self.k, self.perversity, self.sigma_homology,
-                self.link_modules, self.c, self.a_high, self.a)
 
     def c_at(self, i: int) -> LaurentPoly:
         return self.c[i] if 0 <= i < len(self.c) else _ONE

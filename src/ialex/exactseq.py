@@ -29,6 +29,7 @@ from ialex.laurent import (
     _Record,
     _poly_divmod,
     _quotient,
+    _strict_int,
     divides,
     multiplicity,
     normalize,
@@ -138,7 +139,7 @@ def solve_missing_third(
     deltas[0] = LaurentPoly.one()
     deltas[n] = LaurentPoly.one()
     for idx, value in junctions.items():
-        if not 0 <= idx <= n:
+        if not 0 <= _strict_int(idx, "a junction index") <= n:
             raise ValueError(f"junction index {idx} out of range")
         deltas[idx] = normalize(value)
 
@@ -234,9 +235,6 @@ class ModuleSequence(_Record):
                             f"maps {i} and {i + 1} do not compose to zero")
         object.__setattr__(self, "modules", mods)
         object.__setattr__(self, "maps", mats)
-
-    def _key(self) -> tuple:
-        return (self.modules, self.maps)
 
     def order_polynomials(self) -> tuple[LaurentPoly, ...]:
         return tuple(order_polynomial(m) for m in self.modules)

@@ -351,9 +351,6 @@ class FgGammaModule(_Record):
     def to_json(self) -> dict:
         return {"free": self.free_rank, "torsion": [str(t) for t in self.torsion]}
 
-    def _key(self) -> tuple:
-        return (self.free_rank, self.torsion)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank:

@@ -114,13 +114,19 @@ def _strict_int(value, what: str) -> int:
 
 class _Record:
     """An immutable value: its fields are set once, in ``__init__`` by
-    ``object.__setattr__``, and ``_key()`` is what it compares and hashes
-    by; a record equals only records of its own class."""
+    ``object.__setattr__``; it compares and hashes by ``_key()``, the tuple
+    of its ``__slots__`` values in slot order, and equals only records of
+    its own class.  A dict in a slot makes the record unhashable, so
+    ``GammaMatrix`` keys its row dicts as items tuples of its own: a
+    matrix, and through it a ``ModuleSequence``, must hash."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -725,7 +731,7 @@ def multiplicity(prime: PolyLike, p: PolyLike) -> int:
 def _capped_rep(p: PolyLike, degree_cap: int) -> LaurentPoly:
     """The normal form of p, refused above the factorization cap."""
     rep = normalize(p)
-    if rep.degree > degree_cap:
+    if rep.degree > _strict_int(degree_cap, "degree_cap"):
         raise DegreeCapExceeded(
             f"degree {rep.degree} exceeds the factorization cap {degree_cap}")
     return rep

@@ -99,8 +99,6 @@ class TwistedComplex(_Record):
     >>> circle = TwistedComplex([[0, 1], [1, 2], [0, 2]], {"0-1": "t"})
     >>> circle.dimension
     1
-    >>> circle.transport(1, 0)
-    LaurentPoly('t^-1')
     """
 
     __slots__ = ("simplices", "monodromy", "stalk", "_by_dim")
@@ -177,17 +175,6 @@ class TwistedComplex(_Record):
 
     def simplices_of_dim(self, p: int) -> tuple:
         return self._by_dim[p] if 0 <= p < len(self._by_dim) else ()
-
-    def transport(self, u: int, v: int) -> LaurentPoly:
-        """The unit carried by the oriented edge from u to v."""
-        if u == v:
-            return LaurentPoly.one()
-        key = (min(u, v), max(u, v))
-        unit = self.monodromy.get(key, LaurentPoly.one())
-        return unit if u < v else unit.inverse()
-
-    def _key(self) -> tuple:
-        return (self.simplices, self.monodromy, self.stalk)
 
     def __repr__(self) -> str:
         return (f"TwistedComplex({len(self.simplices)} simplices, "

@@ -140,7 +140,17 @@ def exact_div(a: Poly, b: Poly) -> Optional[tuple[int, ...]]:
     True
     >>> exact_div((0, 0, 1), (0, 1)), exact_div((1, 1), (0, 1))
     ((0, 1), None)
+    >>> exact_div((), (1, 1))
+    ()
+    >>> exact_div((1, 1), ())
+    Traceback (most recent call last):
+    ...
+    ZeroDivisionError: division by the zero polynomial
     """
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return ()
     if not b[0]:
         low = next(i for i, c in enumerate(b) if c)
         if any(a[:low]):

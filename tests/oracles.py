@@ -31,8 +31,9 @@ orders `engine.ia_product` multiplies from that table, and
 `factor_check_result` factors the whole polynomial where
 `bounds.check_result` divides out the allowed primes.  `heap_diagonalise`,
 the heap-ordered elimination with a column index that the library's pivot
-scan replaced, pins the pivots of that scan.  Slow is fine; these only ever
-see small inputs.
+scan replaced, pins the pivots of that scan.  `transport` reads an oriented
+edge's unit off a complex's monodromy for the boundaries built here.  Slow
+is fine; these only ever see small inputs.
 """
 
 from __future__ import annotations
@@ -714,13 +715,13 @@ def first_cocycle_violation(simplices, monodromy):
     units do not compose, or None; monodromy maps (u, v) with u < v to a
     unit and absent edges carry 1.  This checks every triangle, as
     `TwistedComplex` did before it skipped those with no twisted edge."""
-    def transport(u, v):
+    def unit(u, v):
         return monodromy.get((u, v), LaurentPoly.one())
 
     for tri in simplex_closure(simplices):
         if len(tri) == 3:
             u, v, w = tri
-            if transport(u, v) * transport(v, w) != transport(u, w):
+            if unit(u, v) * unit(v, w) != unit(u, w):
                 return tri
     return None
 
@@ -1196,6 +1197,15 @@ def leading_columns(m: GammaMatrix, n: int) -> GammaMatrix:
     return GammaMatrix([row[:n] for row in m.entries], cols=n)
 
 
+def transport(tc, u: int, v: int) -> LaurentPoly:
+    """The unit carried by the oriented edge from u to v of a twisted
+    complex: its monodromy for u < v, the inverse for u > v, 1 for u = v."""
+    if u == v:
+        return LaurentPoly.one()
+    unit = tc.monodromy.get((min(u, v), max(u, v)), LaurentPoly.one())
+    return unit if u < v else unit.inverse()
+
+
 def stalk_boundary_matrix(tc, p: int, copies: int) -> GammaMatrix:
     """The degree-p boundary on stalk-valued chains, one block of `copies`
     generators per simplex; rows are sources, columns targets."""
@@ -1207,7 +1217,7 @@ def stalk_boundary_matrix(tc, p: int, copies: int) -> GammaMatrix:
     for si, simplex in enumerate(top):
         for j in range(p + 1):
             face = simplex[:j] + simplex[j + 1:]
-            coeff = (tc.transport(simplex[0], simplex[1]) if j == 0
+            coeff = (transport(tc, simplex[0], simplex[1]) if j == 0
                      else LaurentPoly.one())
             if j % 2:
                 coeff = -coeff
@@ -1267,7 +1277,7 @@ def forest_boundary_matrix(tc, p: int, index) -> GammaMatrix:
         for j in range(p + 1):
             face = index.get(simplex[:j] + simplex[j + 1:])
             if face is not None:
-                unit = (tc.transport(simplex[0], simplex[1]) if j == 0
+                unit = (transport(tc, simplex[0], simplex[1]) if j == 0
                         else LaurentPoly.one())
                 row[face] = -unit if j % 2 else unit
         rows.append(row)
@@ -1301,7 +1311,7 @@ def spanning_forest(tc) -> tuple:
             u = stack.pop()
             for v in neighbours[u]:
                 if v not in potential:
-                    potential[v] = potential[u] * tc.transport(u, v)
+                    potential[v] = potential[u] * transport(tc, u, v)
                     root[v] = start
                     tree.add((u, v) if u < v else (v, u))
                     stack.append(v)
@@ -1312,7 +1322,7 @@ def spanning_forest(tc) -> tuple:
             continue
         index[edge] = len(index)
         u, v = edge
-        carried = potential[u] * tc.transport(u, v)
+        carried = potential[u] * transport(tc, u, v)
         if carried != potential[v]:
             loop = carried * potential[v].inverse() - one
             g = orders.get(root[u])

@@ -920,6 +920,43 @@ def test_corpus_names_broken_file(tmp_path):
     assert "zz.json" in broken["detail"]
 
 
+# case files that json.loads refuses with something other than JSONDecodeError
+UNREADABLE = {
+    "latin1.json": '{"kind": "factor", "payload": {"poly": "t\xe9"}}'.encode("latin-1"),
+    "deep.json": b"[" * 100000,
+    "long-int.json": b'{"kind": "factor", "payload": {"n": ' + b"9" * 5000 + b"}}",
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_case_file_is_schema_error(tmp_path, capsys, name):
+    """Not UTF-8, nested past the recursion limit, an integer past int's
+    digit limit: each is invalid JSON, reported as such."""
+    path = tmp_path / name
+    path.write_bytes(UNREADABLE[name])
+    result = run_cli("run", "--input", path)
+    assert result.exit_code == 1
+    report = report_of(result)
+    assert (report["kind"], report["status"]) == ("unknown", "error")
+    assert report["error"]["code"] == "schema"
+    assert report["error"]["message"].startswith(f"invalid JSON in {path}: ")
+    assert capsys.readouterr().err == ""
+
+
+def test_corpus_lists_unreadable_files_and_goes_on(tmp_path, capsys):
+    write_corpus(tmp_path / "corp", {"ok.json": FACTOR_CASE})
+    for name, data in UNREADABLE.items():
+        (tmp_path / "corp" / name).write_bytes(data)
+    result = run_cli("corpus", tmp_path / "corp")
+    assert result.exit_code == 1
+    values = report_of(result)["values"]
+    assert (values["total"], values["passed"]) == (4, 1)
+    statuses = {c["file"]: (c["kind"], c["status"]) for c in values["cases"]}
+    assert statuses == {"ok.json": ("factor", "pass"),
+                        **{name: ("unknown", "error") for name in UNREADABLE}}
+    assert capsys.readouterr().err == ""
+
+
 def test_corpus_empty_directory(tmp_path):
     (tmp_path / "empty").mkdir()
     result = run_cli("corpus", tmp_path / "empty")

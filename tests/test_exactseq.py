@@ -166,6 +166,13 @@ def test_solve_missing_third_errors():
         solve_missing_third([parse("t^2 - 1"), None], {0: A, 1: A})
 
 
+@pytest.mark.parametrize("key", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_junction_index_must_be_an_integer(key):
+    """True is not read as index 1, nor 1.0 as a list index."""
+    with pytest.raises(TypeError, match="^a junction index must be an integer"):
+        solve_missing_third([A * B, B * C, None], {key: B})
+
+
 @given(st.lists(st.tuples(prime_products(max_factors=1),
                           prime_products(max_factors=1),
                           prime_products(max_factors=1)),

@@ -21,7 +21,10 @@ from conftest import (
     small_primes_st,
 )
 import ialex.laurent as laurent
-from ialex.gmodule import GammaMatrix, smith_normal_form
+from ialex import bounds
+from ialex.engine import Perversity
+from ialex.exactseq import ModuleSequence, split_primary
+from ialex.gmodule import FgGammaModule, GammaMatrix, _require_prime, smith_normal_form
 from ialex.laurent import (
     MAX_SPAN,
     BothZero,
@@ -682,6 +685,33 @@ def test_factor_degree_cap():
     with pytest.raises(DegreeCapExceeded):
         factor("t^9 - 1", degree_cap=8)
     assert factor("t^9 - 1", degree_cap=9)  # just under the cap is fine
+
+
+_STRATA = bounds.StratificationData(7, [bounds.Stratum(3, [bounds.StratumComponent(["t - 1"])])])
+_ZERO6 = Perversity.zero(6)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None, "8"],
+                         ids=["float", "bool", "none", "str"])
+@pytest.mark.parametrize("call", [
+    lambda v: factor("t + 1", v),
+    lambda v: bounds.check_result("t - 1", set(), degree_cap=v),
+    lambda v: bounds.allowed_primes_single(2, 7, 4, "t - 2", [], degree_cap=v),
+    lambda v: bounds.exclusion_single("t^2 + 1", 2, 4, _ZERO6, "t - 2", [],
+                                      degree_cap=v),
+    lambda v: bounds.allowed_primes_general(2, "t - 2", _STRATA, degree_cap=v),
+    lambda v: bounds.max_power_bound("t - 1", 2, 3, bounds.E2Table({}), 6,
+                                     _ZERO6, degree_cap=v),
+    lambda v: _require_prime("t - 1", v),
+    lambda v: split_primary(ModuleSequence([FgGammaModule.cyclic("t - 1")], []),
+                            "t - 1", degree_cap=v),
+], ids=["factor", "check_result", "allowed_single", "exclusion_single",
+        "allowed_general", "max_power_bound", "require_prime", "split_primary"])
+def test_degree_cap_must_be_an_integer(call, bad):
+    """Every caller reaches the one comparison with the cap, which refuses a
+    non-integer as the constructors' integer fields do."""
+    with pytest.raises(TypeError, match="^degree_cap must be an integer"):
+        call(bad)
 
 
 @given(nonzero_polys(max_span=3, max_terms=3, max_coeff=4),

@@ -82,6 +82,26 @@ def test_value_classes_compare_by_value(name):
     assert all(value != build() for other, build in VALUES.items() if other != name)
 
 
+@pytest.mark.parametrize("name", [name for name in VALUES if name != "GammaMatrix"])
+def test_record_equality_sees_every_slot(name):
+    """A copy that differs from a record in one slot only is a different
+    record, so no slot is left out of the key.  GammaMatrix keeps a key of
+    its own, turning its row dicts into tuples."""
+    value = VALUES[name]()
+    slots = type(value).__slots__
+
+    def copy(sentinel_at=None):
+        twin = object.__new__(type(value))
+        for slot in slots:
+            object.__setattr__(twin, slot, object() if slot == sentinel_at
+                               else getattr(value, slot))
+        return twin
+
+    assert copy() == value
+    for slot in slots:
+        assert copy(sentinel_at=slot) != value, slot
+
+
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "fixtures" / "corpus"
 
